@@ -21,6 +21,8 @@ help:
 	@echo "bench-snapshot  refresh the committed BENCH_N.json in place — run this"
 	@echo "                (and commit the result) when an INTENDED engine change"
 	@echo "                shifts the deterministic counters and bench-check fails"
+	@echo "psbench-test    vet + tests of the cmd/psbench benchmark module (its own"
+	@echo "                go.mod, so ./... from the root never builds it)"
 	@echo "bench           go test -bench over everything"
 
 # Tier 1: the seed gate — everything must build and pass.
@@ -132,6 +134,13 @@ bench-check:
 .PHONY: bench-snapshot
 bench-snapshot:
 	go run ./cmd/benchreport -json > "$$(ls BENCH_*.json | sort -V | tail -1)"
+
+# The benchmark harness is a module of its own (cmd/psbench/go.mod), so the
+# root go build/vet/test never compile it; this target does, catching API
+# or counter-name changes in the packages it calls.
+.PHONY: psbench-test
+psbench-test:
+	cd cmd/psbench && go vet ./... && go test ./...
 
 .PHONY: bench
 bench:

@@ -20,7 +20,9 @@ import (
 // Region is an abstract memory object. Regions are hash-consed by a Manager,
 // so two regions are the same object iff they denote the same memory.
 type Region interface {
-	// Key is a stable identifier usable as a map key.
+	// Key is a stable identifier that orders regions deterministically
+	// (the region itself is the map key: regions are hash-consed). It is
+	// built once, when the Manager creates the region.
 	Key() string
 	// String renders the region in the paper's Table IV notation
 	// (reg0, reg0[1], …).
@@ -32,12 +34,13 @@ type Region interface {
 // VarRegion is the region of a named program variable in some frame.
 type VarRegion struct {
 	id    int
+	key   string
 	Name  string
 	Frame int // call-frame depth, distinguishing recursive locals
 }
 
 // Key implements Region.
-func (r *VarRegion) Key() string { return "v" + strconv.Itoa(r.id) }
+func (r *VarRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *VarRegion) String() string { return "reg" + strconv.Itoa(r.id) }
@@ -50,6 +53,7 @@ func (r *VarRegion) Super() Region { return nil }
 // identifies the block; element reads produce fresh symbols per index.
 type SymRegion struct {
 	id      int
+	key     string
 	Pointee *sym.Symbol // identity of the unknown block
 	// SecretSource is non-zero when the block holds secret input; element
 	// reads then mint secret symbols.
@@ -58,7 +62,7 @@ type SymRegion struct {
 }
 
 // Key implements Region.
-func (r *SymRegion) Key() string { return "sym" + strconv.Itoa(r.id) }
+func (r *SymRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *SymRegion) String() string { return "SymRegion{" + r.DisplayName + "}" }
@@ -69,13 +73,12 @@ func (r *SymRegion) Super() Region { return nil }
 // ElementRegion is the subregion for array element super[index].
 type ElementRegion struct {
 	super Region
+	key   string
 	Index int // concrete element index
 }
 
 // Key implements Region.
-func (r *ElementRegion) Key() string {
-	return r.super.Key() + "[" + strconv.Itoa(r.Index) + "]"
-}
+func (r *ElementRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *ElementRegion) String() string {
@@ -88,11 +91,12 @@ func (r *ElementRegion) Super() Region { return r.super }
 // FieldRegion is the subregion for struct field super.Field.
 type FieldRegion struct {
 	super Region
+	key   string
 	Field string
 }
 
 // Key implements Region.
-func (r *FieldRegion) Key() string { return r.super.Key() + "." + r.Field }
+func (r *FieldRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *FieldRegion) String() string { return regionBase(r.super) + "." + r.Field }
@@ -121,23 +125,37 @@ func Root(r Region) Region {
 	return r
 }
 
-// Manager hash-conses regions so identical denotations share one object.
-// It is safe for concurrent use: parallel path workers exploring one entry
-// point share a single manager, and region identity (pointer equality)
-// must hold across workers.
 // Manager hash-conses regions, mirroring the sym.Interner contract: one
-// canonical *Region per key, so region equality throughout the engine is
-// pointer equality. Reads are lock-free (sync.Map, shared read-mostly
-// across path workers); creation takes a short mutex so numeric region IDs
-// stay dense and deterministic under sequential exploration.
+// canonical region object per denotation, so region equality throughout the
+// engine is pointer equality and regions serve directly as map keys (the
+// Store and the engine's per-region tables key on them). It is safe for
+// concurrent use: parallel path workers exploring one entry point share a
+// single manager. Reads are lock-free (sync.Map, shared read-mostly across
+// path workers); creation takes a short mutex so numeric region IDs stay
+// dense and deterministic under sequential exploration.
 type Manager struct {
 	mu     sync.Mutex // guards nextID and the create path
 	nextID int
 	count  atomic.Int64
-	vars   sync.Map // key → *VarRegion
-	symRgs sync.Map // key → *SymRegion
-	elems  sync.Map // key → *ElementRegion
-	fields sync.Map // key → *FieldRegion
+	vars   sync.Map // varKey → *VarRegion
+	symRgs sync.Map // pointee symbol ID → *SymRegion
+	elems  sync.Map // elemKey → *ElementRegion
+	fields sync.Map // fieldKey → *FieldRegion
+}
+
+type varKey struct {
+	name  string
+	frame int
+}
+
+type elemKey struct {
+	super Region
+	index int
+}
+
+type fieldKey struct {
+	super Region
+	field string
 }
 
 // NewManager returns an empty region manager.
@@ -147,7 +165,7 @@ func NewManager() *Manager {
 
 // Var returns the region of variable name in the given frame.
 func (m *Manager) Var(name string, frame int) *VarRegion {
-	k := name + "@" + strconv.Itoa(frame)
+	k := varKey{name, frame}
 	if r, ok := m.vars.Load(k); ok {
 		return r.(*VarRegion)
 	}
@@ -156,7 +174,7 @@ func (m *Manager) Var(name string, frame int) *VarRegion {
 	if r, ok := m.vars.Load(k); ok {
 		return r.(*VarRegion)
 	}
-	r := &VarRegion{id: m.nextID, Name: name, Frame: frame}
+	r := &VarRegion{id: m.nextID, key: "v" + strconv.Itoa(m.nextID), Name: name, Frame: frame}
 	m.nextID++
 	m.vars.Store(k, r)
 	m.count.Add(1)
@@ -165,7 +183,7 @@ func (m *Manager) Var(name string, frame int) *VarRegion {
 
 // SymBlock returns the SymRegion for the block identified by pointee.
 func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *SymRegion {
-	k := strconv.Itoa(pointee.ID)
+	k := pointee.ID
 	if r, ok := m.symRgs.Load(k); ok {
 		return r.(*SymRegion)
 	}
@@ -174,7 +192,7 @@ func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *Sy
 	if r, ok := m.symRgs.Load(k); ok {
 		return r.(*SymRegion)
 	}
-	r := &SymRegion{id: m.nextID, Pointee: pointee, DisplayName: display, SecretSource: secret}
+	r := &SymRegion{id: m.nextID, key: "sym" + strconv.Itoa(m.nextID), Pointee: pointee, DisplayName: display, SecretSource: secret}
 	m.nextID++
 	m.symRgs.Store(k, r)
 	m.count.Add(1)
@@ -183,7 +201,7 @@ func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *Sy
 
 // Element returns the ElementRegion super[index].
 func (m *Manager) Element(super Region, index int) *ElementRegion {
-	k := super.Key() + "[" + strconv.Itoa(index) + "]"
+	k := elemKey{super, index}
 	if r, ok := m.elems.Load(k); ok {
 		return r.(*ElementRegion)
 	}
@@ -192,7 +210,7 @@ func (m *Manager) Element(super Region, index int) *ElementRegion {
 	if r, ok := m.elems.Load(k); ok {
 		return r.(*ElementRegion)
 	}
-	r := &ElementRegion{super: super, Index: index}
+	r := &ElementRegion{super: super, key: super.Key() + "[" + strconv.Itoa(index) + "]", Index: index}
 	m.elems.Store(k, r)
 	m.count.Add(1)
 	return r
@@ -200,7 +218,7 @@ func (m *Manager) Element(super Region, index int) *ElementRegion {
 
 // Field returns the FieldRegion super.field.
 func (m *Manager) Field(super Region, field string) *FieldRegion {
-	k := super.Key() + "." + field
+	k := fieldKey{super, field}
 	if r, ok := m.fields.Load(k); ok {
 		return r.(*FieldRegion)
 	}
@@ -209,7 +227,7 @@ func (m *Manager) Field(super Region, field string) *FieldRegion {
 	if r, ok := m.fields.Load(k); ok {
 		return r.(*FieldRegion)
 	}
-	r := &FieldRegion{super: super, Field: field}
+	r := &FieldRegion{super: super, key: super.Key() + "." + field, Field: field}
 	m.fields.Store(k, r)
 	m.count.Add(1)
 	return r
@@ -260,22 +278,25 @@ func (Undefined) String() string { return "undef" }
 // Store maps regions to SVals (σ in the paper's state 4-tuple). It is a
 // persistent copy-on-write structure: Clone is O(1) in the number of
 // bindings, making state forks cheap enough for parallel path exploration.
+// Bindings are keyed by region identity (regions are hash-consed by the
+// Manager), so lookups never build a key string.
 //
 // Internally a store is a chain of frozen layers (oldest first, shared
 // between forked states, never mutated again) plus one private mutable top
 // layer. Lookups scan top-down; deletions shadow older layers with a
-// tombstone (an entry with a nil val). A single store value is still owned
-// by exactly one exploration state at a time — only the *frozen* layers are
-// shared — so per-store operations need no lock.
+// tombstone (a nil value). A single store value is still owned by exactly
+// one exploration state at a time — only the *frozen* layers are shared —
+// so per-store operations need no lock.
 type Store struct {
-	frozen []map[string]entry // immutable layers, oldest first
-	top    map[string]entry   // private mutable layer
-	count  int                // live bindings visible through all layers
+	frozen []map[Region]SVal // immutable layers, oldest first
+	top    map[Region]SVal   // private mutable layer
+	count  int               // live bindings visible through all layers
 }
 
-type entry struct {
-	region Region
-	val    SVal // nil marks a tombstone shadowing a frozen binding
+// Binding is one region → value pair of a store.
+type Binding struct {
+	Region Region
+	Val    SVal
 }
 
 // flattenDepth is the frozen-chain length past which Clone collapses the
@@ -284,54 +305,49 @@ const flattenDepth = 32
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{top: make(map[string]entry)}
+	return &Store{top: make(map[Region]SVal)}
 }
 
-// lookupEntry finds the visible entry for key, newest layer first.
-func (s *Store) lookupEntry(k string) (entry, bool) {
-	if e, ok := s.top[k]; ok {
-		return e, true
+// lookupEntry finds the visible value for r, newest layer first; a nil
+// value with ok set is a tombstone.
+func (s *Store) lookupEntry(r Region) (SVal, bool) {
+	if v, ok := s.top[r]; ok {
+		return v, true
 	}
 	for i := len(s.frozen) - 1; i >= 0; i-- {
-		if e, ok := s.frozen[i][k]; ok {
-			return e, true
+		if v, ok := s.frozen[i][r]; ok {
+			return v, true
 		}
 	}
-	return entry{}, false
+	return nil, false
 }
 
 // Bind records region → val.
 func (s *Store) Bind(r Region, v SVal) {
-	k := r.Key()
-	if e, ok := s.lookupEntry(k); !ok || e.val == nil {
+	if old, _ := s.lookupEntry(r); old == nil {
 		s.count++
 	}
-	s.top[k] = entry{region: r, val: v}
+	s.top[r] = v
 }
 
 // Lookup returns the value bound to r, or (nil, false).
 func (s *Store) Lookup(r Region) (SVal, bool) {
-	e, ok := s.lookupEntry(r.Key())
-	if !ok || e.val == nil {
-		return nil, false
-	}
-	return e.val, true
+	v, _ := s.lookupEntry(r)
+	return v, v != nil
 }
 
 // Remove deletes any binding for r.
 func (s *Store) Remove(r Region) {
-	k := r.Key()
-	e, ok := s.lookupEntry(k)
-	if !ok || e.val == nil {
+	if v, _ := s.lookupEntry(r); v == nil {
 		return
 	}
 	s.count--
-	delete(s.top, k)
+	delete(s.top, r)
 	// A frozen layer may still hold the binding; shadow it.
 	for i := len(s.frozen) - 1; i >= 0; i-- {
-		if fe, ok := s.frozen[i][k]; ok {
-			if fe.val != nil {
-				s.top[k] = entry{region: r, val: nil}
+		if fv, ok := s.frozen[i][r]; ok {
+			if fv != nil {
+				s.top[r] = nil
 			}
 			return
 		}
@@ -350,14 +366,14 @@ func (s *Store) Clone() *Store {
 		s.flatten()
 	}
 	if len(s.top) > 0 {
-		chain := make([]map[string]entry, len(s.frozen), len(s.frozen)+1)
+		chain := make([]map[Region]SVal, len(s.frozen), len(s.frozen)+1)
 		copy(chain, s.frozen)
 		s.frozen = append(chain, s.top)
-		s.top = make(map[string]entry)
+		s.top = make(map[Region]SVal)
 	}
 	c := &Store{
-		frozen: make([]map[string]entry, len(s.frozen)),
-		top:    make(map[string]entry),
+		frozen: make([]map[Region]SVal, len(s.frozen)),
+		top:    make(map[Region]SVal),
 		count:  s.count,
 	}
 	copy(c.frozen, s.frozen)
@@ -366,77 +382,65 @@ func (s *Store) Clone() *Store {
 
 // flatten merges the frozen chain into a single layer, applying tombstones.
 func (s *Store) flatten() {
-	merged := make(map[string]entry)
+	merged := make(map[Region]SVal)
 	for _, layer := range s.frozen {
-		for k, e := range layer {
-			if e.val == nil {
-				delete(merged, k)
+		for r, v := range layer {
+			if v == nil {
+				delete(merged, r)
 			} else {
-				merged[k] = e
+				merged[r] = v
 			}
 		}
 	}
-	s.frozen = []map[string]entry{merged}
+	s.frozen = []map[Region]SVal{merged}
 }
 
-// visible merges all layers into the currently visible binding set.
-func (s *Store) visible() map[string]entry {
-	m := make(map[string]entry, s.count)
-	for _, layer := range s.frozen {
-		for k, e := range layer {
-			if e.val == nil {
-				delete(m, k)
-			} else {
-				m[k] = e
+// collect returns the visible bindings whose region passes keep, sorted
+// by region key. Layers are visited newest first and a region's first
+// occurrence shadows the rest, so only the kept regions are tracked.
+func (s *Store) collect(keep func(Region) bool) []Binding {
+	var out []Binding
+	seen := make(map[Region]bool)
+	visit := func(layer map[Region]SVal) {
+		for r, v := range layer {
+			if seen[r] || !keep(r) {
+				continue
+			}
+			seen[r] = true
+			if v != nil {
+				out = append(out, Binding{r, v})
 			}
 		}
 	}
-	for k, e := range s.top {
-		if e.val == nil {
-			delete(m, k)
-		} else {
-			m[k] = e
-		}
+	visit(s.top)
+	for i := len(s.frozen) - 1; i >= 0; i-- {
+		visit(s.frozen[i])
 	}
-	return m
+	sort.Slice(out, func(i, j int) bool { return out[i].Region.Key() < out[j].Region.Key() })
+	return out
 }
 
 // Bindings returns all (region, value) pairs sorted by region key, for
 // deterministic rendering of Table IV rows.
-func (s *Store) Bindings() []struct {
-	Region Region
-	Val    SVal
-} {
-	vals := s.visible()
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]struct {
-		Region Region
-		Val    SVal
-	}, 0, len(keys))
-	for _, k := range keys {
-		e := vals[k]
-		out = append(out, struct {
-			Region Region
-			Val    SVal
-		}{e.region, e.val})
-	}
-	return out
+func (s *Store) Bindings() []Binding {
+	return s.collect(func(Region) bool { return true })
+}
+
+// BindingsUnder returns the bindings strictly below the roots that keep
+// accepts (regions whose Root passes, other than the root itself), sorted
+// by region key. Only those bindings are materialized and sorted.
+func (s *Store) BindingsUnder(keep func(root Region) bool) []Binding {
+	return s.collect(func(r Region) bool { return r.Super() != nil && keep(Root(r)) })
 }
 
 // SubRegionsOf returns the bound regions whose root is the given root,
 // used to smear taint over a region when a symbolic index is written.
 func (s *Store) SubRegionsOf(root Region) []Region {
-	var out []Region
-	for _, e := range s.visible() {
-		if Root(e.region) == root && e.region != root {
-			out = append(out, e.region)
-		}
+	bs := s.BindingsUnder(func(r Region) bool { return r == root })
+	out := make([]Region, len(bs))
+	for i, b := range bs {
+		out[i] = b.Region
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 

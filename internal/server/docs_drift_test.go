@@ -20,7 +20,9 @@ import (
 func TestCounterRegistryMatchesDocs(t *testing.T) {
 	documented := obstest.DocRegistry(t, filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
 
-	s := New(Config{Workers: 1, CacheEntries: 16, SlowThreshold: time.Nanosecond})
+	// QueueDepth 1: a back-to-back request may arrive while the single
+	// worker is between jobs, and must wait rather than be refused.
+	s := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: 16, SlowThreshold: time.Nanosecond})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -121,9 +121,11 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 
 // TestFlightRecorderEvictionOverHTTP: with FlightEntries 1, a second
 // analysis evicts the first recording — its /debug/traces/{id} answers 404
-// while the newest trace still resolves.
+// while the newest trace still resolves. QueueDepth 1 lets the second
+// request wait while the single worker is between finishing the first job
+// and taking the next, instead of being refused as queue-full.
 func TestFlightRecorderEvictionOverHTTP(t *testing.T) {
-	s := New(Config{Workers: 1, CacheEntries: 16, FlightEntries: 1})
+	s := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: 16, FlightEntries: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

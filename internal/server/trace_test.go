@@ -124,9 +124,11 @@ func TestTraceGeneratedWhenAbsent(t *testing.T) {
 }
 
 // TestFlightRecorderListAndEviction: /debug/traces lists newest first and
-// the ring evicts past FlightEntries.
+// the ring evicts past FlightEntries. QueueDepth 1 lets a back-to-back
+// request wait while the single worker is between finishing the previous
+// job and taking the next, instead of being refused as queue-full.
 func TestFlightRecorderListAndEviction(t *testing.T) {
-	s := New(Config{Workers: 1, CacheEntries: 0, FlightEntries: 2})
+	s := New(Config{Workers: 1, QueueDepth: 1, CacheEntries: 0, FlightEntries: 2})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -7,59 +7,6 @@ import (
 	"privacyscope/internal/sym"
 )
 
-func TestFeasibleMemoization(t *testing.T) {
-	b := newBuilder()
-	s1 := b.FreshSecret("s1")
-	m := obs.NewMetrics()
-	sv := NewObserved(m)
-
-	pc := True().And(cmp(sym.OpGt, s1, sym.IntConst{V: 0}))
-	if !sv.Feasible(pc) {
-		t.Fatal("s1 > 0 must be feasible")
-	}
-	if !sv.Feasible(pc) {
-		t.Fatal("cached verdict must agree")
-	}
-	if hits := m.Counter("solver.cache.hits"); hits != 1 {
-		t.Errorf("cache hits = %d, want 1", hits)
-	}
-	if misses := m.Counter("solver.cache.misses"); misses != 1 {
-		t.Errorf("cache misses = %d, want 1", misses)
-	}
-	if q := m.Counter("solver.queries"); q != 2 {
-		t.Errorf("queries = %d, want 2", q)
-	}
-
-	// Unsat verdicts are memoized too, and counted each time they prune.
-	contra := pc.And(cmp(sym.OpLt, s1, sym.IntConst{V: 0}))
-	for i := 0; i < 2; i++ {
-		if sv.Feasible(contra) {
-			t.Fatal("s1 > 0 ∧ s1 < 0 must be infeasible")
-		}
-	}
-	if unsat := m.Counter("solver.unsat"); unsat != 2 {
-		t.Errorf("unsat = %d, want 2", unsat)
-	}
-}
-
-// TestFeasibleCacheOrderIndependent pins the canonicalization: the same
-// conjunct set reached through a different branch order shares one entry.
-func TestFeasibleCacheOrderIndependent(t *testing.T) {
-	b := newBuilder()
-	s1 := b.FreshSecret("s1")
-	s2 := b.FreshSecret("s2")
-	a := cmp(sym.OpGt, s1, sym.IntConst{V: 0})
-	c := cmp(sym.OpLt, s2, sym.IntConst{V: 10})
-
-	m := obs.NewMetrics()
-	sv := NewObserved(m)
-	sv.Feasible(True().And(a).And(c))
-	sv.Feasible(True().And(c).And(a))
-	if hits := m.Counter("solver.cache.hits"); hits != 1 {
-		t.Errorf("cache hits = %d, want 1 (order-independent key)", hits)
-	}
-}
-
 // TestZeroValueSolverStillWorks guards the documented zero-value contract
 // after the observer and cache fields were added.
 func TestZeroValueSolverStillWorks(t *testing.T) {
@@ -72,45 +19,6 @@ func TestZeroValueSolverStillWorks(t *testing.T) {
 	}
 	if sv.Check(pc) != Sat {
 		t.Error("zero-value Check must find the model")
-	}
-}
-
-// TestFeasibleCacheEviction pins the bounded-cache contract: at the cap,
-// inserts evict rather than stop recording, the counter reports every
-// eviction, and the map never exceeds the cap.
-func TestFeasibleCacheEviction(t *testing.T) {
-	old := feasCacheCap
-	feasCacheCap = 4
-	defer func() { feasCacheCap = old }()
-
-	b := newBuilder()
-	s1 := b.FreshSecret("s1")
-	m := obs.NewMetrics()
-	sv := NewObserved(m)
-
-	const inserts = 10
-	for i := 0; i < inserts; i++ {
-		pc := True().And(cmp(sym.OpGt, s1, sym.IntConst{V: int32(i)}))
-		if !sv.Feasible(pc) {
-			t.Fatalf("s1 > %d must be feasible", i)
-		}
-	}
-	sv.mu.Lock()
-	size := len(sv.feas)
-	sv.mu.Unlock()
-	if size > feasCacheCap {
-		t.Errorf("cache size %d exceeds cap %d", size, feasCacheCap)
-	}
-	if ev := m.Counter("solver.cache.evicted"); ev != inserts-int64(feasCacheCap) {
-		t.Errorf("evicted = %d, want %d", ev, inserts-feasCacheCap)
-	}
-	// New conditions are still recorded after the cap was reached: a repeat
-	// of the most recent insert must hit.
-	pc := True().And(cmp(sym.OpGt, s1, sym.IntConst{V: inserts - 1}))
-	hitsBefore := m.Counter("solver.cache.hits")
-	sv.Feasible(pc)
-	if m.Counter("solver.cache.hits") != hitsBefore+1 {
-		t.Error("most recent insert must still be cached after evictions")
 	}
 }
 

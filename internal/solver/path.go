@@ -10,6 +10,7 @@ package solver
 
 import (
 	"strings"
+	"sync"
 
 	"privacyscope/internal/sym"
 	"privacyscope/internal/taint"
@@ -17,10 +18,19 @@ import (
 
 // PathCondition is π: an ordered conjunction of boolean-position symbolic
 // expressions. The zero value is the empty (True) condition. Values are
-// persistent: And returns a new condition sharing the prefix, so forked
-// states alias safely.
+// persistent nodes: And links a new node to its parent in O(1), so forked
+// states share their common prefix and alias safely.
+//
+// Each node lazily caches its interval state (see Solver.boundsOf): the
+// parent's state with the node's own conjunct applied, so a feasibility
+// query costs what the newest conjunct adds, not the length of the path.
 type PathCondition struct {
-	conj []sym.Expr
+	parent *PathCondition // nil at the root
+	last   sym.Expr       // newest conjunct; nil at the root
+	n      int            // number of conjuncts
+
+	once   sync.Once
+	bounds *bounds // set once by Solver.boundsOf
 }
 
 // True returns the empty path condition.
@@ -31,39 +41,36 @@ func (pc *PathCondition) And(e sym.Expr) *PathCondition {
 	if c, ok := e.(sym.IntConst); ok && c.V != 0 {
 		return pc
 	}
-	next := make([]sym.Expr, len(pc.conj), len(pc.conj)+1)
-	copy(next, pc.conj)
-	return &PathCondition{conj: append(next, e)}
+	return &PathCondition{parent: pc, last: e, n: pc.n + 1}
 }
 
 // NegateLast returns a copy of pc with its most recent conjunct negated —
 // the ¬ operator of the paper's PS-FCOND rule, which "negates the most
 // recent added path constraint in π". Returns pc unchanged when empty.
 func (pc *PathCondition) NegateLast() *PathCondition {
-	if len(pc.conj) == 0 {
+	if pc.n == 0 {
 		return pc
 	}
-	next := make([]sym.Expr, len(pc.conj))
-	copy(next, pc.conj)
-	next[len(next)-1] = sym.Negate(next[len(next)-1])
-	return &PathCondition{conj: next}
+	return &PathCondition{parent: pc.parent, last: sym.Negate(pc.last), n: pc.n}
 }
 
 // Conjuncts returns the conjunction's terms in order.
 func (pc *PathCondition) Conjuncts() []sym.Expr {
-	out := make([]sym.Expr, len(pc.conj))
-	copy(out, pc.conj)
+	out := make([]sym.Expr, pc.n)
+	for c := pc; c.n > 0; c = c.parent {
+		out[c.n-1] = c.last
+	}
 	return out
 }
 
 // Len returns the number of conjuncts.
-func (pc *PathCondition) Len() int { return len(pc.conj) }
+func (pc *PathCondition) Len() int { return pc.n }
 
 // SecretTags returns the distinct secret tags appearing anywhere in π.
 func (pc *PathCondition) SecretTags() []taint.Tag {
 	var tags []taint.Tag
 	seen := make(map[taint.Tag]bool)
-	for _, e := range pc.conj {
+	for _, e := range pc.Conjuncts() {
 		for _, tag := range sym.SecretTags(e) {
 			if !seen[tag] {
 				seen[tag] = true
@@ -84,11 +91,11 @@ func (pc *PathCondition) Taint() taint.Label {
 // String renders π as in Table IV: "True" when empty, otherwise the
 // conjunction joined with " ∧ ".
 func (pc *PathCondition) String() string {
-	if len(pc.conj) == 0 {
+	if pc.n == 0 {
 		return "True"
 	}
-	parts := make([]string, len(pc.conj))
-	for i, e := range pc.conj {
+	parts := make([]string, pc.n)
+	for i, e := range pc.Conjuncts() {
 		parts[i] = trimParens(e.String())
 	}
 	return strings.Join(parts, " ∧ ")

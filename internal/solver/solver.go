@@ -1,10 +1,8 @@
 package solver
 
 import (
+	"maps"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"privacyscope/internal/obs"
@@ -34,90 +32,114 @@ func (r Result) String() string {
 	}
 }
 
-// interval is a closed float64 interval with optional excluded points
-// (from != constraints).
+// interval is a closed integer interval (symbols range over 32-bit ints)
+// with optional excluded points (from != constraints). Intervals are shared
+// between a path condition and its descendants, so they are never modified
+// once published; tightened returns a fresh copy.
 type interval struct {
 	lo, hi   float64
-	excluded map[float64]bool
-	isInt    bool
-}
-
-func fullInterval() *interval {
-	return &interval{lo: math.Inf(-1), hi: math.Inf(1), excluded: make(map[float64]bool)}
+	excluded map[float64]bool // nil when empty; copied before adding a point
 }
 
 func (iv *interval) empty() bool {
-	if iv.lo > iv.hi {
+	lo, hi := math.Ceil(iv.lo), math.Floor(iv.hi)
+	if lo > hi {
 		return true
 	}
-	if iv.isInt {
-		lo, hi := math.Ceil(iv.lo), math.Floor(iv.hi)
-		if lo > hi {
-			return true
-		}
-		// A finite integer interval fully covered by exclusions is empty.
-		if hi-lo < 64 {
-			for v := lo; v <= hi; v++ {
-				if !iv.excluded[v] {
-					return false
-				}
+	// A finite integer interval fully covered by exclusions is empty.
+	if hi-lo < 64 {
+		for v := lo; v <= hi; v++ {
+			if !iv.excluded[v] {
+				return false
 			}
-			return true
 		}
-	}
-	if iv.lo == iv.hi && iv.excluded[iv.lo] {
 		return true
 	}
 	return false
 }
 
 // clampLo raises the lower bound.
-func (iv *interval) clampLo(v float64) bool {
+func (iv *interval) clampLo(v float64) {
 	if v > iv.lo {
 		iv.lo = v
-		return true
 	}
-	return false
 }
 
 // clampHi lowers the upper bound.
-func (iv *interval) clampHi(v float64) bool {
+func (iv *interval) clampHi(v float64) {
 	if v < iv.hi {
 		iv.hi = v
-		return true
 	}
-	return false
 }
 
-// feasCacheCap bounds the memoization map so adversarially branchy inputs
-// cannot grow it without limit; at the cap an arbitrary entry is evicted
-// per insert (counted as solver.cache.evicted), so recent conditions — the
-// ones the engine is about to re-derive — stay warm. A var, not a const,
-// so tests can shrink it.
-var feasCacheCap = 1 << 16
+// tightened returns iv narrowed by "s op c" as a fresh interval; a nil iv
+// stands for the symbol's full 32-bit range. The bound each comparison
+// imposes depends only on op and c, never on iv, so applying atoms is
+// monotone, idempotent and commutative: one pass over the atoms reaches the
+// same fixpoint as any number of propagation rounds.
+func tightened(iv *interval, op sym.Op, c float64) *interval {
+	n := &interval{lo: math.MinInt32, hi: math.MaxInt32}
+	if iv != nil {
+		*n = *iv
+	}
+	switch op {
+	case sym.OpEq:
+		n.clampLo(c)
+		n.clampHi(c)
+	case sym.OpNe:
+		if !n.excluded[c] {
+			ex := make(map[float64]bool, len(n.excluded)+1)
+			for v := range n.excluded {
+				ex[v] = true
+			}
+			ex[c] = true
+			n.excluded = ex
+		}
+	case sym.OpLt:
+		n.clampHi(math.Ceil(c) - 1)
+	case sym.OpLe:
+		n.clampHi(math.Floor(c))
+	case sym.OpGt:
+		n.clampLo(math.Floor(c) + 1)
+	case sym.OpGe:
+		n.clampLo(math.Ceil(c))
+	}
+	return n
+}
+
+// bounds is the interval state of one path condition: the per-symbol
+// intervals after applying every conjunct's atoms, or unsat once any
+// conjunct is constant-false or empties an interval. It is immutable once
+// built; a condition whose newest conjunct bounds nothing shares its
+// parent's bounds.
+type bounds struct {
+	ivs   map[int]*interval // symbol ID → interval; only symbols some atom bounds
+	unsat bool
+}
+
+var (
+	noBounds    = &bounds{}
+	unsatBounds = &bounds{unsat: true}
+)
 
 // Solver decides satisfiability of path conditions via affine
 // normalization plus interval propagation over the symbols. The zero value
 // is ready to use.
 //
-// Feasibility verdicts are memoized per canonicalized path condition: the
-// engine re-derives the same prefix condition at every statement of a
-// branch's suite, so sibling queries hit the cache (counters
-// solver.cache.hits / solver.cache.misses make the win measurable).
+// Interval state is cached per path-condition node and derived from the
+// parent's in one pass over the newest conjunct's atoms (boundsOf), so a
+// feasibility query at a fork costs what the fork added to π.
 type Solver struct {
 	obs obs.Observer
 	itn *sym.Interner // optional: canonicalizes solver-built negations
 
-	mu   sync.Mutex
-	feas map[string]bool // canonical π → (propagate != Unsat)
-
-	// atoms caches the normalized constraint per interned conjunct: the
-	// engine re-checks the same prefix conjuncts at every statement of a
-	// branch's suite, and without the cache each check re-runs affine
-	// extraction (the profiled hot spot). Keys are canonical *sym* nodes —
-	// pointer identity is structural identity — so the cache is bounded by
-	// the arena and needs no eviction; non-interned atoms are analyzed
-	// fresh each time, which keeps the cache sound with interning off.
+	// atoms caches the normalized constraint per interned conjunct: sibling
+	// paths and the feasibility checks of every fork re-analyze the same
+	// atoms, and without the cache each re-runs affine extraction. Keys are
+	// canonical *sym* nodes — pointer identity is structural identity — so
+	// the cache is bounded by the arena and needs no eviction; non-interned
+	// atoms are analyzed fresh each time, which keeps the cache sound with
+	// interning off.
 	atoms sync.Map // sym.Expr (canonical) → *atomInfo
 }
 
@@ -130,41 +152,22 @@ func (s *Solver) SetInterner(in *sym.Interner) { s.itn = in }
 // New returns a Solver.
 func New() *Solver { return &Solver{} }
 
-// NewObserved returns a Solver reporting query and cache counters to o.
+// NewObserved returns a Solver reporting query and verdict counters to o.
 func NewObserved(o obs.Observer) *Solver { return &Solver{obs: obs.Or(o)} }
 
 // o returns the observer, keeping the zero-value Solver usable.
 func (s *Solver) o() obs.Observer { return obs.Or(s.obs) }
 
-// canonicalKey renders π order-independently: the sorted keys of its
-// conjuncts. Two conditions with the same conjunct set — regardless of the
-// order branches were taken in — share one cache entry. Interned conjuncts
-// use their arena ID ("#<id>", cheap and collision-free by construction);
-// everything else falls back to the structural Merkle key. The prefixes
-// are disjoint, so the two schemes never alias.
-func canonicalKey(pc *PathCondition) string {
-	keys := make([]string, len(pc.conj))
-	for i, c := range pc.conj {
-		if id, ok := sym.InternID(c); ok {
-			keys[i] = "#" + strconv.FormatUint(id, 36)
-		} else {
-			keys[i] = sym.Key(c)
-		}
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "&")
-}
-
 // Check returns Unsat when the conjunction is provably unsatisfiable, Sat
 // when interval propagation finds a verified model, and Unknown otherwise.
 func (s *Solver) Check(pc *PathCondition) Result {
 	s.o().Add("solver.queries", 1)
-	ivs, res := s.propagate(pc)
-	if res == Unsat {
+	bd := s.boundsOf(pc)
+	if bd.unsat {
 		s.o().Add("solver.unsat", 1)
 		return Unsat
 	}
-	if _, ok := s.model(pc, ivs); ok {
+	if _, ok := s.model(pc, bd.ivs); ok {
 		s.o().Add("solver.sat", 1)
 		return Sat
 	}
@@ -174,46 +177,15 @@ func (s *Solver) Check(pc *PathCondition) Result {
 
 // Feasible reports whether the path may be satisfiable (everything except a
 // proven Unsat). This is the engine's pruning predicate: sound, possibly
-// exploring a few infeasible paths. It runs interval propagation only — the
-// model search of Check would be wasted work on the hot pruning path — and
-// memoizes the verdict per canonical condition.
+// exploring a few infeasible paths. It reads the cached interval state only
+// — the model search of Check would be wasted work on the hot pruning path.
 func (s *Solver) Feasible(pc *PathCondition) bool {
 	s.o().Add("solver.queries", 1)
-	key := canonicalKey(pc)
-	s.mu.Lock()
-	cached, hit := s.feas[key]
-	s.mu.Unlock()
-	if hit {
-		s.o().Add("solver.cache.hits", 1)
-		if !cached {
-			s.o().Add("solver.unsat", 1)
-		}
-		return cached
-	}
-	s.o().Add("solver.cache.misses", 1)
-	_, res := s.propagate(pc)
-	ok := res != Unsat
-	if !ok {
+	if s.boundsOf(pc).unsat {
 		s.o().Add("solver.unsat", 1)
+		return false
 	}
-	s.mu.Lock()
-	if s.feas == nil {
-		s.feas = make(map[string]bool)
-	}
-	if len(s.feas) >= feasCacheCap {
-		// Evict one arbitrary entry. Map iteration order varies, so over
-		// many inserts this approximates random replacement — cheap, O(1),
-		// and immune to the scan-wipeout worst case of LRU under the
-		// engine's breadth-first condition churn.
-		for k := range s.feas {
-			delete(s.feas, k)
-			s.o().Add("solver.cache.evicted", 1)
-			break
-		}
-	}
-	s.feas[key] = ok
-	s.mu.Unlock()
-	return ok
+	return true
 }
 
 // Model attempts to produce a concrete binding of all symbols in pc (plus
@@ -221,11 +193,11 @@ func (s *Solver) Feasible(pc *PathCondition) bool {
 // checker to construct replayable leak witnesses.
 func (s *Solver) Model(pc *PathCondition, extra []*sym.Symbol) (sym.Binding, bool) {
 	s.o().Add("solver.queries", 1)
-	ivs, res := s.propagate(pc)
-	if res == Unsat {
+	bd := s.boundsOf(pc)
+	if bd.unsat {
 		return nil, false
 	}
-	b, ok := s.model(pc, ivs)
+	b, ok := s.model(pc, bd.ivs)
 	if !ok {
 		return nil, false
 	}
@@ -237,49 +209,62 @@ func (s *Solver) Model(pc *PathCondition, extra []*sym.Symbol) (sym.Binding, boo
 	return b, true
 }
 
-// propagate runs interval propagation to a fixpoint (bounded rounds) and
-// returns the per-symbol intervals, or Unsat if a contradiction is proven.
-func (s *Solver) propagate(pc *PathCondition) (map[int]*interval, Result) {
-	ivs := make(map[int]*interval)
-	get := func(sm *sym.Symbol) *interval {
-		iv, ok := ivs[sm.ID]
-		if !ok {
-			iv = fullInterval()
-			iv.isInt = true // symbols range over 32-bit ints by default
-			iv.clampLo(math.MinInt32)
-			iv.clampHi(math.MaxInt32)
-			ivs[sm.ID] = iv
+// boundsOf returns pc's interval state, computing and caching it on first
+// use: the parent's state with the newest conjunct's atoms applied once.
+// That equals propagating every conjunct from scratch, because each atom
+// bounds one symbol by a constant (see tightened), and an unsat parent
+// yields an unsat child. The state is a pure function of the conjuncts, so
+// the cache is shared by every solver and by concurrent path workers
+// (sync.Once orders the one write before every read).
+func (s *Solver) boundsOf(pc *PathCondition) *bounds {
+	pc.once.Do(func() {
+		if pc.n == 0 {
+			pc.bounds = noBounds
+			return
 		}
-		return iv
-	}
+		pc.bounds = s.extend(s.boundsOf(pc.parent), pc.last)
+	})
+	return pc.bounds
+}
 
-	atoms := s.flatten(pc.Conjuncts())
-	for round := 0; round < 8; round++ {
-		changed := false
-		for _, a := range atoms {
-			switch s.applyAtom(a, get) {
-			case atomUnsat:
-				return ivs, Unsat
-			case atomChanged:
-				changed = true
+// extend applies one conjunct's atoms to a parent state. The intervals map
+// is copied only when an atom bounds a symbol, and only the touched
+// intervals are replaced.
+func (s *Solver) extend(parent *bounds, conj sym.Expr) *bounds {
+	if parent.unsat {
+		return parent
+	}
+	var ivs map[int]*interval
+	for _, a := range s.flatten(conj) {
+		info := s.atomInfoFor(a)
+		switch info.kind {
+		case atomFalse:
+			return unsatBounds
+		case atomOpaque:
+			continue
+		}
+		if ivs == nil {
+			ivs = maps.Clone(parent.ivs)
+			if ivs == nil {
+				ivs = make(map[int]*interval, 1)
 			}
 		}
-		if !changed {
-			break
-		}
-	}
-	for _, iv := range ivs {
+		iv := tightened(ivs[info.sm.ID], info.op, info.c)
 		if iv.empty() {
-			return ivs, Unsat
+			return unsatBounds
 		}
+		ivs[info.sm.ID] = iv
 	}
-	return ivs, Unknown
+	if ivs == nil {
+		return parent
+	}
+	return &bounds{ivs: ivs}
 }
 
 // flatten splits top-level && conjuncts and strips double negation. The
 // negations it builds go through the intern arena (when attached) so they
 // share identity with engine-built atoms and stay cacheable.
-func (s *Solver) flatten(conj []sym.Expr) []sym.Expr {
+func (s *Solver) flatten(conj sym.Expr) []sym.Expr {
 	var out []sym.Expr
 	var walk func(e sym.Expr)
 	walk = func(e sym.Expr) {
@@ -294,19 +279,9 @@ func (s *Solver) flatten(conj []sym.Expr) []sym.Expr {
 		}
 		out = append(out, e)
 	}
-	for _, e := range conj {
-		walk(e)
-	}
+	walk(conj)
 	return out
 }
-
-type atomResult int
-
-const (
-	atomNoop atomResult = iota
-	atomChanged
-	atomUnsat
-)
 
 // atomKind classifies what a conjunct contributes to propagation.
 type atomKind int
@@ -317,9 +292,9 @@ const (
 	atomBound                  // single-symbol affine comparison s OP c
 )
 
-// atomInfo is the normalized, input-independent part of applyAtom — the
-// expensive half (affine extraction, coefficient normalization) that is a
-// pure function of the conjunct and therefore cacheable per canonical node.
+// atomInfo is the normalized, input-independent contribution of one atom —
+// the expensive half (affine extraction, coefficient normalization) that is
+// a pure function of the conjunct and therefore cacheable per canonical node.
 type atomInfo struct {
 	kind atomKind
 	sm   *sym.Symbol
@@ -383,62 +358,6 @@ func (s *Solver) atomInfoFor(e sym.Expr) *atomInfo {
 	return info
 }
 
-// applyAtom interprets one boolean conjunct, tightening intervals where the
-// conjunct is a comparison of an affine form over a single symbol.
-func (s *Solver) applyAtom(e sym.Expr, get func(*sym.Symbol) *interval) atomResult {
-	info := s.atomInfoFor(e)
-	if info.kind == atomFalse {
-		return atomUnsat
-	}
-	if info.kind == atomOpaque {
-		return atomNoop
-	}
-	sm, op, c := info.sm, info.op, info.c
-	iv := get(sm)
-	changed := false
-	switch op {
-	case sym.OpEq:
-		changed = iv.clampLo(c) || changed
-		changed = iv.clampHi(c) || changed
-	case sym.OpNe:
-		if !iv.excluded[c] {
-			iv.excluded[c] = true
-			changed = true
-		}
-	case sym.OpLt:
-		bound := c
-		if iv.isInt {
-			bound = math.Ceil(c) - 1
-		}
-		changed = iv.clampHi(bound)
-	case sym.OpLe:
-		bound := c
-		if iv.isInt {
-			bound = math.Floor(c)
-		}
-		changed = iv.clampHi(bound)
-	case sym.OpGt:
-		bound := c
-		if iv.isInt {
-			bound = math.Floor(c) + 1
-		}
-		changed = iv.clampLo(bound)
-	case sym.OpGe:
-		bound := c
-		if iv.isInt {
-			bound = math.Ceil(c)
-		}
-		changed = iv.clampLo(bound)
-	}
-	if iv.empty() {
-		return atomUnsat
-	}
-	if changed {
-		return atomChanged
-	}
-	return atomNoop
-}
-
 func constHolds(op sym.Op, d float64) bool {
 	switch op {
 	case sym.OpEq:
@@ -476,9 +395,10 @@ func flipOp(op sym.Op) sym.Op {
 // them against every conjunct, with a small amount of per-symbol candidate
 // search.
 func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, bool) {
+	conj := pc.Conjuncts()
 	var symbols []*sym.Symbol
 	seen := make(map[int]bool)
-	for _, e := range pc.Conjuncts() {
+	for _, e := range conj {
 		for _, sm := range sym.FreeSymbols(e) {
 			if !seen[sm.ID] {
 				seen[sm.ID] = true
@@ -488,7 +408,7 @@ func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, b
 	}
 	binding := make(sym.Binding, len(symbols))
 	budget := searchBudget
-	if try(pc, symbols, ivs, binding, 0, &budget) {
+	if try(conj, symbols, ivs, binding, 0, &budget) {
 		return binding, true
 	}
 	return nil, false
@@ -500,18 +420,18 @@ const searchBudget = 4096
 
 // try assigns candidates to symbols[idx:] depth-first; verifies once all
 // symbols are bound.
-func try(pc *PathCondition, symbols []*sym.Symbol, ivs map[int]*interval, b sym.Binding, idx int, budget *int) bool {
+func try(conj []sym.Expr, symbols []*sym.Symbol, ivs map[int]*interval, b sym.Binding, idx int, budget *int) bool {
 	if *budget <= 0 {
 		return false
 	}
 	if idx == len(symbols) {
 		*budget--
-		return verify(pc, b)
+		return verify(conj, b)
 	}
 	sm := symbols[idx]
 	for _, cand := range candidates(ivs[sm.ID]) {
 		b[sm.ID] = sym.IntVal(cand)
-		if try(pc, symbols, ivs, b, idx+1, budget) {
+		if try(conj, symbols, ivs, b, idx+1, budget) {
 			return true
 		}
 		if *budget <= 0 {
@@ -568,8 +488,8 @@ func clampToInt32(v float64) int32 {
 }
 
 // verify evaluates every conjunct under the binding.
-func verify(pc *PathCondition, b sym.Binding) bool {
-	for _, e := range pc.Conjuncts() {
+func verify(conj []sym.Expr, b sym.Binding) bool {
+	for _, e := range conj {
 		v, err := sym.Eval(e, b)
 		if err != nil || v.IsZero() {
 			return false

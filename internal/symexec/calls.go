@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"fmt"
+	"strconv"
 
 	"privacyscope/internal/ir"
 	"privacyscope/internal/mem"
@@ -98,7 +99,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 	}
 	fr := e.pushFrame(st, fn)
 	for i, p := range fn.Params {
-		reg := e.mgr.Var(p.Name+"#"+fmt.Sprint(fr.id), fr.id)
+		reg := e.mgr.Var(p.Name+"#"+strconv.Itoa(fr.id), fr.id)
 		fr.declare(p.Name, reg, p.Type)
 		if i < len(args) {
 			st.store.Bind(reg, args[i])
@@ -228,7 +229,7 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 		pointee := e.builder.FreshPublic(fmt.Sprintf("heap@%s", v.Pos))
 		blk := e.mgr.SymBlock(pointee, pointee.Name, false)
 		e.mapMu.Lock()
-		e.rootDisplay[blk.Key()] = pointee.Name
+		e.rootDisplay[blk] = pointee.Name
 		e.mapMu.Unlock()
 		return mem.Loc{R: blk}, minic.Pointer{Elem: minic.Basic{Kind: minic.Int}}, nil
 	}
@@ -300,7 +301,7 @@ func (e *Engine) callUser(st *state, fn *ir.Func, v *minic.CallExpr) (mem.SVal, 
 func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, minic.Type, error) {
 	fr := e.pushFrame(st, fn)
 	for i, p := range fn.Params {
-		reg := e.mgr.Var(p.Name+"#"+fmt.Sprint(fr.id), fr.id)
+		reg := e.mgr.Var(p.Name+"#"+strconv.Itoa(fr.id), fr.id)
 		fr.declare(p.Name, reg, p.Type)
 		if i < len(args) {
 			st.store.Bind(reg, args[i])
@@ -377,7 +378,7 @@ func (e *Engine) evalDecrypt(st *state, v *minic.CallExpr, dstIdx int) (mem.SVal
 	}
 	root := mem.Root(dstLoc.R)
 	e.mapMu.Lock()
-	e.secretRoots[root.Key()] = true
+	e.secretRoots[root] = true
 	e.mapMu.Unlock()
 	// Any elements already bound under the destination become fresh
 	// secrets too.
@@ -387,7 +388,7 @@ func (e *Engine) evalDecrypt(st *state, v *minic.CallExpr, dstIdx int) (mem.SVal
 		st.store.Bind(sub, mem.Scalar{E: s})
 		e.mapMu.Lock()
 		e.res.SecretSymbols[display] = s
-		e.inputSyms[sub.Key()] = mem.Scalar{E: s}
+		e.inputSyms[sub] = mem.Scalar{E: s}
 		e.mapMu.Unlock()
 	}
 	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -43,18 +44,21 @@ type Engine struct {
 	// intern.* counter values already flushed to obs (see AnalyzeFunction).
 	internHits, internMisses int64
 
-	// inputSyms memoizes conjured input values per region key so every
-	// path sees the same symbol for the same memory.
-	inputSyms map[string]mem.SVal
+	// The per-region tables below key on region identity (the manager
+	// hash-conses regions).
+	//
+	// inputSyms memoizes conjured input values per region so every path
+	// sees the same symbol for the same memory.
+	inputSyms map[mem.Region]mem.SVal
 	// secretRoots marks region roots whose unbound elements must conjure
 	// *secret* symbols (SymRegions of [in] params and re-symbolized
 	// decrypt destinations).
-	secretRoots map[string]bool
-	// rootDisplay maps region-root keys to source-level display names.
-	rootDisplay map[string]string
-	// outRoots maps [out]-parameter root keys to parameter names. Written
-	// only while binding entry parameters, read-only during exploration.
-	outRoots map[string]string
+	secretRoots map[mem.Region]bool
+	// rootDisplay maps region roots to source-level display names.
+	rootDisplay map[mem.Region]string
+	// outRoots maps [out]-parameter roots to parameter names. Written only
+	// while binding entry parameters, read-only during exploration.
+	outRoots map[mem.Region]string
 	// mapMu guards inputSyms, secretRoots, rootDisplay and
 	// res.SecretSymbols against concurrent path workers. Lock order:
 	// resMu before mapMu, never the reverse.
@@ -113,10 +117,10 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 		builder:     sym.NewBuilder(&alloc),
 		sv:          sv,
 		itn:         itn,
-		inputSyms:   make(map[string]mem.SVal),
-		secretRoots: make(map[string]bool),
-		rootDisplay: make(map[string]string),
-		outRoots:    make(map[string]string),
+		inputSyms:   make(map[mem.Region]mem.SVal),
+		secretRoots: make(map[mem.Region]bool),
+		rootDisplay: make(map[mem.Region]string),
+		outRoots:    make(map[mem.Region]string),
 		warnIdx:     make(map[string]int),
 		env:         mem.NewEnv(),
 		obs:         o,
@@ -167,7 +171,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 		for _, g := range e.prog.Module.Globals {
 			if c, ok := constInit(g.Init); ok {
 				reg := e.mgr.Var("::"+g.Name, 0)
-				e.rootDisplay[reg.Key()] = g.Name
+				e.rootDisplay[reg] = g.Name
 				st.store.Bind(reg, coerceSVal(mem.Scalar{E: c}, g.Type))
 			}
 		}
@@ -275,18 +279,18 @@ func (e *Engine) setupWorkers(entry string) {
 func (e *Engine) bindParam(st *state, fr *sframe, p *minic.VarDecl, cls ParamClass) error {
 	reg := e.mgr.Var(p.Name, fr.id)
 	fr.declare(p.Name, reg, p.Type)
-	e.env.Bind(p.Name, reg)
+	e.bindEnv(p.Name, reg)
 
 	if _, isPtr := p.Type.(minic.Pointer); isPtr {
 		secret := cls == ParamSecret || cls == ParamInOut
 		pointee := e.builder.FreshPublic(p.Name + "_blk")
 		blk := e.mgr.SymBlock(pointee, p.Name, secret)
-		e.rootDisplay[blk.Key()] = p.Name
+		e.rootDisplay[blk] = p.Name
 		if secret {
-			e.secretRoots[blk.Key()] = true
+			e.secretRoots[blk] = true
 		}
 		if cls == ParamOut || cls == ParamInOut {
-			e.outRoots[blk.Key()] = p.Name
+			e.outRoots[blk] = p.Name
 		}
 		st.store.Bind(reg, mem.Loc{R: blk})
 		return nil
@@ -330,18 +334,17 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 		SecretAccesses: st.accesses,
 		key:            st.key,
 	}
-	for _, b := range st.store.Bindings() {
-		rootKey := mem.Root(b.Region).Key()
-		param, isOut := e.outRoots[rootKey]
-		if !isOut || b.Region == mem.Root(b.Region) {
-			continue
-		}
+	isOut := func(root mem.Region) bool {
+		_, ok := e.outRoots[root]
+		return ok
+	}
+	for _, b := range st.store.BindingsUnder(isOut) {
 		sc, isScalar := b.Val.(mem.Scalar)
 		if !isScalar {
 			continue
 		}
 		pr.Outs = append(pr.Outs, OutWrite{
-			Param:   param,
+			Param:   e.outRoots[mem.Root(b.Region)],
 			Region:  b.Region,
 			Display: e.displayName(b.Region),
 			Value:   sc.E,
@@ -379,36 +382,49 @@ type state struct {
 	seqLock int
 }
 
+// clone forks the state. The store and the frames' scope maps are shared
+// copy-on-write; the event logs are shared with their capacity clipped, so
+// an append by either state reallocates instead of writing into the other's
+// backing array (logged events are never modified in place). key is
+// replaced, never appended to, at every fork (childKey).
 func (st *state) clone() *state {
 	frames := make([]*sframe, len(st.frames))
 	for i, f := range st.frames {
 		frames[i] = f.clone()
 	}
-	ocalls := make([]SinkEvent, len(st.ocalls))
-	copy(ocalls, st.ocalls)
-	key := make([]byte, len(st.key))
-	copy(key, st.key)
-	c := &state{
+	return &state{
 		pc:         st.pc,
 		store:      st.store.Clone(),
 		frames:     frames,
-		ocalls:     ocalls,
+		ocalls:     st.ocalls[:len(st.ocalls):len(st.ocalls)],
 		incomplete: st.incomplete,
-		cost:       st.cost,
-		key:        key,
-		seqLock:    st.seqLock,
+		inits:      st.inits[:len(st.inits):len(st.inits)],
+		branches:   st.branches[:len(st.branches):len(st.branches)],
+		accesses:   st.accesses[:len(st.accesses):len(st.accesses)],
 		evSeq:      st.evSeq,
+		cost:       st.cost,
+		key:        st.key,
+		seqLock:    st.seqLock,
 	}
-	if len(st.inits) > 0 {
-		c.inits = append([]LifecycleEvent(nil), st.inits...)
+}
+
+// fork returns the states for the arms of a fork, each with its path
+// condition extended by its own conjunct. All arms but the last are clones;
+// the last takes over st itself, which no one reads once the fork has
+// handed out its arms — except inside inlineCall's pinned subtree
+// (seqLock > 0), which may restore st after exploring the callee, so there
+// every arm is a clone.
+func (st *state) fork(conds ...sym.Expr) []*state {
+	arms := make([]*state, len(conds))
+	for i, c := range conds {
+		arm := st
+		if i < len(conds)-1 || st.seqLock > 0 {
+			arm = st.clone()
+		}
+		arm.pc = arm.pc.And(c)
+		arms[i] = arm
 	}
-	if len(st.branches) > 0 {
-		c.branches = append([]BranchEvent(nil), st.branches...)
-	}
-	if len(st.accesses) > 0 {
-		c.accesses = append([]AccessEvent(nil), st.accesses...)
-	}
-	return c
+	return arms
 }
 
 func (st *state) frame() *sframe { return st.frames[len(st.frames)-1] }
@@ -418,29 +434,45 @@ type varBind struct {
 	ty     minic.Type
 }
 
+// sframe is one call frame: a stack of block scopes. Scope maps are
+// created on first declaration (a block that declares nothing costs no
+// map) and shared copy-on-write between forked frames.
 type sframe struct {
 	fn     *ir.Func
 	id     int
 	scopes []map[string]varBind
+	// shared is the number of leading scopes whose maps another frame may
+	// also read; declare copies such a map before writing to it.
+	shared int
 }
 
+// clone forks the frame in O(scopes): both frames keep reading the current
+// scope maps, and whichever declares into one first copies it.
 func (f *sframe) clone() *sframe {
-	scopes := make([]map[string]varBind, len(f.scopes))
-	for i, sc := range f.scopes {
-		c := make(map[string]varBind, len(sc))
-		for k, v := range sc {
-			c[k] = v
-		}
-		scopes[i] = c
-	}
-	return &sframe{fn: f.fn, id: f.id, scopes: scopes}
+	f.shared = len(f.scopes)
+	scopes := make([]map[string]varBind, len(f.scopes), len(f.scopes)+1)
+	copy(scopes, f.scopes)
+	return &sframe{fn: f.fn, id: f.id, scopes: scopes, shared: f.shared}
 }
 
-func (f *sframe) push() { f.scopes = append(f.scopes, make(map[string]varBind)) }
-func (f *sframe) pop()  { f.scopes = f.scopes[:len(f.scopes)-1] }
+func (f *sframe) push() { f.scopes = append(f.scopes, nil) }
+
+func (f *sframe) pop() {
+	f.scopes = f.scopes[:len(f.scopes)-1]
+	f.shared = min(f.shared, len(f.scopes))
+}
 
 func (f *sframe) declare(name string, r mem.Region, ty minic.Type) {
-	f.scopes[len(f.scopes)-1][name] = varBind{region: r, ty: ty}
+	top := len(f.scopes) - 1
+	if sc := f.scopes[top]; sc == nil || top < f.shared {
+		own := make(map[string]varBind, len(sc)+1)
+		for k, v := range sc {
+			own[k] = v
+		}
+		f.scopes[top] = own
+		f.shared = min(f.shared, top)
+	}
+	f.scopes[top][name] = varBind{region: r, ty: ty}
 }
 
 func (f *sframe) lookup(name string) (varBind, bool) {
@@ -543,11 +575,11 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 		return k(st, ctlFallthrough)
 	case *ir.DeclOp:
 		for _, d := range v.Decls {
-			reg := e.mgr.Var(d.Name+"#"+fmt.Sprint(st.frame().id), st.frame().id)
+			reg := e.mgr.Var(d.Name+"#"+strconv.Itoa(st.frame().id), st.frame().id)
 			st.frame().declare(d.Name, reg, d.Type)
-			e.env.Bind(d.Name, reg)
+			e.bindEnv(d.Name, reg)
 			e.mapMu.Lock()
-			e.rootDisplay[reg.Key()] = d.Name
+			e.rootDisplay[reg] = d.Name
 			e.mapMu.Unlock()
 			if d.Init != nil {
 				val, _, err := e.eval(st, d.Init)
@@ -766,18 +798,15 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 	// Fork (PS-TCOND / PS-FCOND).
 	e.noteBranch(st, v.Position(), cond)
 	e.obs.Add("symexec.forks", 1)
-	thenSt := st.clone()
-	thenSt.pc = thenSt.pc.And(cond)
-	elseSt := st.clone()
-	elseSt.pc = elseSt.pc.And(e.itn.Negate(cond))
+	arms := st.fork(cond, e.itn.Negate(cond))
 	return e.runBranches(st, []branchCase{
-		{st: thenSt, run: func(s *state) error {
+		{st: arms[0], run: func(s *state) error {
 			if !e.feasible(s.pc) {
 				return nil
 			}
 			return e.exec(s, v.Then, k)
 		}},
-		{st: elseSt, run: func(s *state) error {
+		{st: arms[1], run: func(s *state) error {
 			if !e.feasible(s.pc) {
 				return nil
 			}
@@ -863,12 +892,9 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 		}
 		e.noteBranch(cur, pos, truth)
 		e.obs.Add("symexec.forks", 1)
-		enter := cur.clone()
-		enter.pc = enter.pc.And(truth)
-		exit := cur.clone()
-		exit.pc = exit.pc.And(e.itn.Negate(truth))
+		arms := cur.fork(truth, e.itn.Negate(truth))
 		return e.runBranches(cur, []branchCase{
-			{st: enter, run: func(s *state) error {
+			{st: arms[0], run: func(s *state) error {
 				if !e.feasible(s.pc) {
 					return nil
 				}
@@ -876,7 +902,7 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 					return afterBody(next, cc, remaining-1)
 				})
 			}},
-			{st: exit, run: func(s *state) error {
+			{st: arms[1], run: func(s *state) error {
 				if !e.feasible(s.pc) {
 					return nil
 				}

@@ -199,7 +199,7 @@ func (e *Engine) lplace(st *state, x minic.Expr) (mem.Region, minic.Type, error)
 			if g := e.globalDecl(v.Name); g != nil {
 				reg := e.mgr.Var("::"+g.Name, 0)
 				e.mapMu.Lock()
-				e.rootDisplay[reg.Key()] = g.Name
+				e.rootDisplay[reg] = g.Name
 				e.mapMu.Unlock()
 				return reg, g.Type, nil
 			}
@@ -258,7 +258,7 @@ func (e *Engine) indexPlace(st *state, v *minic.IndexExpr) (mem.Region, minic.Ty
 	if reg, ty, err := e.lplace(st, v.X); err == nil {
 		if arr, ok := ty.(minic.Array); ok {
 			er := e.elementOf(reg, idx)
-			e.env.Bind(minic.ExprString(v), er)
+			e.bindEnvExpr(v, er)
 			e.noteAccess(st, v.Pos, er, idxVal, concrete)
 			return er, arr.Elem, nil
 		}
@@ -277,7 +277,7 @@ func (e *Engine) indexPlace(st *state, v *minic.IndexExpr) (mem.Region, minic.Ty
 		elem = minic.Basic{Kind: minic.Int}
 	}
 	er := e.shiftRegion(loc.R, idx)
-	e.env.Bind(minic.ExprString(v), er)
+	e.bindEnvExpr(v, er)
 	e.noteAccess(st, v.Pos, er, idxVal, concrete)
 	return er, elem, nil
 }
@@ -347,7 +347,7 @@ func (e *Engine) memberPlace(st *state, v *minic.MemberExpr) (mem.Region, minic.
 		return nil, nil, &minic.Error{Pos: v.Pos, Msg: "no field " + v.Field + " in " + stt.Name}
 	}
 	fr := e.mgr.Field(base, v.Field)
-	e.env.Bind(minic.ExprString(v), fr)
+	e.bindEnvExpr(v, fr)
 	return fr, fty, nil
 }
 
@@ -368,23 +368,22 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	if e.opts.ZeroDefaultVars {
 		return mem.Scalar{E: sym.IntConst{V: 0}}, nil
 	}
-	key := reg.Key()
 	e.mapMu.Lock()
-	if v, ok := e.inputSyms[key]; ok {
+	if v, ok := e.inputSyms[reg]; ok {
 		e.mapMu.Unlock()
 		st.store.Bind(reg, v)
 		return v, nil
 	}
 	root := mem.Root(reg)
 	_, isSymBlock := root.(*mem.SymRegion)
-	secret := e.secretRoots[root.Key()]
+	secret := e.secretRoots[root]
 	display := e.displayNameLocked(reg)
 
 	// [out]-only buffers enter the enclave zeroed (the marshalling proxy
 	// never copies host memory in), so reads of unwritten cells yield 0.
-	if _, isOut := e.outRoots[root.Key()]; isOut && !secret {
+	if _, isOut := e.outRoots[root]; isOut && !secret {
 		val := mem.SVal(mem.Scalar{E: sym.IntConst{V: 0}})
-		e.inputSyms[key] = val
+		e.inputSyms[reg] = val
 		e.mapMu.Unlock()
 		st.store.Bind(reg, val)
 		return val, nil
@@ -395,9 +394,9 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 		// Unknown pointer inside an unknown block: a nested block.
 		pointee := e.builder.FreshPublic(display + "_blk")
 		nested := e.mgr.SymBlock(pointee, display, secret)
-		e.rootDisplay[nested.Key()] = display
+		e.rootDisplay[nested] = display
 		if secret {
-			e.secretRoots[nested.Key()] = true
+			e.secretRoots[nested] = true
 		}
 		val = mem.Loc{R: nested}
 	} else if secret {
@@ -409,7 +408,7 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	} else {
 		val = mem.Scalar{E: e.builder.FreshPublic(display)}
 	}
-	e.inputSyms[key] = val
+	e.inputSyms[reg] = val
 	e.mapMu.Unlock()
 	st.store.Bind(reg, val)
 	return val, nil
@@ -433,7 +432,7 @@ func (e *Engine) displayNameLocked(reg mem.Region) string {
 	case *mem.FieldRegion:
 		return e.displayNameLocked(v.Super()) + "." + v.Field
 	default:
-		if d, ok := e.rootDisplay[reg.Key()]; ok {
+		if d, ok := e.rootDisplay[reg]; ok {
 			return d
 		}
 		return reg.String()

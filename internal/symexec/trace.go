@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+
+	"privacyscope/internal/mem"
+	"privacyscope/internal/minic"
 )
 
 // Trace records exploded-state snapshots in the style of Table IV: for each
@@ -66,6 +69,22 @@ func stateLabel(i int) string {
 		return string(rune('A' + i))
 	}
 	return fmt.Sprintf("S%d", i)
+}
+
+// bindEnv records lvalue → region in the Table IV environment. Only trace
+// rows read the environment, so nothing is recorded unless tracing is on.
+func (e *Engine) bindEnv(lvalue string, r mem.Region) {
+	if e.opts.TrackTrace {
+		e.env.Bind(lvalue, r)
+	}
+}
+
+// bindEnvExpr is bindEnv for an access expression, rendered only when the
+// environment is recorded.
+func (e *Engine) bindEnvExpr(x minic.Expr, r mem.Region) {
+	if e.opts.TrackTrace {
+		e.env.Bind(minic.ExprString(x), r)
+	}
 }
 
 // snapshot records the current state if tracing is on; it always counts the
