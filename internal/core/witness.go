@@ -75,7 +75,7 @@ func (c *Checker) replay(file *minic.File, res *symexec.Result, params []symexec
 	w.InputsA = bindingByName(res, bindA)
 	w.InputsB = bindingByName(res, bindB)
 
-	if c.concreteReplay(file, res, params, f, secretSym, bindA, bindB, w) {
+	if c.concreteReplay(file, res, f, secretSym, bindA, bindB, w) {
 		return w
 	}
 	// Symbolic fallback: evaluate the recorded sink expression.
@@ -120,106 +120,113 @@ func bindingByName(res *symexec.Result, b sym.Binding) map[string]int32 {
 	return out
 }
 
-// concreteReplay drives the enclave function on the concrete interpreter.
-// Returns false (leaving w untouched beyond inputs) when concretization is
-// impossible; the symbolic fallback then applies.
-func (c *Checker) concreteReplay(file *minic.File, res *symexec.Result, params []symexec.ParamSpec, f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, w *Witness) bool {
-	fn, ok := file.Function(res.Function)
-	if !ok || fn.Body == nil {
-		return false
-	}
-	isReturnSink := f.Sink == SinkReturn
-	var outParam string
-	var outIdx int
-	if !isReturnSink {
-		outParam, outIdx, ok = splitDisplay(f.Where)
-		if !ok {
-			return false
-		}
-	}
+// concreteReplay drives the enclave function on the concrete interpreter,
+// once per binding. Returns false (leaving w untouched beyond inputs) when
+// concretization is impossible; the symbolic fallback then applies.
+func (c *Checker) concreteReplay(file *minic.File, res *symexec.Result, f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, w *Witness) bool {
 	sizes := bufferSizes(res)
-	runOnce := func(bind sym.Binding) (float64, bool) {
-		machine, err := interp.NewMachine(file)
-		if err != nil {
-			return 0, false
-		}
-		var outBuf *interp.Object
-		args := make([]interp.Value, 0, len(fn.Params))
-		for _, p := range fn.Params {
-			ptr, isPtr := p.Type.(minic.Pointer)
-			if !isPtr {
-				// Scalar: bind from the model by name.
-				v, ok := symValueByName(res, bind, p.Name)
-				if !ok {
-					v = sym.IntVal(0)
-				}
-				if minic.IsFloatType(p.Type) {
-					args = append(args, interp.FloatValue(v.AsFloat()))
-				} else {
-					args = append(args, interp.IntValue(int64(v.AsInt())))
-				}
-				continue
-			}
-			kind := cellKindOf(ptr.Elem)
-			if kind == 0 {
-				return 0, false // struct pointers: not concretized
-			}
-			n := sizes[p.Name]
-			if outParam == p.Name && outIdx+1 > n {
-				n = outIdx + 1
-			}
-			if n == 0 {
-				n = 1
-			}
-			buf := interp.NewBuffer(p.Name, kind, n)
-			// Fill secret elements from the binding.
-			for name, s := range res.SecretSymbols {
-				pn, idx, ok := splitDisplay(name)
-				if !ok || pn != p.Name {
-					continue
-				}
-				v, bound := bind[s.ID]
-				if !bound {
-					continue
-				}
-				if kind == interp.CellFloat {
-					_ = buf.Store(idx, interp.FloatValue(v.AsFloat()))
-				} else {
-					_ = buf.Store(idx, interp.IntValue(int64(v.AsInt())))
-				}
-			}
-			if p.Name == outParam {
-				outBuf = buf
-			}
-			args = append(args, interp.PtrValue(interp.Pointer{Obj: buf}))
-		}
-		if outBuf == nil && !isReturnSink {
-			return 0, false
-		}
-		ret, err := machine.Call(res.Function, args)
-		if err != nil {
-			return 0, false
-		}
-		if isReturnSink {
-			// The concrete run may follow a different path than
-			// f.Path when the leaking return is path-dependent; the
-			// model pins the path, so the observation is valid.
-			return ret.Float(), true
-		}
-		cell, err := outBuf.Load(outIdx)
-		if err != nil {
-			return 0, false
-		}
-		return cell.Float(), true
-	}
-
-	obsA, okA := runOnce(bindA)
-	obsB, okB := runOnce(bindB)
+	obsA, okA := runConcrete(file, res, sizes, f, bindA)
+	obsB, okB := runConcrete(file, res, sizes, f, bindB)
 	if !okA || !okB {
 		return false
 	}
 	c.finishWitness(f, secretSym, bindA, bindB, obsA, obsB, w, "concrete")
 	return true
+}
+
+// runConcrete runs the enclave function once on the interpreter with
+// inputs from bind and reads the finding's sink: the return value, or an
+// [out] element (an unwritten element reads the zeroed buffer). Scalar
+// parameters bind by name; pointer parameters become buffers sized by
+// what the analysis touched (see bufferSizes), holding the bound secret
+// elements. It returns false when the sink or a parameter cannot be
+// concretized or the run fails. A return sink may be reached on a
+// different path than the finding's when the leaking return is
+// path-dependent; the binding is a model of the path, so the observation
+// is valid.
+func runConcrete(file *minic.File, res *symexec.Result, sizes map[string]int, f *Finding, bind sym.Binding) (float64, bool) {
+	fn, ok := file.Function(res.Function)
+	if !ok || fn.Body == nil {
+		return 0, false
+	}
+	var outParam string
+	var outIdx int
+	switch f.Sink {
+	case SinkReturn:
+	case SinkOutParam:
+		if outParam, outIdx, ok = splitDisplay(f.Where); !ok {
+			return 0, false
+		}
+	default:
+		return 0, false
+	}
+	machine, err := interp.NewMachine(file)
+	if err != nil {
+		return 0, false
+	}
+	var outBuf *interp.Object
+	args := make([]interp.Value, 0, len(fn.Params))
+	for _, p := range fn.Params {
+		ptr, isPtr := p.Type.(minic.Pointer)
+		if !isPtr {
+			v, ok := symValueByName(res, bind, p.Name)
+			if !ok {
+				v = sym.IntVal(0)
+			}
+			if minic.IsFloatType(p.Type) {
+				args = append(args, interp.FloatValue(v.AsFloat()))
+			} else {
+				args = append(args, interp.IntValue(int64(v.AsInt())))
+			}
+			continue
+		}
+		kind := cellKindOf(ptr.Elem)
+		if kind == 0 {
+			return 0, false // struct pointers: not concretized
+		}
+		n := sizes[p.Name]
+		if p.Name == outParam && outIdx+1 > n {
+			n = outIdx + 1
+		}
+		if n == 0 {
+			n = 1
+		}
+		buf := interp.NewBuffer(p.Name, kind, n)
+		for name, s := range res.SecretSymbols {
+			pn, idx, ok := splitDisplay(name)
+			if !ok || pn != p.Name {
+				continue
+			}
+			v, bound := bind[s.ID]
+			if !bound {
+				continue
+			}
+			if kind == interp.CellFloat {
+				_ = buf.Store(idx, interp.FloatValue(v.AsFloat()))
+			} else {
+				_ = buf.Store(idx, interp.IntValue(int64(v.AsInt())))
+			}
+		}
+		if p.Name == outParam {
+			outBuf = buf
+		}
+		args = append(args, interp.PtrValue(interp.Pointer{Obj: buf}))
+	}
+	if f.Sink == SinkOutParam && outBuf == nil {
+		return 0, false
+	}
+	ret, err := machine.Call(res.Function, args)
+	if err != nil {
+		return 0, false
+	}
+	if f.Sink == SinkReturn {
+		return ret.Float(), true
+	}
+	cell, err := outBuf.Load(outIdx)
+	if err != nil {
+		return 0, false
+	}
+	return cell.Float(), true
 }
 
 // splitDisplay parses "param[3]" into ("param", 3).
@@ -324,8 +331,9 @@ func (c *Checker) replayImplicit(file *minic.File, res *symexec.Result, f *Findi
 	w.InputsA = bindingByName(res, modelA)
 	w.InputsB = bindingByName(res, merged)
 
-	obsA, okA := c.observeSink(file, res, f, modelA)
-	obsB, okB := c.observeSink(file, res, f, merged)
+	sizes := bufferSizes(res)
+	obsA, okA := runConcrete(file, res, sizes, f, modelA)
+	obsB, okB := runConcrete(file, res, sizes, f, merged)
 	if !okA || !okB {
 		w.Note = "sink not concretely observable; replay skipped"
 		return w
@@ -339,92 +347,4 @@ func (c *Checker) replayImplicit(file *minic.File, res *symexec.Result, f *Findi
 		w.Note = "concrete replay did not distinguish the paths"
 	}
 	return w
-}
-
-// observeSink runs the function concretely under the binding and reads the
-// finding's sink: the return value, or an [out] element (absence reads the
-// zeroed buffer).
-func (c *Checker) observeSink(file *minic.File, res *symexec.Result, f *Finding, bind sym.Binding) (float64, bool) {
-	fn, ok := file.Function(res.Function)
-	if !ok || fn.Body == nil {
-		return 0, false
-	}
-	var outParam string
-	var outIdx int
-	if f.Sink == SinkOutParam {
-		outParam, outIdx, ok = splitDisplay(f.Where)
-		if !ok {
-			return 0, false
-		}
-	} else if f.Sink != SinkReturn {
-		return 0, false
-	}
-	machine, err := interp.NewMachine(file)
-	if err != nil {
-		return 0, false
-	}
-	sizes := bufferSizes(res)
-	var outBuf *interp.Object
-	args := make([]interp.Value, 0, len(fn.Params))
-	for _, p := range fn.Params {
-		ptr, isPtr := p.Type.(minic.Pointer)
-		if !isPtr {
-			v, ok := symValueByName(res, bind, p.Name)
-			if !ok {
-				v = sym.IntVal(0)
-			}
-			if minic.IsFloatType(p.Type) {
-				args = append(args, interp.FloatValue(v.AsFloat()))
-			} else {
-				args = append(args, interp.IntValue(int64(v.AsInt())))
-			}
-			continue
-		}
-		kind := cellKindOf(ptr.Elem)
-		if kind == 0 {
-			return 0, false
-		}
-		n := sizes[p.Name]
-		if p.Name == outParam && outIdx+1 > n {
-			n = outIdx + 1
-		}
-		if n == 0 {
-			n = 1
-		}
-		buf := interp.NewBuffer(p.Name, kind, n)
-		for name, s := range res.SecretSymbols {
-			pn, idx, ok := splitDisplay(name)
-			if !ok || pn != p.Name {
-				continue
-			}
-			v, bound := bind[s.ID]
-			if !bound {
-				continue
-			}
-			if kind == interp.CellFloat {
-				_ = buf.Store(idx, interp.FloatValue(v.AsFloat()))
-			} else {
-				_ = buf.Store(idx, interp.IntValue(int64(v.AsInt())))
-			}
-		}
-		if p.Name == outParam {
-			outBuf = buf
-		}
-		args = append(args, interp.PtrValue(interp.Pointer{Obj: buf}))
-	}
-	ret, err := machine.Call(res.Function, args)
-	if err != nil {
-		return 0, false
-	}
-	if f.Sink == SinkReturn {
-		return ret.Float(), true
-	}
-	if outBuf == nil {
-		return 0, false
-	}
-	cell, err := outBuf.Load(outIdx)
-	if err != nil {
-		return 0, false
-	}
-	return cell.Float(), true
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"strings"
 
 	"privacyscope/internal/core"
@@ -36,6 +37,13 @@ type Context struct {
 
 	known map[int]bool
 	seen  map[string]bool
+
+	// pcKeys and conjTags memoize pcDiffTaint: the key set of each path
+	// condition and the secret tags of each conjunct. Detectors compare
+	// every pair of observations, and each pair would otherwise re-hash
+	// both conditions' DAGs. Allocated on the first comparison.
+	pcKeys   map[*solver.PathCondition]map[string]sym.Expr
+	conjTags map[sym.Expr][]taint.Tag
 }
 
 // emit stamps the detector's rule ID and severity on the finding and
@@ -125,41 +133,61 @@ func (rc *Context) secretNames(e sym.Expr) (string, taint.Tag) {
 // conditions disagree. A single tag means the two executions differ only
 // in how one secret steered control flow.
 func (rc *Context) pcDiffTaint(a, b *solver.PathCondition) (taint.Tag, bool) {
-	inA := make(map[string]sym.Expr)
-	for _, c := range a.Conjuncts() {
-		inA[sym.Key(c)] = c
+	if a == b {
+		return 0, false
 	}
-	inB := make(map[string]sym.Expr)
-	for _, c := range b.Conjuncts() {
-		inB[sym.Key(c)] = c
-	}
+	inA, inB := rc.keysOf(a), rc.keysOf(b)
 	var tags []taint.Tag
-	seen := make(map[taint.Tag]bool)
-	collect := func(c sym.Expr) {
-		for _, tg := range sym.SecretTags(c) {
-			if !seen[tg] {
-				seen[tg] = true
-				tags = append(tags, tg)
+	diff := false
+	collect := func(from, other map[string]sym.Expr) {
+		for k, c := range from {
+			if _, ok := other[k]; ok {
+				continue
+			}
+			diff = true
+			for _, tg := range rc.tagsOf(c) {
+				if !slices.Contains(tags, tg) {
+					tags = append(tags, tg)
+				}
 			}
 		}
 	}
-	diff := false
-	for k, c := range inA {
-		if _, ok := inB[k]; !ok {
-			diff = true
-			collect(c)
-		}
-	}
-	for k, c := range inB {
-		if _, ok := inA[k]; !ok {
-			diff = true
-			collect(c)
-		}
-	}
+	collect(inA, inB)
+	collect(inB, inA)
 	if !diff {
 		return 0, false
 	}
 	return taint.FromTagsObserved(rc.Obs, tags).Tag()
+}
+
+// keysOf returns pc's conjuncts keyed by structural key, computed once per
+// condition.
+func (rc *Context) keysOf(pc *solver.PathCondition) map[string]sym.Expr {
+	if ks, ok := rc.pcKeys[pc]; ok {
+		return ks
+	}
+	if rc.pcKeys == nil {
+		rc.pcKeys = make(map[*solver.PathCondition]map[string]sym.Expr)
+	}
+	ks := make(map[string]sym.Expr, pc.Len())
+	for _, c := range pc.Conjuncts() {
+		ks[sym.Key(c)] = c
+	}
+	rc.pcKeys[pc] = ks
+	return ks
+}
+
+// tagsOf returns the secret tags of a conjunct, computed once per conjunct.
+func (rc *Context) tagsOf(c sym.Expr) []taint.Tag {
+	if tags, ok := rc.conjTags[c]; ok {
+		return tags
+	}
+	if rc.conjTags == nil {
+		rc.conjTags = make(map[sym.Expr][]taint.Tag)
+	}
+	tags := sym.SecretTags(c)
+	rc.conjTags[c] = tags
+	return tags
 }
 
 func exprEqual(a, b sym.Expr) bool {

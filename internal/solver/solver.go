@@ -391,55 +391,125 @@ func flipOp(op sym.Op) sym.Op {
 	}
 }
 
-// model picks candidate values within the propagated intervals and verifies
-// them against every conjunct, with a small amount of per-symbol candidate
-// search.
+// model searches for a binding of pc's symbols, drawn from a few
+// candidates inside each propagated interval, that satisfies every
+// conjunct.
 func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, bool) {
-	conj := pc.Conjuncts()
-	var symbols []*sym.Symbol
-	seen := make(map[int]bool)
-	for _, e := range conj {
-		for _, sm := range sym.FreeSymbols(e) {
-			if !seen[sm.ID] {
-				seen[sm.ID] = true
-				symbols = append(symbols, sm)
-			}
-		}
-	}
-	binding := make(sym.Binding, len(symbols))
-	budget := searchBudget
-	if try(conj, symbols, ivs, binding, 0, &budget) {
-		return binding, true
-	}
-	return nil, false
+	b, ok, _ := searchModel(pc.Conjuncts(), ivs, searchBudget)
+	return b, ok
 }
 
-// searchBudget bounds the candidate combinations the model search tries;
-// without it, many nonlinear symbols make the DFS exponential.
+// searchBudget bounds the full candidate assignments the model search may
+// spend; without it, many nonlinear symbols make the search exponential.
 const searchBudget = 4096
 
-// try assigns candidates to symbols[idx:] depth-first; verifies once all
-// symbols are bound.
-func try(conj []sym.Expr, symbols []*sym.Symbol, ivs map[int]*interval, b sym.Binding, idx int, budget *int) bool {
-	if *budget <= 0 {
-		return false
+// modelSearch is a depth-first search over candidate assignments with
+// forward checking. Symbols are ordered by first appearance (conjuncts in
+// order, FreeSymbols order inside each) and every conjunct is checked at
+// the level where its last symbol binds. A refuted node is charged the full
+// assignments below it, capped at the remaining budget — what enumerating
+// every full assignment and verifying it would have spent there — so the
+// first model found and the give-up point are exactly those of that plain
+// enumeration (DESIGN.md §5 item 11).
+type modelSearch struct {
+	conj   []sym.Expr
+	next   []int32 // next[i]: the next conjunct closing where conj[i] does; -1 ends the list
+	levels []level
+	b      sym.Binding
+	budget int
+}
+
+// level is one symbol of the search order.
+type level struct {
+	sm    *sym.Symbol
+	cands []int32 // candidate values, in try order
+	first int32   // the first conjunct closing at this level (see next); -1 for none
+	below int     // full assignments below one node of this level, saturated at searchBudget
+}
+
+// searchModel runs the model search over conj with the given (positive)
+// budget and returns the model, whether one was found, and the budget
+// left.
+func searchModel(conj []sym.Expr, ivs map[int]*interval, budget int) (sym.Binding, bool, int) {
+	m := &modelSearch{conj: conj, next: make([]int32, len(conj)), budget: budget}
+	pos := make(map[int]int32)
+	var symbols []*sym.Symbol
+	for i, e := range conj {
+		last := int32(-1) // the level that closes e; -1 when e is symbol-free
+		for _, sm := range sym.FreeSymbols(e) {
+			k, ok := pos[sm.ID]
+			if !ok {
+				k = int32(len(symbols))
+				pos[sm.ID] = k
+				symbols = append(symbols, sm)
+			}
+			last = max(last, k)
+		}
+		m.next[i] = last // threaded into the per-level lists below
 	}
-	if idx == len(symbols) {
-		*budget--
-		return verify(conj, b)
+	m.levels = make([]level, len(symbols))
+	total := 1 // full assignments of every level
+	for k := len(symbols) - 1; k >= 0; k-- {
+		cands := candidates(ivs[symbols[k].ID])
+		m.levels[k] = level{sm: symbols[k], cands: cands, first: -1, below: total}
+		total = min(len(cands)*total, searchBudget)
 	}
-	sm := symbols[idx]
-	for _, cand := range candidates(ivs[sm.ID]) {
-		b[sm.ID] = sym.IntVal(cand)
-		if try(conj, symbols, ivs, b, idx+1, budget) {
+	// Push each conjunct onto its level's list, last conjunct first, so
+	// every list runs in conjunct order.
+	ground := int32(-1) // the symbol-free conjuncts
+	for i := len(conj) - 1; i >= 0; i-- {
+		head := &ground
+		if k := m.next[i]; k >= 0 {
+			head = &m.levels[k].first
+		}
+		m.next[i], *head = *head, int32(i)
+	}
+	m.b = make(sym.Binding, len(symbols))
+	memo := make(map[sym.Expr]sym.Value) // one evaluation memo for the whole search
+	switch {
+	case !m.holds(ground, memo):
+		m.budget -= min(m.budget, total)
+	case len(symbols) == 0:
+		m.budget--
+		return m.b, true, m.budget
+	case m.descend(0, memo):
+		return m.b, true, m.budget
+	}
+	return nil, false, m.budget
+}
+
+// descend tries each candidate of level k in order; it is only entered
+// with budget left.
+func (m *modelSearch) descend(k int, memo map[sym.Expr]sym.Value) bool {
+	lv := &m.levels[k]
+	for _, cand := range lv.cands {
+		m.b[lv.sm.ID] = sym.IntVal(cand)
+		if !m.holds(lv.first, memo) {
+			m.budget -= min(m.budget, lv.below)
+		} else if k+1 == len(m.levels) {
+			m.budget--
+			return true
+		} else if m.descend(k+1, memo) {
 			return true
 		}
-		if *budget <= 0 {
+		if m.budget <= 0 {
 			break
 		}
 	}
-	delete(b, sm.ID)
+	delete(m.b, lv.sm.ID)
 	return false
+}
+
+// holds evaluates the conjunct list starting at i; their symbols are all
+// bound.
+func (m *modelSearch) holds(i int32, memo map[sym.Expr]sym.Value) bool {
+	for ; i >= 0; i = m.next[i] {
+		v, err := sym.EvalWithMemo(m.conj[i], m.b, memo)
+		if err != nil || v.IsZero() {
+			return false
+		}
+	}
+	return true
 }
 
 // candidates enumerates a handful of values inside the interval, skipping
@@ -485,15 +555,4 @@ func clampToInt32(v float64) int32 {
 		return math.MaxInt32
 	}
 	return int32(v)
-}
-
-// verify evaluates every conjunct under the binding.
-func verify(conj []sym.Expr, b sym.Binding) bool {
-	for _, e := range conj {
-		v, err := sym.Eval(e, b)
-		if err != nil || v.IsZero() {
-			return false
-		}
-	}
-	return true
 }
