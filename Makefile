@@ -8,12 +8,14 @@ help:
 	@echo "examples-smoke  run the runnable examples"
 	@echo "batch-smoke     cold + warm project run over examples/project"
 	@echo "summary-smoke   summary-vs-inline differential over every corpus (-race)"
-	@echo "intern-smoke    hash-consing differential: interning on vs off must be"
-	@echo "                byte-identical over every corpus, jobs-invariant, plus"
-	@echo "                the arena property/race/alloc pins (-race)"
-	@echo "detect-smoke    detector-registry differential: legacy detectors must be"
-	@echo "                byte-identical to the pre-refactor checker over every"
-	@echo "                corpus; scenario packs must flag the seeded leakpacks (-race)"
+	@echo "intern-smoke    shared-arena gate: ECALL parallelism, path workers and"
+	@echo "                summaries+path workers must reproduce the report golden,"
+	@echo "                plus the arena property/race/alloc pins (-race)"
+	@echo "detect-smoke    detector-registry gate: every corpus must reproduce the"
+	@echo "                committed report golden; scenario packs must flag the"
+	@echo "                seeded leakpacks (-race)"
+	@echo "golden-update   regenerate the root report and witness goldens"
+	@echo "                (testdata/) — only for an intended output change"
 	@echo "chaos-smoke     kill a worker mid-batch; the fleet must fail soft (-race)"
 	@echo "bench-report    regenerate the paper's evaluation report"
 	@echo "bench-check     compare a fresh run against the committed BENCH_N.json;"
@@ -99,27 +101,34 @@ batch-smoke:
 summary-smoke:
 	go test -race -count=1 -run '^TestSummary' . ./internal/symexec ./internal/batch
 
-# Intern smoke: the hash-consing differential gate. Interning (the default)
-# is a pure representation change, so -intern=false must produce
-# byte-identical JSON envelopes over the ML suite, the §IV stacks,
-# examples/project and examples/leakpacks, invariant under ECALL
-# parallelism and path workers; the arena's property/fuzz-regression/alloc
-# pins ride in ./internal/sym. Run under the race detector because one
-# arena is shared read-only across path-worker goroutines.
+# Intern smoke: the shared-arena gate. Every engine interns its expressions
+# in one hash-consing arena, shared read-only across path-worker goroutines
+# and summary replay, so the committed report golden
+# (testdata/report_golden.txt) must come out byte for byte under ECALL
+# parallelism, path workers, and summaries plus path workers; the arena's
+# property/fuzz-regression/alloc pins ride in ./internal/sym. Run under the
+# race detector because of that sharing.
 .PHONY: intern-smoke
 intern-smoke:
 	go test -race -count=1 -run '^TestIntern' . ./internal/sym
 
-# Detector-registry differential gate (docs/DETECTORS.md): the registry's
-# legacy detectors (explicit, implicit, timing) must render byte-identically
-# to the pre-refactor core.Checker — kept unmodified as the oracle — over
-# the ML suite, the §IV stacks and the examples trees; the four scenario
-# packs must flag every seeded examples/leakpacks unit and stay quiet on the
-# clean twins; the detector selection must partition every cache tier (rule
-# config errors and fuzz coverage ride in ./internal/edl).
+# Detector-registry gate (docs/DETECTORS.md): on the ML suite, the §IV
+# stacks and the examples trees the production path (facade → detect.Run)
+# must reproduce the committed report golden (testdata/report_golden.txt)
+# byte for byte; the four scenario packs must flag every seeded
+# examples/leakpacks unit and stay quiet on the clean twins; the detector
+# selection must partition every cache tier (rule config errors and fuzz
+# coverage ride in ./internal/edl).
 .PHONY: detect-smoke
 detect-smoke:
 	go test -race -count=1 -run '^TestDetect' . ./internal/edl ./internal/server ./internal/bench
+
+# Regenerate the root goldens — the report golden and the witness golden —
+# from the current code. Run only when an output change is intended, and
+# review the diff before committing it.
+.PHONY: golden-update
+golden-update:
+	go test -count=1 -run '^(TestDetectReportGolden|TestWitnessGolden)$$' . -update
 
 # Regenerate the paper's evaluation report.
 .PHONY: bench-report

@@ -17,12 +17,23 @@ import (
 	"privacyscope/internal/baseline"
 	"privacyscope/internal/bench"
 	"privacyscope/internal/core"
+	"privacyscope/internal/detect"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/mlsuite"
 	"privacyscope/internal/priml"
 	"privacyscope/internal/symexec"
 	"privacyscope/internal/taint"
 )
+
+// runDetect analyzes one entry point on the production path, detect.Run,
+// with the detector set opts implies.
+func runDetect(opts core.Options, file *minic.File, fn string, params []symexec.ParamSpec) (*core.Report, error) {
+	set, err := detect.ResolveSet(opts, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return detect.Run(context.Background(), set, opts, file, fn, params)
+}
 
 // BenchmarkFig1TaintLatticeJoin measures the semi-lattice join operation
 // (Fig. 1), the innermost primitive of the taint policy.
@@ -103,7 +114,7 @@ func BenchmarkBox1Report(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		report, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "enclave_process_data", params)
+		report, err := runDetect(core.DefaultOptions(), file, "enclave_process_data", params)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +178,7 @@ int f(int *secrets, int *output) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, f := range files {
-				if _, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), f, "f", params); err != nil {
+				if _, err := runDetect(core.DefaultOptions(), f, "f", params); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +255,7 @@ func BenchmarkAblationPathSensitivity(b *testing.B) {
 	b.Run("symbolic", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "recommender_train", params); err != nil {
+			if _, err := runDetect(core.DefaultOptions(), file, "recommender_train", params); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -280,7 +291,7 @@ int f(int *secrets, int n, int *output) {
 			opts.Engine.LoopBound = bound
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(opts).CheckFunction(context.Background(), file, "f", params); err != nil {
+				if _, err := runDetect(opts, file, "f", params); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -317,7 +328,7 @@ int f(int *secrets, int *output) {
 			opts.Engine.PruneInfeasible = on
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(opts).CheckFunction(context.Background(), file, "f", params); err != nil {
+				if _, err := runDetect(opts, file, "f", params); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -343,7 +354,7 @@ func BenchmarkAblationImplicitCheck(b *testing.B) {
 			opts.ImplicitCheck = on
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(opts).CheckFunction(context.Background(), file, "enclave_process_data", params); err != nil {
+				if _, err := runDetect(opts, file, "enclave_process_data", params); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -380,7 +391,7 @@ func BenchmarkScalability(b *testing.B) {
 		b.Run("branches-"+itoa(branches), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.New(opts).CheckFunction(context.Background(), file, "f", params); err != nil {
+				if _, err := runDetect(opts, file, "f", params); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,297 +1,75 @@
 package privacyscope
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"privacyscope/internal/core"
-	"privacyscope/internal/detect"
-	"privacyscope/internal/edl"
-	"privacyscope/internal/minic"
-	"privacyscope/internal/mlsuite"
 )
 
-// This file is the detector-registry differential gate (make detect-smoke):
-// the registry-backed legacy detectors (explicit, implicit, timing) must be
-// BYTE-IDENTICAL to the pre-refactor core.Checker on every corpus the repo
-// ships — the ML evaluation suite, the §IV cross-stack programs, and the
-// examples/project tree. The pre-refactor checker is kept unmodified in
-// internal/core exactly so it can serve as this oracle. A companion suite
-// validates the four scenario packs against the seeded examples/leakpacks
-// units: every leak unit must be flagged with its pack's kind and rule ID,
-// and every clean twin must stay quiet.
+// This file is the detector-registry gate (make detect-smoke): on every
+// corpus the repo ships — the ML evaluation suite, the §IV cross-stack
+// programs and the examples trees — the production path must reproduce
+// the committed report golden (report_golden_test.go) byte for byte, and
+// the built-in detectors must stamp their documented rule IDs. A companion
+// suite validates the four scenario packs against the seeded
+// examples/leakpacks units: every leak unit must be flagged with its
+// pack's kind and rule ID, and every clean twin must stay quiet.
 
-// detectCanonical renders one report with Duration zeroed (the only field
-// that legitimately differs between two runs) plus the exploration
-// accounting, so the comparison pins findings, verdicts, coverage, cost
-// model and warnings all at once.
-func detectCanonical(r *Report) string {
-	clone := *r
-	clone.Duration = 0
-	var sb strings.Builder
-	sb.WriteString(clone.Render())
-	fmt.Fprintf(&sb, "verdict=%s paths=%d states=%d regions=%d secrets=%d warnings=%q\n",
-		clone.Verdict(), clone.Paths, clone.States, clone.Regions, clone.Secrets, clone.Warnings)
-	for i, f := range clone.Findings {
-		fmt.Fprintf(&sb, "finding[%d] kind=%s sink=%s where=%s secret=%s rule=%q severity=%q msg=%q\n",
-			i, f.Kind, f.Sink, f.Where, f.Secret, f.Rule, f.Severity, f.Message)
-	}
-	return sb.String()
+// builtinRules are the rule IDs the built-in detectors stamp.
+var builtinRules = map[core.LeakKind]string{
+	core.ExplicitLeak:      "PS-EXPL",
+	core.ImplicitLeak:      "PS-IMPL",
+	core.TimingLeak:        "PS-TIME",
+	core.ProbabilisticLeak: "PS-PROB",
 }
 
-// requireDetectIdentical analyzes every public ECALL of one module twice —
-// through the pre-refactor core.Checker (the oracle) and through detect.Run
-// with the default detector set — and requires the rendered reports to
-// agree byte for byte. The only tolerated difference is the Rule/Severity
-// stamp the registry adds to finding structs, which the kind-gated Render
-// keeps out of the legacy report text; the canonical form therefore strips
-// it before comparing and asserts it separately.
-func requireDetectIdentical(t *testing.T, cSrc, edlSrc string) {
+// requireDetectGolden analyzes one golden module on the production path
+// and requires its result to match the golden and every built-in finding
+// to carry its documented rule ID.
+func requireDetectGolden(t *testing.T, m goldenModule) {
 	t.Helper()
-	file, err := minic.Parse(cSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iface, err := edl.Parse(edlSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.DefaultOptions()
-	if names := iface.OCallNames(); len(names) > 0 {
-		merged := make(map[string]bool, len(names))
-		for _, n := range names {
-			merged[n] = true
-		}
-		opts.Engine.OCallFuncs = merged
-	}
-	set, err := detect.ResolveSet(opts, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := 0
-	for _, sig := range iface.Trusted {
-		if !sig.Public {
-			continue
-		}
-		ran++
-		specs := edl.ParamSpecs(sig, nil)
-		oracle, err := core.New(opts).CheckFunction(context.Background(), file, sig.Name, specs)
-		if err != nil {
-			t.Fatalf("oracle %s: %v", sig.Name, err)
-		}
-		reg, err := detect.Run(context.Background(), set, opts, file, sig.Name, specs)
-		if err != nil {
-			t.Fatalf("registry %s: %v", sig.Name, err)
-		}
-		want, got := detectCanonicalLegacy(oracle), detectCanonicalLegacy(reg)
-		if got != want {
-			t.Errorf("%s: registry diverges from pre-refactor checker:\n--- oracle ---\n%s--- registry ---\n%s",
-				sig.Name, want, got)
-		}
-		// The registry stamps rule IDs the oracle never sets; beyond the
-		// rendered identity above, pin that the stamps are the documented
-		// ones for the legacy trio.
-		for i, f := range reg.Findings {
-			wantRule := map[core.LeakKind]string{
-				core.ExplicitLeak:      "PS-EXPL",
-				core.ImplicitLeak:      "PS-IMPL",
-				core.TimingLeak:        "PS-TIME",
-				core.ProbabilisticLeak: "PS-PROB",
-			}[f.Kind]
-			if f.Rule != wantRule {
-				t.Errorf("%s finding[%d] kind=%s: rule %q, want %q",
-					sig.Name, i, f.Kind, f.Rule, wantRule)
+	rep := m.analyze(t)
+	requireGolden(t, m, rep)
+	for _, r := range rep.Reports {
+		for i, f := range r.Findings {
+			if want, ok := builtinRules[f.Kind]; ok && f.Rule != want {
+				t.Errorf("%s finding[%d] kind=%s: rule %q, want %q", r.Function, i, f.Kind, f.Rule, want)
 			}
 		}
 	}
-	if ran == 0 {
-		t.Fatal("module declared no public ECALLs — differential ran nothing")
-	}
 }
 
-// detectCanonicalLegacy is detectCanonical with the Rule/Severity stamps
-// cleared: the oracle checker predates them, so the struct-level comparison
-// must not read the registry's stamping as a divergence. (The rendered text
-// never contains them for legacy kinds — Render gates the rule line on the
-// pack kinds — so Render() itself is compared verbatim.)
-func detectCanonicalLegacy(r *Report) string {
-	clone := *r
-	clone.Findings = append([]Finding(nil), r.Findings...)
-	for i := range clone.Findings {
-		clone.Findings[i].Rule = ""
-		clone.Findings[i].Severity = ""
-	}
-	return detectCanonical(&clone)
-}
-
-// TestDetectDifferentialMLSuite runs the full ML evaluation corpus (Table V
-// modules, the extension modules, and the malicious variants) through the
-// oracle and the registry.
+// TestDetectDifferentialMLSuite pins the full ML evaluation corpus: the
+// Table V modules, the extension modules and the malicious and fixed
+// variants.
 func TestDetectDifferentialMLSuite(t *testing.T) {
-	type target struct {
-		name   string
-		c, edl string
-	}
-	var targets []target
-	for _, m := range append(mlsuite.Modules(), mlsuite.ExtensionModules()...) {
-		targets = append(targets, target{name: m.Name, c: m.C, edl: m.EDL})
-	}
-	targets = append(targets,
-		target{name: "evil-linreg", c: mlsuite.MaliciousLinRegC, edl: mlsuite.MaliciousLinRegEDL},
-		target{name: "evil-kmeans", c: mlsuite.MaliciousKmeansC, edl: mlsuite.MaliciousKmeansEDL},
-		target{name: "fixed-recommender", c: mlsuite.FixedRecommenderC, edl: mlsuite.FixedRecommenderEDL},
-	)
-	for _, tgt := range targets {
-		t.Run(tgt.name, func(t *testing.T) {
-			requireDetectIdentical(t, tgt.c, tgt.edl)
-		})
+	for _, m := range mlsuiteGolden() {
+		t.Run(m.name, func(t *testing.T) { requireDetectGolden(t, m) })
 	}
 }
 
-// TestDetectDifferentialExamples walks every .c/.edl unit under
-// examples/project AND examples/leakpacks through the oracle and the
-// registry. The leakpack units run with the DEFAULT set here (packs off),
-// which doubles as the off-by-default pin: without the rule file's enable,
-// the registry must report exactly what the pre-refactor checker reports.
+// TestDetectDifferentialExamples pins every unit under examples/project and
+// examples/leakpacks. The leakpack units run under the DEFAULT set (packs
+// off), which doubles as the off-by-default pin, and again under their
+// rule files ("+rules").
 func TestDetectDifferentialExamples(t *testing.T) {
-	var units []string
-	for _, root := range []string{
-		filepath.Join("examples", "project"),
-		filepath.Join("examples", "leakpacks"),
-	} {
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".c") {
-				units = append(units, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(units) < 15 {
-		t.Fatalf("found %d corpus units, want at least 15", len(units))
-	}
-	for _, cPath := range units {
-		edlPath := strings.TrimSuffix(cPath, ".c") + ".edl"
-		name := filepath.ToSlash(strings.TrimPrefix(cPath, "examples"+string(filepath.Separator)))
-		t.Run(name, func(t *testing.T) {
-			cSrc, err := os.ReadFile(cPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edlSrc, err := os.ReadFile(edlPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireDetectIdentical(t, string(cSrc), string(edlSrc))
-		})
+	for _, m := range examplesGolden(t) {
+		t.Run(m.name, func(t *testing.T) { requireDetectGolden(t, m) })
 	}
 }
 
-// TestDetectDifferentialSectionIV replays the §IV differential-stack MiniC
-// programs through the oracle and the registry, with every legacy switch
-// combination that changes the default set (ablations off, timing and
-// probabilistic on).
+// TestDetectDifferentialSectionIV pins the §IV differential-stack MiniC
+// programs under every switch that changes the default detector set or the
+// replay (implicit off, timing on, witness replay off), plus the
+// pruning-off and summary variants.
 func TestDetectDifferentialSectionIV(t *testing.T) {
-	cases := []struct {
-		name, fn, src string
-		mut           func(*core.Options)
-	}{
-		{"insecure", "leak", sectionIVInsecure, nil},
-		{"secure-masked", "masked", `
-int masked(char *secrets, char *output)
-{
-    output[0] = secrets[0] + 4 + secrets[1];
-    return 0;
-}
-`, nil},
-		{"example2-feasible", "example2", `
-int example2(char *secrets, char *output)
-{
-    int h = 2 * secrets[0];
-    if (h - 5 == 15)
-        output[0] = 0;
-    else
-        output[0] = 1;
-    return 0;
-}
-`, nil},
-		{"implicit-ablated", "example2", `
-int example2(char *secrets, char *output)
-{
-    int h = 2 * secrets[0];
-    if (h - 5 == 15)
-        output[0] = 0;
-    else
-        output[0] = 1;
-    return 0;
-}
-`, func(o *core.Options) { o.ImplicitCheck = false }},
-		{"timing-on", "unbalanced", `
-int unbalanced(char *secrets, char *output)
-{
-    int i = 0;
-    if (secrets[0] > 10) {
-        i = i + 1;
-        i = i + 2;
-        i = i + 3;
-    }
-    output[0] = 1;
-    return 0;
-}
-`, func(o *core.Options) { o.TimingCheck = true }},
-		{"no-witness-replay", "leak", sectionIVInsecure,
-			func(o *core.Options) { o.ReplayWitness = false }},
-	}
-	specs := []ParamSpec{
-		{Name: "secrets", Class: ParamSecret},
-		{Name: "output", Class: ParamOut},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			file, err := minic.Parse(tc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := core.DefaultOptions()
-			if tc.mut != nil {
-				tc.mut(&opts)
-			}
-			set, err := detect.ResolveSet(opts, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := core.New(opts).CheckFunction(context.Background(), file, tc.fn, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg, err := detect.Run(context.Background(), set, opts, file, tc.fn, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, got := detectCanonicalLegacy(oracle), detectCanonicalLegacy(reg)
-			if got != want {
-				t.Errorf("registry diverges from pre-refactor checker:\n--- oracle ---\n%s--- registry ---\n%s", want, got)
-			}
-		})
+	for _, m := range sectionIVGolden() {
+		t.Run(m.name, func(t *testing.T) { requireDetectGolden(t, m) })
 	}
 }
-
-const sectionIVInsecure = `
-int leak(char *secrets, char *output)
-{
-    output[0] = secrets[0] + 4;
-    return 0;
-}
-`
 
 // leakPack describes one seeded examples/leakpacks unit pair.
 type leakPack struct {
@@ -388,8 +166,8 @@ func TestDetectLeakPacksWithDetectorsOption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := detectCanonical(viaRules.Reports[0])
-			if got := detectCanonical(viaOption.Reports[0]); got != want {
+			want := goldenRender(t, viaRules)
+			if got := goldenRender(t, viaOption); got != want {
 				t.Errorf("WithDetectors diverges from rule-file enable:\n--- rules ---\n%s--- option ---\n%s", want, got)
 			}
 			only, err := AnalyzeEnclave(c, e,

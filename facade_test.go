@@ -1,6 +1,7 @@
 package privacyscope
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -379,5 +380,18 @@ int f(int *secrets, int *output) {
 	}
 	if !found {
 		t.Errorf("probabilistic leak not reported:\n%s", rep2.Render())
+	}
+}
+
+// TestAnalysisOptionsIgnoresRemovedIntern: interning has no off switch, so
+// a daemon request or batch config that still sends "noIntern" decodes
+// without error and keys exactly like the defaults.
+func TestAnalysisOptionsIgnoresRemovedIntern(t *testing.T) {
+	var o AnalysisOptions
+	if err := json.Unmarshal([]byte(`{"noIntern":true}`), &o); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.KeyJSON(), (AnalysisOptions{}).KeyJSON(); got != want {
+		t.Errorf("KeyJSON = %s, want the default %s", got, want)
 	}
 }

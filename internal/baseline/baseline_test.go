@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"privacyscope/internal/core"
+	"privacyscope/internal/detect"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/symexec"
 )
@@ -14,6 +15,17 @@ func secretOutParams() []symexec.ParamSpec {
 		{Name: "secrets", Class: symexec.ParamSecret},
 		{Name: "output", Class: symexec.ParamOut},
 	}
+}
+
+// privacyScope analyzes f on the production path, detect.Run, with the
+// default options and detector set.
+func privacyScope(file *minic.File) (*core.Report, error) {
+	opts := core.DefaultOptions()
+	set, err := detect.ResolveSet(opts, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return detect.Run(context.Background(), set, opts, file, "f", secretOutParams())
 }
 
 // suite holds the shared leak-benchmark programs behind the Table VI
@@ -84,7 +96,7 @@ func TestNoninterferenceRejectsMaskedML(t *testing.T) {
 	if ni.Secure() {
 		t.Error("noninterference must reject the masked aggregate")
 	}
-	ps, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "f", secretOutParams())
+	ps, err := privacyScope(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +146,7 @@ func TestDFAMissesImplicit(t *testing.T) {
 		t.Errorf("DFA unexpectedly caught the implicit leak: %+v", r.Violations)
 	}
 	// PrivacyScope catches it.
-	ps, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "f", secretOutParams())
+	ps, err := privacyScope(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +268,7 @@ func TestTableVIDetectionMatrix(t *testing.T) {
 			file := minic.MustParse(suite[caseName])
 			switch name {
 			case "privacyscope":
-				r, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "f", secretOutParams())
+				r, err := privacyScope(file)
 				if err != nil {
 					t.Fatal(err)
 				}

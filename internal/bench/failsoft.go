@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -49,7 +48,7 @@ func Failsoft() ([]FailsoftRow, error) {
 		opts.Observer = metrics
 		tune(&opts)
 		start := time.Now()
-		report, err := core.New(opts).CheckFunction(context.Background(), file, "f", params)
+		report, err := runDetect(opts, file, "f", params)
 		if err != nil {
 			return FailsoftRow{}, fmt.Errorf("%s: budget exhaustion must degrade, not fail: %w", mode, err)
 		}

@@ -14,6 +14,7 @@ import (
 
 	"privacyscope/internal/baseline"
 	"privacyscope/internal/core"
+	"privacyscope/internal/detect"
 	"privacyscope/internal/edl"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/mlsuite"
@@ -166,13 +167,23 @@ func TableIV() (string, error) {
 	return sb.String(), nil
 }
 
+// runDetect analyzes one entry point on the production path, detect.Run,
+// with the detector set opts implies.
+func runDetect(opts core.Options, file *minic.File, fn string, params []symexec.ParamSpec) (*core.Report, error) {
+	set, err := detect.ResolveSet(opts, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return detect.Run(context.Background(), set, opts, file, fn, params)
+}
+
 // Box1 renders the warning report for Listing 1.
 func Box1() (string, error) {
 	file, err := minic.Parse(Listing1C)
 	if err != nil {
 		return "", err
 	}
-	report, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "enclave_process_data",
+	report, err := runDetect(core.DefaultOptions(), file, "enclave_process_data",
 		[]symexec.ParamSpec{
 			{Name: "secrets", Class: symexec.ParamSecret},
 			{Name: "output", Class: symexec.ParamOut},
@@ -228,7 +239,7 @@ func TableV() ([]TableVRow, error) {
 			if !ok {
 				return nil, fmt.Errorf("%s: no ECALL %s", m.Name, ecall)
 			}
-			report, err := core.New(opts).CheckFunction(context.Background(), file, ecall, edl.ParamSpecs(sig, nil))
+			report, err := runDetect(opts, file, ecall, edl.ParamSpecs(sig, nil))
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", m.Name, ecall, err)
 			}
@@ -308,7 +319,7 @@ func TableVI() ([]TableVICell, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, "f", tableVIParams())
+		ps, err := runDetect(core.DefaultOptions(), file, "f", tableVIParams())
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +393,7 @@ func CaseStudies() (string, error) {
 	}
 	for _, ecall := range mlsuite.RecommenderECalls {
 		sig, _ := recIface.ECall(ecall)
-		report, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), recFile, ecall, edl.ParamSpecs(sig, nil))
+		report, err := runDetect(core.DefaultOptions(), recFile, ecall, edl.ParamSpecs(sig, nil))
 		if err != nil {
 			return "", err
 		}
@@ -403,7 +414,7 @@ func CaseStudies() (string, error) {
 		return "", err
 	}
 	sig, _ := evilIface.ECall("enclave_train_kmeans")
-	report, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), evilFile, "enclave_train_kmeans", edl.ParamSpecs(sig, nil))
+	report, err := runDetect(core.DefaultOptions(), evilFile, "enclave_train_kmeans", edl.ParamSpecs(sig, nil))
 	if err != nil {
 		return "", err
 	}
@@ -433,7 +444,7 @@ func Ablations() ([]AblationRow, error) {
 			return err
 		}
 		start := time.Now()
-		report, err := core.New(opts).CheckFunction(context.Background(), file, fn, params)
+		report, err := runDetect(opts, file, fn, params)
 		if err != nil {
 			return err
 		}

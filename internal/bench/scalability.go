@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -73,7 +72,7 @@ func Scalability() ([]ScalabilityRow, error) {
 		opts.Engine.MaxPaths = 1 << 12
 		opts.Observer = metrics
 		start := time.Now()
-		report, err := core.New(opts).CheckFunction(context.Background(), file, "f", params)
+		report, err := runDetect(opts, file, "f", params)
 		if err != nil {
 			return ScalabilityRow{}, err
 		}
@@ -156,7 +155,7 @@ func WorkerScaling() ([]WorkerScalingRow, error) {
 		opts.Engine.PathWorkers = workers
 		opts.Observer = metrics
 		start := time.Now()
-		report, err := core.New(opts).CheckFunction(context.Background(), file, "f", params)
+		report, err := runDetect(opts, file, "f", params)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +212,7 @@ func DeepKmeans() (ScalabilityRow, error) {
 	opts.Engine.MaxPaths = 1 << 12
 	opts.Observer = metrics
 	start := time.Now()
-	report, err := core.New(opts).CheckFunction(context.Background(), file, "enclave_train_kmeans", []symexec.ParamSpec{
+	report, err := runDetect(opts, file, "enclave_train_kmeans", []symexec.ParamSpec{
 		{Name: "points", Class: symexec.ParamSecret},
 		{Name: "centroids", Class: symexec.ParamOut},
 	})

@@ -128,13 +128,11 @@ func (s SinkKind) String() string {
 type Finding struct {
 	Kind LeakKind
 	Sink SinkKind
-	// Rule is the detector rule ID ("PS-EXPL", "PS-OCPTR", …) when the
-	// finding came through the detector registry (internal/detect); empty
-	// for findings produced by the pre-refactor Checker, whose rendering
-	// this field must not perturb.
+	// Rule is the emitting detector's rule ID ("PS-EXPL", "PS-OCPTR", …;
+	// see internal/detect).
 	Rule string
 	// Severity is the emitting detector's severity class ("high",
-	// "medium"); empty for pre-refactor Checker findings.
+	// "medium").
 	Severity string
 	// Where names the sink in source notation: "output[0]", "return",
 	// "printf@3:5".
@@ -312,14 +310,14 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&sb, "  secret: %s\n", f.Secret)
 		switch f.Kind {
 		case ExplicitLeak:
-			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, trim(f.Value.String()))
+			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
 			if f.Inversion != nil && f.Inversion.Exact {
 				fmt.Fprintf(&sb, "  recovery: %s\n", f.Inversion.Formula())
 			}
 		case ImplicitLeak:
 			if f.Values[1] != nil {
 				fmt.Fprintf(&sb, "  branches on %s reveal %s vs %s\n",
-					f.Secret, trim(f.Values[0].String()), trim(f.Values[1].String()))
+					f.Secret, Trim(f.Values[0].String()), Trim(f.Values[1].String()))
 			} else {
 				fmt.Fprintf(&sb, "  output at %s happens only on paths where π depends on %s\n",
 					f.Where, f.Secret)
@@ -334,34 +332,34 @@ func (r *Report) Render() string {
 				fmt.Fprintf(&sb, "  path condition: %s\n", f.Path)
 			}
 		case ProbabilisticLeak:
-			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, trim(f.Value.String()))
+			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
 			sb.WriteString("  the masking randomness is generated in-enclave: the output\n")
 			sb.WriteString("  distribution over repeated calls reveals the secret\n")
 		case OcallPtrLeak:
-			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, trim(f.Value.String()))
+			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
 			sb.WriteString("  the value escapes through an OCALL pointer argument into\n")
 			sb.WriteString("  untrusted memory — outside the scalar-argument policy's view\n")
 		case ErrCodeLeak:
 			if f.Values[1] != nil {
 				fmt.Fprintf(&sb, "  status codes %s vs %s depend on the secret mix\n",
-					trim(f.Values[0].String()), trim(f.Values[1].String()))
+					Trim(f.Values[0].String()), Trim(f.Values[1].String()))
 			} else if f.Value != nil {
-				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, trim(f.Value.String()))
+				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
 			}
 			sb.WriteString("  the status/return code is a covert channel: repeated calls\n")
 			sb.WriteString("  narrow the secret mix one comparison at a time\n")
 		case OrderlinessLeak:
 			if f.Value != nil {
-				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, trim(f.Value.String()))
+				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
 			}
 			sb.WriteString("  entry order bypasses the lifecycle gate: the OCALL runs before\n")
 			sb.WriteString("  the init/declassify call on this path\n")
 		case AccessPatternLeak:
 			if f.Value != nil {
 				if f.Sink == SinkBranch {
-					fmt.Fprintf(&sb, "  condition: %s\n", trim(f.Value.String()))
+					fmt.Fprintf(&sb, "  condition: %s\n", Trim(f.Value.String()))
 				} else {
-					fmt.Fprintf(&sb, "  index:  %s\n", trim(f.Value.String()))
+					fmt.Fprintf(&sb, "  index:  %s\n", Trim(f.Value.String()))
 				}
 			}
 			sb.WriteString("  the access pattern is visible at page granularity to the host\n")
@@ -404,11 +402,10 @@ func (r *Report) Render() string {
 // arbitrarily large.
 const maxRenderedValue = 160
 
-// Trim exposes the report value-trimming rule so the detector registry
-// (internal/detect) renders values exactly like the built-in messages.
-func Trim(s string) string { return trim(s) }
-
-func trim(s string) string {
+// Trim applies the report value-trimming rule: drop one balanced pair of
+// outer parentheses and cap the length at maxRenderedValue. Detector
+// messages render values through it.
+func Trim(s string) string {
 	if len(s) >= 2 && s[0] == '(' && s[len(s)-1] == ')' {
 		depth := 0
 		balanced := true
@@ -434,14 +431,10 @@ func trim(s string) string {
 	return s
 }
 
-func sortFindings(fs []Finding) { SortFindings(fs) }
-
 // SortFindings orders findings deterministically: by sink location, then
 // leak kind, then detector rule ID, then secret. The rule key keeps
 // multi-detector reports stable across -path-workers and -jobs; it is
-// vacuous for pre-refactor Checker findings (Rule always empty) and for
-// same-kind registry findings (one rule per kind), so the legacy order is
-// unchanged — the property the differential gate pins.
+// vacuous for same-kind findings (one rule per kind).
 func SortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].Where != fs[j].Where {

@@ -1,6 +1,10 @@
-package core
+package core_test
 
-import "testing"
+import (
+	"testing"
+
+	"privacyscope/internal/core"
+)
 
 // TestBox1ReportGolden pins the exact Box 1 rendering for Listing 1,
 // byte for byte. TestBox1Report checks the report's *content*; this test
@@ -9,7 +13,7 @@ import "testing"
 // instead of silently drifting from the paper's box. Duration is the one
 // wall-clock field in the rendering, so it is zeroed before comparing.
 func TestBox1ReportGolden(t *testing.T) {
-	report := check(t, listing1, "enclave_process_data", listing1Params(), DefaultOptions())
+	report := check(t, listing1, "enclave_process_data", listing1Params(), core.DefaultOptions())
 	report.Duration = 0
 
 	const golden = `=== PrivacyScope report: enclave_process_data ===
@@ -38,7 +42,7 @@ WARNING 2: implicit information leakage via return value
 // entry point that panicked or errored keeps its slot with an explicit
 // "not analyzed" verdict line.
 func TestErrorReportRenderGolden(t *testing.T) {
-	report := ErrorReport("enclave_bad", "panic during analysis: boom")
+	report := core.ErrorReport("enclave_bad", "panic during analysis: boom")
 
 	const golden = `=== PrivacyScope report: enclave_bad ===
 ANALYSIS ERROR: panic during analysis: boom

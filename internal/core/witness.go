@@ -6,35 +6,33 @@ import (
 
 	"privacyscope/internal/interp"
 	"privacyscope/internal/minic"
+	"privacyscope/internal/obs"
 	"privacyscope/internal/solver"
 	"privacyscope/internal/sym"
 	"privacyscope/internal/symexec"
 )
 
-// ReplayExplicit builds and verifies a two-run witness for an explicit-style
-// finding with an exact affine inversion. It is the exported entry the
-// detector registry (internal/detect) uses; the Checker's own explicit pass
-// calls the unexported replay directly. A Checker constructed only for
-// replay (core.New with just an Observer) is a valid receiver: replay uses
-// the solver and observer, never the engine options.
-func (c *Checker) ReplayExplicit(file *minic.File, res *symexec.Result, params []symexec.ParamSpec, f *Finding) *Witness {
-	return c.replay(file, res, params, f)
+// Replayer builds and verifies two-run witnesses for findings: it solves
+// the finding's path condition for concrete inputs and replays the entry
+// point on the MiniC interpreter.
+type Replayer struct {
+	sv  *solver.Solver
+	obs obs.Observer
 }
 
-// ReplayImplicit builds a two-run witness for an implicit-style finding:
-// one run per sibling path condition, inputs differing only in the deciding
-// secret. Exported for the detector registry.
-func (c *Checker) ReplayImplicit(file *minic.File, res *symexec.Result, f *Finding, pcA, pcB *solver.PathCondition) *Witness {
-	return c.replayImplicit(file, res, f, pcA, pcB)
+// NewReplayer returns a witness replayer reporting to o (nil: no-op).
+func NewReplayer(o obs.Observer) *Replayer {
+	o = obs.Or(o)
+	return &Replayer{sv: solver.NewObserved(o), obs: o}
 }
 
-// replay builds and verifies a two-run witness for an explicit out-param
+// ReplayExplicit builds and verifies a two-run witness for an explicit
 // finding with an exact affine inversion. It prefers a fully concrete
 // replay on the MiniC interpreter (run the enclave function twice with
 // inputs differing only in the leaked secret, observe the [out] buffer,
 // apply the inversion); when the sink or inputs cannot be concretized it
 // falls back to evaluating the symbolic sink value.
-func (c *Checker) replay(file *minic.File, res *symexec.Result, params []symexec.ParamSpec, f *Finding) *Witness {
+func (c *Replayer) ReplayExplicit(file *minic.File, res *symexec.Result, f *Finding) *Witness {
 	span := c.obs.StartSpan("check/witness")
 	defer span.End()
 	c.obs.Add("core.witness.replays", 1)
@@ -89,7 +87,7 @@ func (c *Checker) replay(file *minic.File, res *symexec.Result, params []symexec
 	return w
 }
 
-func (c *Checker) finishWitness(f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, obsA, obsB float64, w *Witness, mode string) {
+func (c *Replayer) finishWitness(f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, obsA, obsB float64, w *Witness, mode string) {
 	w.ObservedA, w.ObservedB = obsA, obsB
 	w.RecoveredA = (obsA - f.Inversion.Offset) / f.Inversion.Scale
 	w.RecoveredB = (obsB - f.Inversion.Offset) / f.Inversion.Scale
@@ -123,7 +121,7 @@ func bindingByName(res *symexec.Result, b sym.Binding) map[string]int32 {
 // concreteReplay drives the enclave function on the concrete interpreter,
 // once per binding. Returns false (leaving w untouched beyond inputs) when
 // concretization is impossible; the symbolic fallback then applies.
-func (c *Checker) concreteReplay(file *minic.File, res *symexec.Result, f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, w *Witness) bool {
+func (c *Replayer) concreteReplay(file *minic.File, res *symexec.Result, f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, w *Witness) bool {
 	sizes := bufferSizes(res)
 	obsA, okA := runConcrete(file, res, sizes, f, bindA)
 	obsB, okB := runConcrete(file, res, sizes, f, bindB)
@@ -290,10 +288,10 @@ func cellKindOf(t minic.Type) interp.CellKind {
 	return 0
 }
 
-// replayImplicit builds a two-run witness for an implicit finding: one run
+// ReplayImplicit builds a two-run witness for an implicit finding: one run
 // per sibling path, with every input shared except the deciding secret.
 // The observed sink values (or output presence) must differ.
-func (c *Checker) replayImplicit(file *minic.File, res *symexec.Result, f *Finding, pcA, pcB *solver.PathCondition) *Witness {
+func (c *Replayer) ReplayImplicit(file *minic.File, res *symexec.Result, f *Finding, pcA, pcB *solver.PathCondition) *Witness {
 	span := c.obs.StartSpan("check/witness")
 	defer span.End()
 	c.obs.Add("core.witness.replays", 1)

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
@@ -18,13 +19,12 @@ import (
 // built, and the cross-detector dedupe table. Detectors must not re-run
 // the engine; everything they need is here.
 type Context struct {
-	// Checker performs two-run witness replay for the legacy detectors.
-	Checker *core.Checker
-	// Opts are the checker options the run was configured with.
+	// Replayer performs two-run witness replay for the built-in detectors.
+	Replayer *core.Replayer
+	// Opts are the options the run was configured with.
 	Opts core.Options
-	// File and Params identify the unit under analysis (witness replay).
-	File   *minic.File
-	Params []symexec.ParamSpec
+	// File is the unit under analysis (witness replay).
+	File *minic.File
 	// Res is the shared symbolic-execution result.
 	Res *symexec.Result
 	// Report accumulates findings across detectors.
@@ -37,6 +37,9 @@ type Context struct {
 
 	known map[int]bool
 	seen  map[string]bool
+	// pairs counts each detector's charged sibling-pair comparisons
+	// (differingPairs).
+	pairs map[string]int
 
 	// pcKeys and conjTags memoize pcDiffTaint: the key set of each path
 	// condition and the secret tags of each conjunct. Detectors compare
@@ -55,8 +58,7 @@ func (rc *Context) emit(d Detector, f core.Finding) {
 }
 
 // dedupe returns true when key was already reported. The table is shared
-// across detectors with per-detector key prefixes — the exact behavior of
-// the pre-refactor checker's single seen map.
+// across detectors, which keep their keys apart by prefix.
 func (rc *Context) dedupe(key string) bool {
 	if rc.seen == nil {
 		rc.seen = make(map[string]bool)
@@ -188,6 +190,64 @@ func (rc *Context) tagsOf(c sym.Expr) []taint.Tag {
 	tags := sym.SecretTags(c)
 	rc.conjTags[c] = tags
 	return tags
+}
+
+// pairBudget bounds the sibling-pair comparisons one detector makes in one
+// run; each comparison diffs two path conditions.
+const pairBudget = 100_000
+
+// differingPairs calls visit(i, j), in order of i then j, for every pair
+// i < j of a sink's n observations whose values differ; same(i, j) reports
+// whether two observations share a value. Observations are first grouped
+// by value (the role of Alg. 1's hashmap hm), so a sink whose observations
+// all share one value costs nothing, and only differing pairs are charged
+// to the detector's pair budget. When the budget runs out, the report's
+// coverage is marked truncated (symexec.TruncPairBudget) with a warning
+// naming the detector and the sink, and differingPairs returns false: the
+// detector must stop, and with no findings the verdict reads Inconclusive.
+func (rc *Context) differingPairs(d Detector, sink string, n int, same func(i, j int) bool, visit func(i, j int)) bool {
+	class := make([]int, n)
+	var reps []int // first observation of each value group
+	for i := range class {
+		class[i] = len(reps)
+		for c, r := range reps {
+			if same(r, i) {
+				class[i] = c
+				break
+			}
+		}
+		if class[i] == len(reps) {
+			reps = append(reps, i)
+		}
+	}
+	if len(reps) < 2 {
+		return true
+	}
+	if rc.pairs == nil {
+		rc.pairs = make(map[string]int)
+	}
+	used := rc.pairs[d.Name()]
+	defer func() { rc.pairs[d.Name()] = used }()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if class[i] == class[j] {
+				continue
+			}
+			if used == pairBudget {
+				if !rc.Report.Coverage.Truncated {
+					rc.Report.Coverage.Truncated = true
+					rc.Report.Coverage.Reason = symexec.TruncPairBudget
+				}
+				rc.Report.Warnings = append(rc.Report.Warnings, fmt.Sprintf(
+					"%s detector: pair budget of %d sibling comparisons exhausted at sink %s; the remaining pairs were not checked",
+					d.Name(), pairBudget, sink))
+				return false
+			}
+			used++
+			visit(i, j)
+		}
+	}
+	return true
 }
 
 func exprEqual(a, b sym.Expr) bool {

@@ -4,10 +4,11 @@
 // rule ID and severity class, so adding a leak class never re-runs the
 // engine and never perturbs another detector's output.
 //
-// The three built-in PrivacyScope checks (explicit, implicit, timing) are
-// registry-backed ports of the pre-refactor core.Checker logic; the
-// differential gate (make detect-smoke) pins their rendered reports
-// byte-identical to the original. Four scenario packs cover enclave leak
+// Run is the one analysis path: the facade, the CLIs, the batch driver, the
+// daemon and the paper-evaluation bench all call it. The three built-in
+// PrivacyScope checks (explicit, implicit, timing) implement the paper's
+// Alg. 1; the committed report golden (make detect-smoke) pins their
+// output over every shipped corpus. Four scenario packs cover enclave leak
 // classes from the related work: ocall-pointer (STELLA's pointer leaks),
 // errcode-channel (status-code covert channel), orderliness (Guardian's
 // lifecycle property) and access-pattern (controlled-channel signals).
@@ -30,15 +31,15 @@ type Detector interface {
 	// Severity is the detector's severity class ("high", "medium").
 	Severity() string
 	// DefaultOn reports whether the detector is enabled by default under
-	// the given checker options (the legacy ablation switches map here).
+	// the given options (the ImplicitCheck/TimingCheck switches map here).
 	DefaultOn(opts core.Options) bool
 	// Detect runs the analysis, appending findings to rc.Report.
 	Detect(rc *Context)
 }
 
 // registry holds all detectors in their canonical execution order. The
-// legacy trio runs first, in the pre-refactor order, so the shared-prefix
-// dedupe behavior and telemetry sequence match the original checker.
+// built-in trio runs first; the order fixes the shared dedupe table's
+// outcome and the telemetry sequence.
 var registry = []Detector{
 	explicitDetector{},
 	implicitDetector{},

@@ -10,12 +10,11 @@ import (
 	"privacyscope/internal/taint"
 )
 
-// This file holds the registry-backed ports of the three pre-refactor
-// core.Checker passes. Their traversal order, dedupe keys, message strings
-// and witness-replay gating are copied verbatim: the differential gate
-// (make detect-smoke) compares their rendered reports byte-for-byte
-// against the original checker over the whole corpus, so any drift here is
-// a test failure, not a judgment call.
+// This file holds the three built-in PrivacyScope checks: explicit,
+// implicit and timing. Their traversal order, dedupe keys and message
+// strings are pinned by the report golden (testdata/report_golden.txt,
+// make detect-smoke), so any drift here is a test failure, not a judgment
+// call.
 
 // explicitDetector is the out-parameter / return / OCALL single-tag taint
 // policy of Alg. 1 (declassify_check), including the §VIII-A probabilistic
@@ -99,7 +98,7 @@ func (d explicitDetector) one(rc *Context, sink core.SinkKind, where string, pos
 		f.Sink, f.Where, f.Secret, core.Trim(value.String()))
 	if rc.Opts.ReplayWitness && f.Inversion != nil && f.Inversion.Exact &&
 		(sink == core.SinkOutParam || sink == core.SinkReturn) {
-		f.Witness = rc.Checker.ReplayExplicit(rc.File, rc.Res, rc.Params, &f)
+		f.Witness = rc.Replayer.ReplayExplicit(rc.File, rc.Res, &f)
 	}
 	rc.emit(d, f)
 }
@@ -194,22 +193,15 @@ func (d implicitDetector) Detect(rc *Context) {
 		}
 	}
 
-	const pairBudget = 100_000
-	comparisons := 0
 	for _, where := range order {
 		info := sinks[where]
-		for i := 0; i < len(info.obs); i++ {
-			for j := i + 1; j < len(info.obs); j++ {
-				if comparisons++; comparisons > pairBudget {
-					return
-				}
+		ok := rc.differingPairs(d, where, len(info.obs),
+			func(i, j int) bool { return exprEqual(info.obs[i].value, info.obs[j].value) },
+			func(i, j int) {
 				a, b := info.obs[i], info.obs[j]
-				if exprEqual(a.value, b.value) {
-					continue
-				}
 				tag, single := rc.pcDiffTaint(a.pc, b.pc)
 				if !single {
-					continue
+					return
 				}
 				values := [2]sym.Expr{a.value, b.value}
 				pcA, pcB := a.pc, b.pc
@@ -218,7 +210,9 @@ func (d implicitDetector) Detect(rc *Context) {
 					pcA, pcB = b.pc, a.pc
 				}
 				d.one(rc, tag, info.sink, where, info.pos, values, pcA, pcB)
-			}
+			})
+		if !ok {
+			return
 		}
 	}
 }
@@ -240,7 +234,7 @@ func (d implicitDetector) one(rc *Context, tag taint.Tag, sink core.SinkKind, wh
 	}
 	if rc.Opts.ReplayWitness && pcSibling != nil &&
 		(sink == core.SinkReturn || sink == core.SinkOutParam) {
-		f.Witness = rc.Checker.ReplayImplicit(rc.File, rc.Res, &f, pc, pcSibling)
+		f.Witness = rc.Replayer.ReplayImplicit(rc.File, rc.Res, &f, pc, pcSibling)
 	}
 	if values[1] != nil {
 		f.Message = fmt.Sprintf("implicit leak: %s at %s reveals %s vs %s depending on secret %s",
@@ -263,24 +257,17 @@ func (timingDetector) DefaultOn(o core.Options) bool { return o.TimingCheck }
 
 func (d timingDetector) Detect(rc *Context) {
 	paths := rc.Res.Paths
-	const pairBudget = 100_000
-	comparisons := 0
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if comparisons++; comparisons > pairBudget {
-				return
-			}
+	rc.differingPairs(d, "execution time", len(paths),
+		func(i, j int) bool { return paths[i].Cost == paths[j].Cost },
+		func(i, j int) {
 			a, b := paths[i], paths[j]
-			if a.Cost == b.Cost {
-				continue
-			}
 			tag, single := rc.pcDiffTaint(a.PC, b.PC)
 			if !single {
-				continue
+				return
 			}
 			secretName := rc.secretName(tag)
 			if rc.dedupe(fmt.Sprintf("T|%s", secretName)) {
-				continue
+				return
 			}
 			f := core.Finding{
 				Kind:   core.TimingLeak,
@@ -295,6 +282,5 @@ func (d timingDetector) Detect(rc *Context) {
 				"timing channel: paths branching on secret %s execute %d vs %d statements",
 				secretName, a.Cost, b.Cost)
 			rc.emit(d, f)
-		}
-	}
+		})
 }

@@ -115,31 +115,24 @@ func (d errCodeDetector) Detect(rc *Context) {
 	}
 	// Mode 2: control dependence — distinct concrete status codes selected
 	// by a secret branch (the classic error-oracle).
-	paths := rc.Res.Paths
-	const pairBudget = 100_000
-	comparisons := 0
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if comparisons++; comparisons > pairBudget {
-				return
-			}
+	var paths []*symexec.PathResult
+	for _, p := range rc.Res.Paths {
+		// Tainted return values are mode 1's business.
+		if p.Return != nil && sym.TaintOf(p.Return).IsBottom() {
+			paths = append(paths, p)
+		}
+	}
+	rc.differingPairs(d, "return", len(paths),
+		func(i, j int) bool { return exprEqual(paths[i].Return, paths[j].Return) },
+		func(i, j int) {
 			a, b := paths[i], paths[j]
-			if a.Return == nil || b.Return == nil {
-				continue
-			}
-			if !sym.TaintOf(a.Return).IsBottom() || !sym.TaintOf(b.Return).IsBottom() {
-				continue // data dependence is mode 1's business
-			}
-			if exprEqual(a.Return, b.Return) {
-				continue
-			}
 			tag, single := rc.pcDiffTaint(a.PC, b.PC)
 			if !single {
-				continue
+				return
 			}
 			secret := rc.secretName(tag)
 			if rc.dedupe(fmt.Sprintf("ECP|return|%s", secret)) {
-				continue
+				return
 			}
 			f := core.Finding{
 				Kind:   core.ErrCodeLeak,
@@ -155,8 +148,7 @@ func (d errCodeDetector) Detect(rc *Context) {
 				"errcode channel: ecall status code %s vs %s depends on secret %s",
 				core.Trim(a.Return.String()), core.Trim(b.Return.String()), secret)
 			rc.emit(d, f)
-		}
-	}
+		})
 }
 
 // orderlinessDetector checks the per-path ecall/ocall lifecycle state

@@ -12,13 +12,12 @@ import (
 	"privacyscope/internal/symexec"
 )
 
-// Run analyzes one entry point with the selected detectors. It is the
-// registry-backed replacement for core.Checker.CheckFunction: one engine
-// exploration shared by every detector, the same fail-soft degradation
-// (budget, deadline, cancellation → partial coverage, never an error), and
-// — for the default detector set — telemetry and report output
-// byte-identical to the pre-refactor checker, which the differential gate
-// (make detect-smoke) pins.
+// Run analyzes one entry point with the selected detectors: one engine
+// exploration shared by every detector. The analysis is fail-soft: budget
+// exhaustion, a Deadline expiry or a ctx cancellation degrade the report
+// (partial Coverage, Inconclusive verdict when nothing was found on the
+// explored paths) instead of returning an error. Errors are reserved for
+// genuine failures such as an unknown entry point.
 func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn string, params []symexec.ParamSpec) (*core.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -60,24 +59,10 @@ func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn s
 		Coverage: res.Coverage,
 		Warnings: res.Warnings,
 	}
-	if res.Coverage.Truncated {
-		o.Add("check.degraded", 1)
-		span.Annotate(obs.F("truncated", string(res.Coverage.Reason)))
-		switch res.Coverage.Reason {
-		case symexec.TruncCancelled, symexec.TruncDeadline:
-			o.Add("check.cancelled", 1)
-		case symexec.TruncInlineDepth, symexec.TruncSummaryHavoc:
-			// A skipped call or a havoc'd summary under-approximates the
-			// program itself: obligations the elided callee carried went
-			// unchecked.
-			o.Add("check.underapprox", 1)
-		}
-	}
 	rc := &Context{
-		Checker:   core.New(opts),
+		Replayer:  core.NewReplayer(o),
 		Opts:      opts,
 		File:      file,
-		Params:    params,
 		Res:       res,
 		Report:    report,
 		Obs:       o,
@@ -87,6 +72,21 @@ func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn s
 		ph := span.Child(d.Name())
 		d.Detect(rc)
 		ph.End()
+	}
+	// Accounted after the detectors: an exhausted pair budget truncates
+	// coverage too (TruncPairBudget).
+	if report.Coverage.Truncated {
+		o.Add("check.degraded", 1)
+		span.Annotate(obs.F("truncated", string(report.Coverage.Reason)))
+		switch report.Coverage.Reason {
+		case symexec.TruncCancelled, symexec.TruncDeadline:
+			o.Add("check.cancelled", 1)
+		case symexec.TruncInlineDepth, symexec.TruncSummaryHavoc:
+			// A skipped call or a havoc'd summary under-approximates the
+			// program itself: obligations the elided callee carried went
+			// unchecked.
+			o.Add("check.underapprox", 1)
+		}
 	}
 	core.SortFindings(report.Findings)
 	report.Duration = time.Since(start)

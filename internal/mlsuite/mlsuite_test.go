@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"privacyscope/internal/core"
+	"privacyscope/internal/detect"
 	"privacyscope/internal/edl"
 	"privacyscope/internal/interp"
 	"privacyscope/internal/minic"
@@ -79,7 +80,12 @@ func analyzeModule(t *testing.T, cSrc, edlSrc, ecall string) *core.Report {
 	if !ok {
 		t.Fatalf("no ECALL %s", ecall)
 	}
-	report, err := core.New(core.DefaultOptions()).CheckFunction(context.Background(), file, ecall, edl.ParamSpecs(sig, nil))
+	opts := core.DefaultOptions()
+	set, err := detect.ResolveSet(opts, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := detect.Run(context.Background(), set, opts, file, ecall, edl.ParamSpecs(sig, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

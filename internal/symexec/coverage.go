@@ -30,6 +30,11 @@ const (
 	// with an unconstrained result. Same soundness consequence as
 	// TruncInlineDepth.
 	TruncSummaryHavoc TruncReason = "summary-havoc"
+	// TruncPairBudget: set after exploration by a detector (internal/detect)
+	// whose sibling-path comparisons hit their budget: the paths were all
+	// explored, but some pairs of them were never compared, so a
+	// no-findings run is Inconclusive, not Secure.
+	TruncPairBudget TruncReason = "pair-budget"
 )
 
 // Coverage summarizes how much of the path space an exploration visited.
@@ -46,8 +51,9 @@ type Coverage struct {
 	PrunedPaths int `json:"prunedPaths,omitempty"`
 	// StepsUsed counts statement evaluations spent.
 	StepsUsed int `json:"stepsUsed"`
-	// Truncated is true when the exploration stopped early; Reason says
-	// why. A truncated run must never be reported as exhaustive.
+	// Truncated is true when the exploration stopped early, or when a
+	// detector left sibling pairs uncompared (TruncPairBudget); Reason says
+	// which. A truncated run must never be reported as exhaustive.
 	Truncated bool        `json:"truncated"`
 	Reason    TruncReason `json:"reason,omitempty"`
 }

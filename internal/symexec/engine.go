@@ -40,7 +40,7 @@ type Engine struct {
 	mgr     *mem.Manager
 	builder *sym.Builder
 	sv      *solver.Solver
-	itn     *sym.Interner // hash-consing arena; nil with NoIntern
+	itn     *sym.Interner // hash-consing arena
 	// intern.* counter values already flushed to obs (see AnalyzeFunction).
 	internHits, internMisses int64
 
@@ -104,10 +104,7 @@ func New(file *minic.File, opts Options) *Engine {
 func NewIR(prog *ir.Program, opts Options) *Engine {
 	var alloc taint.Allocator
 	o := obs.Or(opts.Obs)
-	var itn *sym.Interner
-	if !opts.NoIntern {
-		itn = sym.NewInterner()
-	}
+	itn := sym.NewInterner()
 	sv := solver.NewObserved(o)
 	sv.SetInterner(itn)
 	return &Engine{
@@ -229,15 +226,13 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	if e.res.Trace != nil {
 		e.res.TraceTruncated = e.res.Trace.Dropped()
 	}
-	if e.itn != nil {
-		// Flush arena deltas so a (hypothetical) second AnalyzeFunction on
-		// the same engine never double-counts.
-		h, m, sz := e.itn.Stats()
-		e.obs.Add("intern.hits", h-e.internHits)
-		e.obs.Add("intern.misses", m-e.internMisses)
-		e.internHits, e.internMisses = h, m
-		e.obs.Observe("intern.size", sz)
-	}
+	// Flush arena deltas so a (hypothetical) second AnalyzeFunction on the
+	// same engine never double-counts.
+	h, m, sz := e.itn.Stats()
+	e.obs.Add("intern.hits", h-e.internHits)
+	e.obs.Add("intern.misses", m-e.internMisses)
+	e.internHits, e.internMisses = h, m
+	e.obs.Observe("intern.size", sz)
 	e.obs.Event("symexec.done",
 		obs.F("function", name),
 		obs.F("paths", fmt.Sprint(len(e.res.Paths))),

@@ -69,14 +69,6 @@ type Options struct {
 	InlineDepth int
 	// PruneInfeasible uses the solver to drop unsatisfiable branches.
 	PruneInfeasible bool
-	// NoIntern disables the hash-consing arena (on by default): with
-	// interning, structurally equal expressions the engine builds are one
-	// canonical node, path conditions are canonicalized at fork time, and
-	// the solver keys its feasibility memo and per-atom analysis on node
-	// identity. Results are byte-identical either way (the intern-smoke
-	// differential gate pins this); the knob exists for debugging and for
-	// the differential oracle itself.
-	NoIntern bool
 	// TrackTrace records Table-IV-style state snapshots.
 	TrackTrace bool
 	// DecryptFuncs lists functions whose destination buffer is

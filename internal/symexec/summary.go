@@ -942,7 +942,7 @@ func decodeSummary(data []byte) (*Summary, error) {
 	switch skl {
 	case 1:
 		n, err := u()
-		if err != nil || off+int(n) > len(data) {
+		if err != nil || n > uint64(len(data)-off) {
 			return nil, errSummaryCorrupt
 		}
 		skel, serr := sym.DecodeSum(data[off : off+int(n)])

@@ -15,24 +15,18 @@ import "encoding/json"
 // test (internal/batch) enumerates the fields by reflection and fails when
 // a newly added field does not change the key.
 type AnalysisOptions struct {
-	LoopBound           int  `json:"loopBound,omitempty"`
-	MaxPaths            int  `json:"maxPaths,omitempty"`
-	MaxSteps            int  `json:"maxSteps,omitempty"`
-	DeadlineMs          int  `json:"deadlineMs,omitempty"`
-	PathWorkers         int  `json:"pathWorkers,omitempty"`
-	NoWitness           bool `json:"noWitness,omitempty"`
-	NoImplicit          bool `json:"noImplicit,omitempty"`
-	Timing              bool `json:"timing,omitempty"`
-	Probabilistic       bool `json:"probabilistic,omitempty"`
-	ConservativeExterns bool `json:"conservativeExterns,omitempty"`
-	Summaries           bool `json:"summaries,omitempty"`
-	// NoIntern disables expression hash-consing (the -intern flag,
-	// default on). It cannot change findings — the intern-smoke gate pins
-	// byte identity — but it participates in cache keys like every other
-	// field; conservatively splitting the cache is sound, sharing on an
-	// undeclared knob would not be.
-	NoIntern    bool     `json:"noIntern,omitempty"`
-	KnownInputs []string `json:"knownInputs,omitempty"`
+	LoopBound           int      `json:"loopBound,omitempty"`
+	MaxPaths            int      `json:"maxPaths,omitempty"`
+	MaxSteps            int      `json:"maxSteps,omitempty"`
+	DeadlineMs          int      `json:"deadlineMs,omitempty"`
+	PathWorkers         int      `json:"pathWorkers,omitempty"`
+	NoWitness           bool     `json:"noWitness,omitempty"`
+	NoImplicit          bool     `json:"noImplicit,omitempty"`
+	Timing              bool     `json:"timing,omitempty"`
+	Probabilistic       bool     `json:"probabilistic,omitempty"`
+	ConservativeExterns bool     `json:"conservativeExterns,omitempty"`
+	Summaries           bool     `json:"summaries,omitempty"`
+	KnownInputs         []string `json:"knownInputs,omitempty"`
 	// Detectors replaces the detector selection (the -detectors flag);
 	// empty keeps the defaults. Participates in every cache key like any
 	// other field: two runs with different detector sets produce different
@@ -76,9 +70,6 @@ func (o AnalysisOptions) FacadeOptions() []Option {
 	}
 	if o.Summaries {
 		opts = append(opts, WithSummaries())
-	}
-	if o.NoIntern {
-		opts = append(opts, WithInterning(false))
 	}
 	if len(o.KnownInputs) > 0 {
 		opts = append(opts, WithKnownInputs(o.KnownInputs...))

@@ -83,6 +83,9 @@ const (
 	// reads Inconclusive.
 	TruncInlineDepth  = symexec.TruncInlineDepth
 	TruncSummaryHavoc = symexec.TruncSummaryHavoc
+	// TruncPairBudget: a detector's sibling-path comparisons hit their
+	// budget, so some pairs of explored paths were never compared.
+	TruncPairBudget = symexec.TruncPairBudget
 )
 
 // Telemetry types, re-exported from internal/obs so callers can receive
@@ -304,17 +307,6 @@ func WithPathWorkers(n int) Option {
 // mode for the affected analysis.
 func WithSummaries() Option {
 	return func(c *config) { c.checker.Engine.Summaries = true }
-}
-
-// WithInterning toggles the hash-consing arena of the symbolic layer
-// (on by default): structurally equal expressions intern to one canonical
-// node, path conditions are canonicalized at fork time, and the solver
-// keys its feasibility memo and per-atom analysis on node identity.
-// Findings are byte-identical either way — the `make intern-smoke`
-// differential gate pins that — so the switch exists for debugging and as
-// the gate's own oracle, not as a semantic knob.
-func WithInterning(enabled bool) Option {
-	return func(c *config) { c.checker.Engine.NoIntern = !enabled }
 }
 
 // WithSummaryBudget bounds the steps one function's summary construction
