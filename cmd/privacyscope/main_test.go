@@ -360,15 +360,16 @@ func TestRunVerboseStreamsEvents(t *testing.T) {
 }
 
 // branchySecureC has 16 paths with identical observables: secure under full
-// exploration, inconclusive under a tight budget or timeout.
+// exploration, inconclusive under a tight budget or timeout. Both arms of
+// each branch add one to the observed acc, so no branch is a faint join.
 const branchySecureC = `
 int branchy(char *secrets, char *output) {
     int acc = 0;
-    if (secrets[0] > 0) acc = acc + 1; else acc = acc - 1;
-    if (secrets[1] > 0) acc = acc + 1; else acc = acc - 1;
-    if (secrets[2] > 0) acc = acc + 1; else acc = acc - 1;
-    if (secrets[3] > 0) acc = acc + 1; else acc = acc - 1;
-    output[0] = 5;
+    if (secrets[0] > 0) acc = acc + 1; else acc = 1 + acc;
+    if (secrets[1] > 0) acc = acc + 1; else acc = 1 + acc;
+    if (secrets[2] > 0) acc = acc + 1; else acc = 1 + acc;
+    if (secrets[3] > 0) acc = acc + 1; else acc = 1 + acc;
+    output[0] = acc;
     return 0;
 }
 `

@@ -45,9 +45,13 @@ type Envelope struct {
 	Engine     string             `json:"engine"`
 	Functions  []EnvelopeFunction `json:"functions"`
 	DurationMs float64            `json:"durationMs"`
-	Paths      int                `json:"paths"`
-	States     int                `json:"states"`
-	Metrics    *MetricsSnapshot   `json:"metrics,omitempty"`
+	// Paths counts the paths completed after merging: a faint join (a
+	// secret branch whose arms only write never-observed locals) runs both
+	// arms and then continues as one path. States counts the exploded
+	// states visited, both arms of every faint join included.
+	Paths   int              `json:"paths"`
+	States  int              `json:"states"`
+	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
 	// TraceID identifies the analysis execution that produced this
 	// envelope (the daemon echoes it in the traceparent response header
 	// and serves the recorded trace at /debug/traces/<id>).

@@ -40,15 +40,17 @@ enclave {
 };
 `
 
-// Secure but branchy: 16 paths, identical observables on every one.
+// Secure but branchy: 16 paths, identical observables on every one. Both
+// arms of each branch add one to acc, which reaches output[0], so no branch
+// is a faint join and every one forks.
 const branchyC = `
 int branchy(char *secrets, char *output) {
     int acc = 0;
-    if (secrets[0] > 0) acc = acc + 1; else acc = acc - 1;
-    if (secrets[1] > 0) acc = acc + 1; else acc = acc - 1;
-    if (secrets[2] > 0) acc = acc + 1; else acc = acc - 1;
-    if (secrets[3] > 0) acc = acc + 1; else acc = acc - 1;
-    output[0] = 5;
+    if (secrets[0] > 0) acc = acc + 1; else acc = 1 + acc;
+    if (secrets[1] > 0) acc = acc + 1; else acc = 1 + acc;
+    if (secrets[2] > 0) acc = acc + 1; else acc = 1 + acc;
+    if (secrets[3] > 0) acc = acc + 1; else acc = 1 + acc;
+    output[0] = acc;
     return 0;
 }
 `

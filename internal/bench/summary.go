@@ -13,8 +13,10 @@ import (
 // module analyzed inline (every call re-explored at every call site on every
 // path) and with compositional summaries (every helper explored once). The
 // engine columns are mode-invariant by construction — summary mode is
-// byte-identical to inline — so a single set of deterministic counters
-// describes both runs; only the wall clocks differ.
+// byte-identical to inline, replaying each summarized callee's step
+// accounting — so a single set of deterministic counters describes both
+// runs. What differs is the work actually done: the statements each mode
+// executed, and the wall clocks.
 type SummaryBenchRow struct {
 	// Name of the generated call graph ("deep-chain", "shared-helpers").
 	Name string `json:"name"`
@@ -29,6 +31,13 @@ type SummaryBenchRow struct {
 	// one bottom-up scratch exploration per helper, shared by every call
 	// site and every entry point.
 	SummariesComputed int64 `json:"summariesComputed"`
+	// InlineSteps is the statements the inline run executed; SummarySteps
+	// is the summary.steps.executed counter of the summary run: statements
+	// it actually executed, scratch builds included, without the replayed
+	// step accounting. StepReduction is their ratio (deterministic).
+	InlineSteps   int64   `json:"inlineSteps"`
+	SummarySteps  int64   `json:"summarySteps"`
+	StepReduction float64 `json:"stepReduction"`
 	// InlineSeconds/SummarySeconds are the two wall clocks;
 	// SpeedupVsInline is their ratio (host-dependent: a timing column).
 	InlineSeconds   float64 `json:"inlineSeconds"`
@@ -126,6 +135,7 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 			Entries:           cf.entries,
 			Findings:          inline.TotalFindings(),
 			SummariesComputed: metrics.Counter("summary.computed"),
+			SummarySteps:      metrics.Counter("summary.steps.executed"),
 			InlineSeconds:     inlineSec,
 			SummarySeconds:    sumSec,
 		}
@@ -135,6 +145,10 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 		for _, r := range inline.Reports {
 			row.Paths += r.Paths
 			row.States += r.States
+			row.InlineSteps += int64(r.Coverage.StepsUsed)
+		}
+		if row.SummarySteps > 0 {
+			row.StepReduction = float64(row.InlineSteps) / float64(row.SummarySteps)
 		}
 		// Differential guard: the bench is only meaningful while summary
 		// mode stays byte-identical to the inline oracle.
@@ -156,13 +170,14 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 func RenderSummaryBench(rows []SummaryBenchRow) string {
 	var sb strings.Builder
 	sb.WriteString("Summary vs. inline call resolution — call-graph-heavy modules\n")
-	sb.WriteString(fmt.Sprintf("%-16s %8s %8s %9s %7s %8s %10s %12s %12s %9s\n",
+	sb.WriteString(fmt.Sprintf("%-16s %8s %8s %9s %7s %8s %10s %12s %13s %10s %12s %12s %9s\n",
 		"Module", "helpers", "entries", "findings", "paths", "states", "summaries",
-		"inline(s)", "summary(s)", "speedup"))
+		"inline-steps", "summary-steps", "reduction", "inline(s)", "summary(s)", "speedup"))
 	for _, r := range rows {
-		sb.WriteString(fmt.Sprintf("%-16s %8d %8d %9d %7d %8d %10d %12.6f %12.6f %8.1fx\n",
+		sb.WriteString(fmt.Sprintf("%-16s %8d %8d %9d %7d %8d %10d %12d %13d %9.1fx %12.6f %12.6f %8.1fx\n",
 			r.Name, r.Helpers, r.Entries, r.Findings, r.Paths, r.States,
-			r.SummariesComputed, r.InlineSeconds, r.SummarySeconds, r.SpeedupVsInline))
+			r.SummariesComputed, r.InlineSteps, r.SummarySteps, r.StepReduction,
+			r.InlineSeconds, r.SummarySeconds, r.SpeedupVsInline))
 	}
 	sb.WriteString("(helpers form a doubling call chain: inlining the top costs 2^n call\n")
 	sb.WriteString("expansions per call site per path; a summary pays the chain once)\n")

@@ -219,7 +219,10 @@ func (v Verdict) String() string {
 type Report struct {
 	Function string
 	Findings []Finding
-	// Paths, States and Regions are exploration metrics.
+	// Paths, States and Regions are exploration metrics. Paths counts the
+	// paths completed after merging (a faint join continues as one path);
+	// States counts every exploded state visited, both arms of a faint join
+	// included.
 	Paths   int
 	States  int
 	Regions int

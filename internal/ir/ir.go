@@ -137,6 +137,10 @@ type IfOp struct {
 	Cond minic.Expr
 	Then Op
 	Else Op
+	// FaintJoin marks an if whose arms write only faint locals at equal
+	// cost (see faint.go): once both arms have run, the engine continues
+	// once under the pre-fork path condition.
+	FaintJoin bool
 }
 
 func (*IfOp) isOp() {}

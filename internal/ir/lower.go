@@ -22,6 +22,7 @@ func LowerMiniC(file *minic.File) *Program {
 		if fn.Body != nil {
 			f.Body = lowerBlock(fn.Body)
 			f.Calls = collectCalls(f.Body)
+			markFaintJoins(f, file.Globals)
 		}
 		prog.Funcs[fn.Name] = f
 	}
@@ -124,89 +125,114 @@ func stmtPos(s minic.Stmt) minic.Pos {
 // call targets, deduplicated and sorted.
 func collectCalls(body *BlockOp) []string {
 	seen := map[string]bool{}
-	var walkExpr func(e minic.Expr)
-	walkExpr = func(e minic.Expr) {
-		switch v := e.(type) {
-		case nil:
-			return
-		case *minic.CallExpr:
-			seen[v.Fun] = true
-			for _, a := range v.Args {
-				walkExpr(a)
-			}
-		case *minic.BinExpr:
-			walkExpr(v.L)
-			walkExpr(v.R)
-		case *minic.UnExpr:
-			walkExpr(v.X)
-		case *minic.AssignExpr:
-			walkExpr(v.LHS)
-			walkExpr(v.RHS)
-		case *minic.IncDecExpr:
-			walkExpr(v.X)
-		case *minic.IndexExpr:
-			walkExpr(v.X)
-			walkExpr(v.Index)
-		case *minic.MemberExpr:
-			walkExpr(v.X)
-		case *minic.DerefExpr:
-			walkExpr(v.X)
-		case *minic.AddrExpr:
-			walkExpr(v.X)
-		case *minic.CastExpr:
-			walkExpr(v.X)
-		case *minic.CondExpr:
-			walkExpr(v.Cond)
-			walkExpr(v.Then)
-			walkExpr(v.Else)
-		}
-	}
-	var walkOp func(op Op)
-	walkOps := func(ops []Op) {
-		for _, o := range ops {
-			walkOp(o)
-		}
-	}
-	walkOp = func(op Op) {
-		switch v := op.(type) {
-		case nil:
-			return
-		case *BlockOp:
-			walkOps(v.Ops)
-		case *DeclOp:
-			for _, d := range v.Decls {
-				walkExpr(d.Init)
-			}
-		case *ExprOp:
-			walkExpr(v.X)
-		case *IfOp:
-			walkExpr(v.Cond)
-			walkOp(v.Then)
-			if v.Else != nil {
-				walkOp(v.Else)
-			}
-		case *LoopOp:
-			if v.Init != nil {
-				walkOp(v.Init)
-			}
-			walkExpr(v.Cond)
-			walkExpr(v.Post)
-			walkOp(v.Body)
-		case *SwitchOp:
-			walkExpr(v.Tag)
-			for _, c := range v.Cases {
-				walkExpr(c.Value)
-				walkOps(c.Body)
-			}
-		case *ReturnOp:
-			walkExpr(v.X)
-		}
-	}
-	walkOp(body)
+	walkOps(body, func(op Op) {
+		opExprs(op, func(e minic.Expr) {
+			walkExpr(e, func(x minic.Expr) {
+				if c, ok := x.(*minic.CallExpr); ok {
+					seen[c.Fun] = true
+				}
+			})
+		})
+	})
 	names := make([]string, 0, len(seen))
 	for n := range seen {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// walkOps calls visit on op and every op nested in it, in program order.
+func walkOps(op Op, visit func(Op)) {
+	if op == nil {
+		return
+	}
+	visit(op)
+	switch v := op.(type) {
+	case *BlockOp:
+		for _, o := range v.Ops {
+			walkOps(o, visit)
+		}
+	case *IfOp:
+		walkOps(v.Then, visit)
+		walkOps(v.Else, visit)
+	case *LoopOp:
+		walkOps(v.Init, visit)
+		walkOps(v.Body, visit)
+	case *SwitchOp:
+		for _, c := range v.Cases {
+			for _, o := range c.Body {
+				walkOps(o, visit)
+			}
+		}
+	}
+}
+
+// opExprs calls visit on each expression op itself evaluates (not those of
+// nested ops).
+func opExprs(op Op, visit func(minic.Expr)) {
+	switch v := op.(type) {
+	case *DeclOp:
+		for _, d := range v.Decls {
+			visit(d.Init)
+		}
+	case *ExprOp:
+		visit(v.X)
+	case *IfOp:
+		visit(v.Cond)
+	case *LoopOp:
+		visit(v.Cond)
+		visit(v.Post)
+	case *SwitchOp:
+		visit(v.Tag)
+		for _, c := range v.Cases {
+			visit(c.Value)
+		}
+	case *ReturnOp:
+		visit(v.X)
+	}
+}
+
+// walkExpr calls visit on e and every subexpression of it, parents first;
+// a nil e visits nothing.
+func walkExpr(e minic.Expr, visit func(minic.Expr)) {
+	if e == nil {
+		return
+	}
+	visit(e)
+	switch v := e.(type) {
+	case *minic.CallExpr:
+		for _, a := range v.Args {
+			walkExpr(a, visit)
+		}
+	case *minic.BinExpr:
+		walkExpr(v.L, visit)
+		walkExpr(v.R, visit)
+	case *minic.UnExpr:
+		walkExpr(v.X, visit)
+	case *minic.AssignExpr:
+		walkExpr(v.LHS, visit)
+		walkExpr(v.RHS, visit)
+	case *minic.IncDecExpr:
+		walkExpr(v.X, visit)
+	case *minic.IndexExpr:
+		walkExpr(v.X, visit)
+		walkExpr(v.Index, visit)
+	case *minic.MemberExpr:
+		walkExpr(v.X, visit)
+	case *minic.DerefExpr:
+		walkExpr(v.X, visit)
+	case *minic.AddrExpr:
+		walkExpr(v.X, visit)
+	case *minic.CastExpr:
+		walkExpr(v.X, visit)
+	case *minic.CondExpr:
+		walkExpr(v.Cond, visit)
+		walkExpr(v.Then, visit)
+		walkExpr(v.Else, visit)
+	case *minic.SizeofExpr:
+		// The engine evaluates sizeof's operand for its type, effects
+		// included.
+		walkExpr(v.X, visit)
+	}
 }

@@ -38,14 +38,15 @@ enclave {
 `
 
 // slowC is a 2^12-path module: long enough that a cancellation arriving
-// mid-exploration leaves genuinely partial coverage.
+// mid-exploration leaves genuinely partial coverage. Both arms of each
+// branch add one to the observed acc, so no branch is a faint join.
 func slowC() string {
 	var sb strings.Builder
 	sb.WriteString("int slow(char *secrets, char *output)\n{\n    int acc = 0;\n")
 	for i := 0; i < 12; i++ {
-		fmt.Fprintf(&sb, "    if (secrets[%d] > 0) acc = acc + 1; else acc = acc - 1;\n", i)
+		fmt.Fprintf(&sb, "    if (secrets[%d] > 0) acc = acc + 1; else acc = 1 + acc;\n", i)
 	}
-	sb.WriteString("    output[0] = 7;\n    return 0;\n}\n")
+	sb.WriteString("    output[0] = acc;\n    return 0;\n}\n")
 	return sb.String()
 }
 

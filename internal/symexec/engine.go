@@ -68,6 +68,9 @@ type Engine struct {
 	steps    int64
 	states   int64
 	pruned   int64
+	// replayedSteps is the part of steps that pure summary applications
+	// charged without executing (applyPure).
+	replayedSteps int64
 	// regionPad counts the memory regions summarized-away callee bodies
 	// would have allocated, so Result.Regions matches inline mode.
 	regionPad int64
@@ -225,6 +228,9 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	e.res.Regions = e.mgr.RegionCount() + int(atomic.LoadInt64(&e.regionPad))
 	if e.res.Trace != nil {
 		e.res.TraceTruncated = e.res.Trace.Dropped()
+	}
+	if e.summariesActive() {
+		e.obs.Add("summary.steps.executed", atomic.LoadInt64(&e.steps)-atomic.LoadInt64(&e.replayedSteps))
 	}
 	// Flush arena deltas so a (hypothetical) second AnalyzeFunction on the
 	// same engine never double-counts.
@@ -793,24 +799,55 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 	// Fork (PS-TCOND / PS-FCOND).
 	e.noteBranch(st, v.Position(), cond)
 	e.obs.Add("symexec.forks", 1)
+	// A faint join's arms are straight-line writes to faint locals, so each
+	// feasible arm reaches its end exactly once; the arms park their end
+	// states in ends and the join continues after both have run.
+	pc0 := st.pc
+	var ends *[2]*state
+	if v.FaintJoin {
+		ends = new([2]*state)
+	}
+	arm := func(i int, body ir.Op) func(*state) error {
+		next := k
+		if ends != nil {
+			next = func(end *state, _ ctl) error {
+				ends[i] = end
+				return nil
+			}
+		}
+		return func(s *state) error {
+			if !e.feasible(s.pc) {
+				return nil
+			}
+			if body == nil {
+				return next(s, ctlFallthrough)
+			}
+			return e.exec(s, body, next)
+		}
+	}
 	arms := st.fork(cond, e.itn.Negate(cond))
-	return e.runBranches(st, []branchCase{
-		{st: arms[0], run: func(s *state) error {
-			if !e.feasible(s.pc) {
-				return nil
-			}
-			return e.exec(s, v.Then, k)
-		}},
-		{st: arms[1], run: func(s *state) error {
-			if !e.feasible(s.pc) {
-				return nil
-			}
-			if v.Else != nil {
-				return e.exec(s, v.Else, k)
-			}
-			return k(s, ctlFallthrough)
-		}},
+	err = e.runBranches(st, []branchCase{
+		{st: arms[0], run: arm(0, v.Then)},
+		{st: arms[1], run: arm(1, v.Else)},
 	})
+	if err != nil || ends == nil {
+		return err
+	}
+	// Both arms ran: they differ only in faint locals and cost the same, so
+	// one continuation under π₀ = (π₀∧c) ∨ (π₀∧¬c) observes exactly what
+	// the two would have.
+	end := ends[0]
+	switch {
+	case ends[0] != nil && ends[1] != nil:
+		e.obs.Add("symexec.merges", 1)
+		end.pc = pc0
+	case ends[0] == nil:
+		end = ends[1]
+	}
+	if end == nil {
+		return nil
+	}
+	return k(end, ctlFallthrough)
 }
 
 func (e *Engine) feasible(pc *solver.PathCondition) bool {

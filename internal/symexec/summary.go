@@ -95,10 +95,12 @@ type Summary struct {
 	// truncated the chain, so the application falls back to inlining to
 	// reproduce that behavior.
 	Depth int
-	// Cost, Steps and Regions replay the callee's accounting at each
-	// application: path cost/state count, engine steps (loop iterations
+	// Cost, States, Steps and Regions replay the callee's accounting at
+	// each application: path cost, exploded states visited (more than Cost
+	// when a faint join ran both arms), engine steps (loop iterations
 	// included), and memory regions the inlined body would have allocated.
 	Cost    int64
+	States  int64
 	Steps   int64
 	Regions int64
 	// Skeleton is the return value over parameter slots (SummaryPure only).
@@ -496,6 +498,7 @@ func (b *tableBuilder) scratchRun(fn *ir.Func, s *Summary) *Summary {
 	if err != nil {
 		return inline("scratch run failed: " + err.Error())
 	}
+	b.ob.Add("summary.steps.executed", int64(res.Coverage.StepsUsed))
 	if res.Coverage.Truncated {
 		if res.Coverage.Reason == TruncStepBudget {
 			s.Kind = SummaryHavoc
@@ -540,6 +543,9 @@ func (b *tableBuilder) scratchRun(fn *ir.Func, s *Summary) *Summary {
 	s.Kind = SummaryPure
 	s.Skeleton = skel
 	s.Cost = int64(p.Cost)
+	// The scratch run's entry and path-end snapshots are not part of an
+	// inlined body.
+	s.States = int64(res.States) - 2
 	s.Steps = int64(res.Coverage.StepsUsed)
 	s.Regions = int64(res.Regions)
 	s.Depth = 1
@@ -723,9 +729,10 @@ func (e *Engine) applyPure(st *state, fn *ir.Func, sum *Summary, args []mem.SVal
 		return nil, false
 	}
 	e.obs.Add("symexec.steps", sum.Steps)
+	atomic.AddInt64(&e.replayedSteps, sum.Steps)
 	st.cost += int(sum.Cost)
-	atomic.AddInt64(&e.states, sum.Cost)
-	e.obs.Add("symexec.states", sum.Cost)
+	atomic.AddInt64(&e.states, sum.States)
+	e.obs.Add("symexec.states", sum.States)
 	atomic.AddInt64(&e.regionPad, sum.Regions)
 	e.obs.Add("summary.applied", 1)
 	return mem.Scalar{E: ret}, true
@@ -737,7 +744,7 @@ func (e *Engine) applyPure(st *state, fn *ir.Func, sum *Summary, args []mem.SVal
 
 const (
 	summaryMagic   byte = 0xC5
-	summaryVersion byte = 1
+	summaryVersion byte = 2
 
 	maxSummaryStrings = 1 << 12
 	maxSummaryName    = 1 << 12
@@ -763,6 +770,7 @@ func encodeSummary(s *Summary) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.NumParams))
 	buf = binary.AppendUvarint(buf, uint64(s.Depth))
 	buf = binary.AppendVarint(buf, s.Cost)
+	buf = binary.AppendVarint(buf, s.States)
 	buf = binary.AppendVarint(buf, s.Steps)
 	buf = binary.AppendVarint(buf, s.Regions)
 	strs(s.Ocalls)
@@ -890,13 +898,16 @@ func decodeSummary(data []byte) (*Summary, error) {
 	if s.Cost, err = i(); err != nil {
 		return nil, err
 	}
+	if s.States, err = i(); err != nil {
+		return nil, err
+	}
 	if s.Steps, err = i(); err != nil {
 		return nil, err
 	}
 	if s.Regions, err = i(); err != nil {
 		return nil, err
 	}
-	if s.Cost < 0 || s.Steps < 0 || s.Regions < 0 {
+	if s.Cost < 0 || s.States < 0 || s.Steps < 0 || s.Regions < 0 {
 		return nil, errSummaryCorrupt
 	}
 	if s.Ocalls, err = strs(); err != nil {

@@ -8,15 +8,16 @@ import (
 	"testing"
 )
 
-// branchyModule builds an n-fork module so WithPathWorkers actually
-// offloads branches to pool goroutines.
+// branchyModule builds an n-fork, 2^n-path module so WithPathWorkers
+// actually offloads branches to pool goroutines. Both arms of each branch
+// add one to the observed acc, so no branch is a faint join.
 func branchyModule(n int) (c, edl string) {
 	var sb strings.Builder
 	sb.WriteString("int fanout(char *secrets, char *output)\n{\n    int acc = 0;\n")
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "    if (secrets[%d] > 0) acc = acc + 1; else acc = acc - 1;\n", i)
+		fmt.Fprintf(&sb, "    if (secrets[%d] > 0) acc = acc + 1; else acc = 1 + acc;\n", i)
 	}
-	sb.WriteString("    output[0] = 7;\n    return 0;\n}\n")
+	sb.WriteString("    output[0] = acc;\n    return 0;\n}\n")
 	return sb.String(), `
 enclave {
     trusted {
