@@ -7,10 +7,12 @@ help:
 	@echo "                model search)"
 	@echo "examples-smoke  run the runnable examples"
 	@echo "batch-smoke     cold + warm project run over examples/project"
-	@echo "summary-smoke   summary-vs-inline differential over every corpus (-race)"
-	@echo "intern-smoke    shared-arena gate: ECALL parallelism, path workers and"
-	@echo "                summaries+path workers must reproduce the report golden,"
-	@echo "                plus the arena property/race/alloc pins (-race)"
+	@echo "summary-smoke   summary gate: default runs and WithParallelism(4) runs must"
+	@echo "                reproduce the report and batch goldens, plus the"
+	@echo "                exactness and linear-build pins (-race)"
+	@echo "intern-smoke    shared-arena gate: ECALL parallelism and path workers"
+	@echo "                must reproduce the report golden, plus the arena"
+	@echo "                property/race/alloc pins (-race)"
 	@echo "detect-smoke    detector-registry gate: every corpus must reproduce the"
 	@echo "                committed report golden; scenario packs must flag the"
 	@echo "                seeded leakpacks (-race)"
@@ -56,7 +58,6 @@ fuzz-smoke:
 	go test ./internal/symexec -run '^$$' -fuzz '^FuzzFailSoft$$' -fuzztime 10s
 	go test ./internal/edl -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime 10s
 	go test ./internal/obs -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime 10s
-	go test ./internal/symexec -run '^$$' -fuzz '^FuzzSummaryRoundtrip$$' -fuzztime 10s
 	go test ./internal/edl -run '^$$' -fuzz '^FuzzRuleConfig$$' -fuzztime 10s
 	go test ./internal/sym -run '^$$' -fuzz '^FuzzIntern$$' -fuzztime 10s
 	go test ./internal/solver -run '^$$' -fuzz '^FuzzModelSearch$$' -fuzztime 10s
@@ -91,21 +92,24 @@ batch-smoke:
 	./bin/privacyscope-smoke -dir examples/project -cache-dir .pscache-smoke | grep -Eq 'verdict: .* \([1-9][0-9]* cached, 0 analyzed, 0 errors\)'
 	rm -rf .pscache-smoke bin/privacyscope-smoke
 
-# Summary smoke: the compositional-analysis differential gate. Summary mode
-# (-summaries) must be byte-identical to inline mode — the differential
-# oracle — over the ML suite, the §IV cross-stack programs, the
-# examples/project tree and the batch goldens, with the summary-store
-# invalidation pins included; run under the race detector because the
-# summary table is shared read-only across parallel per-ECALL jobs.
+# Summary smoke: the compositional-analysis gate. Every analysis resolves
+# calls through summaries, and the report golden was recorded with every
+# call inlined, so default runs and WithParallelism(4) runs over the ML
+# suite, the §IV programs and the examples/project tree must reproduce it
+# byte for byte, as must a batch run configured with the removed
+# "summaries" option; the engine-level pins check each summary against a
+# table-free exploration and the build's linear cost. Run under the race
+# detector because the lowered module and its summary table are shared
+# read-only across parallel per-ECALL jobs.
 .PHONY: summary-smoke
 summary-smoke:
-	go test -race -count=1 -run '^TestSummary' . ./internal/symexec ./internal/batch
+	go test -race -count=1 -run '^(TestSummary.*|TestGoldenProjectReportSummaryMode)$$' . ./internal/symexec ./internal/batch
 
 # Intern smoke: the shared-arena gate. Every engine interns its expressions
 # in one hash-consing arena, shared read-only across path-worker goroutines
 # and summary replay, so the committed report golden
 # (testdata/report_golden.txt) must come out byte for byte under ECALL
-# parallelism, path workers, and summaries plus path workers; the arena's
+# parallelism and under path workers; the arena's
 # property/fuzz-regression/alloc pins ride in ./internal/sym. Run under the
 # race detector because of that sharing.
 .PHONY: intern-smoke

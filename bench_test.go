@@ -18,6 +18,7 @@ import (
 	"privacyscope/internal/bench"
 	"privacyscope/internal/core"
 	"privacyscope/internal/detect"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/mlsuite"
 	"privacyscope/internal/priml"
@@ -32,7 +33,7 @@ func runDetect(opts core.Options, file *minic.File, fn string, params []symexec.
 	if err != nil {
 		return nil, err
 	}
-	return detect.Run(context.Background(), set, opts, file, fn, params)
+	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
 }
 
 // BenchmarkFig1TaintLatticeJoin measures the semi-lattice join operation

@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, out io.Writer) (code int, err error
 		timing     = fs.Bool("timing", false, "enable the timing-channel extension (§VIII-A)")
 		prob       = fs.Bool("probabilistic", false, "enable the probabilistic-channel extension (§VIII-A)")
 		conserv    = fs.Bool("conservative-externs", false, "treat unmodeled extern results as secrets")
-		summaries  = fs.Bool("summaries", false, "resolve calls through compositional function summaries instead of re-inlining (byte-identical results; shared helpers explored once); with -cache-dir, summaries persist per function")
 		detectors  = fs.String("detectors", "", "comma-separated detector selection replacing the defaults; 'default' and 'all' expand in place (e.g. default,ocall-pointer) — see docs/DETECTORS.md")
 		pathWork   = fs.Int("path-workers", 0, "goroutines exploring each ECALL's paths concurrently (<=1 = sequential; results are deterministic)")
 		asJSON     = fs.Bool("json", false, "emit findings as JSON")
@@ -118,7 +117,6 @@ func run(ctx context.Context, args []string, out io.Writer) (code int, err error
 		Timing:              *timing,
 		Probabilistic:       *prob,
 		ConservativeExterns: *conserv,
-		Summaries:           *summaries,
 	}
 	if *detectors != "" {
 		aopts.Detectors = strings.Split(*detectors, ",")

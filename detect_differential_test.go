@@ -64,7 +64,7 @@ func TestDetectDifferentialExamples(t *testing.T) {
 // TestDetectDifferentialSectionIV pins the §IV differential-stack MiniC
 // programs under every switch that changes the default detector set or the
 // replay (implicit off, timing on, witness replay off), plus the
-// pruning-off and summary variants.
+// pruning-off variant and the programs that call helpers.
 func TestDetectDifferentialSectionIV(t *testing.T) {
 	for _, m := range sectionIVGolden() {
 		t.Run(m.name, func(t *testing.T) { requireDetectGolden(t, m) })
@@ -209,56 +209,5 @@ func TestDetectUnknownDetectorName(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), `"bogus"`) {
 		t.Errorf("rule-file error %q lacks the line-numbered offender", err)
-	}
-}
-
-// TestDetectSummaryStoreKeySeparation pins the summary-store half of the
-// cache-key participation contract: two runs over the same module with
-// different detector selections must never share persisted summaries,
-// because pack-bearing selections run the engine with different event
-// recording. A warm store filled under the default set must yield zero
-// hits under an all-packs selection.
-func TestDetectSummaryStoreKeySeparation(t *testing.T) {
-	const src = `
-int helper(int x) { return x + 1; }
-int f(int *secrets, int *output)
-{
-    output[0] = helper(secrets[0]) + secrets[1];
-    return 0;
-}
-`
-	const e = `
-enclave {
-    trusted {
-        public int f([in] int *secrets, [out] int *output);
-    };
-};
-`
-	store := newMemSummaryStore()
-	run := func(detectors ...string) *Metrics {
-		t.Helper()
-		m := NewMetrics()
-		opts := []Option{WithSummaries(), WithSummaryStore(store), WithObserver(m)}
-		if len(detectors) > 0 {
-			opts = append(opts, WithDetectors(detectors...))
-		}
-		if _, err := AnalyzeEnclave(src, e, opts...); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	cold := run()
-	if cold.Counter("summary.computed") == 0 {
-		t.Fatal("cold run computed no summaries — store not exercised")
-	}
-	warm := run()
-	if got := warm.Counter("summary.computed"); got != 0 {
-		t.Fatalf("warm same-set rerun computed %d summaries, want 0", got)
-	}
-	// errcode-channel consumes no per-path events, so it keeps summary mode
-	// — but its selection key differs, so the store must miss.
-	other := run("default", "errcode-channel")
-	if got := other.Counter("summary.cache.hits"); got != 0 {
-		t.Fatalf("different detector set got %d summary cache hits, want 0", got)
 	}
 }

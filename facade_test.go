@@ -395,3 +395,20 @@ func TestAnalysisOptionsIgnoresRemovedIntern(t *testing.T) {
 		t.Errorf("KeyJSON = %s, want the default %s", got, want)
 	}
 }
+
+// TestAnalysisOptionsIgnoresRemovedSummaries: summaries have no switch, so
+// a daemon request or batch config that still sends "summaries" decodes
+// without error, keys exactly like the defaults and selects the default
+// facade options.
+func TestAnalysisOptionsIgnoresRemovedSummaries(t *testing.T) {
+	var o AnalysisOptions
+	if err := json.Unmarshal([]byte(`{"summaries":true}`), &o); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.KeyJSON(), (AnalysisOptions{}).KeyJSON(); got != want {
+		t.Errorf("KeyJSON = %s, want the default %s", got, want)
+	}
+	if n := len(o.FacadeOptions()); n != 0 {
+		t.Errorf("FacadeOptions selected %d options, want none", n)
+	}
+}

@@ -6,8 +6,7 @@ import "testing"
 // its expressions in one hash-consing arena, shared read-only across
 // path-worker goroutines and summary replay, so the committed report golden
 // (report_golden_test.go) must come out byte for byte under ECALL
-// parallelism, under path workers, and under summaries plus path workers.
-// Run under -race.
+// parallelism and under path workers. Run under -race.
 
 // TestInternDifferentialMLSuite runs the ML evaluation corpus under
 // WithParallelism(4).
@@ -36,12 +35,12 @@ func TestInternDifferentialSectionIV(t *testing.T) {
 }
 
 // TestInternSharedTableUnderPathWorkers shares one engine's arena across
-// WithPathWorkers(8) goroutines with summaries enabled, so skeleton replay
-// interns through the same table concurrently. The 2^10-path fanout module
-// must match its sequential golden in every round.
+// WithPathWorkers(8) goroutines, so skeleton replay interns through the
+// same table concurrently. The 2^10-path fanout module must match its
+// sequential golden in every round.
 func TestInternSharedTableUnderPathWorkers(t *testing.T) {
 	m := fanoutGolden()
 	for round := 0; round < 3; round++ {
-		requireGolden(t, m, m.analyze(t, WithSummaries(), WithPathWorkers(8)))
+		requireGolden(t, m, m.analyze(t, WithPathWorkers(8)))
 	}
 }

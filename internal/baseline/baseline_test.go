@@ -6,6 +6,7 @@ import (
 
 	"privacyscope/internal/core"
 	"privacyscope/internal/detect"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/symexec"
 )
@@ -25,7 +26,7 @@ func privacyScope(file *minic.File) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return detect.Run(context.Background(), set, opts, file, "f", secretOutParams())
+	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), "f", secretOutParams())
 }
 
 // suite holds the shared leak-benchmark programs behind the Table VI

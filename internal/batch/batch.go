@@ -232,13 +232,6 @@ func runUnit(ctx context.Context, u Unit, cfg Config, ob obs.Observer) (res Unit
 	if rules != "" {
 		opts = append(opts, privacyscope.WithConfigXML([]byte(rules)))
 	}
-	// Summary mode shares the batch disk cache as its summary tier:
-	// summaries key on per-function body hashes, so a unit whose helper
-	// changed recomputes only that helper's (and its callers') summaries
-	// while the unit-level envelope entry invalidates as a whole.
-	if cfg.Options.Summaries && cfg.Cache != nil {
-		opts = append(opts, privacyscope.WithSummaryStore(cfg.Cache))
-	}
 	uctx := ctx
 	if cfg.Options.DeadlineMs > 0 {
 		var cancel context.CancelFunc

@@ -9,67 +9,32 @@ import (
 	"privacyscope"
 )
 
-// TestGoldenProjectReportSummaryMode is the batch half of the summary
-// differential suite: a project run with Options.Summaries must reproduce
-// the inline-mode goldens byte for byte (report text and JSON envelope),
-// and stay jobs-invariant. The envelope is mode-agnostic on purpose —
-// summaries change how calls are resolved, never what is reported.
+// TestGoldenProjectReportSummaryMode pins batch compatibility with configs
+// from before summaries were always on: options that still carry
+// "summaries" decode, key every unit like the defaults, and reproduce the
+// project goldens byte for byte (report text and JSON envelope) at -jobs 1
+// and -jobs 8.
 func TestGoldenProjectReportSummaryMode(t *testing.T) {
 	dir := goldenTree(t)
 	units := discover(t, dir)
 
-	render := make(map[int]string)
-	envJSON := make(map[int]string)
+	var opts privacyscope.AnalysisOptions
+	if err := json.Unmarshal([]byte(`{"summaries":true}`), &opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		if got, want := UnitKey(u, u.Rules, opts), UnitKey(u, u.Rules, privacyscope.AnalysisOptions{}); got != want {
+			t.Fatalf("unit %s: key %s with legacy options, want the default key %s", u.Name, got, want)
+		}
+	}
 	for _, jobs := range []int{1, 8} {
-		rep := Run(context.Background(), dir, units, Config{
-			Jobs:    jobs,
-			Options: privacyscope.AnalysisOptions{Summaries: true},
-		})
+		rep := Run(context.Background(), dir, units, Config{Jobs: jobs, Options: opts})
 		scrub(rep)
-		render[jobs] = rep.Render()
 		b, err := json.MarshalIndent(rep.Envelope(nil), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		envJSON[jobs] = string(b) + "\n"
-	}
-	if render[1] != render[8] {
-		t.Errorf("summary-mode Render differs between -jobs 1 and -jobs 8:\n%s\n---\n%s",
-			render[1], render[8])
-	}
-	if envJSON[1] != envJSON[8] {
-		t.Error("summary-mode JSON envelope differs between -jobs 1 and -jobs 8")
-	}
-
-	// The inline-mode goldens are the oracle: never -update from here.
-	checkGolden(t, filepath.Join("testdata", "golden", "report.txt"), []byte(render[1]))
-	checkGolden(t, filepath.Join("testdata", "golden", "report.json"), []byte(envJSON[1]))
-}
-
-// TestSummaryModeSharesBatchCacheTier pins that a summary-mode batch run
-// wires the project disk cache in as the summary store: the second run hits
-// the unit tier, and a run over an edited tree still finds the unchanged
-// functions' summaries warm (summary keys are per-function, not per-unit).
-func TestSummaryModeSharesBatchCacheTier(t *testing.T) {
-	dir := projectTree(t)
-	units := discover(t, dir)
-	cache := openCache(t)
-	cfg := Config{
-		Jobs:    1,
-		Cache:   cache,
-		Options: privacyscope.AnalysisOptions{Summaries: true},
-	}
-
-	cold := Run(context.Background(), dir, units, cfg)
-	for _, u := range cold.Units {
-		if u.Err != "" {
-			t.Fatalf("cold run unit %s failed: %s", u.Unit.Name, u.Err)
-		}
-	}
-	warm := Run(context.Background(), dir, units, cfg)
-	for _, u := range warm.Units {
-		if !u.Cached {
-			t.Fatalf("warm run unit %s not served from cache", u.Unit.Name)
-		}
+		checkGolden(t, filepath.Join("testdata", "golden", "report.txt"), []byte(rep.Render()))
+		checkGolden(t, filepath.Join("testdata", "golden", "report.json"), append(b, '\n'))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"privacyscope/internal/core"
 	"privacyscope/internal/detect"
 	"privacyscope/internal/edl"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/mlsuite"
 	"privacyscope/internal/obs"
@@ -174,7 +175,7 @@ func runDetect(opts core.Options, file *minic.File, fn string, params []symexec.
 	if err != nil {
 		return nil, err
 	}
-	return detect.Run(context.Background(), set, opts, file, fn, params)
+	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
 }
 
 // Box1 renders the warning report for Listing 1.

@@ -1,22 +1,29 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"privacyscope"
+	"privacyscope/internal/core"
+	"privacyscope/internal/detect"
+	"privacyscope/internal/ir"
+	"privacyscope/internal/minic"
 	"privacyscope/internal/obs"
+	"privacyscope/internal/symexec"
 )
 
 // SummaryBenchRow is one configuration of the call-graph study: the same
-// module analyzed inline (every call re-explored at every call site on every
-// path) and with compositional summaries (every helper explored once). The
-// engine columns are mode-invariant by construction — summary mode is
-// byte-identical to inline, replaying each summarized callee's step
-// accounting — so a single set of deterministic counters describes both
-// runs. What differs is the work actually done: the statements each mode
-// executed, and the wall clocks.
+// module analyzed inline (detect.Run without a summary table: every call
+// re-explored at every call site on every path) and through the facade,
+// which resolves calls through compositional summaries (every helper
+// explored once). The engine columns are identical by construction —
+// summary application replays each summarized callee's step accounting —
+// so a single set of deterministic counters describes both runs. What
+// differs is the work actually done: the statements each run executed, and
+// the wall clocks.
 type SummaryBenchRow struct {
 	// Name of the generated call graph ("deep-chain", "shared-helpers").
 	Name string `json:"name"`
@@ -28,7 +35,7 @@ type SummaryBenchRow struct {
 	Paths    int `json:"paths"`
 	States   int `json:"states"`
 	// SummariesComputed is the summary.computed counter of the summary run:
-	// one bottom-up scratch exploration per helper, shared by every call
+	// one summary per helper, built once bottom-up and shared by every call
 	// site and every entry point.
 	SummariesComputed int64 `json:"summariesComputed"`
 	// InlineSteps is the statements the inline run executed; SummarySteps
@@ -99,9 +106,13 @@ int enclave_e%d(int *secrets, int *output)
 }
 
 // SummaryBench measures inline vs. summary call resolution over generated
-// call-graph-heavy modules and checks the two modes agree on every
-// deterministic engine column before reporting.
+// call-graph-heavy modules and checks the two agree on every deterministic
+// engine column before reporting.
 func SummaryBench() ([]SummaryBenchRow, error) {
+	set, err := detect.ResolveSet(core.DefaultOptions(), nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	configs := []struct {
 		name             string
 		helpers, entries int
@@ -114,7 +125,7 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 		cSrc, edlSrc := SummaryBenchProgram(cf.helpers, cf.entries)
 
 		start := time.Now()
-		inline, err := privacyscope.AnalyzeEnclave(cSrc, edlSrc)
+		inline, err := inlineEnclave(set, cSrc, cf.entries)
 		if err != nil {
 			return nil, fmt.Errorf("%s inline: %w", cf.name, err)
 		}
@@ -122,8 +133,7 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 
 		metrics := obs.NewMetrics()
 		start = time.Now()
-		sum, err := privacyscope.AnalyzeEnclave(cSrc, edlSrc,
-			privacyscope.WithSummaries(), privacyscope.WithObserver(metrics))
+		sum, err := privacyscope.AnalyzeEnclave(cSrc, edlSrc, privacyscope.WithObserver(metrics))
 		if err != nil {
 			return nil, fmt.Errorf("%s summaries: %w", cf.name, err)
 		}
@@ -151,7 +161,7 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 			row.StepReduction = float64(row.InlineSteps) / float64(row.SummarySteps)
 		}
 		// Differential guard: the bench is only meaningful while summary
-		// mode stays byte-identical to the inline oracle.
+		// resolution stays identical to inlining.
 		sumPaths, sumStates := 0, 0
 		for _, r := range sum.Reports {
 			sumPaths += r.Paths
@@ -164,6 +174,29 @@ func SummaryBench() ([]SummaryBenchRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// inlineEnclave analyzes every entry point of a SummaryBenchProgram module
+// with detect.Run and no summary table, so every call inlines.
+func inlineEnclave(set detect.Set, cSrc string, entries int) (*privacyscope.EnclaveReport, error) {
+	file, err := minic.Parse(cSrc)
+	if err != nil {
+		return nil, err
+	}
+	prog := ir.LowerMiniC(file)
+	params := []symexec.ParamSpec{
+		{Name: "secrets", Class: symexec.ParamSecret},
+		{Name: "output", Class: symexec.ParamOut},
+	}
+	out := &privacyscope.EnclaveReport{}
+	for i := 0; i < entries; i++ {
+		rep, err := detect.Run(context.Background(), set, core.DefaultOptions(), prog, fmt.Sprintf("enclave_e%d", i), params)
+		if err != nil {
+			return nil, err
+		}
+		out.Reports = append(out.Reports, rep)
+	}
+	return out, nil
 }
 
 // RenderSummaryBench formats the call-graph study.

@@ -10,6 +10,7 @@ import (
 
 	"privacyscope/internal/core"
 	"privacyscope/internal/detect"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/symexec"
 )
@@ -40,7 +41,7 @@ func analyze(file *minic.File, fn string, params []symexec.ParamSpec, opts core.
 	if err != nil {
 		return nil, err
 	}
-	return detect.Run(context.Background(), set, opts, file, fn, params)
+	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
 }
 
 func check(t *testing.T, src, fn string, params []symexec.ParamSpec, opts core.Options) *core.Report {

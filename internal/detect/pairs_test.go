@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"privacyscope/internal/core"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/symexec"
 )
@@ -31,7 +32,7 @@ func pairBudgetProbe(t *testing.T, cond func(i int) string, out0 string) *core.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(context.Background(), set, opts, minic.MustParse(sb.String()), "f", []symexec.ParamSpec{
+	rep, err := Run(context.Background(), set, opts, ir.LowerMiniC(minic.MustParse(sb.String())), "f", []symexec.ParamSpec{
 		{Name: "secrets", Class: symexec.ParamSecret},
 		{Name: "output", Class: symexec.ParamOut},
 	})

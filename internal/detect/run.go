@@ -7,18 +7,20 @@ import (
 	"time"
 
 	"privacyscope/internal/core"
-	"privacyscope/internal/minic"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/obs"
 	"privacyscope/internal/symexec"
 )
 
-// Run analyzes one entry point with the selected detectors: one engine
-// exploration shared by every detector. The analysis is fail-soft: budget
-// exhaustion, a Deadline expiry or a ctx cancellation degrade the report
-// (partial Coverage, Inconclusive verdict when nothing was found on the
-// explored paths) instead of returning an error. Errors are reserved for
-// genuine failures such as an unknown entry point.
-func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn string, params []symexec.ParamSpec) (*core.Report, error) {
+// Run analyzes one entry point of a lowered MiniC module with the selected
+// detectors: one engine exploration shared by every detector. prog is
+// read-only here, so concurrent Runs may share it (and the summary table in
+// opts.Engine). The analysis is fail-soft: budget exhaustion, a Deadline
+// expiry or a ctx cancellation degrade the report (partial Coverage,
+// Inconclusive verdict when nothing was found on the explored paths)
+// instead of returning an error. Errors are reserved for genuine failures
+// such as an unknown entry point.
+func Run(ctx context.Context, set Set, opts core.Options, prog *ir.Program, fn string, params []symexec.ParamSpec) (*core.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -39,7 +41,7 @@ func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn s
 	defer span.End()
 
 	sx := span.Child("symexec")
-	engine := symexec.New(file, opts.Engine)
+	engine := symexec.NewIR(prog, opts.Engine)
 	res, err := engine.AnalyzeFunction(ctx, fn, params)
 	if res != nil {
 		sx.Annotate(
@@ -62,7 +64,7 @@ func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn s
 	rc := &Context{
 		Replayer:  core.NewReplayer(o),
 		Opts:      opts,
-		File:      file,
+		File:      prog.Module,
 		Res:       res,
 		Report:    report,
 		Obs:       o,
@@ -81,10 +83,9 @@ func Run(ctx context.Context, set Set, opts core.Options, file *minic.File, fn s
 		switch report.Coverage.Reason {
 		case symexec.TruncCancelled, symexec.TruncDeadline:
 			o.Add("check.cancelled", 1)
-		case symexec.TruncInlineDepth, symexec.TruncSummaryHavoc:
-			// A skipped call or a havoc'd summary under-approximates the
-			// program itself: obligations the elided callee carried went
-			// unchecked.
+		case symexec.TruncInlineDepth:
+			// A skipped call under-approximates the program itself:
+			// obligations the elided callee carried went unchecked.
 			o.Add("check.underapprox", 1)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"privacyscope/internal/detect"
 	"privacyscope/internal/edl"
 	"privacyscope/internal/interp"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/sgx"
 	"privacyscope/internal/symexec"
@@ -85,7 +86,7 @@ func analyzeModule(t *testing.T, cSrc, edlSrc, ecall string) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := detect.Run(context.Background(), set, opts, file, ecall, edl.ParamSpecs(sig, nil))
+	report, err := detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), ecall, edl.ParamSpecs(sig, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -420,12 +420,6 @@ func (s *Server) runAnalysis(ctx context.Context, key, traceID string, req *Anal
 	if req.ConfigXML != "" {
 		opts = append(opts, privacyscope.WithConfigXML([]byte(req.ConfigXML)))
 	}
-	// The daemon's disk tier doubles as the summary store: a re-submitted
-	// module that misses the result cache (one function edited) still
-	// reuses every unchanged function's persisted summary.
-	if req.Options.Summaries && s.cfg.DiskCache != nil {
-		opts = append(opts, privacyscope.WithSummaryStore(s.cfg.DiskCache))
-	}
 
 	rep, err := privacyscope.AnalyzeEnclaveContext(ctx, req.Source, req.EDL, opts...)
 	if err != nil {

@@ -1,18 +1,15 @@
 package sym
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
-// This file defines the serializable skeleton of a function summary: a
+// This file defines the skeleton of a function summary: a
 // builder-independent expression form where engine-minted symbols are
 // replaced by parameter slots. A skeleton is captured once from a scratch
-// symbolic run of the callee (Abstract), persisted (EncodeSum/DecodeSum),
-// and replayed at every call site by substituting the actual argument
-// expressions (Instantiate). Instantiate rebuilds the expression bottom-up
+// symbolic run of the callee (Abstract) and replayed at every call site by
+// substituting the actual argument expressions (Instantiate). Instantiate rebuilds the expression bottom-up
 // through the same folding constructors (NewBinary, NewUnary, NewCall) the
 // inline engine uses, so a summary application produces the byte-identical
 // expression an inlined execution of the callee would have produced —
@@ -33,8 +30,7 @@ const (
 
 // SumExpr is one node of a summary skeleton. Unlike Expr it references no
 // Builder and no symbol IDs, so a table of skeletons keyed by function name
-// is shareable across independently parsed copies of a module (the
-// WithParallelism per-job re-parse) and across processes via the codec.
+// is shareable across the engines of concurrent entry points.
 type SumExpr struct {
 	Kind  SumKind
 	Int   int32
@@ -210,219 +206,4 @@ func ArgSafe(e Expr) bool {
 		}
 	}
 	return true
-}
-
-// Codec. The skeleton DAG is flattened into a node table in child-first
-// order; children are referenced by index, which must be strictly smaller
-// than the referencing node's own index — DecodeSum enforces this, so a
-// corrupted payload can produce an error but never a cycle or a panic.
-const (
-	sumMagicByte byte = 0xA7
-	sumVersion   byte = 1
-)
-
-// Codec hard limits: a payload exceeding them is rejected as corrupt
-// rather than allocated.
-const (
-	maxSumNodes   = 1 << 20
-	maxSumName    = 1 << 12
-	maxSumArity   = 1 << 12
-	maxSumPayload = 1 << 26
-)
-
-// EncodeSum serializes a skeleton. The format is versioned; DecodeSum
-// rejects anything it does not recognize.
-func EncodeSum(s *SumExpr) []byte {
-	var nodes []*SumExpr
-	index := make(map[*SumExpr]int)
-	var flatten func(n *SumExpr) int
-	flatten = func(n *SumExpr) int {
-		if i, ok := index[n]; ok {
-			return i
-		}
-		for _, a := range n.Args {
-			flatten(a)
-		}
-		i := len(nodes)
-		index[n] = i
-		nodes = append(nodes, n)
-		return i
-	}
-	flatten(s)
-
-	buf := []byte{sumMagicByte, sumVersion}
-	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
-	for _, n := range nodes {
-		buf = append(buf, byte(n.Kind))
-		switch n.Kind {
-		case SumInt:
-			buf = binary.AppendVarint(buf, int64(n.Int))
-		case SumFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Float))
-		case SumParam:
-			buf = binary.AppendUvarint(buf, uint64(n.Param))
-		case SumBin, SumUn:
-			buf = append(buf, byte(n.Op))
-			for _, a := range n.Args {
-				buf = binary.AppendUvarint(buf, uint64(index[a]))
-			}
-		case SumApp:
-			buf = binary.AppendUvarint(buf, uint64(len(n.Name)))
-			buf = append(buf, n.Name...)
-			buf = binary.AppendUvarint(buf, uint64(len(n.Args)))
-			for _, a := range n.Args {
-				buf = binary.AppendUvarint(buf, uint64(index[a]))
-			}
-		}
-	}
-	return buf
-}
-
-var errCorrupt = errors.New("sym: corrupt summary skeleton")
-
-type sumReader struct {
-	data []byte
-	off  int
-}
-
-func (r *sumReader) byte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, errCorrupt
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *sumReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, errCorrupt
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *sumReader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		return 0, errCorrupt
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *sumReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) {
-		return nil, errCorrupt
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-// DecodeSum parses an EncodeSum payload. Every length, index and operator
-// is bounds-checked; malformed input returns an error (the caller degrades
-// to recomputing the summary) and never panics.
-func DecodeSum(data []byte) (*SumExpr, error) {
-	if len(data) > maxSumPayload {
-		return nil, errCorrupt
-	}
-	r := &sumReader{data: data}
-	magic, err := r.byte()
-	if err != nil || magic != sumMagicByte {
-		return nil, errCorrupt
-	}
-	ver, err := r.byte()
-	if err != nil || ver != sumVersion {
-		return nil, errCorrupt
-	}
-	count, err := r.uvarint()
-	if err != nil || count == 0 || count > maxSumNodes {
-		return nil, errCorrupt
-	}
-	child := func(self uint64) (*SumExpr, error) { return nil, errCorrupt } // replaced below
-	nodes := make([]*SumExpr, 0, min(int(count), 1024))
-	child = func(self uint64) (*SumExpr, error) {
-		i, err := r.uvarint()
-		if err != nil || i >= self {
-			return nil, errCorrupt
-		}
-		return nodes[i], nil
-	}
-	for i := uint64(0); i < count; i++ {
-		kb, err := r.byte()
-		if err != nil {
-			return nil, errCorrupt
-		}
-		n := &SumExpr{Kind: SumKind(kb)}
-		switch n.Kind {
-		case SumInt:
-			v, err := r.varint()
-			if err != nil || v < math.MinInt32 || v > math.MaxInt32 {
-				return nil, errCorrupt
-			}
-			n.Int = int32(v)
-		case SumFloat:
-			b, err := r.bytes(8)
-			if err != nil {
-				return nil, errCorrupt
-			}
-			n.Float = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		case SumParam:
-			v, err := r.uvarint()
-			if err != nil || v > maxSumArity {
-				return nil, errCorrupt
-			}
-			n.Param = int(v)
-		case SumBin, SumUn:
-			ob, err := r.byte()
-			if err != nil {
-				return nil, errCorrupt
-			}
-			n.Op = Op(ob)
-			if n.Op < OpAdd || n.Op > OpLNot {
-				return nil, errCorrupt
-			}
-			arity := 2
-			if n.Kind == SumUn {
-				arity = 1
-			}
-			for j := 0; j < arity; j++ {
-				c, err := child(i)
-				if err != nil {
-					return nil, err
-				}
-				n.Args = append(n.Args, c)
-			}
-		case SumApp:
-			nl, err := r.uvarint()
-			if err != nil || nl > maxSumName {
-				return nil, errCorrupt
-			}
-			nb, err := r.bytes(int(nl))
-			if err != nil {
-				return nil, errCorrupt
-			}
-			n.Name = string(nb)
-			argc, err := r.uvarint()
-			if err != nil || argc > maxSumArity {
-				return nil, errCorrupt
-			}
-			for j := uint64(0); j < argc; j++ {
-				c, err := child(i)
-				if err != nil {
-					return nil, err
-				}
-				n.Args = append(n.Args, c)
-			}
-		default:
-			return nil, errCorrupt
-		}
-		nodes = append(nodes, n)
-	}
-	if r.off != len(data) {
-		return nil, errCorrupt
-	}
-	return nodes[len(nodes)-1], nil
 }

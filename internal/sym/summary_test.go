@@ -98,45 +98,3 @@ func TestArgSafe(t *testing.T) {
 		}
 	}
 }
-
-func TestSumCodecRoundtrip(t *testing.T) {
-	s, _, _ := skelFixture(t)
-	payload := EncodeSum(s)
-	got, err := DecodeSum(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Structural equality via re-instantiation with fresh placeholders.
-	b := newTestBuilder()
-	args := []Expr{b.FreshPublic("a"), b.FreshPublic("b")}
-	e1, err1 := s.Instantiate(args)
-	e2, err2 := got.Instantiate(args)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !Equal(e1, e2) {
-		t.Errorf("decoded skeleton differs: %s vs %s", e1, e2)
-	}
-}
-
-func TestDecodeSumRejectsCorruption(t *testing.T) {
-	s, _, _ := skelFixture(t)
-	payload := EncodeSum(s)
-	if _, err := DecodeSum(nil); err == nil {
-		t.Errorf("empty payload accepted")
-	}
-	if _, err := DecodeSum(payload[:len(payload)-1]); err == nil {
-		t.Errorf("truncated payload accepted")
-	}
-	if _, err := DecodeSum(append(append([]byte(nil), payload...), 0)); err == nil {
-		t.Errorf("trailing garbage accepted")
-	}
-	for i := range payload {
-		mut := append([]byte(nil), payload...)
-		mut[i] ^= 0xFF
-		// Must not panic; errors are fine, and a silently "valid" decode is
-		// fine too as long as it terminates (the engine cross-checks arity
-		// at instantiation time).
-		DecodeSum(mut)
-	}
-}

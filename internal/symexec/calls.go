@@ -92,8 +92,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 	}
 	e.noteLifecycle(st, fn.Name, v.Pos)
 	// Statement position discards the result, but a summary still replays
-	// the callee's accounting (and a havoc summary its truncation), keeping
-	// the two call-resolution modes byte-identical.
+	// the callee's accounting, keeping the run identical to inlining.
 	if _, ok := e.applySummary(st, fn, args); ok {
 		return k(st, ctlFallthrough)
 	}

@@ -25,11 +25,6 @@ const (
 	// under-approximate the program: a no-findings run is Inconclusive,
 	// not Secure.
 	TruncInlineDepth TruncReason = "inline-depth"
-	// TruncSummaryHavoc: a call site was resolved by a havoc summary
-	// (recursive or over-budget callee), replacing the callee's effects
-	// with an unconstrained result. Same soundness consequence as
-	// TruncInlineDepth.
-	TruncSummaryHavoc TruncReason = "summary-havoc"
 	// TruncPairBudget: set after exploration by a detector (internal/detect)
 	// whose sibling-path comparisons hit their budget: the paths were all
 	// explored, but some pairs of them were never compared, so a
@@ -84,9 +79,8 @@ func (e *Engine) stop(reason TruncReason) error {
 }
 
 // markTruncated records a truncation reason without halting exploration —
-// for degradations that under-approximate a path (skipped calls, havoc'd
-// summaries) rather than cutting the path space. First reason wins, same as
-// stop.
+// for degradations that under-approximate a path (skipped calls) rather
+// than cutting the path space. First reason wins, same as stop.
 func (e *Engine) markTruncated(reason TruncReason) {
 	e.truncMu.Lock()
 	if e.trunc == TruncNone {

@@ -27,7 +27,7 @@ int enclave_f(char *secrets, char *output)
 }
 `
 	opts := DefaultOptions()
-	_, table := buildTable(t, src, opts, SummaryBuildConfig{})
+	_, table := buildTable(t, src, opts)
 	if s := table.Lookup("helper"); s == nil || s.Kind != SummaryPure {
 		t.Fatalf("helper summary = %+v, want pure", s)
 	}
@@ -80,11 +80,11 @@ int enclave_f(char *secrets, char *output)
 
 func analyzeFaint(t *testing.T, src string) (*Result, *obs.Metrics) {
 	t.Helper()
-	file, _ := buildTable(t, src, DefaultOptions(), SummaryBuildConfig{})
+	prog, _ := buildTable(t, src, DefaultOptions())
 	m := obs.NewMetrics()
 	opts := DefaultOptions()
 	opts.Obs = m
-	res, err := New(file, opts).AnalyzeFunction(context.Background(), "enclave_f", summaryParams())
+	res, err := NewIR(prog, opts).AnalyzeFunction(context.Background(), "enclave_f", summaryParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,29 +112,23 @@ type Options struct {
 	// distributions). Nil means the no-op observer: instrumentation stays
 	// in place but costs nothing. See docs/OBSERVABILITY.md.
 	Obs obs.Observer
-	// Summaries resolves calls through SummaryTable instead of inlining
-	// where a summary applies. Inline mode remains the differential oracle:
-	// with identical inputs the two modes produce byte-identical results.
-	// Ignored unless SummaryTable is also set; TrackTrace or NoteHook force
-	// inline mode (they observe callee-body execution).
-	Summaries bool
 	// SummaryTable is the per-function summary map built by
-	// BuildSummaryTable. Read-only; safe to share across engines.
+	// BuildSummaryTable; calls resolve through it wherever a summary
+	// applies, with results identical to inlining. Nil inlines every call;
+	// TrackTrace or NoteHook force inlining too (they observe callee-body
+	// execution). Read-only; safe to share across engines.
 	SummaryTable *SummaryTable
-	// SummaryBudget bounds the steps one scratch summary run may spend
-	// before the callee is classified havoc. 0 means DefaultSummaryBudget.
-	SummaryBudget int
 	// RecordPtrEscapes records, for every OCALL pointer argument, the
 	// values bound under the pointed-to region at call time
 	// (SinkEvent.PtrArgs). The ocall-pointer and orderliness detector
 	// packs consume them; off by default so the scalar-only sink model —
-	// and its cost — is unchanged. Forces inline call resolution when
-	// summaries are enabled (summaries replay effects, not events).
+	// and its cost — is unchanged. Callers that set it build no
+	// SummaryTable (summaries replay effects, not events).
 	RecordPtrEscapes bool
 	// RecordSecretAccess records secret-tainted branch conditions at fork
 	// points (PathResult.SecretBranches) and secret-tainted symbolic array
 	// indices (PathResult.SecretAccesses) for the access-pattern detector
-	// pack. Off by default; forces inline mode like RecordPtrEscapes.
+	// pack. Off by default; builds no SummaryTable, like RecordPtrEscapes.
 	RecordSecretAccess bool
 	// InitFuncs names lifecycle init/gate functions; every call to one is
 	// recorded per path (PathResult.Inits) with its sequence number
@@ -149,8 +143,6 @@ const (
 	DefaultMaxPaths    = 4096
 	DefaultMaxSteps    = 2_000_000
 	DefaultInlineDepth = 16
-	// DefaultSummaryBudget bounds one scratch summary run's steps.
-	DefaultSummaryBudget = 50_000
 	// TraceCap bounds recorded snapshots.
 	TraceCap = 512
 )
@@ -190,13 +182,6 @@ func (o Options) inlineDepth() int {
 		return DefaultInlineDepth
 	}
 	return o.InlineDepth
-}
-
-func (o Options) summaryBudget() int {
-	if o.SummaryBudget <= 0 {
-		return DefaultSummaryBudget
-	}
-	return o.SummaryBudget
 }
 
 // OutWrite is one observable write to an [out] parameter element.

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/obs"
+	"privacyscope/internal/sym"
+	"privacyscope/internal/taint"
 )
 
 // summarySrc exercises pure helpers in expression position (nested,
@@ -34,29 +37,29 @@ func summaryParams() []ParamSpec {
 	}
 }
 
-// buildTable builds a summary table for src with the given options.
-func buildTable(t *testing.T, src string, opts Options, bc SummaryBuildConfig) (*minic.File, *SummaryTable) {
+// buildTable parses and lowers src and builds its summary table.
+func buildTable(t *testing.T, src string, opts Options) (*ir.Program, *SummaryTable) {
 	t.Helper()
 	file, err := minic.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return file, BuildSummaryTable(context.Background(), file, opts, bc)
+	prog := ir.LowerMiniC(file)
+	return prog, BuildSummaryTable(context.Background(), prog, opts, nil)
 }
 
-// runBoth analyzes fn in inline mode and in summary mode with otherwise
-// identical options.
+// runBoth analyzes fn without a summary table (every call inlines) and with
+// one, under otherwise identical options.
 func runBoth(t *testing.T, src, fn string, params []ParamSpec, opts Options) (inline, summary *Result) {
 	t.Helper()
-	file, table := buildTable(t, src, opts, SummaryBuildConfig{})
-	iRes, err := New(file, opts).AnalyzeFunction(context.Background(), fn, params)
+	prog, table := buildTable(t, src, opts)
+	iRes, err := NewIR(prog, opts).AnalyzeFunction(context.Background(), fn, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sOpts := opts
-	sOpts.Summaries = true
 	sOpts.SummaryTable = table
-	sRes, err := New(file, sOpts).AnalyzeFunction(context.Background(), fn, params)
+	sRes, err := NewIR(prog, sOpts).AnalyzeFunction(context.Background(), fn, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func runBoth(t *testing.T, src, fn string, params []ParamSpec, opts Options) (in
 }
 
 // requireIdentical asserts the observable byte-identity contract between
-// inline and summary mode.
+// inlining and summary application.
 func requireIdentical(t *testing.T, inline, summary *Result) {
 	t.Helper()
 	if len(inline.Paths) != len(summary.Paths) {
@@ -116,12 +119,12 @@ int noisy(int x) { printf("%d", x); return x; }
 int entry(int *p, int x) { return pure_mid(x) + impure(p) + rec(x) + noisy(x); }
 `
 	opts := DefaultOptions()
-	_, table := buildTable(t, src, opts, SummaryBuildConfig{})
+	_, table := buildTable(t, src, opts)
 	wantKinds := map[string]SummaryKind{
 		"pure_leaf": SummaryPure,
 		"pure_mid":  SummaryPure,
 		"impure":    SummaryInline,
-		"rec":       SummaryHavoc,
+		"rec":       SummaryInline,
 		"noisy":     SummaryInline,
 	}
 	for name, want := range wantKinds {
@@ -136,14 +139,14 @@ int entry(int *p, int x) { return pure_mid(x) + impure(p) + rec(x) + noisy(x); }
 	if table.Lookup("entry") != nil {
 		t.Errorf("entry point summarized although nobody calls it")
 	}
+	if rec := table.Lookup("rec"); rec.Reason != "recursive" {
+		t.Errorf("rec reason %q, want recursive", rec.Reason)
+	}
 	if mid := table.Lookup("pure_mid"); mid.Depth != 2 {
 		t.Errorf("pure_mid depth %d, want 2", mid.Depth)
 	}
 	if leaf := table.Lookup("pure_leaf"); !leaf.HasAffine || leaf.AffineCoef[0] != 1 || leaf.AffineConst != 1 {
 		t.Errorf("pure_leaf affine relation not derived: %+v", leaf)
-	}
-	if noisy := table.Lookup("noisy"); len(noisy.Ocalls) != 1 || noisy.Ocalls[0] != "printf" {
-		t.Errorf("noisy obligations %v, want [printf]", noisy.Ocalls)
 	}
 }
 
@@ -159,15 +162,14 @@ func TestSummaryByteIdenticalToInline(t *testing.T) {
 func TestSummaryActuallyApplies(t *testing.T) {
 	m := obs.NewMetrics()
 	opts := DefaultOptions()
-	file, table := buildTable(t, summarySrc, opts, SummaryBuildConfig{})
-	opts.Summaries = true
+	prog, table := buildTable(t, summarySrc, opts)
 	opts.SummaryTable = table
 	opts.Obs = m
-	if _, err := New(file, opts).AnalyzeFunction(context.Background(), "enclave_f", summaryParams()); err != nil {
+	if _, err := NewIR(prog, opts).AnalyzeFunction(context.Background(), "enclave_f", summaryParams()); err != nil {
 		t.Fatal(err)
 	}
 	if m.Counter("summary.applied") == 0 {
-		t.Errorf("summary mode ran fully inline: summary.applied = 0")
+		t.Errorf("every call inlined although a table was set: summary.applied = 0")
 	}
 }
 
@@ -176,12 +178,11 @@ func TestSummaryActuallyApplies(t *testing.T) {
 func TestSummaryDisabledUnderTrace(t *testing.T) {
 	m := obs.NewMetrics()
 	opts := DefaultOptions()
-	file, table := buildTable(t, summarySrc, opts, SummaryBuildConfig{})
-	opts.Summaries = true
+	prog, table := buildTable(t, summarySrc, opts)
 	opts.SummaryTable = table
 	opts.TrackTrace = true
 	opts.Obs = m
-	if _, err := New(file, opts).AnalyzeFunction(context.Background(), "enclave_f", summaryParams()); err != nil {
+	if _, err := NewIR(prog, opts).AnalyzeFunction(context.Background(), "enclave_f", summaryParams()); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.Counter("summary.applied"); n != 0 {
@@ -189,118 +190,180 @@ func TestSummaryDisabledUnderTrace(t *testing.T) {
 	}
 }
 
-// TestSummaryHavocNeverSecure pins the degradation contract: a havoc'd call
-// (here: over the summary step budget) truncates coverage so a no-findings
-// run reads Inconclusive, and the havoc warning names the skipped
-// obligations.
-func TestSummaryHavocNeverSecure(t *testing.T) {
+// TestSummaryOverBoundInlinesExactly pins the scratch step bound: a pure
+// helper whose scratch run passes it is classified inline, including when
+// the bound is crossed while replaying pure callees' summaries (the replay
+// rolls back and inlines, so the run truncates where inlining would), and
+// calls to it explore exactly as without a table, with full coverage.
+func TestSummaryOverBoundInlinesExactly(t *testing.T) {
 	src := `
-int busy(int x)
+int leaf(int x)
 {
-    int acc = 0;
+    int acc = x;
     int i;
-    for (i = 0; i < 200; i = i + 1) { acc = acc + x; }
-    printf("%d", acc);
+    for (i = 0; i < 6000; i = i + 1) { acc = acc + 1; }
     return acc;
 }
-int helper(int x) { return busy(x); }
-int enclave_f(char *secrets) { return helper(secrets[0]); }
-`
-	opts := DefaultOptions()
-	opts.SummaryBudget = 10
-	file, err := minic.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := BuildSummaryTable(context.Background(), file, opts, SummaryBuildConfig{})
-	// busy is impure (printf) → inline; helper calls a non-pure function →
-	// inline. Force a budget havoc with a pure over-budget helper instead.
-	if s := table.Lookup("busy"); s == nil || s.Kind != SummaryInline {
-		t.Fatalf("busy: %+v", s)
-	}
-
-	src2 := `
+int mid(int x) { return leaf(x) + leaf(x + 1); }
+int top(int x) { return mid(x) + mid(x + 2); }
 int busy(int x)
 {
-    int acc = 0;
+    int acc = x;
     int i;
-    for (i = 0; i < 200; i = i + 1) { acc = acc + x; }
+    for (i = 0; i < 30000; i = i + 1) { acc = acc + 1; }
     return acc;
 }
-int enclave_f(char *secrets) { return busy(secrets[0]); }
-`
-	file2, err := minic.Parse(src2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table2 := BuildSummaryTable(context.Background(), file2, opts, SummaryBuildConfig{})
-	s := table2.Lookup("busy")
-	if s == nil || s.Kind != SummaryHavoc {
-		t.Fatalf("over-budget pure helper not havoc'd: %+v", s)
-	}
-	sOpts := opts
-	sOpts.Summaries = true
-	sOpts.SummaryTable = table2
-	res, err := New(file2, sOpts).AnalyzeFunction(context.Background(), "enclave_f", []ParamSpec{
-		{Name: "secrets", Class: ParamSecret},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Coverage.Truncated || res.Coverage.Reason != TruncSummaryHavoc {
-		t.Errorf("havoc did not truncate coverage: %+v", res.Coverage)
-	}
-	found := false
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "summary havoc at busy") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no havoc warning: %v", res.Warnings)
-	}
-}
-
-// TestSummaryRecursionHavocWarnsObligations pins that a recursive callee
-// havocs and its warning names the OCALL sinks the havoc skipped.
-func TestSummaryRecursionHavocWarnsObligations(t *testing.T) {
-	src := `
-int rec(int x)
+int enclave_f(char *secrets, char *output)
 {
-    if (x > 0) { printf("%d", x); return rec(x - 1); }
+    output[0] = top(secrets[0]);
+    output[1] = busy(secrets[1]);
     return 0;
 }
-int enclave_f(char *secrets) { return rec(secrets[0]); }
 `
 	opts := DefaultOptions()
-	file, err := minic.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := BuildSummaryTable(context.Background(), file, opts, SummaryBuildConfig{})
-	if s := table.Lookup("rec"); s == nil || s.Kind != SummaryHavoc || s.Reason != "recursive" {
-		t.Fatalf("rec: %+v", s)
-	}
-	sOpts := opts
-	sOpts.Summaries = true
-	sOpts.SummaryTable = table
-	res, err := New(file, sOpts).AnalyzeFunction(context.Background(), "enclave_f", []ParamSpec{
-		{Name: "secrets", Class: ParamSecret},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Coverage.Truncated || res.Coverage.Reason != TruncSummaryHavoc {
-		t.Errorf("recursion havoc did not truncate coverage: %+v", res.Coverage)
-	}
-	found := false
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "skipped reachable OCALL sinks: printf") {
-			found = true
+	_, table := buildTable(t, src, opts)
+	for name, want := range map[string]SummaryKind{
+		"leaf": SummaryPure, "mid": SummaryPure, "top": SummaryInline, "busy": SummaryInline,
+	} {
+		s := table.Lookup(name)
+		if s == nil || s.Kind != want {
+			t.Fatalf("%s: %+v, want kind %s", name, s, want)
+		}
+		if want == SummaryInline && s.Reason != "scratch run truncated: "+string(TruncStepBudget) {
+			t.Errorf("%s: reason %q, want the step bound", name, s.Reason)
 		}
 	}
-	if !found {
-		t.Errorf("havoc warning does not name skipped sinks: %v", res.Warnings)
+	iRes, sRes := runBoth(t, src, "enclave_f", summaryParams(), opts)
+	requireIdentical(t, iRes, sRes)
+	if sRes.Coverage.Truncated || len(sRes.Warnings) > 0 {
+		t.Errorf("over-bound helpers degraded the run: %+v %v", sRes.Coverage, sRes.Warnings)
+	}
+}
+
+// TestSummaryRecursionInlinesExactly pins that a recursive callee is
+// classified inline, so a call to it reaches the OCALL sink at the bottom
+// of the recursion exactly as without a table.
+func TestSummaryRecursionInlinesExactly(t *testing.T) {
+	src := `
+int down(int n, int s)
+{
+    if (n <= 0) { printf("%d", s); return 0; }
+    return down(n - 1, s);
+}
+int enclave_f(char *secrets) { return down(3, secrets[0]); }
+`
+	opts := DefaultOptions()
+	_, table := buildTable(t, src, opts)
+	if s := table.Lookup("down"); s == nil || s.Kind != SummaryInline || s.Reason != "recursive" {
+		t.Fatalf("down: %+v", s)
+	}
+	iRes, sRes := runBoth(t, src, "enclave_f", []ParamSpec{{Name: "secrets", Class: ParamSecret}}, opts)
+	requireIdentical(t, iRes, sRes)
+	if sRes.Coverage.Truncated || len(sRes.Paths) != 1 || len(sRes.Paths[0].Ocalls) != 1 {
+		t.Errorf("recursion did not reach its sink: coverage %+v, paths %d", sRes.Coverage, len(sRes.Paths))
+	}
+}
+
+// doublingChain generates helpers h0..h{depth-1}, each running a concrete
+// loop and calling the level below twice (inlining the top costs 2^depth-1
+// calls; the b-b term folds away), and an entry point exporting the top
+// helper applied to one secret.
+func doublingChain(depth int) string {
+	var sb strings.Builder
+	sb.WriteString("int h0(int x)\n{\n    int acc = x;\n    int i = 0;\n    while (i < 6) { acc = acc + 3; i = i + 1; }\n    return acc;\n}\n")
+	for i := 1; i < depth; i++ {
+		fmt.Fprintf(&sb, "int h%d(int x)\n{\n    int acc = x;\n    int i = 0;\n    while (i < 6) { acc = acc + 3; i = i + 1; }\n"+
+			"    int a = h%d(acc);\n    int b = h%d(acc + 2);\n    return a + (b - b);\n}\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&sb, "int enclave_f(char *secrets, char *output)\n{\n    output[0] = h%d(secrets[0]);\n    return 0;\n}\n", depth-1)
+	return sb.String()
+}
+
+// TestSummaryExactOnDoublingChain pins the linear build's exactness: every
+// helper's summary equals the one a table-free scratch exploration of that
+// helper derives (kind, skeleton, steps, states, regions, cost, depth), and
+// the entry point explores identically with and without the table.
+func TestSummaryExactOnDoublingChain(t *testing.T) {
+	const depth = 9
+	src := doublingChain(depth)
+	opts := DefaultOptions()
+	prog, table := buildTable(t, src, opts)
+	var alloc taint.Allocator
+	b := sym.NewBuilder(&alloc)
+	arg := []sym.Expr{b.FreshPublic("arg")}
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("h%d", i)
+		got := table.Lookup(name)
+		if got == nil || got.Kind != SummaryPure {
+			t.Fatalf("%s: %+v, want pure", name, got)
+		}
+		sOpts := opts
+		sOpts.MaxPaths = 2
+		res, err := NewIR(prog, sOpts).AnalyzeFunction(context.Background(), name, []ParamSpec{{Name: "x", Class: ParamPublic}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Paths) != 1 || res.Coverage.Truncated {
+			t.Fatalf("%s: table-free run: %d paths, coverage %+v", name, len(res.Paths), res.Coverage)
+		}
+		p := res.Paths[0]
+		skel, err := sym.Abstract(p.Return, map[int]int{res.Builder.Symbols()[0].ID: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &Summary{
+			Skeleton: skel,
+			Steps:    int64(res.Coverage.StepsUsed),
+			States:   int64(res.States) - 2,
+			Regions:  int64(res.Regions),
+			Cost:     int64(p.Cost),
+			Depth:    i + 1,
+		}
+		if got.Steps != want.Steps || got.States != want.States || got.Regions != want.Regions ||
+			got.Cost != want.Cost || got.Depth != want.Depth {
+			t.Errorf("%s: steps/states/regions/cost/depth %d/%d/%d/%d/%d, table-free %d/%d/%d/%d/%d", name,
+				got.Steps, got.States, got.Regions, got.Cost, got.Depth,
+				want.Steps, want.States, want.Regions, want.Cost, want.Depth)
+		}
+		gs, err := got.Skeleton.Instantiate(arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := want.Skeleton.Instantiate(arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs.String() != ws.String() {
+			t.Errorf("%s: skeleton %s, table-free %s", name, gs, ws)
+		}
+	}
+	iRes, sRes := runBoth(t, src, "enclave_f", summaryParams(), opts)
+	requireIdentical(t, iRes, sRes)
+}
+
+// TestSummaryBuildLinear pins the build's cost: each scratch run replays
+// its callees' summaries instead of re-inlining them, so the statements the
+// build executes grow by the same amount per level of the doubling chain,
+// where a rolled-up build would double per level.
+func TestSummaryBuildLinear(t *testing.T) {
+	executed := func(depth int) int64 {
+		t.Helper()
+		file, err := minic.Parse(doublingChain(depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := obs.NewMetrics()
+		BuildSummaryTable(context.Background(), ir.LowerMiniC(file), DefaultOptions(), m)
+		return m.Counter("summary.steps.executed")
+	}
+	// Depth 9 keeps every helper pure: from h10 up, a helper's replayed
+	// step accounting passes scratchStepBound.
+	e3, e6, e9 := executed(3), executed(6), executed(9)
+	if e6-e3 <= 0 || e9-e6 != e6-e3 {
+		t.Errorf("build steps at depth 3/6/9 = %d/%d/%d, want equal increments", e3, e6, e9)
+	}
+	if e9 > 9*64 {
+		t.Errorf("depth-9 build executed %d steps, want at most %d", e9, 9*64)
 	}
 }
 
@@ -345,140 +408,4 @@ int enclave_f(char *secrets) { d1(secrets[0]); return 0; }
 			}
 		})
 	}
-}
-
-// memStore is an in-memory SummaryStore counting traffic.
-type memStore struct {
-	m    map[string][]byte
-	hits int
-	puts int
-}
-
-func newMemStore() *memStore { return &memStore{m: make(map[string][]byte)} }
-
-func (s *memStore) Get(key string) ([]byte, bool) {
-	p, ok := s.m[key]
-	if ok {
-		s.hits++
-	}
-	return p, ok
-}
-
-func (s *memStore) Put(key string, payload []byte) {
-	s.puts++
-	s.m[key] = payload
-}
-
-// TestSummaryStoreFunctionGranularInvalidation pins the warm-rerun
-// contract: an unchanged source recomputes nothing, and editing one helper
-// recomputes only that helper and its transitive callers.
-func TestSummaryStoreFunctionGranularInvalidation(t *testing.T) {
-	src := `
-int leaf(int x) { return x + 1; }
-int mid(int x) { return leaf(x) * 2; }
-int unrelated(int x) { return x - 5; }
-int enclave_f(char *secrets) { return mid(secrets[0]) + unrelated(secrets[0]); }
-`
-	opts := DefaultOptions()
-	store := newMemStore()
-	bc := SummaryBuildConfig{Store: store, Fingerprint: "test-fp"}
-
-	buildTable(t, src, opts, bc)
-	if store.puts != 3 || store.hits != 0 {
-		t.Fatalf("cold build: puts %d hits %d, want 3/0", store.puts, store.hits)
-	}
-
-	store.puts, store.hits = 0, 0
-	buildTable(t, src, opts, bc)
-	if store.puts != 0 || store.hits != 3 {
-		t.Fatalf("warm rebuild: puts %d hits %d, want 0/3", store.puts, store.hits)
-	}
-
-	// Edit leaf: leaf and its caller mid recompute; unrelated stays warm.
-	edited := strings.Replace(src, "return x + 1;", "return x + 2;", 1)
-	store.puts, store.hits = 0, 0
-	buildTable(t, edited, opts, bc)
-	if store.puts != 2 || store.hits != 1 {
-		t.Fatalf("after editing leaf: puts %d hits %d, want 2/1", store.puts, store.hits)
-	}
-}
-
-// TestSummaryStoreCorruptionRecomputes pins that a corrupt persisted
-// summary degrades to a recompute, never a panic or a wrong table.
-func TestSummaryStoreCorruptionRecomputes(t *testing.T) {
-	src := `
-int leaf(int x) { return x + 1; }
-int enclave_f(char *secrets) { return leaf(secrets[0]); }
-`
-	opts := DefaultOptions()
-	store := newMemStore()
-	bc := SummaryBuildConfig{Store: store, Fingerprint: "test-fp"}
-	_, table := buildTable(t, src, opts, bc)
-	if table.Lookup("leaf").Kind != SummaryPure {
-		t.Fatalf("leaf not pure")
-	}
-	for k := range store.m {
-		store.m[k] = []byte{0xFF, 0x00, 0x01}
-	}
-	m := obs.NewMetrics()
-	bc.Obs = m
-	_, table = buildTable(t, src, opts, bc)
-	if table.Lookup("leaf").Kind != SummaryPure {
-		t.Errorf("corrupt store poisoned the table: %+v", table.Lookup("leaf"))
-	}
-	if m.Counter("summary.cache.undecodable") != 1 {
-		t.Errorf("undecodable counter = %d, want 1", m.Counter("summary.cache.undecodable"))
-	}
-}
-
-// TestSummaryEncodeDecodeRoundtrip pins the persisted representation.
-func TestSummaryEncodeDecodeRoundtrip(t *testing.T) {
-	opts := DefaultOptions()
-	_, table := buildTable(t, summarySrc, opts, SummaryBuildConfig{})
-	for _, s := range table.Summaries() {
-		payload := encodeSummary(s)
-		got, err := decodeSummary(payload)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Func, err)
-		}
-		if got.Func != s.Func || got.Kind != s.Kind || got.NumParams != s.NumParams ||
-			got.Depth != s.Depth || got.Cost != s.Cost || got.Steps != s.Steps ||
-			got.Regions != s.Regions || got.HasAffine != s.HasAffine {
-			t.Errorf("%s: roundtrip mismatch: %+v vs %+v", s.Func, got, s)
-		}
-		if (s.Skeleton == nil) != (got.Skeleton == nil) {
-			t.Errorf("%s: skeleton presence changed", s.Func)
-		}
-	}
-}
-
-// FuzzSummaryRoundtrip asserts the persisted-summary decoder never panics
-// and that any payload it accepts re-encodes stably. Run via
-// `make fuzz-smoke`.
-func FuzzSummaryRoundtrip(f *testing.F) {
-	opts := DefaultOptions()
-	file, err := minic.Parse(summarySrc)
-	if err != nil {
-		f.Fatal(err)
-	}
-	table := BuildSummaryTable(context.Background(), file, opts, SummaryBuildConfig{})
-	for _, s := range table.Summaries() {
-		f.Add(encodeSummary(s))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{summaryMagic, summaryVersion})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		s, err := decodeSummary(payload)
-		if err != nil {
-			return // rejected: fine, as long as it terminated without panic
-		}
-		re := encodeSummary(s)
-		s2, err := decodeSummary(re)
-		if err != nil {
-			t.Fatalf("re-encode of accepted payload rejected: %v", err)
-		}
-		if s2.Func != s.Func || s2.Kind != s.Kind || s2.NumParams != s.NumParams {
-			t.Fatalf("re-encode not stable: %+v vs %+v", s2, s)
-		}
-	})
 }

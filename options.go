@@ -25,7 +25,6 @@ type AnalysisOptions struct {
 	Timing              bool     `json:"timing,omitempty"`
 	Probabilistic       bool     `json:"probabilistic,omitempty"`
 	ConservativeExterns bool     `json:"conservativeExterns,omitempty"`
-	Summaries           bool     `json:"summaries,omitempty"`
 	KnownInputs         []string `json:"knownInputs,omitempty"`
 	// Detectors replaces the detector selection (the -detectors flag);
 	// empty keeps the defaults. Participates in every cache key like any
@@ -67,9 +66,6 @@ func (o AnalysisOptions) FacadeOptions() []Option {
 	}
 	if o.ConservativeExterns {
 		opts = append(opts, WithConservativeExterns())
-	}
-	if o.Summaries {
-		opts = append(opts, WithSummaries())
 	}
 	if len(o.KnownInputs) > 0 {
 		opts = append(opts, WithKnownInputs(o.KnownInputs...))

@@ -29,6 +29,7 @@ import (
 	"privacyscope/internal/core"
 	"privacyscope/internal/detect"
 	"privacyscope/internal/edl"
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/obs"
 	"privacyscope/internal/priml"
@@ -55,10 +56,6 @@ type (
 	// TruncReason says why an exploration was cut (path budget, step
 	// budget, deadline, cancellation).
 	TruncReason = symexec.TruncReason
-	// SummaryStore persists computed function summaries across runs —
-	// pass one via WithSummaryStore. internal/diskcache's Cache satisfies
-	// it, so the daemon and batch driver reuse their disk tier.
-	SummaryStore = symexec.SummaryStore
 )
 
 // Verdicts, re-exported. A truncated exploration that found nothing is
@@ -78,11 +75,9 @@ const (
 	TruncDeadline   = symexec.TruncDeadline
 	TruncCancelled  = symexec.TruncCancelled
 	// TruncInlineDepth: a call chain exceeded the inline depth and a
-	// callee was skipped; TruncSummaryHavoc: a call was resolved by a
-	// havoc summary. Both under-approximate the program, so a clean run
-	// reads Inconclusive.
-	TruncInlineDepth  = symexec.TruncInlineDepth
-	TruncSummaryHavoc = symexec.TruncSummaryHavoc
+	// callee was skipped. That under-approximates the program, so a clean
+	// run reads Inconclusive.
+	TruncInlineDepth = symexec.TruncInlineDepth
 	// TruncPairBudget: a detector's sibling-path comparisons hit their
 	// budget, so some pairs of explored paths were never compared.
 	TruncPairBudget = symexec.TruncPairBudget
@@ -181,11 +176,10 @@ var ErrNoECalls = errors.New("privacyscope: EDL declares no public ECALLs")
 type Option func(*config)
 
 type config struct {
-	checker      core.Options
-	configXML    []byte
-	parallelism  int
-	summaryStore symexec.SummaryStore
-	detectors    []string
+	checker     core.Options
+	configXML   []byte
+	parallelism int
+	detectors   []string
 }
 
 func defaultConfig() *config {
@@ -249,7 +243,9 @@ func WithKnownInputs(names ...string) Option {
 	}
 }
 
-// WithTrace enables Table-IV-style exploration snapshots.
+// WithTrace enables Table-IV-style exploration snapshots. Every call then
+// inlines instead of replaying a summary, so the snapshots include each
+// callee's statements.
 func WithTrace() Option {
 	return func(c *config) { c.checker.Engine.TrackTrace = true }
 }
@@ -296,34 +292,6 @@ func WithPathWorkers(n int) Option {
 	return func(c *config) { c.checker.Engine.PathWorkers = n }
 }
 
-// WithSummaries switches call resolution from inline-everything to
-// compositional per-function summaries: before exploration, every defined
-// call target gets a bottom-up summary (pure skeleton, inline fallback, or
-// havoc for recursion and over-budget callees), and call sites apply
-// summaries instead of re-inlining. Findings, verdicts, warnings and
-// coverage are byte-identical to inline mode — inline mode remains the
-// differential oracle — but shared helpers are explored once instead of
-// once per call site per path. Trace recording (WithTrace) forces inline
-// mode for the affected analysis.
-func WithSummaries() Option {
-	return func(c *config) { c.checker.Engine.Summaries = true }
-}
-
-// WithSummaryBudget bounds the steps one function's summary construction
-// may spend before the function is classified havoc (n ≤ 0 keeps the
-// default).
-func WithSummaryBudget(n int) Option {
-	return func(c *config) { c.checker.Engine.SummaryBudget = n }
-}
-
-// WithSummaryStore persists computed summaries in s, keyed on the engine
-// fingerprint plus each function's transitive body hash — so a warm rerun
-// recomputes only functions whose code (or whose callees' code) changed.
-// Only consulted when WithSummaries is also set.
-func WithSummaryStore(s SummaryStore) Option {
-	return func(c *config) { c.summaryStore = s }
-}
-
 // WithDetectors replaces the detector selection outright (the -detectors
 // CLI flag): only the named detectors run. The keywords "default" (the
 // option-implied set) and "all" expand inside the list, so
@@ -336,8 +304,8 @@ func WithDetectors(names ...string) Option {
 }
 
 // WithParallelism analyzes up to n ECALLs concurrently (each entry point
-// gets an independent engine, so this is safe); n ≤ 1 keeps sequential
-// analysis.
+// gets an independent engine; the lowered module and its summary table are
+// shared read-only); n ≤ 1 keeps sequential analysis.
 func WithParallelism(n int) Option {
 	return func(c *config) {
 		if n > 1 {
@@ -503,17 +471,10 @@ func AnalyzeEnclaveContext(ctx context.Context, cSource, edlSource string, opts 
 	if err != nil {
 		return nil, err
 	}
-	// Summary tables are built once per module, after the rule file and the
-	// EDL have settled the engine's sink/declassify sets (they feed each
-	// summary's obligations and cache key), and shared read-only across
-	// per-ECALL jobs — the skeletons are builder-independent.
-	if cfg.checker.Engine.Summaries {
-		cfg.checker.Engine.SummaryTable = symexec.BuildSummaryTable(ctx, file, cfg.checker.Engine, symexec.SummaryBuildConfig{
-			Store:       cfg.summaryStore,
-			Fingerprint: summaryFingerprint(set),
-			Obs:         ob,
-		})
-	}
+	// Lowered only now: the rule file and the EDL have settled the
+	// engine's sink and declassify sets, which decide what a pure summary
+	// may call.
+	prog := lowerAndSummarize(ctx, cfg, set, file, ob)
 	// Collect the public ECALLs to analyze.
 	type job struct {
 		name  string
@@ -551,20 +512,7 @@ func AnalyzeEnclaveContext(ctx context.Context, cSource, edlSource string, opts 
 					fmt.Sprintf("panic during analysis: %v", p))
 			}
 		}()
-		// Each job parses its own file: engines annotate nothing on the
-		// AST, but an independent parse removes any possibility of
-		// shared mutable state between concurrent analyses.
-		jfile := file
-		if cfg.parallelism > 1 {
-			var perr error
-			jfile, perr = minic.Parse(cSource)
-			if perr != nil {
-				ob.Add("check.errors", 1)
-				out.Reports[i] = core.ErrorReport(jobs[i].name, perr.Error())
-				return
-			}
-		}
-		rep, err := detect.Run(ctx, set, cfg.checker, jfile, jobs[i].name, jobs[i].specs)
+		rep, err := detect.Run(ctx, set, cfg.checker, prog, jobs[i].name, jobs[i].specs)
 		if err != nil {
 			ob.Add("check.errors", 1)
 			out.Reports[i] = core.ErrorReport(jobs[i].name, err.Error())
@@ -632,14 +580,8 @@ func AnalyzeFunctionContext(ctx context.Context, cSource, fn string, params []Pa
 	if err != nil {
 		return nil, err
 	}
-	if cfg.checker.Engine.Summaries {
-		cfg.checker.Engine.SummaryTable = symexec.BuildSummaryTable(ctx, file, cfg.checker.Engine, symexec.SummaryBuildConfig{
-			Store:       cfg.summaryStore,
-			Fingerprint: summaryFingerprint(set),
-			Obs:         ob,
-		})
-	}
-	report, err := detect.Run(ctx, set, cfg.checker, file, fn, params)
+	prog := lowerAndSummarize(ctx, cfg, set, file, ob)
+	report, err := detect.Run(ctx, set, cfg.checker, prog, fn, params)
 	if err != nil {
 		return nil, fmt.Errorf("privacyscope: %w", err)
 	}
@@ -649,9 +591,7 @@ func AnalyzeFunctionContext(ctx context.Context, cSource, fn string, params []Pa
 // resolveDetectors computes the effective detector selection from the
 // checker options, the rule file's <detectors>/<lifecycle> entries and the
 // WithDetectors override, then switches on the engine event streams the
-// selection consumes. Pointer-escape, lifecycle and secret-access events
-// are per-path state that function summaries do not replay, so selections
-// needing them force inline call resolution.
+// selection consumes.
 func resolveDetectors(cfg *config, rules *edl.Config) (detect.Set, error) {
 	var enable, disable []string
 	if rules != nil {
@@ -674,18 +614,23 @@ func resolveDetectors(cfg *config, rules *edl.Config) (detect.Set, error) {
 	if set.NeedsSecretAccess() {
 		cfg.checker.Engine.RecordSecretAccess = true
 	}
-	if set.NeedsInline() {
-		cfg.checker.Engine.Summaries = false
-	}
 	return set, nil
 }
 
-// summaryFingerprint salts the engine fingerprint with the detector
-// selection so persisted summary-store entries never cross detector sets —
-// the same participation rule the disk cache and the server LRU follow via
-// AnalysisOptions.Detectors.
-func summaryFingerprint(set detect.Set) string {
-	return Fingerprint() + ";detectors=" + set.Key()
+// lowerAndSummarize lowers the checked module once for every entry point and
+// builds its summary table, which every entry point's engine shares
+// read-only. Pointer-escape, lifecycle and secret-access events and trace
+// rows are per-statement state that summary application elides, so a
+// detector selection needing them, or WithTrace, gets no table and every
+// call inlines.
+func lowerAndSummarize(ctx context.Context, cfg *config, set detect.Set, file *minic.File, ob obs.Observer) *ir.Program {
+	span := ob.StartSpan("ir/lower")
+	prog := ir.LowerMiniC(file)
+	span.End()
+	if !set.NeedsInline() && !cfg.checker.Engine.TrackTrace {
+		cfg.checker.Engine.SummaryTable = symexec.BuildSummaryTable(ctx, prog, cfg.checker.Engine, ob)
+	}
+	return prog
 }
 
 // PRIMLAnalysis is the result of analyzing a PRIML program.

@@ -141,7 +141,8 @@ int example2(char *secrets, char *output)
 
 // sectionIVGolden lists the §IV differential-stack programs under each
 // switch that changes the default detector set or the replay, plus the
-// pruning-off and summary-replay variants.
+// pruning-off variant and three programs whose calls exercise summary
+// replay and its fallbacks to inlining.
 func sectionIVGolden() []goldenModule {
 	fn := func(name, fn, src string, opts ...Option) goldenModule {
 		return goldenModule{group: "sectionIV", name: name, fn: fn, c: src, opts: opts}
@@ -152,6 +153,17 @@ func sectionIVGolden() []goldenModule {
 int masked(char *secrets, char *output)
 {
     output[0] = secrets[0] + 4 + secrets[1];
+    return 0;
+}
+`),
+		fn("example1", "example1", `
+int example1(char *secrets, char *output)
+{
+    int h1 = 2 * secrets[0];
+    int h2 = 3 * secrets[1];
+    int x = h1 + h2;
+    output[0] = x;
+    output[1] = h1;
     return 0;
 }
 `),
@@ -183,7 +195,41 @@ int leak(char *secrets, char *output)
     output[1] = twice(add4(secrets[1]));
     return 0;
 }
-`, WithSummaries()),
+`),
+		// A recursive helper that prints a secret: the call must inline down
+		// to the sink, not be cut short.
+		fn("recursive-printf", "leak", `
+int down(int n, int s)
+{
+    if (n <= 0) {
+        printf("%d", s);
+        return 0;
+    }
+    return down(n - 1, s);
+}
+int leak(char *secrets, char *output)
+{
+    down(3, secrets[0]);
+    output[0] = 0;
+    return 0;
+}
+`),
+		// A pure helper whose concrete loop runs past the summary build's
+		// step bound: the call must still inline to completion.
+		fn("over-scratch-bound", "leak", `
+int spin(int x)
+{
+    int acc = x;
+    int i;
+    for (i = 0; i < 30000; i = i + 1) { acc = acc + 1; }
+    return acc;
+}
+int leak(char *secrets, char *output)
+{
+    output[0] = spin(secrets[0]);
+    return 0;
+}
+`),
 	}
 }
 

@@ -1,307 +1,98 @@
 package privacyscope
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
-
-	"privacyscope/internal/mlsuite"
-	"privacyscope/internal/obs"
 )
 
-// This file is the summary-mode differential suite: WithSummaries must be
-// byte-identical to inline mode (the differential oracle) on every corpus
-// the repo ships — the ML evaluation suite, the §IV cross-stack programs,
-// and the examples/project tree — and the identity must hold under ECALL
-// parallelism too. A companion test pins the function-granular warm-cache
-// property at the facade level: a rerun with a warm summary store
-// recomputes only the functions whose bodies (or whose callees' bodies)
-// changed.
+// This file is the summary gate (make summary-smoke). Every analysis
+// resolves calls through the module's summary table, and the committed
+// report golden (report_golden_test.go) was recorded by table-free
+// exploration, where every call inlines. So each module of the ML evaluation
+// suite, the examples/project tree and the §IV programs must reproduce its
+// golden byte for byte, both sequentially and with the table shared
+// read-only across WithParallelism(4) per-ECALL jobs. Run under -race.
 
-// summaryCanonical is canonicalReport plus the exploration accounting and
-// warnings: summary mode must reproduce not just findings and verdicts but
-// the cost model (states, regions) and every degradation note, so the
-// stricter rendering is the right comparison key here.
-func summaryCanonical(rep *EnclaveReport) string {
-	var sb strings.Builder
-	sb.WriteString(canonicalReport(rep))
-	for _, r := range rep.Reports {
-		fmt.Fprintf(&sb, "fn=%s states=%d regions=%d secrets=%d warnings=%q\n",
-			r.Function, r.States, r.Regions, r.Secrets, r.Warnings)
-	}
-	return sb.String()
-}
-
-// canonicalFunctionReport is the single-function analogue for
-// AnalyzeFunction results (the §IV differential stack entry point).
-func canonicalFunctionReport(r *Report) string {
-	return summaryCanonical(&EnclaveReport{Reports: []*Report{r}})
-}
-
-// requireSummaryIdentical analyzes one module inline, with summaries, and
-// with summaries under ECALL parallelism, and requires all three renderings
-// to agree byte for byte.
-func requireSummaryIdentical(t *testing.T, cSrc, edlSrc string, extra ...Option) {
+// requireSummaryGolden analyzes one golden module sequentially and under
+// WithParallelism(4), and requires both to match its golden entry.
+func requireSummaryGolden(t *testing.T, m goldenModule) {
 	t.Helper()
-	inline, err := AnalyzeEnclave(cSrc, edlSrc, extra...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := AnalyzeEnclave(cSrc, edlSrc, append([]Option{WithSummaries()}, extra...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := AnalyzeEnclave(cSrc, edlSrc,
-		append([]Option{WithSummaries(), WithParallelism(4)}, extra...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := summaryCanonical(inline)
-	if got := summaryCanonical(sum); got != want {
-		t.Errorf("summary mode diverges from inline:\n--- inline ---\n%s--- summaries ---\n%s", want, got)
-	}
-	if got := summaryCanonical(par); got != want {
-		t.Errorf("summary mode under WithParallelism(4) diverges from inline:\n--- inline ---\n%s--- summaries+jobs=4 ---\n%s", want, got)
-	}
+	requireGolden(t, m, m.analyze(t))
+	requireGolden(t, m, m.analyze(t, WithParallelism(4)))
 }
 
-// TestSummaryDifferentialMLSuite runs the full ML evaluation corpus (Table V
-// modules, the extension modules, and the malicious variants) through both
-// call-resolution modes.
+// TestSummaryDifferentialMLSuite runs the ML evaluation corpus (Table V
+// modules, the extension modules, and the malicious and fixed variants).
 func TestSummaryDifferentialMLSuite(t *testing.T) {
-	type target struct {
-		name   string
-		c, edl string
-	}
-	var targets []target
-	for _, m := range append(mlsuite.Modules(), mlsuite.ExtensionModules()...) {
-		targets = append(targets, target{name: m.Name, c: m.C, edl: m.EDL})
-	}
-	targets = append(targets,
-		target{name: "evil-linreg", c: mlsuite.MaliciousLinRegC, edl: mlsuite.MaliciousLinRegEDL},
-		target{name: "evil-kmeans", c: mlsuite.MaliciousKmeansC, edl: mlsuite.MaliciousKmeansEDL},
-		target{name: "fixed-recommender", c: mlsuite.FixedRecommenderC, edl: mlsuite.FixedRecommenderEDL},
-	)
-	for _, tgt := range targets {
-		t.Run(tgt.name, func(t *testing.T) {
-			requireSummaryIdentical(t, tgt.c, tgt.edl)
-		})
+	for _, m := range mlsuiteGolden() {
+		t.Run(m.name, func(t *testing.T) { requireSummaryGolden(t, m) })
 	}
 }
 
-// TestSummaryDifferentialExamplesProject walks every .c/.edl unit under
-// examples/project (the batch corpus, including the nested ml/ unit) through
-// both modes.
+// TestSummaryDifferentialExamplesProject runs every unit under
+// examples/project (the batch corpus, including the nested ml/ unit).
 func TestSummaryDifferentialExamplesProject(t *testing.T) {
-	root := filepath.Join("examples", "project")
-	var units []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	n := 0
+	for _, m := range examplesGolden(t) {
+		name, ok := strings.CutPrefix(m.name, "project/")
+		if !ok {
+			continue
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".c") {
-			units = append(units, path)
+		n++
+		t.Run(name, func(t *testing.T) { requireSummaryGolden(t, m) })
+	}
+	if n < 7 {
+		t.Fatalf("found %d examples/project units, want at least 7", n)
+	}
+}
+
+// TestSummaryDifferentialSectionIV runs the §IV programs, including the
+// leak routed through pure helpers (exact +4 inversion through two replayed
+// skeletons), a recursive helper that prints a secret, and a pure helper
+// whose loop outruns the summary build's step bound: the last two must
+// inline to the same finding as table-free exploration.
+func TestSummaryDifferentialSectionIV(t *testing.T) {
+	for _, m := range sectionIVGolden() {
+		t.Run(m.name, func(t *testing.T) { requireSummaryGolden(t, m) })
+	}
+}
+
+// TestSummaryAppliedByDefault pins that the facade resolves calls through
+// summaries with no option set, builds no table when WithTrace records
+// callee bodies, and reports the same result either way.
+func TestSummaryAppliedByDefault(t *testing.T) {
+	var m goldenModule
+	for _, g := range sectionIVGolden() {
+		if g.name == "insecure-through-helpers" {
+			m = g
 		}
-		return nil
-	})
+	}
+	run := func(opts ...Option) (*Report, *Metrics) {
+		t.Helper()
+		metrics := NewMetrics()
+		return analyzeCSrc(t, m.c, m.fn, append(opts, WithObserver(metrics))...), metrics
+	}
+	sum, sm := run()
+	if sm.Counter("summary.applied") == 0 {
+		t.Error("default run applied no summaries")
+	}
+	traced, tm := run(WithTrace())
+	if n := tm.Counter("summary.computed"); n != 0 {
+		t.Errorf("WithTrace built %d summaries, want none", n)
+	}
+	for _, r := range []*Report{sum, traced} {
+		r.Duration = 0
+	}
+	a, err := json.Marshal(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(units) < 7 {
-		t.Fatalf("found %d units under %s, want at least 7", len(units), root)
+	b, err := json.Marshal(traced)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cPath := range units {
-		edlPath := strings.TrimSuffix(cPath, ".c") + ".edl"
-		name, _ := filepath.Rel(root, cPath)
-		t.Run(name, func(t *testing.T) {
-			cSrc, err := os.ReadFile(cPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edlSrc, err := os.ReadFile(edlPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSummaryIdentical(t, string(cSrc), string(edlSrc))
-		})
-	}
-}
-
-// TestSummaryDifferentialSectionIV replays the §IV differential-stack MiniC
-// programs (differential_stacks_test.go) with summaries on: same findings,
-// same inversion parameters, same verdicts as inline mode.
-func TestSummaryDifferentialSectionIV(t *testing.T) {
-	cases := []struct {
-		name, fn, src string
-		opts          []Option
-	}{
-		{"insecure", "leak", `
-int leak(char *secrets, char *output)
-{
-    output[0] = secrets[0] + 4;
-    return 0;
-}
-`, nil},
-		{"secure-masked", "masked", `
-int masked(char *secrets, char *output)
-{
-    output[0] = secrets[0] + 4 + secrets[1];
-    return 0;
-}
-`, nil},
-		{"example1", "example1", `
-int example1(char *secrets, char *output)
-{
-    int h1 = 2 * secrets[0];
-    int h2 = 3 * secrets[1];
-    int x = h1 + h2;
-    output[0] = x;
-    output[1] = h1;
-    return 0;
-}
-`, nil},
-		{"example2-feasible", "example2", `
-int example2(char *secrets, char *output)
-{
-    int h = 2 * secrets[0];
-    if (h - 5 == 15)
-        output[0] = 0;
-    else
-        output[0] = 1;
-    return 0;
-}
-`, nil},
-		{"example2-infeasible", "example2", `
-int example2(char *secrets, char *output)
-{
-    int h = 2 * secrets[0];
-    if (h - 5 == 14)
-        output[0] = 0;
-    else
-        output[0] = 1;
-    return 0;
-}
-`, []Option{WithoutPruning()}},
-		// The §IV insecure program routed through pure helpers: the leak
-		// crosses two summarized call sites and the exact +4 inversion must
-		// survive skeleton replay.
-		{"insecure-through-helpers", "leak", `
-int twice(int x) { return 2 * x; }
-int add4(int x) { return x + 4; }
-int leak(char *secrets, char *output)
-{
-    output[0] = add4(secrets[0]);
-    output[1] = twice(add4(secrets[1]));
-    return 0;
-}
-`, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			inline := analyzeCSrc(t, tc.src, tc.fn, tc.opts...)
-			sum := analyzeCSrc(t, tc.src, tc.fn, append([]Option{WithSummaries()}, tc.opts...)...)
-			want, got := canonicalFunctionReport(inline), canonicalFunctionReport(sum)
-			if got != want {
-				t.Errorf("summary mode diverges from inline:\n--- inline ---\n%s--- summaries ---\n%s", want, got)
-			}
-			for i := range inline.Findings {
-				wi, gi := inline.Findings[i].Inversion, sum.Findings[i].Inversion
-				if (wi == nil) != (gi == nil) {
-					t.Fatalf("finding %d inversion presence diverges: inline=%v summaries=%v", i, wi, gi)
-				}
-				if wi != nil && (wi.Exact != gi.Exact || wi.Scale != gi.Scale || wi.Offset != gi.Offset) {
-					t.Errorf("finding %d inversion diverges: inline=%+v summaries=%+v", i, wi, gi)
-				}
-			}
-		})
-	}
-}
-
-// memSummaryStore is an in-memory SummaryStore for the warm-rerun pin.
-type memSummaryStore struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func newMemSummaryStore() *memSummaryStore {
-	return &memSummaryStore{m: map[string][]byte{}}
-}
-
-func (s *memSummaryStore) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.m[key]
-	return p, ok
-}
-
-func (s *memSummaryStore) Put(key string, payload []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = append([]byte(nil), payload...)
-}
-
-// TestSummaryStoreWarmRerunRecomputesOnlyChanged pins the function-granular
-// invalidation contract at the facade level (the batch incremental pin's
-// summary-tier mirror): a warm rerun computes nothing, and after editing one
-// leaf helper only that helper and its transitive callers recompute while
-// unrelated helpers stay warm.
-func TestSummaryStoreWarmRerunRecomputesOnlyChanged(t *testing.T) {
-	const edl = `
-enclave {
-    trusted {
-        public int enclave_f([in] int *secrets, [out] int *output);
-    };
-};
-`
-	src := func(leafBody string) string {
-		return `
-int leaf(int x) { return ` + leafBody + `; }
-int mid(int x) { return leaf(x) * 2; }
-int unrelated(int x) { return x - 3; }
-int enclave_f(int *secrets, int *output)
-{
-    output[0] = mid(secrets[0]) + unrelated(secrets[1]);
-    return 0;
-}
-`
-	}
-	store := newMemSummaryStore()
-	run := func(body string) *obs.Metrics {
-		t.Helper()
-		m := obs.NewMetrics()
-		if _, err := AnalyzeEnclave(src(body), edl,
-			WithSummaries(), WithSummaryStore(store), WithObserver(m)); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	cold := run("x + 1")
-	if got := cold.Counter("summary.computed"); got != 3 {
-		t.Fatalf("cold run computed %d summaries, want 3 (leaf, mid, unrelated)", got)
-	}
-	if got := cold.Counter("summary.cache.hits"); got != 0 {
-		t.Fatalf("cold run had %d cache hits, want 0", got)
-	}
-
-	warm := run("x + 1")
-	if got := warm.Counter("summary.computed"); got != 0 {
-		t.Fatalf("warm rerun computed %d summaries, want 0", got)
-	}
-	if got := warm.Counter("summary.cache.hits"); got != 3 {
-		t.Fatalf("warm rerun had %d cache hits, want 3", got)
-	}
-
-	// Editing leaf's body invalidates leaf and its caller mid (whose key
-	// folds leaf's source), but unrelated must stay warm.
-	edited := run("x + 2")
-	if got := edited.Counter("summary.computed"); got != 2 {
-		t.Fatalf("edited rerun computed %d summaries, want 2 (leaf + mid)", got)
-	}
-	if got := edited.Counter("summary.cache.hits"); got != 1 {
-		t.Fatalf("edited rerun had %d cache hits, want 1 (unrelated)", got)
+	if string(a) != string(b) {
+		t.Errorf("summarized and inlined reports differ:\n%s\n%s", a, b)
 	}
 }
