@@ -10,9 +10,9 @@ help:
 	@echo "summary-smoke   summary gate: default runs and WithParallelism(4) runs must"
 	@echo "                reproduce the report and batch goldens, plus the"
 	@echo "                exactness and linear-build pins (-race)"
-	@echo "intern-smoke    shared-arena gate: ECALL parallelism and path workers"
-	@echo "                must reproduce the report golden, plus the arena"
-	@echo "                property/race/alloc pins (-race)"
+	@echo "intern-smoke    private-arena gate: WithParallelism(4) runs must reproduce"
+	@echo "                the report golden while concurrent jobs share only"
+	@echo "                read-only data, plus the arena property/alloc pins (-race)"
 	@echo "detect-smoke    detector-registry gate: every corpus must reproduce the"
 	@echo "                committed report golden; scenario packs must flag the"
 	@echo "                seeded leakpacks (-race)"
@@ -105,13 +105,14 @@ batch-smoke:
 summary-smoke:
 	go test -race -count=1 -run '^(TestSummary.*|TestGoldenProjectReportSummaryMode)$$' . ./internal/symexec ./internal/batch
 
-# Intern smoke: the shared-arena gate. Every engine interns its expressions
-# in one hash-consing arena, shared read-only across path-worker goroutines
-# and summary replay, so the committed report golden
+# Intern smoke: the private-arena gate. Every engine interns its expressions
+# in its own hash-consing arena (summary replay included), and concurrent
+# per-ECALL jobs share only read-only data — the lowered program and its
+# summary table — so the committed report golden
 # (testdata/report_golden.txt) must come out byte for byte under ECALL
-# parallelism and under path workers; the arena's
-# property/fuzz-regression/alloc pins ride in ./internal/sym. Run under the
-# race detector because of that sharing.
+# parallelism; the arena's property/fuzz-regression/alloc pins ride in
+# ./internal/sym. Run under the race detector, which fails the gate if the
+# jobs share anything they write.
 .PHONY: intern-smoke
 intern-smoke:
 	go test -race -count=1 -run '^TestIntern' . ./internal/sym

@@ -34,7 +34,6 @@ import (
 type jsonReport struct {
 	TableV        []bench.TableVRow        `json:"tableV"`
 	Scalability   []bench.ScalabilityRow   `json:"scalability"`
-	WorkerScaling []bench.WorkerScalingRow `json:"workerScaling"`
 	ServerBench   []server.ServerBenchRow  `json:"serverBench"`
 	BatchBench    []bench.BatchBenchRow    `json:"batchBench"`
 	SummaryBench  []bench.SummaryBenchRow  `json:"summaryBench"`
@@ -94,10 +93,6 @@ func measure() (jsonReport, error) {
 	if err != nil {
 		return jsonReport{}, err
 	}
-	ws, err := bench.WorkerScaling()
-	if err != nil {
-		return jsonReport{}, err
-	}
 	sb, err := server.ServerBench()
 	if err != nil {
 		return jsonReport{}, err
@@ -117,7 +112,6 @@ func measure() (jsonReport, error) {
 	return jsonReport{
 		TableV:        rows,
 		Scalability:   append(sc, deep),
-		WorkerScaling: ws,
 		ServerBench:   sb,
 		BatchBench:    bb,
 		SummaryBench:  sr,
@@ -209,26 +203,7 @@ func compare(path string, want, got interface{}, tol float64, hard, soft *[]stri
 			sorted = append(sorted, k)
 		}
 		sort.Strings(sorted)
-		// Spawned/Inline split branch totals by pool availability at the
-		// instant of each fork — scheduling-dependent. Their sum (total
-		// branches) is the deterministic quantity; check that instead.
-		scheduling := map[string]bool{}
-		if ws, ok1 := numField(w, "Spawned"); ok1 {
-			if wi, ok2 := numField(w, "Inline"); ok2 {
-				gs, ok3 := numField(g, "Spawned")
-				gi, ok4 := numField(g, "Inline")
-				if ok3 && ok4 {
-					scheduling["Spawned"], scheduling["Inline"] = true, true
-					if ws+wi != gs+gi {
-						*hard = append(*hard, fmt.Sprintf("%s.Spawned+Inline: %v → %v", path, ws+wi, gs+gi))
-					}
-				}
-			}
-		}
 		for _, k := range sorted {
-			if scheduling[k] {
-				continue
-			}
 			sub := k
 			if path != "" {
 				sub = path + "." + k
@@ -278,11 +253,6 @@ func compare(path string, want, got interface{}, tol float64, hard, soft *[]stri
 			*hard = append(*hard, fmt.Sprintf("%s: %v → %v", path, want, got))
 		}
 	}
-}
-
-func numField(m map[string]interface{}, key string) (float64, bool) {
-	v, ok := m[key].(float64)
-	return v, ok
 }
 
 func jsonEqual(a, b interface{}) bool {

@@ -6,8 +6,7 @@
 //
 //	privacyscope -c enclave.c -edl enclave.edl [-config rules.xml]
 //	             [-fn name] [-detectors list] [-loop-bound n]
-//	             [-path-workers n] [-timeout d]
-//	             [-no-witness] [-json] [-metrics-json metrics.json]
+//	             [-timeout d] [-no-witness] [-json] [-metrics-json metrics.json]
 //	             [-verbose] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	privacyscope -dir project/ [-cache-dir .pscache] [-jobs n] [...]
 //	privacyscope -version
@@ -85,7 +84,6 @@ func run(ctx context.Context, args []string, out io.Writer) (code int, err error
 		prob       = fs.Bool("probabilistic", false, "enable the probabilistic-channel extension (§VIII-A)")
 		conserv    = fs.Bool("conservative-externs", false, "treat unmodeled extern results as secrets")
 		detectors  = fs.String("detectors", "", "comma-separated detector selection replacing the defaults; 'default' and 'all' expand in place (e.g. default,ocall-pointer) — see docs/DETECTORS.md")
-		pathWork   = fs.Int("path-workers", 0, "goroutines exploring each ECALL's paths concurrently (<=1 = sequential; results are deterministic)")
 		asJSON     = fs.Bool("json", false, "emit findings as JSON")
 		traceOut   = fs.String("trace-out", "", "record the run and write a Chrome trace-event file (load in chrome://tracing or Perfetto); -json also embeds the span tree")
 		metricsOut = fs.String("metrics-json", "", "write a metrics snapshot (counters, spans, dists) to this file")
@@ -111,7 +109,6 @@ func run(ctx context.Context, args []string, out io.Writer) (code int, err error
 
 	aopts := privacyscope.AnalysisOptions{
 		LoopBound:           *loopBound,
-		PathWorkers:         *pathWork,
 		NoWitness:           *noWitness,
 		NoImplicit:          *noImplicit,
 		Timing:              *timing,

@@ -2,11 +2,39 @@ package privacyscope
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"privacyscope/internal/mlsuite"
 )
+
+// canonicalReport renders everything observable about a module analysis
+// except wall-clock timing, so concurrent runs can be compared
+// byte for byte.
+func canonicalReport(rep *EnclaveReport) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "secure=%v verdict=%s findings=%d\n",
+		rep.Secure(), rep.Verdict(), rep.TotalFindings())
+	for _, r := range rep.Reports {
+		fmt.Fprintf(&sb, "fn=%s verdict=%s paths=%d err=%q coverage={completed=%d pruned=%d truncated=%v reason=%s}\n",
+			r.Function, r.Verdict(), r.Paths, r.Err,
+			r.Coverage.CompletedPaths, r.Coverage.PrunedPaths,
+			r.Coverage.Truncated, r.Coverage.Reason)
+		for i, f := range r.Findings {
+			fmt.Fprintf(&sb, "  finding[%d] kind=%s sink=%s where=%s secret=%s msg=%q\n",
+				i, f.Kind, f.Sink, f.Where, f.Secret, f.Message)
+			if f.Witness != nil {
+				fmt.Fprintf(&sb, "    witness verified=%v inA=%v inB=%v obsA=%v obsB=%v recA=%v recB=%v note=%q\n",
+					f.Witness.Verified, f.Witness.InputsA, f.Witness.InputsB,
+					f.Witness.ObservedA, f.Witness.ObservedB,
+					f.Witness.RecoveredA, f.Witness.RecoveredB, f.Witness.Note)
+			}
+		}
+	}
+	return sb.String()
+}
 
 // TestConcurrentFacadeSharedOptions pins the facade's concurrency contract
 // the privacyscoped daemon relies on: AnalyzeEnclaveContext may run from
@@ -19,7 +47,6 @@ func TestConcurrentFacadeSharedOptions(t *testing.T) {
 	metrics := NewMetrics()
 	shared := []Option{
 		WithLoopBound(6),
-		WithPathWorkers(2),
 		WithObserver(metrics),
 	}
 	modules := []struct {

@@ -396,19 +396,22 @@ func TestAnalysisOptionsIgnoresRemovedIntern(t *testing.T) {
 	}
 }
 
-// TestAnalysisOptionsIgnoresRemovedSummaries: summaries have no switch, so
-// a daemon request or batch config that still sends "summaries" decodes
-// without error, keys exactly like the defaults and selects the default
-// facade options.
-func TestAnalysisOptionsIgnoresRemovedSummaries(t *testing.T) {
-	var o AnalysisOptions
-	if err := json.Unmarshal([]byte(`{"summaries":true}`), &o); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := o.KeyJSON(), (AnalysisOptions{}).KeyJSON(); got != want {
-		t.Errorf("KeyJSON = %s, want the default %s", got, want)
-	}
-	if n := len(o.FacadeOptions()); n != 0 {
-		t.Errorf("FacadeOptions selected %d options, want none", n)
+// TestAnalysisOptionsIgnoresRemovedFields: summaries have no switch and
+// each entry point is explored on one goroutine, so a daemon request or
+// batch config that still sends the summaries switch or a path-worker
+// count decodes without error, keys exactly like the defaults and selects
+// the default facade options.
+func TestAnalysisOptionsIgnoresRemovedFields(t *testing.T) {
+	for _, in := range []string{`{"summaries":true}`, `{"pathWorkers":4}`} {
+		var o AnalysisOptions
+		if err := json.Unmarshal([]byte(in), &o); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if got, want := o.KeyJSON(), (AnalysisOptions{}).KeyJSON(); got != want {
+			t.Errorf("%s: KeyJSON = %s, want the default %s", in, got, want)
+		}
+		if n := len(o.FacadeOptions()); n != 0 {
+			t.Errorf("%s: FacadeOptions selected %d options, want none", in, n)
+		}
 	}
 }

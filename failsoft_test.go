@@ -148,68 +148,6 @@ func TestPanicIsolationParallel(t *testing.T) {
 	}
 }
 
-// TestPanicInPathWorkerDegrades injects a panic into the parallel path
-// exploration of a branchy function: the panic fires on whichever pool
-// goroutine evaluates the chosen statement, must be captured and re-raised
-// through every runBranches join (no leaked goroutines, no deadlock), and
-// must degrade that function to an error report exactly like a sequential
-// panic.
-func TestPanicInPathWorkerDegrades(t *testing.T) {
-	m := NewMetrics()
-	// Step 60 is deep inside the fork tree of branchy's 16 paths, so the
-	// panic lands inside a branch capture — possibly on a spawned worker,
-	// possibly on an inline branch; isolation must hold either way.
-	inj := faultinject.New(m).PanicOn("symexec.steps", 60)
-	rep, err := AnalyzeEnclave(branchyC, branchyEDL,
-		WithObserver(inj), WithPathWorkers(4))
-	if err != nil {
-		t.Fatalf("a panicking path worker must not fail the module: %v", err)
-	}
-	r := reportByName(t, rep, "branchy")
-	if r.Err == "" || !strings.Contains(r.Err, "panic") {
-		t.Errorf("branchy.Err = %q, want a panic message", r.Err)
-	}
-	if r.Verdict() != VerdictError {
-		t.Errorf("verdict = %v, want error", r.Verdict())
-	}
-	if r.Secure() {
-		t.Error("a crashed analysis must never read as secure")
-	}
-	if m.Counter("check.panics") != 1 {
-		t.Errorf("check.panics = %d, want 1 (panic must surface exactly once at the facade)",
-			m.Counter("check.panics"))
-	}
-	if m.Counter("symexec.workers.panics") < 1 {
-		t.Errorf("symexec.workers.panics = %d, want >= 1 (the pool must record the capture)",
-			m.Counter("symexec.workers.panics"))
-	}
-}
-
-// TestDeadlineUnderPathWorkers expires the wall-clock deadline while the
-// worker pool is mid-exploration: every worker must observe the stop flag
-// and join, degrading coverage instead of deadlocking or erroring.
-func TestDeadlineUnderPathWorkers(t *testing.T) {
-	// branchy evaluates ~78 statements; at 2ms per statement even a perfect
-	// 4-way split needs ~39ms of wall clock, so the 20ms deadline always
-	// expires mid-exploration regardless of scheduling.
-	inj := faultinject.New(nil).DelayOn("symexec.steps", 2*time.Millisecond)
-	rep, err := AnalyzeEnclave(branchyC, branchyEDL,
-		WithObserver(inj), WithPathWorkers(4), WithDeadline(20*time.Millisecond))
-	if err != nil {
-		t.Fatalf("deadline expiry must degrade, not fail: %v", err)
-	}
-	r := reportByName(t, rep, "branchy")
-	if r.Err != "" {
-		t.Fatalf("deadline under workers must degrade, not error: %q", r.Err)
-	}
-	if !r.Coverage.Truncated || r.Coverage.Reason != TruncDeadline {
-		t.Errorf("coverage = %+v, want deadline truncation", r.Coverage)
-	}
-	if r.Verdict() != VerdictInconclusive {
-		t.Errorf("verdict = %v, want inconclusive", r.Verdict())
-	}
-}
-
 // TestDeadlineDegradesOneFunction slows one entry point until its
 // WithDeadline budget expires: that function degrades to partial coverage
 // with an Inconclusive verdict; the siblings keep their full budgets.

@@ -295,15 +295,6 @@ func TestFaintJoinDifferential(t *testing.T) {
 			if a, b := faintFindings(repP), faintFindings(repQ); a != b {
 				t.Errorf("findings differ:\n--- P ---\n%s\n--- P′ ---\n%s\n%s", a, b, p)
 			}
-			// Path workers run a join's else arm on a pool goroutine while
-			// the then arm runs on the requesting one.
-			repW, err := AnalyzeEnclave(p, faintEDL, WithPathWorkers(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := faintFindings(repP), faintFindings(repW); a != b || repW.Reports[0].Paths != repP.Reports[0].Paths {
-				t.Errorf("P under path workers differs:\n--- sequential ---\n%s\n--- WithPathWorkers(4) ---\n%s", a, b)
-			}
 			obsP, pathsP := faintObservations(t, p)
 			obsQ, pathsQ := faintObservations(t, pPrime)
 			if obsP != obsQ {

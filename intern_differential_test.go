@@ -3,10 +3,10 @@ package privacyscope
 import "testing"
 
 // This file is the interning gate (make intern-smoke). Every engine interns
-// its expressions in one hash-consing arena, shared read-only across
-// path-worker goroutines and summary replay, so the committed report golden
-// (report_golden_test.go) must come out byte for byte under ECALL
-// parallelism and under path workers. Run under -race.
+// its expressions in its own hash-consing arena, and concurrent per-ECALL
+// jobs share only read-only data (the lowered program and its summary
+// table), so the committed report golden (report_golden_test.go) must come
+// out byte for byte under ECALL parallelism. Run under -race.
 
 // TestInternDifferentialMLSuite runs the ML evaluation corpus under
 // WithParallelism(4).
@@ -25,22 +25,11 @@ func TestInternDifferentialExamples(t *testing.T) {
 }
 
 // TestInternDifferentialSectionIV runs the §IV programs under
-// WithPathWorkers(4): same findings, inversion parameters, witnesses and
+// WithParallelism(4): same findings, inversion parameters, witnesses and
 // verdicts as the sequential golden, including the infeasible-branch case
 // and the leak routed through summarized helpers.
 func TestInternDifferentialSectionIV(t *testing.T) {
 	for _, m := range sectionIVGolden() {
-		t.Run(m.name, func(t *testing.T) { requireGolden(t, m, m.analyze(t, WithPathWorkers(4))) })
-	}
-}
-
-// TestInternSharedTableUnderPathWorkers shares one engine's arena across
-// WithPathWorkers(8) goroutines, so skeleton replay interns through the
-// same table concurrently. The 2^10-path fanout module must match its
-// sequential golden in every round.
-func TestInternSharedTableUnderPathWorkers(t *testing.T) {
-	m := fanoutGolden()
-	for round := 0; round < 3; round++ {
-		requireGolden(t, m, m.analyze(t, WithPathWorkers(8)))
+		t.Run(m.name, func(t *testing.T) { requireGolden(t, m, m.analyze(t, WithParallelism(4))) })
 	}
 }

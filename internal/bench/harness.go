@@ -197,7 +197,7 @@ func Box1() (string, error) {
 
 // TableVRow is one measured row of the performance table, extended with the
 // engine-level counter snapshot of the run (states explored, solver queries
-// issued, infeasible paths pruned, solver-cache hits).
+// issued, infeasible paths pruned).
 type TableVRow struct {
 	Name          string
 	LoC           int
@@ -209,7 +209,6 @@ type TableVRow struct {
 	States        int64
 	SolverQueries int64
 	PathsPruned   int64
-	CacheHits     int64
 }
 
 // TableV analyzes the three ML modules and measures wall-clock analysis
@@ -251,7 +250,6 @@ func TableV() ([]TableVRow, error) {
 		row.States = metrics.Counter("symexec.states")
 		row.SolverQueries = metrics.Counter("solver.queries")
 		row.PathsPruned = metrics.Counter("symexec.paths.pruned")
-		row.CacheHits = metrics.Counter("solver.cache.hits")
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -261,13 +259,13 @@ func TableV() ([]TableVRow, error) {
 func RenderTableV(rows []TableVRow) string {
 	var sb strings.Builder
 	sb.WriteString("Table V — performance evaluation (paper vs. measured)\n")
-	sb.WriteString(fmt.Sprintf("%-18s %9s %9s %12s %14s %9s %7s %8s %8s %7s %7s\n",
+	sb.WriteString(fmt.Sprintf("%-18s %9s %9s %12s %14s %9s %7s %8s %8s %7s\n",
 		"Module", "LoC", "paperLoC", "time(s)", "paper-time(s)", "findings", "paths",
-		"states", "queries", "pruned", "cached"))
+		"states", "queries", "pruned"))
 	for _, r := range rows {
-		sb.WriteString(fmt.Sprintf("%-18s %9d %9d %12.6f %14.3f %9d %7d %8d %8d %7d %7d\n",
+		sb.WriteString(fmt.Sprintf("%-18s %9d %9d %12.6f %14.3f %9d %7d %8d %8d %7d\n",
 			r.Name, r.LoC, r.PaperLoC, r.Seconds, r.PaperSeconds, r.Findings, r.Paths,
-			r.States, r.SolverQueries, r.PathsPruned, r.CacheHits))
+			r.States, r.SolverQueries, r.PathsPruned))
 	}
 	return sb.String()
 }
@@ -569,12 +567,6 @@ func RunAll() (string, error) {
 	}
 	sb.WriteString(RenderScalability(append(sc, deep)))
 	sb.WriteString(fmt.Sprintf("(last row: Kmeans with ITERS=2 — %d paths through the full checker)\n", deep.Paths))
-	sb.WriteByte('\n')
-	ws, err := WorkerScaling()
-	if err != nil {
-		return "", err
-	}
-	sb.WriteString(RenderWorkerScaling(ws))
 	sb.WriteByte('\n')
 	fsRows, err := Failsoft()
 	if err != nil {

@@ -116,82 +116,6 @@ func RenderScalability(rows []ScalabilityRow) string {
 	return sb.String()
 }
 
-// WorkerScalingRow is one measurement of the parallel path-exploration
-// study: the same branch-heavy program analyzed with a growing worker pool.
-type WorkerScalingRow struct {
-	Workers  int
-	Paths    int
-	Findings int
-	// Spawned counts branches handed to pool goroutines, Inline branches
-	// kept on the requesting goroutine (pool full or first arm).
-	Spawned int64
-	Inline  int64
-	Seconds float64
-	// Speedup is sequential seconds / this row's seconds.
-	Speedup float64
-}
-
-// WorkerScaling measures intra-function parallel path exploration
-// (Options.PathWorkers) on the 2^10-path synthetic enclave: workers 1, 2, 4
-// and 8 over an identical workload. Findings are deterministic across
-// worker counts (pinned by the engine's fork-key ordering), so the findings
-// column must read the same in every row.
-func WorkerScaling() ([]WorkerScalingRow, error) {
-	src := ScalabilityProgram(10, 4)
-	file, err := minic.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	params := []symexec.ParamSpec{
-		{Name: "secrets", Class: symexec.ParamSecret},
-		{Name: "output", Class: symexec.ParamOut},
-	}
-	var rows []WorkerScalingRow
-	for _, workers := range []int{1, 2, 4, 8} {
-		metrics := obs.NewMetrics()
-		opts := core.DefaultOptions()
-		opts.ReplayWitness = false
-		opts.Engine.MaxPaths = 1 << 12
-		opts.Engine.PathWorkers = workers
-		opts.Observer = metrics
-		start := time.Now()
-		report, err := runDetect(opts, file, "f", params)
-		if err != nil {
-			return nil, err
-		}
-		row := WorkerScalingRow{
-			Workers:  workers,
-			Paths:    report.Paths,
-			Findings: len(report.Findings),
-			Spawned:  metrics.Counter("symexec.workers.spawned"),
-			Inline:   metrics.Counter("symexec.workers.inline"),
-			Seconds:  time.Since(start).Seconds(),
-		}
-		if len(rows) > 0 {
-			row.Speedup = rows[0].Seconds / row.Seconds
-		} else {
-			row.Speedup = 1
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderWorkerScaling formats the path-worker study.
-func RenderWorkerScaling(rows []WorkerScalingRow) string {
-	var sb strings.Builder
-	sb.WriteString("Path-worker scaling — 2^10-path synthetic enclave, identical findings per row\n")
-	sb.WriteString(fmt.Sprintf("%-8s %7s %9s %8s %7s %12s %8s\n",
-		"workers", "paths", "findings", "spawned", "inline", "time(s)", "speedup"))
-	for _, r := range rows {
-		sb.WriteString(fmt.Sprintf("%-8d %7d %9d %8d %7d %12.6f %7.2fx\n",
-			r.Workers, r.Paths, r.Findings, r.Spawned, r.Inline, r.Seconds, r.Speedup))
-	}
-	sb.WriteString("workers=1 is the sequential baseline; results are byte-identical across rows\n")
-	sb.WriteString("(deterministic fork-key ordering), only wall-clock time may differ.\n")
-	return sb.String()
-}
-
 // DeepKmeansC is the Kmeans module with a second Lloyd iteration: the
 // second assignment round branches on the (symbolic) updated centroids, so
 // paths grow from 2^4 to ~2^8. A realistic instance of the §VIII-C

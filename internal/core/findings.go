@@ -436,8 +436,8 @@ func Trim(s string) string {
 
 // SortFindings orders findings deterministically: by sink location, then
 // leak kind, then detector rule ID, then secret. The rule key keeps
-// multi-detector reports stable across -path-workers and -jobs; it is
-// vacuous for same-kind findings (one rule per kind).
+// multi-detector reports stable across -jobs; it is vacuous for same-kind
+// findings (one rule per kind).
 func SortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].Where != fs[j].Where {

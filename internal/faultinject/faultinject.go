@@ -19,16 +19,9 @@
 // disarms at the matching check.done/check.panic. Scoping relies on the
 // events of one function not interleaving with another's, so use it with
 // sequential analysis only (the default); unscoped injectors are safe under
-// WithParallelism.
-//
-// Parallel path exploration (Options.PathWorkers) adds its own signals:
-// symexec.workers.spawned fires on the requesting goroutine just before a
-// branch is handed to a pool worker, symexec.workers.inline when a branch
-// runs on the requesting goroutine instead, and symexec.workers.panics when
-// a captured worker panic is recorded (once per pool nesting level it
-// unwinds through). A PanicOn("symexec.steps", n) under PathWorkers > 1
-// fires on whichever goroutine evaluates the nth statement — exactly the
-// nondeterminism the worker-pool isolation tests need to survive.
+// WithParallelism. An entry point's paths are explored on one goroutine,
+// so under sequential analysis a fault keyed to a statement count fires at
+// the same statement on every run.
 //
 // See docs/ROBUSTNESS.md.
 package faultinject

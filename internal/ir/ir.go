@@ -38,31 +38,6 @@ func (p *Program) Func(name string) (*Func, bool) {
 	return f, ok
 }
 
-// ReachableCalls returns the set of function names statically reachable
-// through call expressions from the named entry point (including the entry
-// point itself). The engine uses it to decide when parallel path exploration
-// is safe: an op region that can reach a decrypt intrinsic mutates shared
-// secret-root state mid-path and must stay sequential.
-func (p *Program) ReachableCalls(entry string) map[string]bool {
-	seen := map[string]bool{entry: true}
-	work := []string{entry}
-	for len(work) > 0 {
-		name := work[len(work)-1]
-		work = work[:len(work)-1]
-		fn, ok := p.Funcs[name]
-		if !ok {
-			continue
-		}
-		for _, callee := range fn.Calls {
-			if !seen[callee] {
-				seen[callee] = true
-				work = append(work, callee)
-			}
-		}
-	}
-	return seen
-}
-
 // Func is one lowered function.
 type Func struct {
 	Name   string

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"privacyscope/internal/sym"
 )
@@ -128,19 +126,15 @@ func Root(r Region) Region {
 // Manager hash-conses regions, mirroring the sym.Interner contract: one
 // canonical region object per denotation, so region equality throughout the
 // engine is pointer equality and regions serve directly as map keys (the
-// Store and the engine's per-region tables key on them). It is safe for
-// concurrent use: parallel path workers exploring one entry point share a
-// single manager. Reads are lock-free (sync.Map, shared read-mostly across
-// path workers); creation takes a short mutex so numeric region IDs stay
-// dense and deterministic under sequential exploration.
+// Store and the engine's per-region tables key on them). A manager belongs
+// to one engine and is used from one goroutine; numeric region IDs are
+// dense and deterministic.
 type Manager struct {
-	mu     sync.Mutex // guards nextID and the create path
 	nextID int
-	count  atomic.Int64
-	vars   sync.Map // varKey → *VarRegion
-	symRgs sync.Map // pointee symbol ID → *SymRegion
-	elems  sync.Map // elemKey → *ElementRegion
-	fields sync.Map // fieldKey → *FieldRegion
+	vars   map[varKey]*VarRegion
+	symRgs map[int]*SymRegion // keyed by pointee symbol ID
+	elems  map[elemKey]*ElementRegion
+	fields map[fieldKey]*FieldRegion
 }
 
 type varKey struct {
@@ -160,83 +154,64 @@ type fieldKey struct {
 
 // NewManager returns an empty region manager.
 func NewManager() *Manager {
-	return &Manager{}
+	return &Manager{
+		vars:   make(map[varKey]*VarRegion),
+		symRgs: make(map[int]*SymRegion),
+		elems:  make(map[elemKey]*ElementRegion),
+		fields: make(map[fieldKey]*FieldRegion),
+	}
 }
 
 // Var returns the region of variable name in the given frame.
 func (m *Manager) Var(name string, frame int) *VarRegion {
 	k := varKey{name, frame}
-	if r, ok := m.vars.Load(k); ok {
-		return r.(*VarRegion)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.vars.Load(k); ok {
-		return r.(*VarRegion)
+	if r, ok := m.vars[k]; ok {
+		return r
 	}
 	r := &VarRegion{id: m.nextID, key: "v" + strconv.Itoa(m.nextID), Name: name, Frame: frame}
 	m.nextID++
-	m.vars.Store(k, r)
-	m.count.Add(1)
+	m.vars[k] = r
 	return r
 }
 
 // SymBlock returns the SymRegion for the block identified by pointee.
 func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *SymRegion {
 	k := pointee.ID
-	if r, ok := m.symRgs.Load(k); ok {
-		return r.(*SymRegion)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.symRgs.Load(k); ok {
-		return r.(*SymRegion)
+	if r, ok := m.symRgs[k]; ok {
+		return r
 	}
 	r := &SymRegion{id: m.nextID, key: "sym" + strconv.Itoa(m.nextID), Pointee: pointee, DisplayName: display, SecretSource: secret}
 	m.nextID++
-	m.symRgs.Store(k, r)
-	m.count.Add(1)
+	m.symRgs[k] = r
 	return r
 }
 
 // Element returns the ElementRegion super[index].
 func (m *Manager) Element(super Region, index int) *ElementRegion {
 	k := elemKey{super, index}
-	if r, ok := m.elems.Load(k); ok {
-		return r.(*ElementRegion)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.elems.Load(k); ok {
-		return r.(*ElementRegion)
+	if r, ok := m.elems[k]; ok {
+		return r
 	}
 	r := &ElementRegion{super: super, key: super.Key() + "[" + strconv.Itoa(index) + "]", Index: index}
-	m.elems.Store(k, r)
-	m.count.Add(1)
+	m.elems[k] = r
 	return r
 }
 
 // Field returns the FieldRegion super.field.
 func (m *Manager) Field(super Region, field string) *FieldRegion {
 	k := fieldKey{super, field}
-	if r, ok := m.fields.Load(k); ok {
-		return r.(*FieldRegion)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.fields.Load(k); ok {
-		return r.(*FieldRegion)
+	if r, ok := m.fields[k]; ok {
+		return r
 	}
 	r := &FieldRegion{super: super, key: super.Key() + "." + field, Field: field}
-	m.fields.Store(k, r)
-	m.count.Add(1)
+	m.fields[k] = r
 	return r
 }
 
 // RegionCount returns how many distinct regions have been created, a metric
 // the Table IV bench reports.
 func (m *Manager) RegionCount() int {
-	return int(m.count.Load())
+	return len(m.vars) + len(m.symRgs) + len(m.elems) + len(m.fields)
 }
 
 // SVal is a symbolic value stored in the store or produced by expression
@@ -446,12 +421,9 @@ func (s *Store) SubRegionsOf(root Region) []Region {
 
 // Env is the environment mapping lvalue expressions (by display text) to
 // regions, as in the paper's state 4-tuple. It exists for rendering Table IV
-// and for debugging; the engine itself resolves lvalues structurally. One
-// Env is shared across all path workers of an entry point, so it is
-// internally locked.
+// and for debugging; the engine itself resolves lvalues structurally.
 type Env struct {
-	mu sync.Mutex
-	m  map[string]Region
+	m map[string]Region
 }
 
 // NewEnv returns an empty environment.
@@ -461,30 +433,22 @@ func NewEnv() *Env {
 
 // Bind records lvalue text → region.
 func (e *Env) Bind(lvalue string, r Region) {
-	e.mu.Lock()
 	e.m[lvalue] = r
-	e.mu.Unlock()
 }
 
 // Lookup returns the region for an lvalue.
 func (e *Env) Lookup(lvalue string) (Region, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	r, ok := e.m[lvalue]
 	return r, ok
 }
 
 // Len returns the number of bindings.
 func (e *Env) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return len(e.m)
 }
 
 // Clone returns an independent copy.
 func (e *Env) Clone() *Env {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	c := &Env{m: make(map[string]Region, len(e.m))}
 	for k, v := range e.m {
 		c.m[k] = v
@@ -497,8 +461,6 @@ func (e *Env) Bindings() []struct {
 	LValue string
 	Region Region
 } {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	keys := make([]string, 0, len(e.m))
 	for k := range e.m {
 		keys = append(keys, k)
@@ -519,7 +481,5 @@ func (e *Env) Bindings() []struct {
 
 // String renders a compact description.
 func (e *Env) String() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return fmt.Sprintf("env(%d lvalues)", len(e.m))
 }

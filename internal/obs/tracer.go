@@ -16,9 +16,9 @@ import (
 // Tracer is the per-analysis tracing Observer: where Metrics folds span
 // completions into per-name aggregates, the Tracer records every span
 // *instance* — span ID, parent link (carried by the Span handle, so
-// parent/child stays correct when forks end spans on different goroutines),
-// start offset, duration, and annotated fields — into a bounded per-trace
-// buffer. Events record as zero-duration marks on the same timeline (the
+// parent/child stays correct when concurrent jobs end spans on different
+// goroutines), start offset, duration, and annotated fields — into a
+// bounded per-trace buffer. Events record as zero-duration marks on the same timeline (the
 // batch driver's cache-hit/verdict markers).
 //
 // A Tracer observes ONE analysis (one trace); it is cheap to create, safe
@@ -182,7 +182,7 @@ func (t *Tracer) mark(name string, lane int, fields []Field) {
 
 // tracerSpan is one in-flight span instance. The handle carries the parent
 // link, so Child spans stay correctly parented no matter which goroutine
-// ends them (the path-worker pool routinely ends forks off-thread).
+// ends them (concurrent per-ECALL jobs each end their own).
 type tracerSpan struct {
 	t      *Tracer
 	id     int64

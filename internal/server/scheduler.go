@@ -19,8 +19,7 @@ var (
 )
 
 // scheduler is the bounded job scheduler: a fixed worker pool consuming a
-// bounded queue. It layers module-level concurrency control above the
-// engine's own intra-function parallelism (Options.PathWorkers): the pool
+// bounded queue. It is the daemon's only concurrency control: the pool
 // bounds how many analyses run at once, the queue bounds how many wait,
 // and a full queue rejects immediately instead of accumulating unbounded
 // work (the 429 backpressure contract).

@@ -38,8 +38,7 @@ import (
 // Config sizes the daemon.
 type Config struct {
 	// Workers is the analysis worker-pool size (≤0: 4). Each worker runs
-	// one module analysis at a time; intra-analysis parallelism is still
-	// governed by the request's pathWorkers option.
+	// one module analysis at a time, one entry point after another.
 	Workers int
 	// QueueDepth bounds how many accepted jobs may wait for a worker
 	// (<0: 0 — reject whenever all workers are busy). A full queue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"privacyscope/internal/sym"
@@ -255,43 +254,5 @@ func TestIncrementalBoundsExclusionScan(t *testing.T) {
 	}
 	if sv.Feasible(pc) {
 		t.Errorf("π = %s: every point excluded, want infeasible", pc)
-	}
-}
-
-// TestIncrementalBoundsConcurrentSiblings forces the lazy state of eight
-// sibling nodes that share one unforced prefix from eight goroutines at
-// once (run under -race); every sibling must still match the oracle.
-func TestIncrementalBoundsConcurrentSiblings(t *testing.T) {
-	b := newBuilder()
-	syms := []*sym.Symbol{b.FreshSecret("a"), b.FreshSecret("b")}
-	for seed := int64(1); seed <= 20; seed++ {
-		g := &conjGen{r: rand.New(rand.NewSource(seed)), syms: syms, narrow: seed%2 == 0}
-		sv := New()
-		prefix := True()
-		for i := 0; i < 16; i++ {
-			prefix = prefix.And(g.comparison())
-		}
-		siblings := make([]*PathCondition, 8)
-		for i := range siblings {
-			siblings[i] = prefix.And(g.comparison())
-		}
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for _, sib := range siblings {
-			wg.Add(1)
-			go func(pc *PathCondition) {
-				defer wg.Done()
-				<-start
-				sv.Feasible(pc)
-				sv.Check(pc)
-			}(sib)
-		}
-		close(start)
-		wg.Wait()
-		for _, sib := range siblings {
-			if diff := sameState(sv, sib); diff != "" {
-				t.Fatalf("seed %d, π = %s: %s", seed, sib, diff)
-			}
-		}
 	}
 }

@@ -10,7 +10,6 @@ package solver
 
 import (
 	"strings"
-	"sync"
 
 	"privacyscope/internal/sym"
 	"privacyscope/internal/taint"
@@ -24,13 +23,14 @@ import (
 // Each node lazily caches its interval state (see Solver.boundsOf): the
 // parent's state with the node's own conjunct applied, so a feasibility
 // query costs what the newest conjunct adds, not the length of the path.
+// The cache is written on first use, so a path condition, like the engine
+// that builds it, is used from one goroutine.
 type PathCondition struct {
 	parent *PathCondition // nil at the root
 	last   sym.Expr       // newest conjunct; nil at the root
 	n      int            // number of conjuncts
 
-	once   sync.Once
-	bounds *bounds // set once by Solver.boundsOf
+	bounds *bounds // set on first use by Solver.boundsOf
 }
 
 // True returns the empty path condition.

@@ -3,7 +3,6 @@ package solver
 import (
 	"maps"
 	"math"
-	"sync"
 
 	"privacyscope/internal/obs"
 	"privacyscope/internal/sym"
@@ -139,8 +138,8 @@ type Solver struct {
 	// canonical *sym* nodes — pointer identity is structural identity — so
 	// the cache is bounded by the arena and needs no eviction; non-interned
 	// atoms are analyzed fresh each time, which keeps the cache sound with
-	// interning off.
-	atoms sync.Map // sym.Expr (canonical) → *atomInfo
+	// interning off. Created on first use.
+	atoms map[sym.Expr]*atomInfo
 }
 
 // SetInterner hands the solver the engine's intern arena so the negations
@@ -214,16 +213,15 @@ func (s *Solver) Model(pc *PathCondition, extra []*sym.Symbol) (sym.Binding, boo
 // That equals propagating every conjunct from scratch, because each atom
 // bounds one symbol by a constant (see tightened), and an unsat parent
 // yields an unsat child. The state is a pure function of the conjuncts, so
-// the cache is shared by every solver and by concurrent path workers
-// (sync.Once orders the one write before every read).
+// the cache is shared by every solver that reads pc.
 func (s *Solver) boundsOf(pc *PathCondition) *bounds {
-	pc.once.Do(func() {
+	if pc.bounds == nil {
 		if pc.n == 0 {
 			pc.bounds = noBounds
-			return
+		} else {
+			pc.bounds = s.extend(s.boundsOf(pc.parent), pc.last)
 		}
-		pc.bounds = s.extend(s.boundsOf(pc.parent), pc.last)
-	})
+	}
 	return pc.bounds
 }
 
@@ -343,18 +341,20 @@ func analyzeAtom(e sym.Expr) *atomInfo {
 	return &atomInfo{kind: atomBound, sm: sm, op: op, c: c}
 }
 
-// atomInfoFor analyzes e, memoizing per canonical node. Interned atoms are
-// immutable and pointer-unique, so the sync.Map read path is lock-free and
-// a racing duplicate Store is idempotent.
+// atomInfoFor analyzes e, memoizing per canonical node (interned atoms are
+// immutable and pointer-unique).
 func (s *Solver) atomInfoFor(e sym.Expr) *atomInfo {
 	if !sym.Interned(e) {
 		return analyzeAtom(e)
 	}
-	if v, ok := s.atoms.Load(e); ok {
-		return v.(*atomInfo)
+	if info, ok := s.atoms[e]; ok {
+		return info
+	}
+	if s.atoms == nil {
+		s.atoms = make(map[sym.Expr]*atomInfo)
 	}
 	info := analyzeAtom(e)
-	s.atoms.Store(e, info)
+	s.atoms[e] = info
 	return info
 }
 

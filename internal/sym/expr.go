@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"privacyscope/internal/taint"
 )
@@ -159,10 +158,9 @@ func (*Unary) isExpr() {}
 func (u *Unary) String() string { return u.Op.String() + u.X.String() }
 
 // Builder allocates symbols with unique IDs and, for secrets, fresh taint
-// tags. The zero value is not ready; use NewBuilder. Allocation and lookup
-// are safe for concurrent use by parallel path workers.
+// tags. The zero value is not ready; use NewBuilder. A Builder belongs to
+// one engine and is used from one goroutine.
 type Builder struct {
-	mu     sync.Mutex
 	nextID int
 	alloc  *taint.Allocator
 	syms   map[int]*Symbol
@@ -177,8 +175,6 @@ func NewBuilder(alloc *taint.Allocator) *Builder {
 // empty the symbol is named after its tag ("s1", "s2", …), matching the
 // paper's notation.
 func (b *Builder) FreshSecret(name string) *Symbol {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	tag := b.alloc.Fresh()
 	if name == "" {
 		name = "s" + strconv.Itoa(int(tag))
@@ -191,12 +187,6 @@ func (b *Builder) FreshSecret(name string) *Symbol {
 
 // FreshPublic allocates a non-secret (low input) symbol.
 func (b *Builder) FreshPublic(name string) *Symbol {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.freshPublicLocked(name)
-}
-
-func (b *Builder) freshPublicLocked(name string) *Symbol {
 	b.nextID++
 	if name == "" {
 		name = "v" + strconv.Itoa(b.nextID)
@@ -208,9 +198,7 @@ func (b *Builder) freshPublicLocked(name string) *Symbol {
 
 // FreshEntropy allocates an in-enclave randomness symbol.
 func (b *Builder) FreshEntropy(name string) *Symbol {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.freshPublicLocked(name)
+	s := b.FreshPublic(name)
 	s.Entropy = true
 	return s
 }
@@ -227,15 +215,11 @@ func HasEntropy(e Expr) bool {
 
 // Lookup returns the symbol with the given ID, or nil.
 func (b *Builder) Lookup(id int) *Symbol {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.syms[id]
 }
 
 // Symbols returns all allocated symbols ordered by ID.
 func (b *Builder) Symbols() []*Symbol {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	out := make([]*Symbol, 0, len(b.syms))
 	for _, s := range b.syms {
 		out = append(out, s)

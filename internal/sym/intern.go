@@ -4,8 +4,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // Interner is a hash-consing arena for expression nodes: structurally equal
@@ -14,14 +12,13 @@ import (
 // (the solver's feasibility memo and per-atom analysis) can key on identity
 // instead of re-walking DAGs.
 //
-// The arena is shared read-only across path workers: lookups go through
-// sync.Map with no lock on the read path, and a losing racer on insert
-// simply adopts the winner's node. Leaves need no table — IntConst and
-// FloatConst are comparable values, *Symbol is already canonical per
-// Builder. For the same reason an arena must only see expressions built
-// over a single Builder's symbols (two Builders reuse IDs, which would
-// break the "distinct canonical nodes are structurally unequal"
-// invariant); the engine owns exactly one of each, which satisfies this.
+// An arena belongs to one engine and is used from one goroutine. Leaves
+// need no table — IntConst and FloatConst are comparable values, *Symbol is
+// already canonical per Builder. For the same reason an arena must only see
+// expressions built over a single Builder's symbols (two Builders reuse
+// IDs, which would break the "distinct canonical nodes are structurally
+// unequal" invariant); the engine owns exactly one of each, which satisfies
+// this.
 //
 // NaN constants are deliberately never canonicalized: sym.Equal treats
 // NaN != NaN (matching C semantics), and a NaN inside a map key can never
@@ -31,19 +28,16 @@ import (
 // ±0.0 float children, conversely, intern to one node: Go map keys and
 // sym.Equal both consider +0.0 == -0.0.
 type Interner struct {
-	nextID atomic.Uint64
-
-	bins  sync.Map // binKey  -> *Binary
-	uns   sync.Map // unKey   -> *Unary
-	calls sync.Map // string  -> *Call
+	bins  map[binKey]*Binary
+	uns   map[unKey]*Unary
+	calls map[string]*Call
 	// symIDs assigns arena-local dense IDs to symbols for call-key tokens,
 	// so call keys never depend on Builder ID uniqueness across arenas.
-	symIDs    sync.Map // *Symbol -> uint64
-	nextSymID atomic.Uint64
+	symIDs map[*Symbol]uint64
 
-	hits   atomic.Int64
-	misses atomic.Int64
-	size   atomic.Int64
+	// misses counts fresh inserts; the arena never evicts, so it is also
+	// the table size and the last node ID handed out.
+	hits, misses int64
 }
 
 // binKey and unKey are comparable: children are canonical, so interface
@@ -67,7 +61,14 @@ type internTag struct {
 }
 
 // NewInterner returns an empty arena.
-func NewInterner() *Interner { return &Interner{} }
+func NewInterner() *Interner {
+	return &Interner{
+		bins:   make(map[binKey]*Binary),
+		uns:    make(map[unKey]*Unary),
+		calls:  make(map[string]*Call),
+		symIDs: make(map[*Symbol]uint64),
+	}
+}
 
 // Stats returns the cumulative table hits, misses (fresh inserts), and the
 // current table size (distinct canonical composites).
@@ -75,7 +76,7 @@ func (in *Interner) Stats() (hits, misses, size int64) {
 	if in == nil {
 		return 0, 0, 0
 	}
-	return in.hits.Load(), in.misses.Load(), in.size.Load()
+	return in.hits, in.misses, in.misses
 }
 
 // Intern returns the canonical representative of e in this arena,
@@ -193,17 +194,12 @@ func (in *Interner) binary(op Op, l, r Expr) (Expr, bool) {
 		return nil, false
 	}
 	k := binKey{op: op, l: l, r: r}
-	if got, ok := in.bins.Load(k); ok {
-		in.hits.Add(1)
-		return got.(*Binary), true
+	if got, ok := in.bins[k]; ok {
+		in.hits++
+		return got, true
 	}
-	n := &Binary{Op: op, L: l, R: r, tag: internTag{arena: in, id: in.nextID.Add(1)}}
-	if got, loaded := in.bins.LoadOrStore(k, n); loaded {
-		in.hits.Add(1)
-		return got.(*Binary), true
-	}
-	in.misses.Add(1)
-	in.size.Add(1)
+	n := &Binary{Op: op, L: l, R: r, tag: in.newTag()}
+	in.bins[k] = n
 	return n, true
 }
 
@@ -212,17 +208,12 @@ func (in *Interner) unary(op Op, x Expr) (Expr, bool) {
 		return nil, false
 	}
 	k := unKey{op: op, x: x}
-	if got, ok := in.uns.Load(k); ok {
-		in.hits.Add(1)
-		return got.(*Unary), true
+	if got, ok := in.uns[k]; ok {
+		in.hits++
+		return got, true
 	}
-	n := &Unary{Op: op, X: x, tag: internTag{arena: in, id: in.nextID.Add(1)}}
-	if got, loaded := in.uns.LoadOrStore(k, n); loaded {
-		in.hits.Add(1)
-		return got.(*Unary), true
-	}
-	in.misses.Add(1)
-	in.size.Add(1)
+	n := &Unary{Op: op, X: x, tag: in.newTag()}
+	in.uns[k] = n
 	return n, true
 }
 
@@ -248,18 +239,19 @@ func (in *Interner) call(name string, args []Expr) (Expr, bool) {
 		sb = append(sb, tok...)
 	}
 	k := string(sb)
-	if got, ok := in.calls.Load(k); ok {
-		in.hits.Add(1)
-		return got.(*Call), true
+	if got, ok := in.calls[k]; ok {
+		in.hits++
+		return got, true
 	}
-	n := &Call{Name: name, Args: args, tag: internTag{arena: in, id: in.nextID.Add(1)}}
-	if got, loaded := in.calls.LoadOrStore(k, n); loaded {
-		in.hits.Add(1)
-		return got.(*Call), true
-	}
-	in.misses.Add(1)
-	in.size.Add(1)
+	n := &Call{Name: name, Args: args, tag: in.newTag()}
+	in.calls[k] = n
 	return n, true
+}
+
+// newTag counts a fresh insert and returns its tag.
+func (in *Interner) newTag() internTag {
+	in.misses++
+	return internTag{arena: in, id: uint64(in.misses)}
 }
 
 func (in *Interner) childToken(e Expr) (string, bool) {
@@ -275,11 +267,12 @@ func (in *Interner) childToken(e Expr) (string, bool) {
 		}
 		return "f" + strconv.FormatUint(math.Float64bits(v.V), 16), true
 	case *Symbol:
-		id, ok := in.symIDs.Load(v)
+		id, ok := in.symIDs[v]
 		if !ok {
-			id, _ = in.symIDs.LoadOrStore(v, in.nextSymID.Add(1))
+			id = uint64(len(in.symIDs)) + 1
+			in.symIDs[v] = id
 		}
-		return "$" + strconv.FormatUint(id.(uint64), 10), true
+		return "$" + strconv.FormatUint(id, 10), true
 	case *Binary:
 		if v.tag.arena != in {
 			return "p" + strconv.FormatUint(uint64(reflect.ValueOf(v).Pointer()), 16), true

@@ -132,41 +132,6 @@ func TestInternFloatEdgeCases(t *testing.T) {
 	}
 }
 
-// TestInternSharedAcrossGoroutines hammers one arena from many goroutines
-// building the same expressions; every goroutine must converge on the same
-// canonical pointers. Run under -race by make check.
-func TestInternSharedAcrossGoroutines(t *testing.T) {
-	in := NewInterner()
-	b := newTestBuilder()
-	s := b.FreshSecret("s")
-	p := b.FreshPublic("p")
-
-	const goroutines = 8
-	results := make(chan Expr, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			var e Expr = s
-			for i := 0; i < 64; i++ {
-				e = in.NewBinary(OpAdd, e, in.NewBinary(OpMul, p, IntConst{V: int32(i)}))
-			}
-			results <- e
-		}()
-	}
-	first := <-results
-	for g := 1; g < goroutines; g++ {
-		if got := <-results; got != first {
-			t.Fatalf("goroutines diverged on canonical node: %p vs %p", got, first)
-		}
-	}
-	hits, misses, size := in.Stats()
-	if size == 0 || misses == 0 {
-		t.Fatalf("stats not tracking: hits=%d misses=%d size=%d", hits, misses, size)
-	}
-	if hits == 0 {
-		t.Fatalf("8 goroutines building identical chains must share nodes: hits=%d", hits)
-	}
-}
-
 // TestInternEqualFastPathAllocs pins the satellite fix: Equal must not
 // allocate its memo map when the answer is decidable at the root —
 // identical pointers, or two distinct canonical nodes of one arena.

@@ -78,7 +78,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 		// callee would have observed or leaked is unexplored, so the
 		// exploration is marked truncated — a no-findings run degrades to
 		// Inconclusive instead of claiming Secure.
-		e.warn(st, "inline depth exceeded at "+fn.Name+"; call skipped")
+		e.warn("inline depth exceeded at " + fn.Name + "; call skipped")
 		e.markTruncated(TruncInlineDepth)
 		return k(st, ctlFallthrough)
 	}
@@ -207,7 +207,7 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 					n = 1
 					st.store.Bind(e.elementOf(dst.R, summaryIndex),
 						mem.Scalar{E: e.builder.FreshEntropy(fmt.Sprintf("rand@%s[*]", v.Pos))})
-					e.warn(st, "sgx_read_rand with symbolic length summarized")
+					e.warn("sgx_read_rand with symbolic length summarized")
 				} else {
 					for i := 0; i < n; i++ {
 						st.store.Bind(e.shiftRegion(dst.R, i),
@@ -227,9 +227,7 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 	case "malloc":
 		pointee := e.builder.FreshPublic(fmt.Sprintf("heap@%s", v.Pos))
 		blk := e.mgr.SymBlock(pointee, pointee.Name, false)
-		e.mapMu.Lock()
 		e.rootDisplay[blk] = pointee.Name
-		e.mapMu.Unlock()
 		return mem.Loc{R: blk}, minic.Pointer{Elem: minic.Basic{Kind: minic.Int}}, nil
 	}
 
@@ -243,15 +241,13 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 			}
 		}
 		if e.opts.ConservativeExterns {
-			e.warn(st, "call to unmodeled function "+v.Fun+" treated as a fresh secret (conservative mode)")
+			e.warn("call to unmodeled function " + v.Fun + " treated as a fresh secret (conservative mode)")
 			name := v.Fun + "@" + v.Pos.String()
 			s := e.builder.FreshSecret(name)
-			e.mapMu.Lock()
 			e.res.SecretSymbols[name] = s
-			e.mapMu.Unlock()
 			return mem.Scalar{E: s}, intTy, nil
 		}
-		e.warn(st, "call to unmodeled function "+v.Fun+" returns an unconstrained public value")
+		e.warn("call to unmodeled function " + v.Fun + " returns an unconstrained public value")
 		return mem.Scalar{E: e.builder.FreshPublic(v.Fun + "@" + v.Pos.String())}, intTy, nil
 	}
 	return e.callUser(st, fn, v)
@@ -266,7 +262,7 @@ func (e *Engine) callUser(st *state, fn *ir.Func, v *minic.CallExpr) (mem.SVal, 
 		// The unconstrained stand-in hides whatever the callee computes or
 		// leaks: mark the exploration truncated so a clean run degrades to
 		// Inconclusive, never Secure.
-		e.warn(st, "inline depth exceeded at "+fn.Name+"; returning unconstrained value")
+		e.warn("inline depth exceeded at " + fn.Name + "; returning unconstrained value")
 		e.markTruncated(TruncInlineDepth)
 		return mem.Scalar{E: e.builder.FreshPublic(fn.Name + "@depth")}, fn.Return, nil
 	}
@@ -311,9 +307,10 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 	var firstEnd *state
 	var forked bool
 	paths := 0
-	// "First completed path" is only well-defined under depth-first order,
-	// so the callee's subtree is pinned to this worker.
-	st.seqLock++
+	// The "callee forks" note marks the call, so it goes where the call
+	// began: before anything the callee's paths warn.
+	at := len(e.res.Warnings)
+	st.inCallExpr++
 	err := e.execBlock(st, fn.Body, func(end *state, c ctl) error {
 		paths++
 		if paths == 1 {
@@ -332,21 +329,21 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 		return nil, nil, err
 	}
 	if forked {
-		e.warn(st, "callee "+fn.Name+" forks; call-expression result approximated by its first path")
+		e.warnAt(at, "callee "+fn.Name+" forks; call-expression result approximated by its first path")
 	}
 	// Adopt the first completed callee path's state — only after the whole
 	// callee exploration finished, because sibling forks inside the callee
 	// still reference st through their cloned continuations.
 	if firstEnd == nil {
 		// Every callee path was infeasible: unconstrained result.
-		st.seqLock--
+		st.inCallExpr--
 		st.frames = st.frames[:len(st.frames)-1]
 		return mem.Scalar{E: e.builder.FreshPublic(fn.Name + "@nopath")}, fn.Return, nil
 	}
 	if firstEnd != st {
 		*st = *firstEnd
 	}
-	st.seqLock--
+	st.inCallExpr--
 	// Pop the callee frame.
 	st.frames = st.frames[:len(st.frames)-1]
 	if retVal == nil {
@@ -376,19 +373,15 @@ func (e *Engine) evalDecrypt(st *state, v *minic.CallExpr, dstIdx int) (mem.SVal
 		}
 	}
 	root := mem.Root(dstLoc.R)
-	e.mapMu.Lock()
 	e.secretRoots[root] = true
-	e.mapMu.Unlock()
 	// Any elements already bound under the destination become fresh
 	// secrets too.
 	for _, sub := range st.store.SubRegionsOf(root) {
 		display := e.displayName(sub)
 		s := e.builder.FreshSecret(display)
 		st.store.Bind(sub, mem.Scalar{E: s})
-		e.mapMu.Lock()
 		e.res.SecretSymbols[display] = s
 		e.inputSyms[sub] = mem.Scalar{E: s}
-		e.mapMu.Unlock()
 	}
 	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 }
@@ -427,7 +420,7 @@ func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 			return nil, nil, err
 		}
 		st.store.Bind(e.elementOf(dst.R, summaryIndex), val)
-		e.warn(st, "memcpy with symbolic length summarized")
+		e.warn("memcpy with symbolic length summarized")
 		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 	}
 	for i := 0; i < n; i++ {
@@ -464,7 +457,7 @@ func (e *Engine) evalMemset(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 	n, concrete := concreteInt(scalarOf(nV))
 	if !concrete || n > 4096 {
 		st.store.Bind(e.elementOf(dst.R, summaryIndex), fillV)
-		e.warn(st, "memset with symbolic length summarized")
+		e.warn("memset with symbolic length summarized")
 		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
 	}
 	for i := 0; i < n; i++ {

@@ -64,17 +64,11 @@ func (c Coverage) Partial() bool { return c.Truncated }
 // never escapes the engine.
 var errStopExploration = errors.New("symexec: exploration stopped")
 
-// stop records the first truncation reason and returns the unwind sentinel.
-// The stop flag makes every path worker's next step() observe the
-// truncation, so parallel exploration halts promptly instead of each worker
-// discovering the budget independently.
+// stop records the first truncation reason and returns the unwind sentinel;
+// every later step() then returns the sentinel too.
 func (e *Engine) stop(reason TruncReason) error {
-	e.truncMu.Lock()
-	if e.trunc == TruncNone {
-		e.trunc = reason
-	}
-	e.truncMu.Unlock()
-	e.stopFlag.Store(true)
+	e.markTruncated(reason)
+	e.stopped = true
 	return errStopExploration
 }
 
@@ -82,9 +76,7 @@ func (e *Engine) stop(reason TruncReason) error {
 // for degradations that under-approximate a path (skipped calls) rather
 // than cutting the path space. First reason wins, same as stop.
 func (e *Engine) markTruncated(reason TruncReason) {
-	e.truncMu.Lock()
 	if e.trunc == TruncNone {
 		e.trunc = reason
 	}
-	e.truncMu.Unlock()
 }

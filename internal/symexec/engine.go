@@ -1,14 +1,11 @@
 package symexec
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"privacyscope/internal/ir"
 	"privacyscope/internal/mem"
@@ -30,10 +27,10 @@ var (
 const ctxCheckInterval = 32
 
 // Engine symbolically executes analysis-IR functions (lowered from MiniC or
-// PRIML — see internal/ir). Create one per analysis run. A single run may
-// explore paths on several worker goroutines when Options.PathWorkers > 1;
-// the engine's shared structures are synchronized internally, but the
-// Engine itself must not be shared across concurrent AnalyzeFunction calls.
+// PRIML — see internal/ir). Create one per analysis run: a run explores its
+// paths depth-first on the calling goroutine, and the engine (with its
+// arena, region manager, builder and solver) must not be shared across
+// goroutines.
 type Engine struct {
 	prog    *ir.Program
 	opts    Options
@@ -59,10 +56,6 @@ type Engine struct {
 	// outRoots maps [out]-parameter roots to parameter names. Written only
 	// while binding entry parameters, read-only during exploration.
 	outRoots map[mem.Region]string
-	// mapMu guards inputSyms, secretRoots, rootDisplay and
-	// res.SecretSymbols against concurrent path workers. Lock order:
-	// resMu before mapMu, never the reverse.
-	mapMu sync.Mutex
 
 	frameSeq int64
 	steps    int64
@@ -78,22 +71,15 @@ type Engine struct {
 	env       *mem.Env
 	obs       obs.Observer
 
-	// resMu guards res.Paths, the warning log and the path budget.
-	resMu    sync.Mutex
-	warns    []warnEntry
-	warnIdx  map[string]int
-	warnSeq  int64
-	truncMu  sync.Mutex
-	stopFlag atomic.Bool
-
-	// sem is the path-worker token pool (capacity PathWorkers-1); nil when
-	// exploration is sequential.
-	sem chan struct{}
+	// warned holds the messages already in res.Warnings (see warn).
+	warned map[string]bool
 
 	// ctx is the run's cancellation context; trunc records why the
-	// exploration stopped early (TruncNone while it is still exhaustive).
-	ctx   context.Context
-	trunc TruncReason
+	// exploration stopped early (TruncNone while it is still exhaustive),
+	// and stopped is set once a budget, deadline or cancellation ends it.
+	ctx     context.Context
+	trunc   TruncReason
+	stopped bool
 }
 
 // New returns an engine over the MiniC file, lowering it to the analysis IR
@@ -121,7 +107,6 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 		secretRoots: make(map[mem.Region]bool),
 		rootDisplay: make(map[mem.Region]string),
 		outRoots:    make(map[mem.Region]string),
-		warnIdx:     make(map[string]int),
 		env:         mem.NewEnv(),
 		obs:         o,
 	}
@@ -156,10 +141,10 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 		Builder:       e.builder,
 		SecretSymbols: make(map[string]*sym.Symbol),
 	}
+	e.warned = make(map[string]bool)
 	if e.opts.TrackTrace {
 		e.res.Trace = NewTrace()
 	}
-	e.setupWorkers(name)
 
 	st := &state{
 		pc:    solver.True(),
@@ -198,13 +183,6 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	if err != nil && !errors.Is(err, errStopExploration) {
 		return nil, err
 	}
-	// Deterministic result order regardless of worker interleaving: paths
-	// and warnings sort by their fork-choice keys, which reproduces the
-	// sequential depth-first order exactly.
-	sort.SliceStable(e.res.Paths, func(i, j int) bool {
-		return bytes.Compare(e.res.Paths[i].key, e.res.Paths[j].key) < 0
-	})
-	e.finishWarnings()
 	if e.trunc != TruncNone {
 		msg := "exploration truncated: " + string(e.trunc)
 		e.res.Warnings = append(e.res.Warnings, msg)
@@ -216,21 +194,21 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 			incomplete++
 		}
 	}
-	e.res.States = int(atomic.LoadInt64(&e.states))
+	e.res.States = int(e.states)
 	e.res.Coverage = Coverage{
 		CompletedPaths:  len(e.res.Paths),
 		IncompletePaths: incomplete,
-		PrunedPaths:     int(atomic.LoadInt64(&e.pruned)),
-		StepsUsed:       int(atomic.LoadInt64(&e.steps)),
+		PrunedPaths:     int(e.pruned),
+		StepsUsed:       int(e.steps),
 		Truncated:       e.trunc != TruncNone,
 		Reason:          e.trunc,
 	}
-	e.res.Regions = e.mgr.RegionCount() + int(atomic.LoadInt64(&e.regionPad))
+	e.res.Regions = e.mgr.RegionCount() + int(e.regionPad)
 	if e.res.Trace != nil {
 		e.res.TraceTruncated = e.res.Trace.Dropped()
 	}
 	if e.summariesActive() {
-		e.obs.Add("summary.steps.executed", atomic.LoadInt64(&e.steps)-atomic.LoadInt64(&e.replayedSteps))
+		e.obs.Add("summary.steps.executed", e.steps-e.replayedSteps)
 	}
 	// Flush arena deltas so a (hypothetical) second AnalyzeFunction on the
 	// same engine never double-counts.
@@ -245,35 +223,6 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 		obs.F("states", fmt.Sprint(e.res.States)),
 		obs.F("truncated", string(e.trunc)))
 	return e.res, nil
-}
-
-// setupWorkers decides the effective path-worker count for this entry point
-// and allocates the token pool. Parallel exploration is declined when a
-// feature needs strict sequential path order: Table-IV trace recording,
-// front-end note hooks (the PRIML adapter's hm protocol is cross-path
-// order-dependent), and decrypt intrinsics (they re-symbolize shared
-// secret-root state mid-path).
-func (e *Engine) setupWorkers(entry string) {
-	workers := e.opts.PathWorkers
-	if workers <= 1 {
-		return
-	}
-	if e.opts.TrackTrace || e.opts.NoteHook != nil {
-		return
-	}
-	reach := e.prog.ReachableCalls(entry)
-	names := make([]string, 0, len(reach))
-	for n := range reach {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, isDecrypt := e.opts.DecryptFuncs[n]; isDecrypt {
-			e.warn(nil, "path workers disabled: decrypt intrinsic "+n+" re-symbolizes shared memory")
-			return
-		}
-	}
-	e.sem = make(chan struct{}, workers-1)
 }
 
 // bindParam sets up one entry parameter per its EDL class.
@@ -311,9 +260,7 @@ func (e *Engine) bindParam(st *state, fr *sframe, p *minic.VarDecl, cls ParamCla
 
 // completePath records one finished path's observable outcome.
 func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
-	e.resMu.Lock()
 	if len(e.res.Paths) >= e.opts.maxPaths() {
-		e.resMu.Unlock()
 		e.obs.Add("symexec.truncations.max_paths", 1)
 		return e.stop(TruncPathBudget)
 	}
@@ -333,7 +280,6 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 		Inits:          st.inits,
 		SecretBranches: st.branches,
 		SecretAccesses: st.accesses,
-		key:            st.key,
 	}
 	isOut := func(root mem.Region) bool {
 		_, ok := e.outRoots[root]
@@ -352,7 +298,6 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 		})
 	}
 	e.res.Paths = append(e.res.Paths, pr)
-	e.resMu.Unlock()
 	e.snapshot(st, "path end")
 	return nil
 }
@@ -373,21 +318,16 @@ type state struct {
 	evSeq    int
 	// cost counts executed statements (the abstract time model).
 	cost int
-	// key is the fork-choice sequence that reached this state (two
-	// big-endian bytes per fork). Lexicographic order over keys equals the
-	// sequential depth-first exploration order, which is what makes
-	// parallel results deterministically sortable.
-	key []byte
-	// seqLock > 0 pins this state's subtree to the requesting worker
-	// (inlineCall's first-path adoption is order-dependent).
-	seqLock int
+	// inCallExpr > 0 while the state runs the body of an expression-position
+	// call: inlineCall restores the state after exploring the callee, so
+	// fork must not hand the state itself to an arm.
+	inCallExpr int
 }
 
 // clone forks the state. The store and the frames' scope maps are shared
 // copy-on-write; the event logs are shared with their capacity clipped, so
 // an append by either state reallocates instead of writing into the other's
-// backing array (logged events are never modified in place). key is
-// replaced, never appended to, at every fork (childKey).
+// backing array (logged events are never modified in place).
 func (st *state) clone() *state {
 	frames := make([]*sframe, len(st.frames))
 	for i, f := range st.frames {
@@ -404,22 +344,21 @@ func (st *state) clone() *state {
 		accesses:   st.accesses[:len(st.accesses):len(st.accesses)],
 		evSeq:      st.evSeq,
 		cost:       st.cost,
-		key:        st.key,
-		seqLock:    st.seqLock,
+		inCallExpr: st.inCallExpr,
 	}
 }
 
 // fork returns the states for the arms of a fork, each with its path
 // condition extended by its own conjunct. All arms but the last are clones;
 // the last takes over st itself, which no one reads once the fork has
-// handed out its arms — except inside inlineCall's pinned subtree
-// (seqLock > 0), which may restore st after exploring the callee, so there
-// every arm is a clone.
+// handed out its arms — except inside an expression-position call
+// (inCallExpr > 0), where inlineCall restores st after exploring the
+// callee, so there every arm is a clone.
 func (st *state) fork(conds ...sym.Expr) []*state {
 	arms := make([]*state, len(conds))
 	for i, c := range conds {
 		arm := st
-		if i < len(conds)-1 || st.seqLock > 0 {
+		if i < len(conds)-1 || st.inCallExpr > 0 {
 			arm = st.clone()
 		}
 		arm.pc = arm.pc.And(c)
@@ -486,7 +425,8 @@ func (f *sframe) lookup(name string) (varBind, bool) {
 }
 
 func (e *Engine) pushFrame(st *state, fn *ir.Func) *sframe {
-	fr := &sframe{fn: fn, id: int(atomic.AddInt64(&e.frameSeq, 1))}
+	e.frameSeq++
+	fr := &sframe{fn: fn, id: int(e.frameSeq)}
 	fr.push()
 	st.frames = append(st.frames, fr)
 	return fr
@@ -513,16 +453,16 @@ var ctlFallthrough = ctl{}
 type cont func(*state, ctl) error
 
 func (e *Engine) step() error {
-	if e.stopFlag.Load() {
+	if e.stopped {
 		return errStopExploration
 	}
-	n := atomic.AddInt64(&e.steps, 1)
+	e.steps++
 	e.obs.Add("symexec.steps", 1)
-	if int(n) > e.opts.maxSteps() {
+	if int(e.steps) > e.opts.maxSteps() {
 		e.obs.Add("symexec.truncations.max_steps", 1)
 		return e.stop(TruncStepBudget)
 	}
-	if n%ctxCheckInterval == 0 {
+	if e.steps%ctxCheckInterval == 0 {
 		if err := e.ctx.Err(); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				e.obs.Add("symexec.truncations.deadline", 1)
@@ -579,9 +519,7 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 			reg := e.mgr.Var(d.Name+"#"+strconv.Itoa(st.frame().id), st.frame().id)
 			st.frame().declare(d.Name, reg, d.Type)
 			e.bindEnv(d.Name, reg)
-			e.mapMu.Lock()
 			e.rootDisplay[reg] = d.Name
-			e.mapMu.Unlock()
 			if d.Init != nil {
 				val, _, err := e.eval(st, d.Init)
 				if err != nil {
@@ -659,113 +597,6 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 	return fmt.Errorf("symexec: unknown op %T", op)
 }
 
-// branchCase is one arm of a fork: a pre-cloned state (path condition
-// already extended) and the work to run on it.
-type branchCase struct {
-	st  *state
-	run func(*state) error
-}
-
-// childKey extends a fork-choice key by one choice (two big-endian bytes).
-func childKey(parent []byte, choice int) []byte {
-	k := make([]byte, len(parent)+2)
-	copy(k, parent)
-	k[len(parent)] = byte(choice >> 8)
-	k[len(parent)+1] = byte(choice)
-	return k
-}
-
-// runBranches explores the arms of a fork. Sequentially it preserves the
-// engine's historical depth-first order exactly. With a worker pool, arms
-// past the first are offloaded to free workers (non-blocking token
-// acquisition — a full pool degrades to inline execution, so the pool can
-// never deadlock); the first arm always runs on the requesting worker.
-// Worker panics are captured and re-raised on the requesting goroutine
-// after all arms join, so a panicking path degrades the whole analysis to
-// the facade's ErrorReport instead of killing the process or leaking
-// goroutines.
-func (e *Engine) runBranches(parent *state, branches []branchCase) error {
-	for i := range branches {
-		branches[i].st.key = childKey(parent.key, i)
-	}
-	if e.sem == nil || parent.seqLock > 0 {
-		for _, b := range branches {
-			if err := b.run(b.st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	n := len(branches)
-	errs := make([]error, n)
-	pans := make([]any, n)
-	inline := make([]bool, n)
-	inline[0] = true
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		select {
-		case e.sem <- struct{}{}:
-		default:
-			inline[i] = true
-			continue
-		}
-		wg.Add(1)
-		e.obs.Add("symexec.workers.spawned", 1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-e.sem }()
-			// One span per offloaded subtree (never per statement), so a
-			// trace shows where the pool actually ran work. It starts here
-			// and ends on this worker goroutine — the cross-goroutine case
-			// the Tracer's handle-carried parent links exist for.
-			sp := e.obs.StartSpan("symexec/worker")
-			sp.Annotate(obs.F("branch", fmt.Sprint(i)))
-			defer sp.End()
-			defer func() {
-				if p := recover(); p != nil {
-					pans[i] = p
-					e.obs.Add("symexec.workers.panics", 1)
-				}
-			}()
-			errs[i] = branches[i].run(branches[i].st)
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		if !inline[i] {
-			continue
-		}
-		e.obs.Add("symexec.workers.inline", 1)
-		func(i int) {
-			defer func() {
-				if p := recover(); p != nil {
-					pans[i] = p
-					e.obs.Add("symexec.workers.panics", 1)
-				}
-			}()
-			errs[i] = branches[i].run(branches[i].st)
-		}(i)
-	}
-	wg.Wait()
-	for _, p := range pans {
-		if p != nil {
-			panic(p)
-		}
-	}
-	// Prefer a real semantic error (lowest branch index) over the
-	// truncation sentinel so failures surface deterministically.
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, errStopExploration) {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // noteBranch records a fork on a secret-tainted condition on the parent
 // state, *before* cloning, so both successors carry the event: the branch
 // outcome is observable in the access trace whichever way it goes. Gated on
@@ -807,7 +638,10 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 	if v.FaintJoin {
 		ends = new([2]*state)
 	}
-	arm := func(i int, body ir.Op) func(*state) error {
+	arm := func(i int, s *state, body ir.Op) error {
+		if !e.feasible(s.pc) {
+			return nil
+		}
 		next := k
 		if ends != nil {
 			next = func(end *state, _ ctl) error {
@@ -815,22 +649,16 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 				return nil
 			}
 		}
-		return func(s *state) error {
-			if !e.feasible(s.pc) {
-				return nil
-			}
-			if body == nil {
-				return next(s, ctlFallthrough)
-			}
-			return e.exec(s, body, next)
+		if body == nil {
+			return next(s, ctlFallthrough)
 		}
+		return e.exec(s, body, next)
 	}
 	arms := st.fork(cond, e.itn.Negate(cond))
-	err = e.runBranches(st, []branchCase{
-		{st: arms[0], run: arm(0, v.Then)},
-		{st: arms[1], run: arm(1, v.Else)},
-	})
-	if err != nil || ends == nil {
+	if err := arm(0, arms[0], v.Then); err != nil {
+		return err
+	}
+	if err := arm(1, arms[1], v.Else); err != nil || ends == nil {
 		return err
 	}
 	// Both arms ran: they differ only in faint locals and cost the same, so
@@ -856,7 +684,7 @@ func (e *Engine) feasible(pc *solver.PathCondition) bool {
 	}
 	ok := e.sv.Feasible(pc)
 	if !ok {
-		atomic.AddInt64(&e.pruned, 1)
+		e.pruned++
 		e.obs.Add("symexec.paths.pruned", 1)
 	}
 	return ok
@@ -893,7 +721,7 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 			if remaining <= 0 {
 				cur.incomplete = true
 				e.obs.Add("symexec.loop.bound_hits", 1)
-				e.warn(cur, "infinite loop cut at bound")
+				e.warn("infinite loop cut at bound")
 				return k(cur, ctlFallthrough)
 			}
 			return e.exec(cur, body, func(next *state, c ctl) error {
@@ -919,80 +747,47 @@ func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.
 			cur.incomplete = true
 			cur.pc = cur.pc.And(e.itn.Negate(truth))
 			e.obs.Add("symexec.loop.bound_hits", 1)
-			e.warn(cur, "symbolic loop cut at bound "+fmt.Sprint(e.opts.loopBound()))
+			e.warn("symbolic loop cut at bound " + fmt.Sprint(e.opts.loopBound()))
 			return k(cur, ctlFallthrough)
 		}
 		e.noteBranch(cur, pos, truth)
 		e.obs.Add("symexec.forks", 1)
 		arms := cur.fork(truth, e.itn.Negate(truth))
-		return e.runBranches(cur, []branchCase{
-			{st: arms[0], run: func(s *state) error {
-				if !e.feasible(s.pc) {
-					return nil
-				}
-				return e.exec(s, body, func(next *state, cc ctl) error {
-					return afterBody(next, cc, remaining-1)
-				})
-			}},
-			{st: arms[1], run: func(s *state) error {
-				if !e.feasible(s.pc) {
-					return nil
-				}
-				return k(s, ctlFallthrough)
-			}},
-		})
+		if e.feasible(arms[0].pc) {
+			err := e.exec(arms[0], body, func(next *state, cc ctl) error {
+				return afterBody(next, cc, remaining-1)
+			})
+			if err != nil {
+				return err
+			}
+		}
+		if !e.feasible(arms[1].pc) {
+			return nil
+		}
+		return k(arms[1], ctlFallthrough)
 	}
 	return iter(st, e.opts.loopBound())
 }
 
-// warnEntry is one deduplicated warning with the fork-choice key and global
-// sequence of its first (depth-first-least) emission, for deterministic
-// ordering under parallel exploration.
-type warnEntry struct {
-	key   []byte
-	order int64
-	msg   string
+// warn records a soft diagnostic in Result.Warnings, once per message, in
+// first-emission order.
+func (e *Engine) warn(msg string) {
+	if e.warned[msg] {
+		return
+	}
+	e.warned[msg] = true
+	e.res.Warnings = append(e.res.Warnings, msg)
+	e.obs.Event("symexec.warning", obs.F("msg", msg))
 }
 
-// warn records a soft diagnostic. st may be nil for engine-level warnings
-// emitted outside any path.
-func (e *Engine) warn(st *state, msg string) {
-	var key []byte
-	if st != nil {
-		key = st.key
-	}
-	e.resMu.Lock()
-	if i, ok := e.warnIdx[msg]; ok {
-		w := &e.warns[i]
-		if bytes.Compare(key, w.key) < 0 {
-			w.key = append([]byte(nil), key...)
-			w.order = e.warnSeq
-		}
-	} else {
-		e.warnIdx[msg] = len(e.warns)
-		e.warns = append(e.warns, warnEntry{
-			key:   append([]byte(nil), key...),
-			order: e.warnSeq,
-			msg:   msg,
-		})
-		e.obs.Event("symexec.warning", obs.F("msg", msg))
-	}
-	e.warnSeq++
-	e.resMu.Unlock()
-}
-
-// finishWarnings materializes Result.Warnings in deterministic order: by
-// fork-choice key, then by emission sequence — which is exactly the
-// sequential emission order when exploration ran on one worker.
-func (e *Engine) finishWarnings() {
-	sort.SliceStable(e.warns, func(i, j int) bool {
-		if c := bytes.Compare(e.warns[i].key, e.warns[j].key); c != 0 {
-			return c < 0
-		}
-		return e.warns[i].order < e.warns[j].order
-	})
-	for _, w := range e.warns {
-		e.res.Warnings = append(e.res.Warnings, w.msg)
+// warnAt records msg like warn, but at index at of Result.Warnings, moving
+// a copy logged past at back to it.
+func (e *Engine) warnAt(at int, msg string) {
+	e.warn(msg)
+	w := e.res.Warnings
+	if i := slices.Index(w, msg); i > at {
+		copy(w[at+1:i+1], w[at:i])
+		w[at] = msg
 	}
 }
 
@@ -1116,8 +911,14 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 	// Symbolic tag: fork per case.
 	e.noteBranch(st, v.Position(), tag)
 	e.obs.Add("symexec.forks", 1)
+	// Every arm's state and path condition is built before any arm runs;
+	// entry is the first case an arm runs, or -1 to fall past the switch.
+	type arm struct {
+		st    *state
+		entry int
+	}
 	var excluded []sym.Expr
-	var branches []branchCase
+	var arms []arm
 	for i, c := range v.Cases {
 		if c.IsDefault {
 			continue
@@ -1128,13 +929,7 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 		for _, ex := range excluded {
 			branch.pc = branch.pc.And(e.itn.Negate(ex))
 		}
-		entry := i
-		branches = append(branches, branchCase{st: branch, run: func(s *state) error {
-			if !e.feasible(s.pc) {
-				return nil
-			}
-			return runFrom(s, entry, k)
-		}})
+		arms = append(arms, arm{st: branch, entry: i})
 		excluded = append(excluded, match)
 	}
 	// No-match state: default case, or fall past the switch.
@@ -1142,14 +937,20 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 	for _, ex := range excluded {
 		rest.pc = rest.pc.And(e.itn.Negate(ex))
 	}
-	branches = append(branches, branchCase{st: rest, run: func(s *state) error {
-		if !e.feasible(s.pc) {
-			return nil
+	arms = append(arms, arm{st: rest, entry: defaultIdx})
+	for _, a := range arms {
+		if !e.feasible(a.st.pc) {
+			continue
 		}
-		if defaultIdx >= 0 {
-			return runFrom(s, defaultIdx, k)
+		var err error
+		if a.entry >= 0 {
+			err = runFrom(a.st, a.entry, k)
+		} else {
+			err = k(a.st, ctlFallthrough)
 		}
-		return k(s, ctlFallthrough)
-	}})
-	return e.runBranches(st, branches)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -198,9 +198,7 @@ func (e *Engine) lplace(st *state, x minic.Expr) (mem.Region, minic.Type, error)
 		if !ok {
 			if g := e.globalDecl(v.Name); g != nil {
 				reg := e.mgr.Var("::"+g.Name, 0)
-				e.mapMu.Lock()
 				e.rootDisplay[reg] = g.Name
-				e.mapMu.Unlock()
 				return reg, g.Type, nil
 			}
 			return nil, nil, &minic.Error{Pos: v.Pos, Msg: "undeclared identifier " + v.Name}
@@ -251,7 +249,7 @@ func (e *Engine) indexPlace(st *state, v *minic.IndexExpr) (mem.Region, minic.Ty
 	idx, concrete := concreteInt(scalarOf(idxVal))
 	if !concrete {
 		idx = summaryIndex
-		e.warn(st, "symbolic array index summarized")
+		e.warn("symbolic array index summarized")
 	}
 
 	// Array lvalue base: subscript within the same object.
@@ -368,23 +366,20 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	if e.opts.ZeroDefaultVars {
 		return mem.Scalar{E: sym.IntConst{V: 0}}, nil
 	}
-	e.mapMu.Lock()
 	if v, ok := e.inputSyms[reg]; ok {
-		e.mapMu.Unlock()
 		st.store.Bind(reg, v)
 		return v, nil
 	}
 	root := mem.Root(reg)
 	_, isSymBlock := root.(*mem.SymRegion)
 	secret := e.secretRoots[root]
-	display := e.displayNameLocked(reg)
+	display := e.displayName(reg)
 
 	// [out]-only buffers enter the enclave zeroed (the marshalling proxy
 	// never copies host memory in), so reads of unwritten cells yield 0.
 	if _, isOut := e.outRoots[root]; isOut && !secret {
 		val := mem.SVal(mem.Scalar{E: sym.IntConst{V: 0}})
 		e.inputSyms[reg] = val
-		e.mapMu.Unlock()
 		st.store.Bind(reg, val)
 		return val, nil
 	}
@@ -409,28 +404,21 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 		val = mem.Scalar{E: e.builder.FreshPublic(display)}
 	}
 	e.inputSyms[reg] = val
-	e.mapMu.Unlock()
 	st.store.Bind(reg, val)
 	return val, nil
 }
 
 // displayName renders a region in source notation (secrets[0], model.bias).
 func (e *Engine) displayName(reg mem.Region) string {
-	e.mapMu.Lock()
-	defer e.mapMu.Unlock()
-	return e.displayNameLocked(reg)
-}
-
-func (e *Engine) displayNameLocked(reg mem.Region) string {
 	switch v := reg.(type) {
 	case *mem.ElementRegion:
 		idx := "*"
 		if v.Index != summaryIndex {
 			idx = strconv.Itoa(v.Index)
 		}
-		return e.displayNameLocked(v.Super()) + "[" + idx + "]"
+		return e.displayName(v.Super()) + "[" + idx + "]"
 	case *mem.FieldRegion:
-		return e.displayNameLocked(v.Super()) + "." + v.Field
+		return e.displayName(v.Super()) + "." + v.Field
 	default:
 		if d, ok := e.rootDisplay[reg]; ok {
 			return d

@@ -94,15 +94,7 @@ type Options struct {
 	// NoteHook receives ir.NoteOp payloads with a read-only view of the
 	// current state. Notes execute at zero cost (no step, no snapshot);
 	// the PRIML adapter uses them to emit Table II/III trace rows.
-	// Setting a NoteHook forces sequential exploration.
 	NoteHook func(view StateView, data any)
-	// PathWorkers sets the number of goroutines exploring the path
-	// frontier of one entry point. Values <= 1 mean sequential
-	// exploration. Findings and result ordering are deterministic and
-	// identical to the sequential order; features that depend on strict
-	// sequential path order (TrackTrace, NoteHook, decrypt intrinsics)
-	// force workers back to 1 for that entry point.
-	PathWorkers int
 	// ZeroDefaultVars makes reads of never-written scalar variables
 	// evaluate to the integer 0 instead of conjuring fresh symbolic
 	// inputs, without binding the zero into the store (PRIML's
@@ -282,9 +274,6 @@ type PathResult struct {
 	// SecretAccesses lists memory accesses through secret-tainted indices
 	// (only when Options.RecordSecretAccess).
 	SecretAccesses []AccessEvent
-	// key is the fork-choice sequence that produced this path; results
-	// sort by it so parallel exploration reproduces the sequential order.
-	key []byte
 }
 
 // Result aggregates the exploration of one entry function.

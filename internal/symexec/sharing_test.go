@@ -97,65 +97,11 @@ int enclave_shadow(char *secrets, char *output)
 	}
 }
 
-// reuseSrc exercises every fork shape whose last arm takes over the parent
-// state — if/else, a symbolic-bound loop, declarations into scopes shared
-// at the fork, OCALLs and [out] writes after forks — plus an
-// expression-position call whose forks must keep cloning.
-const reuseSrc = `
-int pick(int v)
-{
-    if (v > 3)
-        return v - 3;
-    return v;
-}
-
-int enclave_reuse(char *secrets, char *output)
-{
-    int acc = 0;
-    int i;
-    for (i = 0; i < secrets[0]; i = i + 1) {
-        int t = i * 2;
-        acc = acc + t;
-    }
-    if (secrets[1] > 0) {
-        int u = acc + 1;
-        output[3] = u;
-        ocall_print(u);
-    } else {
-        output[1] = acc;
-    }
-    int w = pick(secrets[2]) + acc;
-    output[10] = w;
-    if (w > 5) output[2] = 1; else ocall_print(w);
-    return acc;
-}
-`
-
-// TestPathWorkersParentReuse checks that handing the parent state to the
-// last arm of each fork keeps parallel exploration byte-identical to
-// sequential exploration.
-func TestPathWorkersParentReuse(t *testing.T) {
-	base := DefaultOptions()
-	base.LoopBound = 3
-	seq := analyzeSrc(t, reuseSrc, "enclave_reuse", listing1Params(), base)
-	if len(seq.Paths) != 14 {
-		t.Fatalf("sequential paths = %d, want 14", len(seq.Paths))
-	}
-	want := canonicalize(seq)
-	opts := base
-	opts.PathWorkers = 4
-	for run := 0; run < 5; run++ {
-		if got := canonicalize(analyzeSrc(t, reuseSrc, "enclave_reuse", listing1Params(), opts)); got != want {
-			t.Fatalf("workers=4 diverges from sequential:\n--- sequential ---\n%s--- workers=4 ---\n%s", want, got)
-		}
-	}
-}
-
 // TestInlineCallForksCloneEveryArm pins the exception to parent reuse: the
 // forks inside an expression-position call clone every arm, because
 // inlineCall keeps using the caller's state after exploring the callee. Its
-// "callee forks" warning is keyed by that state's fork-choice key, so it
-// must sort before the warning raised inside the callee's first arm.
+// "callee forks" warning marks the call, so it must come before the warning
+// raised inside the callee's first arm.
 func TestInlineCallForksCloneEveryArm(t *testing.T) {
 	src := `
 int helper(int v)

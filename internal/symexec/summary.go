@@ -3,7 +3,6 @@ package symexec
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"privacyscope/internal/ir"
 	"privacyscope/internal/mem"
@@ -381,7 +380,6 @@ func (b *tableBuilder) scratchRun(fn *ir.Func, s *Summary) *Summary {
 	sopts.Obs = nil // scratch telemetry must not pollute the run's counters
 	sopts.TrackTrace = false
 	sopts.NoteHook = nil
-	sopts.PathWorkers = 0
 	sopts.MaxPaths = 2 // one is expected; two detects a fork cheaply
 	sopts.MaxSteps = scratchStepBound
 	// Pure callees are already in the table: the run replays them instead
@@ -393,7 +391,7 @@ func (b *tableBuilder) scratchRun(fn *ir.Func, s *Summary) *Summary {
 	if err != nil {
 		return inline("scratch run failed: " + err.Error())
 	}
-	b.ob.Add("summary.steps.executed", int64(res.Coverage.StepsUsed)-atomic.LoadInt64(&eng.replayedSteps))
+	b.ob.Add("summary.steps.executed", int64(res.Coverage.StepsUsed)-eng.replayedSteps)
 	if res.Coverage.Truncated {
 		return inline("scratch run truncated: " + string(res.Coverage.Reason))
 	}
@@ -457,7 +455,7 @@ func (b *tableBuilder) scratchRun(fn *ir.Func, s *Summary) *Summary {
 // summariesActive reports whether this engine resolves calls through the
 // summary table. Trace recording and note hooks observe per-statement
 // execution of callee bodies, which summary application elides, so both
-// force inlining (mirroring setupWorkers' sequential-order rules).
+// force inlining.
 func (e *Engine) summariesActive() bool {
 	return e.opts.SummaryTable != nil && !e.opts.TrackTrace && e.opts.NoteHook == nil
 }
@@ -499,7 +497,7 @@ func (e *Engine) applyPure(st *state, fn *ir.Func, sum *Summary, args []mem.SVal
 		}
 		argExprs[i] = sc.E
 	}
-	if e.stopFlag.Load() {
+	if e.stopped {
 		// A stopped exploration must unwind through the normal step path.
 		return nil, false
 	}
@@ -507,22 +505,20 @@ func (e *Engine) applyPure(st *state, fn *ir.Func, sum *Summary, args []mem.SVal
 	// one and truncate mid-body when MaxSteps lands inside the callee. Take
 	// the whole step block only if it fits; otherwise roll back and inline,
 	// which reproduces the truncation at the identical step.
-	newSteps := atomic.AddInt64(&e.steps, sum.Steps)
-	if int(newSteps) > e.opts.maxSteps() {
-		atomic.AddInt64(&e.steps, -sum.Steps)
+	if int(e.steps+sum.Steps) > e.opts.maxSteps() {
 		return nil, false
 	}
 	ret, err := sum.Skeleton.InstantiateIn(e.itn, argExprs)
 	if err != nil {
-		atomic.AddInt64(&e.steps, -sum.Steps)
 		return nil, false
 	}
+	e.steps += sum.Steps
 	e.obs.Add("symexec.steps", sum.Steps)
-	atomic.AddInt64(&e.replayedSteps, sum.Steps)
+	e.replayedSteps += sum.Steps
 	st.cost += int(sum.Cost)
-	atomic.AddInt64(&e.states, sum.States)
+	e.states += sum.States
 	e.obs.Add("symexec.states", sum.States)
-	atomic.AddInt64(&e.regionPad, sum.Regions)
+	e.regionPad += sum.Regions
 	e.obs.Add("summary.applied", 1)
 	return mem.Scalar{E: ret}, true
 }

@@ -3,7 +3,6 @@ package symexec
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"privacyscope/internal/mem"
 	"privacyscope/internal/minic"
@@ -89,11 +88,9 @@ func (e *Engine) bindEnvExpr(x minic.Expr, r mem.Region) {
 
 // snapshot records the current state if tracing is on; it always counts the
 // state for the Table IV state metric. Rows past TraceCap are counted as
-// dropped rather than silently discarded. Trace recording itself only runs
-// under sequential exploration (TrackTrace disables path workers), so the
-// row append needs no lock; the state counter is shared and atomic.
+// dropped rather than silently discarded.
 func (e *Engine) snapshot(st *state, stmt string) {
-	atomic.AddInt64(&e.states, 1)
+	e.states++
 	e.obs.Add("symexec.states", 1)
 	if e.res.Trace == nil {
 		return

@@ -16,7 +16,6 @@ package taint
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"privacyscope/internal/obs"
 )
@@ -161,25 +160,19 @@ func FromTags(tags []Tag) Label {
 }
 
 // Allocator hands out fresh source tags, one per get_secret / [in]
-// parameter / decrypt-intrinsic result. The zero value is ready to use,
-// and allocation is safe for concurrent use by parallel path workers.
+// parameter / decrypt-intrinsic result. The zero value is ready to use.
 type Allocator struct {
-	mu   sync.Mutex
 	next Tag
 }
 
 // Fresh returns the next unused tag (t1, t2, …).
 func (a *Allocator) Fresh() Tag {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.next++
 	return a.next
 }
 
 // Count returns how many tags have been allocated so far.
 func (a *Allocator) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return int(a.next)
 }
 

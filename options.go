@@ -19,7 +19,6 @@ type AnalysisOptions struct {
 	MaxPaths            int      `json:"maxPaths,omitempty"`
 	MaxSteps            int      `json:"maxSteps,omitempty"`
 	DeadlineMs          int      `json:"deadlineMs,omitempty"`
-	PathWorkers         int      `json:"pathWorkers,omitempty"`
 	NoWitness           bool     `json:"noWitness,omitempty"`
 	NoImplicit          bool     `json:"noImplicit,omitempty"`
 	Timing              bool     `json:"timing,omitempty"`
@@ -48,9 +47,6 @@ func (o AnalysisOptions) FacadeOptions() []Option {
 	}
 	if o.MaxSteps > 0 {
 		opts = append(opts, WithMaxSteps(o.MaxSteps))
-	}
-	if o.PathWorkers > 1 {
-		opts = append(opts, WithPathWorkers(o.PathWorkers))
 	}
 	if o.NoWitness {
 		opts = append(opts, WithoutWitnessReplay())

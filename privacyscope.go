@@ -281,17 +281,6 @@ func WithObserver(o Observer) Option {
 	return func(c *config) { c.checker.Observer = o }
 }
 
-// WithPathWorkers explores up to n execution paths of each entry point
-// concurrently (intra-function parallelism, complementing the per-ECALL
-// parallelism of WithParallelism). Findings and their order are
-// deterministic and identical to sequential exploration; features that
-// require strict sequential path order (WithTrace, decrypt intrinsics)
-// fall back to one worker for the affected function. n ≤ 1 keeps
-// sequential exploration.
-func WithPathWorkers(n int) Option {
-	return func(c *config) { c.checker.Engine.PathWorkers = n }
-}
-
 // WithDetectors replaces the detector selection outright (the -detectors
 // CLI flag): only the named detectors run. The keywords "default" (the
 // option-implied set) and "all" expand inside the list, so

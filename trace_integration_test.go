@@ -3,29 +3,10 @@ package privacyscope
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"testing"
-)
 
-// branchyModule builds an n-fork, 2^n-path module so WithPathWorkers
-// actually offloads branches to pool goroutines. Both arms of each branch
-// add one to the observed acc, so no branch is a faint join.
-func branchyModule(n int) (c, edl string) {
-	var sb strings.Builder
-	sb.WriteString("int fanout(char *secrets, char *output)\n{\n    int acc = 0;\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "    if (secrets[%d] > 0) acc = acc + 1; else acc = 1 + acc;\n", i)
-	}
-	sb.WriteString("    output[0] = acc;\n    return 0;\n}\n")
-	return sb.String(), `
-enclave {
-    trusted {
-        public int fanout([in] char *secrets, [out] char *output);
-    };
-};
-`
-}
+	"privacyscope/internal/mlsuite"
+)
 
 func countSpans(spans []*TraceSpan, name string) int {
 	n := 0
@@ -38,52 +19,50 @@ func countSpans(spans []*TraceSpan, name string) int {
 	return n
 }
 
-// TestTracerUnderPathWorkers is the ISSUE's race-coverage satellite: a
-// Tracer attached through the facade with WithPathWorkers(4) — forked
-// branches start spans on one goroutine and end them on another — must
+// TestTracerUnderParallelism: a Tracer attached through the facade with
+// WithParallelism(4) observes the Recommender's three ECALLs on concurrent
+// jobs, each starting and ending its spans on its own goroutine, and must
 // keep parent/child links consistent. Run under -race in tier 1.5.
-func TestTracerUnderPathWorkers(t *testing.T) {
-	cSrc, edlSrc := branchyModule(10)
+func TestTracerUnderParallelism(t *testing.T) {
 	m := NewMetrics()
 	tr := NewTracer()
-	rep, err := AnalyzeEnclave(cSrc, edlSrc,
-		WithObserver(MultiObserver(m, tr)), WithPathWorkers(4))
+	rep, err := AnalyzeEnclave(mlsuite.RecommenderC, mlsuite.RecommenderEDL,
+		WithObserver(MultiObserver(m, tr)), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Reports) != 1 {
-		t.Fatalf("reports = %d", len(rep.Reports))
+	if len(rep.Reports) != 3 {
+		t.Fatalf("reports = %d, want one per ECALL (3)", len(rep.Reports))
 	}
 
 	snap := tr.Snapshot()
 	if snap.DroppedSpans != 0 {
 		t.Fatalf("default cap dropped %d spans on a small module", snap.DroppedSpans)
 	}
-	// Exactly one check root with its engine child — fork workers must not
-	// detach or duplicate the phase structure.
-	if n := countSpans(snap.Spans, "check"); n != 1 {
-		t.Fatalf("check spans = %d, want 1", n)
+	// One check root per ECALL, each with its engine child exactly once —
+	// concurrent jobs must not detach, merge or duplicate the phase
+	// structure.
+	if n := countSpans(snap.Spans, "check"); n != len(rep.Reports) {
+		t.Fatalf("check spans = %d, want %d", n, len(rep.Reports))
 	}
-	var check *TraceSpan
+	roots := 0
 	for _, s := range snap.Spans {
-		if s.Name == "check" {
-			check = s
+		if s.Name != "check" {
+			continue
+		}
+		roots++
+		if countSpans(s.Spans, "symexec") != 1 {
+			t.Fatalf("check/symexec not nested exactly once: %+v", s)
 		}
 	}
-	if check == nil || countSpans(check.Spans, "symexec") != 1 {
-		t.Fatalf("check/symexec not nested exactly once: %+v", snap.Spans)
-	}
-	// The offloaded branches recorded worker spans (started and ended on
-	// pool goroutines); they are roots — the engine starts them cold.
-	if m.Counter("symexec.workers.spawned") > 0 &&
-		countSpans(snap.Spans, "symexec/worker") == 0 {
-		t.Fatalf("workers spawned but no symexec/worker spans recorded")
+	if roots != len(rep.Reports) {
+		t.Fatalf("check roots = %d, want %d", roots, len(rep.Reports))
 	}
 	// Metrics and Tracer observed the same completions for the span names
 	// both track.
 	ms := m.Snapshot()
-	if int(ms.Spans["check"].Count) != 1 {
-		t.Fatalf("metrics check count = %d", ms.Spans["check"].Count)
+	if int(ms.Spans["check"].Count) != len(rep.Reports) {
+		t.Fatalf("metrics check count = %d, want %d", ms.Spans["check"].Count, len(rep.Reports))
 	}
 
 	// The whole snapshot must round-trip as JSON (it embeds in envelopes).
@@ -93,19 +72,18 @@ func TestTracerUnderPathWorkers(t *testing.T) {
 	}
 }
 
-// TestTracerCapUnderPathWorkers: a tiny trace buffer under concurrent
-// exploration degrades to counted drops — never an error, never a missing
-// analysis result.
-func TestTracerCapUnderPathWorkers(t *testing.T) {
-	cSrc, edlSrc := branchyModule(10)
+// TestTracerCapUnderParallelism: a tiny trace buffer under concurrent
+// per-ECALL jobs degrades to counted drops — never an error, never a
+// missing analysis result.
+func TestTracerCapUnderParallelism(t *testing.T) {
 	tr := NewTracer(WithTraceCap(3))
-	rep, err := AnalyzeEnclave(cSrc, edlSrc,
-		WithObserver(tr), WithPathWorkers(4))
+	rep, err := AnalyzeEnclave(mlsuite.RecommenderC, mlsuite.RecommenderEDL,
+		WithObserver(tr), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Verdict() == VerdictError {
-		t.Fatalf("analysis degraded to error under trace cap")
+	if len(rep.Reports) != 3 || rep.Verdict() == VerdictError {
+		t.Fatalf("analysis degraded under trace cap: %d reports, verdict %v", len(rep.Reports), rep.Verdict())
 	}
 	snap := tr.Snapshot()
 	if len(snap.Spans) > 3 {
