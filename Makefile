@@ -4,7 +4,7 @@ help:
 	@echo "test            build + full test suite (the tier-1 gate)"
 	@echo "check           vet + race tests + fuzz/examples/batch smokes"
 	@echo "fuzz-smoke      short native-fuzzer runs (parsers, fail-soft, traceparent,"
-	@echo "                model search)"
+	@echo "                model search, interpreter)"
 	@echo "examples-smoke  run the runnable examples"
 	@echo "batch-smoke     cold + warm project run over examples/project"
 	@echo "summary-smoke   summary gate: default runs and WithParallelism(4) runs must"
@@ -50,8 +50,9 @@ check: fuzz-smoke examples-smoke batch-smoke summary-smoke detect-smoke intern-s
 # (docs/ROBUSTNESS.md), and the W3C traceparent codec the daemon and
 # coordinator ingest off the wire must never crash or mangle a round trip.
 # The forward-checked model search must equal the plain enumeration it
-# replaces (same model, same budget spent). The go tool runs one target per
-# invocation.
+# replaces (same model, same budget spent), and the compiled MiniC
+# interpreter must fail with an error, never panic, on any parsed program.
+# The go tool runs one target per invocation.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/minic -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
@@ -61,6 +62,7 @@ fuzz-smoke:
 	go test ./internal/edl -run '^$$' -fuzz '^FuzzRuleConfig$$' -fuzztime 10s
 	go test ./internal/sym -run '^$$' -fuzz '^FuzzIntern$$' -fuzztime 10s
 	go test ./internal/solver -run '^$$' -fuzz '^FuzzModelSearch$$' -fuzztime 10s
+	go test ./internal/interp -run '^$$' -fuzz '^FuzzInterp$$' -fuzztime 10s
 
 # Chaos smoke: the distributed fail-soft gate (docs/ROBUSTNESS.md). A
 # coordinator fans examples/project across three in-process worker daemons

@@ -14,10 +14,15 @@ import (
 
 // Replayer builds and verifies two-run witnesses for findings: it solves
 // the finding's path condition for concrete inputs and replays the entry
-// point on the MiniC interpreter.
+// point on the MiniC interpreter. It compiles each file once, on its first
+// replay, and every run of every finding shares that program; like the
+// compiled program, a Replayer belongs to one goroutine.
 type Replayer struct {
 	sv  *solver.Solver
 	obs obs.Observer
+	// file is the last file replayed, prog its compiled form.
+	file *minic.File
+	prog *interp.Program
 }
 
 // NewReplayer returns a witness replayer reporting to o (nil: no-op).
@@ -123,8 +128,8 @@ func bindingByName(res *symexec.Result, b sym.Binding) map[string]int32 {
 // concretization is impossible; the symbolic fallback then applies.
 func (c *Replayer) concreteReplay(file *minic.File, res *symexec.Result, f *Finding, secretSym *sym.Symbol, bindA, bindB sym.Binding, w *Witness) bool {
 	sizes := bufferSizes(res)
-	obsA, okA := runConcrete(file, res, sizes, f, bindA)
-	obsB, okB := runConcrete(file, res, sizes, f, bindB)
+	obsA, okA := c.runConcrete(file, res, sizes, f, bindA)
+	obsB, okB := c.runConcrete(file, res, sizes, f, bindB)
 	if !okA || !okB {
 		return false
 	}
@@ -142,7 +147,7 @@ func (c *Replayer) concreteReplay(file *minic.File, res *symexec.Result, f *Find
 // different path than the finding's when the leaking return is
 // path-dependent; the binding is a model of the path, so the observation
 // is valid.
-func runConcrete(file *minic.File, res *symexec.Result, sizes map[string]int, f *Finding, bind sym.Binding) (float64, bool) {
+func (c *Replayer) runConcrete(file *minic.File, res *symexec.Result, sizes map[string]int, f *Finding, bind sym.Binding) (float64, bool) {
 	fn, ok := file.Function(res.Function)
 	if !ok || fn.Body == nil {
 		return 0, false
@@ -158,7 +163,10 @@ func runConcrete(file *minic.File, res *symexec.Result, sizes map[string]int, f 
 	default:
 		return 0, false
 	}
-	machine, err := interp.NewMachine(file)
+	if c.file != file {
+		c.file, c.prog = file, interp.Compile(file)
+	}
+	machine, err := c.prog.NewMachine()
 	if err != nil {
 		return 0, false
 	}
@@ -330,8 +338,8 @@ func (c *Replayer) ReplayImplicit(file *minic.File, res *symexec.Result, f *Find
 	w.InputsB = bindingByName(res, merged)
 
 	sizes := bufferSizes(res)
-	obsA, okA := runConcrete(file, res, sizes, f, modelA)
-	obsB, okB := runConcrete(file, res, sizes, f, merged)
+	obsA, okA := c.runConcrete(file, res, sizes, f, modelA)
+	obsB, okB := c.runConcrete(file, res, sizes, f, merged)
 	if !okA || !okB {
 		w.Note = "sink not concretely observable; replay skipped"
 		return w

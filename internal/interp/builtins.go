@@ -11,7 +11,9 @@ import (
 )
 
 // applyBinary applies an arithmetic/bitwise/comparison operator to two
-// concrete values with C-style usual arithmetic conversions.
+// concrete values with C-style usual arithmetic conversions. Integer
+// operations compute in 32 bits and wrap, as sym's constant folding does,
+// with shift counts masked to 31.
 func applyBinary(op sym.Op, l, r Value) (Value, error) {
 	// Pointer comparisons.
 	if l.Kind() == CellPtr || r.Kind() == CellPtr {
@@ -55,34 +57,34 @@ func applyBinary(op sym.Op, l, r Value) (Value, error) {
 			return Value{}, fmt.Errorf("interp: bad float operation %v", op)
 		}
 	}
-	a, b := l.Int(), r.Int()
+	a, b := int32(l.Int()), int32(r.Int())
 	switch op {
 	case sym.OpAdd:
-		return IntValue(a + b), nil
+		return int32Value(a + b), nil
 	case sym.OpSub:
-		return IntValue(a - b), nil
+		return int32Value(a - b), nil
 	case sym.OpMul:
-		return IntValue(a * b), nil
+		return int32Value(a * b), nil
 	case sym.OpDiv:
 		if b == 0 {
 			return Value{}, ErrDivideByZero
 		}
-		return IntValue(a / b), nil
+		return int32Value(a / b), nil
 	case sym.OpRem:
 		if b == 0 {
 			return Value{}, ErrDivideByZero
 		}
-		return IntValue(a % b), nil
+		return int32Value(a % b), nil
 	case sym.OpAnd:
-		return IntValue(a & b), nil
+		return int32Value(a & b), nil
 	case sym.OpOr:
-		return IntValue(a | b), nil
+		return int32Value(a | b), nil
 	case sym.OpXor:
-		return IntValue(a ^ b), nil
+		return int32Value(a ^ b), nil
 	case sym.OpShl:
-		return IntValue(a << (uint64(b) & 63)), nil
+		return int32Value(a << (uint32(b) & 31)), nil
 	case sym.OpShr:
-		return IntValue(a >> (uint64(b) & 63)), nil
+		return int32Value(a >> (uint32(b) & 31)), nil
 	case sym.OpEq:
 		return boolValue(a == b), nil
 	case sym.OpNe:
@@ -99,6 +101,8 @@ func applyBinary(op sym.Op, l, r Value) (Value, error) {
 	return Value{}, fmt.Errorf("interp: bad int operation %v", op)
 }
 
+func int32Value(v int32) Value { return IntValue(int64(v)) }
+
 func boolValue(b bool) Value {
 	if b {
 		return IntValue(1)
@@ -106,191 +110,176 @@ func boolValue(b bool) Value {
 	return IntValue(0)
 }
 
-// builtin dispatches library calls the machine gives semantics to.
-func (m *Machine) builtin(fr *frame, v *minic.CallExpr) (Value, minic.Type, error) {
-	intTy := minic.Type(minic.Basic{Kind: minic.Int})
-	dblTy := minic.Type(minic.Basic{Kind: minic.Double})
-
-	evalArgs := func() ([]Value, error) {
-		args := make([]Value, len(v.Args))
-		for i, a := range v.Args {
-			val, _, err := m.eval(fr, a)
-			if err != nil {
-				return nil, err
+// builtin compiles a call to a library function the machine gives
+// semantics to. Arity is checked when the call runs, before its arguments
+// are evaluated; a name with no model goes to the OCallHandler, if any.
+func (c *compiler) builtin(v *minic.CallExpr) expr {
+	name, pos := v.Fun, v.Pos
+	args := c.args(v.Args)
+	// run wraps a builtin body with the call's step, an arity check when
+	// n >= 0, and argument evaluation.
+	run := func(ty minic.Type, n int, body func(m *Machine, args []Value) (Value, error)) expr {
+		var arityErr error
+		if n >= 0 && len(args) != n {
+			arityErr = &minic.Error{Pos: pos, Msg: fmt.Sprintf("%s expects %d args, got %d", name, n, len(args))}
+		}
+		return expr{ty: ty, eval: func(fr *frame) (Value, error) {
+			if err := fr.m.step(); err != nil {
+				return Value{}, err
 			}
-			args[i] = val
-		}
-		return args, nil
+			if arityErr != nil {
+				return Value{}, arityErr
+			}
+			var buf [4]Value
+			vals, err := evalArgs(fr, args, buf[:0])
+			if err != nil {
+				return Value{}, err
+			}
+			return body(fr.m, vals)
+		}}
 	}
-	need := func(n int) error {
-		if len(v.Args) != n {
-			return &minic.Error{Pos: v.Pos, Msg: fmt.Sprintf("%s expects %d args, got %d", v.Fun, n, len(v.Args))}
-		}
-		return nil
+	math1 := func(f func(float64) (float64, error)) expr {
+		return run(doubleType, 1, func(_ *Machine, a []Value) (Value, error) {
+			out, err := f(a[0].Float())
+			return FloatValue(out), err
+		})
 	}
-
-	switch v.Fun {
-	case "sqrt", "fabs", "exp", "log", "floor", "ceil":
-		if err := need(1); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		x := args[0].Float()
-		var out float64
-		switch v.Fun {
-		case "sqrt":
+	switch name {
+	case "sqrt":
+		return math1(func(x float64) (float64, error) {
 			if x < 0 {
-				return Value{}, nil, &minic.Error{Pos: v.Pos, Msg: "sqrt of negative value"}
+				return 0, &minic.Error{Pos: pos, Msg: "sqrt of negative value"}
 			}
-			out = math.Sqrt(x)
-		case "fabs":
-			out = math.Abs(x)
-		case "exp":
-			out = math.Exp(x)
-		case "log":
+			return math.Sqrt(x), nil
+		})
+	case "fabs":
+		return math1(func(x float64) (float64, error) { return math.Abs(x), nil })
+	case "exp":
+		return math1(func(x float64) (float64, error) { return math.Exp(x), nil })
+	case "log":
+		return math1(func(x float64) (float64, error) {
 			if x <= 0 {
-				return Value{}, nil, &minic.Error{Pos: v.Pos, Msg: "log of non-positive value"}
+				return 0, &minic.Error{Pos: pos, Msg: "log of non-positive value"}
 			}
-			out = math.Log(x)
-		case "floor":
-			out = math.Floor(x)
-		case "ceil":
-			out = math.Ceil(x)
-		}
-		return FloatValue(out), dblTy, nil
+			return math.Log(x), nil
+		})
+	case "floor":
+		return math1(func(x float64) (float64, error) { return math.Floor(x), nil })
+	case "ceil":
+		return math1(func(x float64) (float64, error) { return math.Ceil(x), nil })
 	case "pow":
-		if err := need(2); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return FloatValue(math.Pow(args[0].Float(), args[1].Float())), dblTy, nil
+		return run(doubleType, 2, func(_ *Machine, a []Value) (Value, error) {
+			return FloatValue(math.Pow(a[0].Float(), a[1].Float())), nil
+		})
 	case "abs":
-		if err := need(1); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		x := args[0].Int()
-		if x < 0 {
-			x = -x
-		}
-		return IntValue(x), intTy, nil
+		return run(intType, 1, func(_ *Machine, a []Value) (Value, error) {
+			x := int32(a[0].Int())
+			if x < 0 {
+				x = -x
+			}
+			return IntValue(int64(x)), nil
+		})
 	case "rand":
-		// xorshift64*: deterministic and seedable, standing in for
-		// libc rand.
-		m.rng ^= m.rng >> 12
-		m.rng ^= m.rng << 25
-		m.rng ^= m.rng >> 27
-		return IntValue(int64((m.rng * 0x2545F4914F6CDD1D) >> 33)), intTy, nil
+		// xorshift64*: deterministic and seedable, standing in for libc
+		// rand. Its arguments, if any, are never evaluated.
+		return expr{ty: intType, eval: func(fr *frame) (Value, error) {
+			if err := fr.m.step(); err != nil {
+				return Value{}, err
+			}
+			return IntValue(int64((fr.m.xorshift() * 0x2545F4914F6CDD1D) >> 33)), nil
+		}}
 	case "srand":
-		if err := need(1); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		m.Seed(uint64(args[0].Int()))
-		return IntValue(0), intTy, nil
+		return run(intType, 1, func(m *Machine, a []Value) (Value, error) {
+			m.Seed(uint64(a[0].Int()))
+			return IntValue(0), nil
+		})
 	case "printf", "ocall_print":
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		m.Printed = append(m.Printed, formatPrintf(args))
-		return IntValue(0), intTy, nil
+		return run(intType, -1, func(m *Machine, a []Value) (Value, error) {
+			m.Printed = append(m.Printed, formatPrintf(a))
+			return IntValue(0), nil
+		})
 	case "memcpy", "sgx_rijndael128GCM_decrypt", "sgx_rijndael128GCM_encrypt":
-		// Cell-wise copy dst ← src of n cells. The SGX crypto
-		// intrinsics behave as plaintext copies inside the simulator;
-		// real sealing happens in internal/sgx outside the enclave
-		// body. Argument order follows memcpy(dst, src, n).
-		if err := need(3); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		dst, src := args[0].Ptr(), args[1].Ptr()
-		n := int(args[2].Int())
-		if dst.IsNil() || src.IsNil() {
-			return Value{}, nil, fmt.Errorf("%w in %s", ErrNilDeref, v.Fun)
-		}
-		for i := 0; i < n; i++ {
-			val, err := src.Obj.Load(src.Off + i)
-			if err != nil {
-				return Value{}, nil, err
+		// Cell-wise copy dst ← src of n cells. The SGX crypto intrinsics
+		// behave as plaintext copies inside the simulator; real sealing
+		// happens in internal/sgx outside the enclave body. Argument
+		// order follows memcpy(dst, src, n).
+		return run(intType, 3, func(_ *Machine, a []Value) (Value, error) {
+			dst, src := a[0].Ptr(), a[1].Ptr()
+			n := int(a[2].Int())
+			if dst.IsNil() || src.IsNil() {
+				return Value{}, fmt.Errorf("%w in %s", ErrNilDeref, name)
 			}
-			if err := dst.Obj.Store(dst.Off+i, val); err != nil {
-				return Value{}, nil, err
+			for i := 0; i < n; i++ {
+				val, err := src.Obj.Load(src.Off + i)
+				if err != nil {
+					return Value{}, err
+				}
+				if err := dst.Obj.Store(dst.Off+i, val); err != nil {
+					return Value{}, err
+				}
 			}
-		}
-		return IntValue(0), intTy, nil
+			return IntValue(0), nil
+		})
 	case "memset":
-		if err := need(3); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		dst := args[0].Ptr()
-		if dst.IsNil() {
-			return Value{}, nil, fmt.Errorf("%w in memset", ErrNilDeref)
-		}
-		n := int(args[2].Int())
-		for i := 0; i < n; i++ {
-			if err := dst.Obj.Store(dst.Off+i, args[1]); err != nil {
-				return Value{}, nil, err
+		return run(intType, 3, func(_ *Machine, a []Value) (Value, error) {
+			dst := a[0].Ptr()
+			if dst.IsNil() {
+				return Value{}, fmt.Errorf("%w in memset", ErrNilDeref)
 			}
-		}
-		return IntValue(0), intTy, nil
+			n := int(a[2].Int())
+			for i := 0; i < n; i++ {
+				if err := dst.Obj.Store(dst.Off+i, a[1]); err != nil {
+					return Value{}, err
+				}
+			}
+			return IntValue(0), nil
+		})
 	case "sgx_read_rand":
 		// Fill buffer with deterministic pseudo-random cells.
-		if err := need(2); err != nil {
-			return Value{}, nil, err
-		}
-		args, err := evalArgs()
-		if err != nil {
-			return Value{}, nil, err
-		}
-		dst := args[0].Ptr()
-		if dst.IsNil() {
-			return Value{}, nil, fmt.Errorf("%w in sgx_read_rand", ErrNilDeref)
-		}
-		n := int(args[1].Int())
-		for i := 0; i < n; i++ {
-			m.rng ^= m.rng >> 12
-			m.rng ^= m.rng << 25
-			m.rng ^= m.rng >> 27
-			if err := dst.Obj.Store(dst.Off+i, IntValue(int64(m.rng&0xFF))); err != nil {
-				return Value{}, nil, err
+		return run(intType, 2, func(m *Machine, a []Value) (Value, error) {
+			dst := a[0].Ptr()
+			if dst.IsNil() {
+				return Value{}, fmt.Errorf("%w in sgx_read_rand", ErrNilDeref)
 			}
-		}
-		return IntValue(0), intTy, nil
+			n := int(a[1].Int())
+			for i := 0; i < n; i++ {
+				if err := dst.Obj.Store(dst.Off+i, IntValue(int64(m.xorshift()&0xFF))); err != nil {
+					return Value{}, err
+				}
+			}
+			return IntValue(0), nil
+		})
 	}
-	if m.OCallHandler != nil {
-		args, err := evalArgs()
+	noSuchFunc := fmt.Errorf("%w: %s", ErrNoSuchFunc, name)
+	return expr{ty: intType, eval: func(fr *frame) (Value, error) {
+		m := fr.m
+		if err := m.step(); err != nil {
+			return Value{}, err
+		}
+		if m.OCallHandler == nil {
+			return Value{}, noSuchFunc
+		}
+		vals, err := evalArgs(fr, args, make([]Value, 0, len(args)))
 		if err != nil {
-			return Value{}, nil, err
+			return Value{}, err
 		}
-		result, handled, err := m.OCallHandler(v.Fun, args)
+		result, handled, err := m.OCallHandler(name, vals)
 		if err != nil {
-			return Value{}, nil, fmt.Errorf("ocall %s: %w", v.Fun, err)
+			return Value{}, fmt.Errorf("ocall %s: %w", name, err)
 		}
-		if handled {
-			return result, intTy, nil
+		if !handled {
+			return Value{}, noSuchFunc
 		}
-	}
-	return Value{}, nil, fmt.Errorf("%w: %s", ErrNoSuchFunc, v.Fun)
+		return result, nil
+	}}
+}
+
+// xorshift advances the PRNG one xorshift64 step.
+func (m *Machine) xorshift() uint64 {
+	m.rng ^= m.rng >> 12
+	m.rng ^= m.rng << 25
+	m.rng ^= m.rng >> 27
+	return m.rng
 }
 
 // formatPrintf renders a printf call: the first argument (a char buffer)

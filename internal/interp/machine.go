@@ -6,13 +6,66 @@ import (
 	"privacyscope/internal/minic"
 )
 
-// Machine executes MiniC programs concretely. It is single-threaded; create
-// one per run or guard externally.
-type Machine struct {
+// Program is a MiniC file compiled for execution. Each function compiles
+// on its first call, so a program whose entry points never run costs
+// nothing; global initialisers compile on the first NewMachine. A Program
+// carries no run state and any number of machines may share it, but it
+// compiles lazily without locks: it belongs to one goroutine at a time.
+type Program struct {
 	file *minic.File
+	// funcs parallels file.Functions.
+	funcs []function
+	// globals parallels file.Globals, filled on the first NewMachine.
+	globals []global
+}
+
+// global is one global's layout and compiled initialiser (nil: none).
+type global struct {
+	kinds []CellKind
+	err   error // the type has no layout
+	init  exprFn
+}
+
+// function is one declared function and, once called, its compiled body.
+type function struct {
+	decl   *minic.FuncDecl
+	body   stmtFn
+	params []local
+	nvals  int // value slots: scalars whose address is never taken
+	nobjs  int // object slots: arrays, structs, address-taken scalars
+}
+
+// Compile prepares file for execution. Nothing is compiled until a machine
+// runs it.
+func Compile(file *minic.File) *Program {
+	p := &Program{file: file, funcs: make([]function, len(file.Functions))}
+	for i, fn := range file.Functions {
+		p.funcs[i].decl = fn
+	}
+	return p
+}
+
+// function resolves a call by name to the file's first declaration of
+// that name, as minic.File.Function does (a prototype shadows a later
+// definition); nil when there is none.
+func (p *Program) function(name string) *function {
+	for i := range p.funcs {
+		if p.funcs[i].decl.Name == name {
+			return &p.funcs[i]
+		}
+	}
+	return nil
+}
+
+// Machine executes a compiled MiniC program concretely: it owns the
+// globals, the step budget, the PRNG and the printed output of one run.
+// It is single-threaded; create one per run or guard externally.
+type Machine struct {
+	prog *Program
 	// MaxSteps bounds execution; 0 means DefaultMaxSteps.
 	MaxSteps int
 	steps    int
+	limit    int
 	rng      uint64
 	// Printed collects printf/ocall_print output lines.
 	Printed []string
@@ -21,29 +74,49 @@ type Machine struct {
 	// SGX simulator uses it to dispatch EDL-declared OCALLs to host
 	// code. Return handled=false to fall through to the error.
 	OCallHandler func(name string, args []Value) (result Value, handled bool, err error)
-	globals      *scopeStack
+	// globals holds one object per global, allocated in declaration
+	// order while NewMachine runs the initialisers.
+	globals []*Object
+	// frames is the call stack, reused across calls; depth is its height.
+	frames []*frame
+	depth  int
 }
 
 // DefaultMaxSteps is the default execution budget.
 const DefaultMaxSteps = 5_000_000
 
-// NewMachine returns a machine for the file, with globals allocated and
-// initialized.
+// NewMachine compiles file and returns a machine for it, with globals
+// allocated and initialized.
 func NewMachine(file *minic.File) (*Machine, error) {
-	m := &Machine{file: file, MaxSteps: DefaultMaxSteps, rng: 0x2545F4914F6CDD1D}
-	m.globals = newScopeStack(nil)
-	for _, g := range file.Globals {
-		b := &binding{obj: NewObject(g.Name, g.Type), ty: g.Type}
-		m.globals.declare(g.Name, b)
-		if g.Init != nil {
-			fr := &frame{scopes: m.globals}
-			v, _, err := m.eval(fr, g.Init)
-			if err != nil {
-				return nil, fmt.Errorf("init global %s: %w", g.Name, err)
-			}
-			if err := b.obj.Store(0, v); err != nil {
-				return nil, err
-			}
+	return Compile(file).NewMachine()
+}
+
+// NewMachine returns a fresh machine over the program, with globals
+// allocated and initialized.
+func (p *Program) NewMachine() (*Machine, error) {
+	m := &Machine{prog: p, MaxSteps: DefaultMaxSteps, limit: DefaultMaxSteps, rng: 0x2545F4914F6CDD1D}
+	if len(p.file.Globals) == 0 {
+		return m, nil
+	}
+	if p.globals == nil {
+		p.compileGlobals()
+	}
+	m.globals = make([]*Object, len(p.globals))
+	fr := &frame{m: m}
+	for i, g := range p.file.Globals {
+		if p.globals[i].err != nil {
+			return nil, fmt.Errorf("init global %s: %w", g.Name, p.globals[i].err)
+		}
+		m.globals[i] = newObject(g.Name, p.globals[i].kinds)
+		if p.globals[i].init == nil {
+			continue
+		}
+		v, err := p.globals[i].init(fr)
+		if err != nil {
+			return nil, fmt.Errorf("init global %s: %w", g.Name, err)
+		}
+		if err := m.globals[i].Store(0, v); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
@@ -51,32 +124,15 @@ func NewMachine(file *minic.File) (*Machine, error) {
 
 // Call invokes a defined function with the given argument values.
 func (m *Machine) Call(name string, args []Value) (Value, error) {
-	fn, ok := m.file.Function(name)
-	if !ok || fn.Body == nil {
+	fn := m.prog.function(name)
+	if fn == nil || fn.decl.Body == nil {
 		return Value{}, fmt.Errorf("%w: %s", ErrNoSuchFunc, name)
 	}
-	if len(args) != len(fn.Params) {
-		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", name, len(fn.Params), len(args))
+	m.limit = m.MaxSteps
+	if m.limit <= 0 {
+		m.limit = DefaultMaxSteps
 	}
-	fr := &frame{fn: fn, scopes: newScopeStack(m.globals)}
-	for i, p := range fn.Params {
-		obj := NewObject(p.Name, p.Type)
-		if err := obj.Store(0, args[i]); err != nil {
-			return Value{}, err
-		}
-		fr.scopes.declare(p.Name, &binding{obj: obj, ty: p.Type})
-	}
-	ctl, err := m.execBlock(fr, fn.Body)
-	if err != nil {
-		return Value{}, err
-	}
-	if ctl.kind == ctlReturn {
-		return ctl.val, nil
-	}
-	if b, ok := fn.Return.(minic.Basic); ok && b.Kind == minic.Void {
-		return IntValue(0), nil
-	}
-	return Value{}, fmt.Errorf("%w: %s", ErrMissingReturn, name)
+	return m.call(fn, args)
 }
 
 // Seed sets the PRNG state used by rand().
@@ -87,228 +143,85 @@ func (m *Machine) Seed(s uint64) {
 	m.rng = s
 }
 
-type binding struct {
-	obj *Object
-	ty  minic.Type
-}
-
-type scopeStack struct {
-	parent *scopeStack
-	maps   []map[string]*binding
-}
-
-func newScopeStack(parent *scopeStack) *scopeStack {
-	return &scopeStack{parent: parent, maps: []map[string]*binding{make(map[string]*binding)}}
-}
-
-func (s *scopeStack) push() { s.maps = append(s.maps, make(map[string]*binding)) }
-func (s *scopeStack) pop()  { s.maps = s.maps[:len(s.maps)-1] }
-
-func (s *scopeStack) declare(name string, b *binding) {
-	s.maps[len(s.maps)-1][name] = b
-}
-
-func (s *scopeStack) lookup(name string) (*binding, bool) {
-	for st := s; st != nil; st = st.parent {
-		for i := len(st.maps) - 1; i >= 0; i-- {
-			if b, ok := st.maps[i][name]; ok {
-				return b, true
-			}
-		}
-	}
-	return nil, false
-}
-
-type frame struct {
-	fn     *minic.FuncDecl
-	scopes *scopeStack
-}
-
-type ctlKind int
-
-const (
-	ctlNext ctlKind = iota
-	ctlReturn
-	ctlBreak
-	ctlContinue
-)
-
-type control struct {
-	kind ctlKind
-	val  Value
-}
-
-var next = control{}
-
+// step charges one unit of the budget: every statement, expression and
+// loop iteration costs one.
 func (m *Machine) step() error {
 	m.steps++
-	limit := m.MaxSteps
-	if limit <= 0 {
-		limit = DefaultMaxSteps
-	}
-	if m.steps > limit {
+	if m.steps > m.limit {
 		return ErrStepBudget
 	}
 	return nil
 }
 
-func (m *Machine) execBlock(fr *frame, b *minic.Block) (control, error) {
-	fr.scopes.push()
-	defer fr.scopes.pop()
-	for _, s := range b.Stmts {
-		ctl, err := m.exec(fr, s)
-		if err != nil {
-			return next, err
-		}
-		if ctl.kind != ctlNext {
-			return ctl, nil
-		}
-	}
-	return next, nil
+// frame is one activation: value slots and object slots, both indexed by
+// the compiler, plus the value of an executed return.
+type frame struct {
+	m    *Machine
+	vals []Value
+	objs []*Object
+	ret  Value
 }
 
-func (m *Machine) exec(fr *frame, s minic.Stmt) (control, error) {
-	if err := m.step(); err != nil {
-		return next, err
+// call runs fn's body on a fresh frame. Parameters bind like assignments:
+// a slot parameter is coerced to its type, an object parameter is stored
+// into a new object of its type.
+func (m *Machine) call(fn *function, args []Value) (Value, error) {
+	d := fn.decl
+	if len(args) != len(d.Params) {
+		return Value{}, fmt.Errorf("interp: %s expects %d args, got %d", d.Name, len(d.Params), len(args))
 	}
-	switch v := s.(type) {
-	case *minic.Block:
-		return m.execBlock(fr, v)
-	case *minic.EmptyStmt:
-		return next, nil
-	case *minic.DeclStmt:
-		for _, d := range v.Decls {
-			obj := NewObject(d.Name, d.Type)
-			fr.scopes.declare(d.Name, &binding{obj: obj, ty: d.Type})
-			if d.Init != nil {
-				val, _, err := m.eval(fr, d.Init)
-				if err != nil {
-					return next, err
-				}
-				if err := obj.Store(0, val); err != nil {
-					return next, err
-				}
-			}
-		}
-		return next, nil
-	case *minic.ExprStmt:
-		_, _, err := m.eval(fr, v.X)
-		return next, err
-	case *minic.IfStmt:
-		cond, _, err := m.eval(fr, v.Cond)
-		if err != nil {
-			return next, err
-		}
-		if !cond.IsZero() {
-			return m.exec(fr, v.Then)
-		}
-		if v.Else != nil {
-			return m.exec(fr, v.Else)
-		}
-		return next, nil
-	case *minic.WhileStmt:
-		for {
-			if err := m.step(); err != nil {
-				return next, err
-			}
-			cond, _, err := m.eval(fr, v.Cond)
-			if err != nil {
-				return next, err
-			}
-			if cond.IsZero() {
-				return next, nil
-			}
-			ctl, err := m.exec(fr, v.Body)
-			if err != nil {
-				return next, err
-			}
-			switch ctl.kind {
-			case ctlReturn:
-				return ctl, nil
-			case ctlBreak:
-				return next, nil
-			}
-		}
-	case *minic.ForStmt:
-		fr.scopes.push()
-		defer fr.scopes.pop()
-		if v.Init != nil {
-			if _, err := m.exec(fr, v.Init); err != nil {
-				return next, err
-			}
-		}
-		for {
-			if err := m.step(); err != nil {
-				return next, err
-			}
-			if v.Cond != nil {
-				cond, _, err := m.eval(fr, v.Cond)
-				if err != nil {
-					return next, err
-				}
-				if cond.IsZero() {
-					return next, nil
-				}
-			}
-			ctl, err := m.exec(fr, v.Body)
-			if err != nil {
-				return next, err
-			}
-			if ctl.kind == ctlReturn {
-				return ctl, nil
-			}
-			if ctl.kind == ctlBreak {
-				return next, nil
-			}
-			if v.Post != nil {
-				if _, _, err := m.eval(fr, v.Post); err != nil {
-					return next, err
-				}
-			}
-		}
-	case *minic.DoWhileStmt:
-		for {
-			if err := m.step(); err != nil {
-				return next, err
-			}
-			ctl, err := m.exec(fr, v.Body)
-			if err != nil {
-				return next, err
-			}
-			if ctl.kind == ctlReturn {
-				return ctl, nil
-			}
-			if ctl.kind == ctlBreak {
-				return next, nil
-			}
-			cond, _, err := m.eval(fr, v.Cond)
-			if err != nil {
-				return next, err
-			}
-			if cond.IsZero() {
-				return next, nil
-			}
-		}
-	case *minic.SwitchStmt:
-		return m.execSwitch(fr, v)
-	case *minic.ReturnStmt:
-		if v.X == nil {
-			return control{kind: ctlReturn, val: IntValue(0)}, nil
-		}
-		val, _, err := m.eval(fr, v.X)
-		if err != nil {
-			return next, err
-		}
-		if fr.fn != nil {
-			val = coerceToType(val, fr.fn.Return)
-		}
-		return control{kind: ctlReturn, val: val}, nil
-	case *minic.BreakStmt:
-		return control{kind: ctlBreak}, nil
-	case *minic.ContinueStmt:
-		return control{kind: ctlContinue}, nil
+	if fn.body == nil {
+		m.prog.compileFunc(fn)
 	}
-	return next, fmt.Errorf("interp: unknown statement %T", s)
+	fr := m.push(fn)
+	defer m.pop()
+	for i, p := range fn.params {
+		if p.slot >= 0 {
+			fr.vals[p.slot] = coerce(args[i], p.kind)
+			continue
+		}
+		obj := newObject(d.Params[i].Name, p.kinds)
+		if err := obj.Store(0, args[i]); err != nil {
+			return Value{}, err
+		}
+		fr.objs[p.obj] = obj
+	}
+	ctl, err := fn.body(fr)
+	if err != nil {
+		return Value{}, err
+	}
+	if ctl == ctlReturn {
+		return fr.ret, nil
+	}
+	if b, ok := d.Return.(minic.Basic); ok && b.Kind == minic.Void {
+		return IntValue(0), nil
+	}
+	return Value{}, fmt.Errorf("%w: %s", ErrMissingReturn, d.Name)
+}
+
+// push returns a cleared frame sized for fn, reusing the one left at this
+// depth by an earlier call.
+func (m *Machine) push(fn *function) *frame {
+	if m.depth == len(m.frames) {
+		m.frames = append(m.frames, &frame{m: m})
+	}
+	fr := m.frames[m.depth]
+	m.depth++
+	fr.vals = resize(fr.vals, fn.nvals)
+	fr.objs = resize(fr.objs, fn.nobjs)
+	return fr
+}
+
+func (m *Machine) pop() { m.depth-- }
+
+// resize returns s with length n and every element zeroed.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func coerceToType(v Value, t minic.Type) Value {
@@ -326,394 +239,4 @@ func coerceToType(v Value, t minic.Type) Value {
 		return v
 	}
 	return v
-}
-
-// place is a resolved lvalue.
-type place struct {
-	obj *Object
-	off int
-	ty  minic.Type
-}
-
-func (m *Machine) lvalue(fr *frame, e minic.Expr) (place, error) {
-	switch v := e.(type) {
-	case *minic.IdentExpr:
-		b, ok := fr.scopes.lookup(v.Name)
-		if !ok {
-			return place{}, &minic.Error{Pos: v.Pos, Msg: "undeclared identifier " + v.Name}
-		}
-		return place{obj: b.obj, off: 0, ty: b.ty}, nil
-	case *minic.IndexExpr:
-		return m.indexPlace(fr, v)
-	case *minic.DerefExpr:
-		val, ty, err := m.eval(fr, v.X)
-		if err != nil {
-			return place{}, err
-		}
-		p := val.Ptr()
-		if p.IsNil() {
-			return place{}, fmt.Errorf("%w at %s", ErrNilDeref, v.Pos)
-		}
-		elem, _ := minic.ElemType(ty)
-		if elem == nil {
-			elem = minic.Basic{Kind: minic.Int}
-		}
-		return place{obj: p.Obj, off: p.Off, ty: elem}, nil
-	case *minic.MemberExpr:
-		return m.memberPlace(fr, v)
-	default:
-		return place{}, fmt.Errorf("interp: not an lvalue: %T", e)
-	}
-}
-
-func (m *Machine) indexPlace(fr *frame, v *minic.IndexExpr) (place, error) {
-	idxVal, _, err := m.eval(fr, v.Index)
-	if err != nil {
-		return place{}, err
-	}
-	idx := int(idxVal.Int())
-
-	// Array lvalue: index within the same object.
-	if base, err := m.lvalue(fr, v.X); err == nil {
-		if arr, ok := base.ty.(minic.Array); ok {
-			sz := cellsOf(arr.Elem)
-			return place{obj: base.obj, off: base.off + idx*sz, ty: arr.Elem}, nil
-		}
-	}
-	// Pointer rvalue: index through the pointer.
-	val, ty, err := m.eval(fr, v.X)
-	if err != nil {
-		return place{}, err
-	}
-	ptr := val.Ptr()
-	if ptr.IsNil() {
-		return place{}, fmt.Errorf("%w at %s", ErrNilDeref, v.Pos)
-	}
-	elem, ok := minic.ElemType(ty)
-	if !ok {
-		return place{}, &minic.Error{Pos: v.Pos, Msg: "indexing a non-pointer"}
-	}
-	sz := cellsOf(elem)
-	return place{obj: ptr.Obj, off: ptr.Off + idx*sz, ty: elem}, nil
-}
-
-func (m *Machine) memberPlace(fr *frame, v *minic.MemberExpr) (place, error) {
-	var base place
-	if v.Arrow {
-		val, ty, err := m.eval(fr, v.X)
-		if err != nil {
-			return place{}, err
-		}
-		ptr := val.Ptr()
-		if ptr.IsNil() {
-			return place{}, fmt.Errorf("%w at %s", ErrNilDeref, v.Pos)
-		}
-		elem, _ := minic.ElemType(ty)
-		base = place{obj: ptr.Obj, off: ptr.Off, ty: elem}
-	} else {
-		b, err := m.lvalue(fr, v.X)
-		if err != nil {
-			return place{}, err
-		}
-		base = b
-	}
-	st, ok := base.ty.(*minic.StructType)
-	if !ok {
-		return place{}, &minic.Error{Pos: v.Pos, Msg: "member access on non-struct"}
-	}
-	off, fty, ok := fieldOffset(st, v.Field)
-	if !ok {
-		return place{}, &minic.Error{Pos: v.Pos, Msg: "no field " + v.Field + " in " + st.Name}
-	}
-	return place{obj: base.obj, off: base.off + off, ty: fty}, nil
-}
-
-// eval evaluates an expression, returning its value and static type.
-func (m *Machine) eval(fr *frame, e minic.Expr) (Value, minic.Type, error) {
-	if err := m.step(); err != nil {
-		return Value{}, nil, err
-	}
-	switch v := e.(type) {
-	case *minic.IntLitExpr:
-		return IntValue(v.V), minic.Basic{Kind: minic.Int}, nil
-	case *minic.FloatLitExpr:
-		return FloatValue(v.V), minic.Basic{Kind: minic.Double}, nil
-	case *minic.StringLitExpr:
-		// Strings materialize as char buffers.
-		obj := NewBuffer("strlit", CellChar, len(v.V)+1)
-		for i, c := range []byte(v.V) {
-			_ = obj.Store(i, CharValue(int64(c)))
-		}
-		return PtrValue(Pointer{Obj: obj}), minic.Pointer{Elem: minic.Basic{Kind: minic.Char}}, nil
-	case *minic.IdentExpr, *minic.IndexExpr, *minic.MemberExpr, *minic.DerefExpr:
-		pl, err := m.lvalue(fr, e)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		// Arrays decay to a pointer to their first element.
-		if arr, ok := pl.ty.(minic.Array); ok {
-			return PtrValue(Pointer{Obj: pl.obj, Off: pl.off}), minic.Pointer{Elem: arr.Elem}, nil
-		}
-		if st, ok := pl.ty.(*minic.StructType); ok {
-			// Struct rvalue: a pointer to it (no struct copying in
-			// this model).
-			return PtrValue(Pointer{Obj: pl.obj, Off: pl.off}), minic.Pointer{Elem: st}, nil
-		}
-		val, err := pl.obj.Load(pl.off)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return val, pl.ty, nil
-	case *minic.AddrExpr:
-		pl, err := m.lvalue(fr, v.X)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return PtrValue(Pointer{Obj: pl.obj, Off: pl.off}), minic.Pointer{Elem: pl.ty}, nil
-	case *minic.AssignExpr:
-		return m.evalAssign(fr, v)
-	case *minic.IncDecExpr:
-		return m.evalIncDec(fr, v)
-	case *minic.UnExpr:
-		return m.evalUnary(fr, v)
-	case *minic.BinExpr:
-		return m.evalBinary(fr, v)
-	case *minic.CondExpr:
-		cond, _, err := m.eval(fr, v.Cond)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		if !cond.IsZero() {
-			return m.eval(fr, v.Then)
-		}
-		return m.eval(fr, v.Else)
-	case *minic.CastExpr:
-		val, _, err := m.eval(fr, v.X)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return coerceToType(val, v.To), v.To, nil
-	case *minic.SizeofExpr:
-		if v.Ty != nil {
-			return IntValue(int64(minic.SizeOf(v.Ty))), minic.Basic{Kind: minic.Int}, nil
-		}
-		_, ty, err := m.eval(fr, v.X)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return IntValue(int64(minic.SizeOf(ty))), minic.Basic{Kind: minic.Int}, nil
-	case *minic.CallExpr:
-		return m.evalCall(fr, v)
-	}
-	return Value{}, nil, fmt.Errorf("interp: unknown expression %T", e)
-}
-
-func (m *Machine) evalAssign(fr *frame, v *minic.AssignExpr) (Value, minic.Type, error) {
-	pl, err := m.lvalue(fr, v.LHS)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	rhs, _, err := m.eval(fr, v.RHS)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	if v.Op != 0 {
-		cur, err := pl.obj.Load(pl.off)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		rhs, err = applyBinary(v.Op, cur, rhs)
-		if err != nil {
-			return Value{}, nil, fmt.Errorf("%w at %s", err, v.Pos)
-		}
-	}
-	if err := pl.obj.Store(pl.off, rhs); err != nil {
-		return Value{}, nil, err
-	}
-	stored, err := pl.obj.Load(pl.off)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	return stored, pl.ty, nil
-}
-
-func (m *Machine) evalIncDec(fr *frame, v *minic.IncDecExpr) (Value, minic.Type, error) {
-	pl, err := m.lvalue(fr, v.X)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	old, err := pl.obj.Load(pl.off)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	delta := int64(1)
-	if v.Decr {
-		delta = -1
-	}
-	var updated Value
-	if old.IsFloat() {
-		updated = FloatValue(old.Float() + float64(delta))
-	} else {
-		updated = IntValue(old.Int() + delta)
-	}
-	if err := pl.obj.Store(pl.off, updated); err != nil {
-		return Value{}, nil, err
-	}
-	if v.Prefix {
-		stored, err := pl.obj.Load(pl.off)
-		return stored, pl.ty, err
-	}
-	return old, pl.ty, nil
-}
-
-func (m *Machine) evalUnary(fr *frame, v *minic.UnExpr) (Value, minic.Type, error) {
-	x, ty, err := m.eval(fr, v.X)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	switch v.Op.String() {
-	case "-":
-		if x.IsFloat() {
-			return FloatValue(-x.Float()), ty, nil
-		}
-		return IntValue(-x.Int()), ty, nil
-	case "~":
-		return IntValue(^x.Int()), minic.Basic{Kind: minic.Int}, nil
-	case "!":
-		if x.IsZero() {
-			return IntValue(1), minic.Basic{Kind: minic.Int}, nil
-		}
-		return IntValue(0), minic.Basic{Kind: minic.Int}, nil
-	}
-	return Value{}, nil, fmt.Errorf("interp: bad unary %v", v.Op)
-}
-
-func (m *Machine) evalBinary(fr *frame, v *minic.BinExpr) (Value, minic.Type, error) {
-	l, lty, err := m.eval(fr, v.L)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	op := v.Op.String()
-	// Short-circuit.
-	if op == "&&" {
-		if l.IsZero() {
-			return IntValue(0), minic.Basic{Kind: minic.Int}, nil
-		}
-		r, _, err := m.eval(fr, v.R)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		if r.IsZero() {
-			return IntValue(0), minic.Basic{Kind: minic.Int}, nil
-		}
-		return IntValue(1), minic.Basic{Kind: minic.Int}, nil
-	}
-	if op == "||" {
-		if !l.IsZero() {
-			return IntValue(1), minic.Basic{Kind: minic.Int}, nil
-		}
-		r, _, err := m.eval(fr, v.R)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		if r.IsZero() {
-			return IntValue(0), minic.Basic{Kind: minic.Int}, nil
-		}
-		return IntValue(1), minic.Basic{Kind: minic.Int}, nil
-	}
-	r, rty, err := m.eval(fr, v.R)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	// Pointer arithmetic: p + i / p - i scale by element size (cells).
-	if l.Kind() == CellPtr && (op == "+" || op == "-") {
-		elem, _ := minic.ElemType(lty)
-		sz := 1
-		if elem != nil {
-			sz = cellsOf(elem)
-		}
-		delta := int(r.Int()) * sz
-		if op == "-" {
-			delta = -delta
-		}
-		p := l.Ptr()
-		return PtrValue(Pointer{Obj: p.Obj, Off: p.Off + delta}), lty, nil
-	}
-	out, err := applyBinary(v.Op, l, r)
-	if err != nil {
-		return Value{}, nil, fmt.Errorf("%w at %s", err, v.Pos)
-	}
-	ty := minic.Type(minic.Basic{Kind: minic.Int})
-	if out.IsFloat() {
-		ty = minic.Basic{Kind: minic.Double}
-	}
-	_ = rty
-	return out, ty, nil
-}
-
-func (m *Machine) evalCall(fr *frame, v *minic.CallExpr) (Value, minic.Type, error) {
-	if fn, ok := m.file.Function(v.Fun); ok && fn.Body != nil {
-		args := make([]Value, len(v.Args))
-		for i, a := range v.Args {
-			val, _, err := m.eval(fr, a)
-			if err != nil {
-				return Value{}, nil, err
-			}
-			args[i] = val
-		}
-		ret, err := m.Call(v.Fun, args)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return ret, fn.Return, nil
-	}
-	return m.builtin(fr, v)
-}
-
-// execSwitch evaluates a C switch with fallthrough: execution starts at the
-// first matching case (or default) and runs through subsequent cases until
-// a break.
-func (m *Machine) execSwitch(fr *frame, v *minic.SwitchStmt) (control, error) {
-	tag, _, err := m.eval(fr, v.Tag)
-	if err != nil {
-		return next, err
-	}
-	entry := -1
-	defaultIdx := -1
-	for i, c := range v.Cases {
-		if c.IsDefault {
-			defaultIdx = i
-			continue
-		}
-		cv, _, err := m.eval(fr, c.Value)
-		if err != nil {
-			return next, err
-		}
-		if cv.Int() == tag.Int() {
-			entry = i
-			break
-		}
-	}
-	if entry < 0 {
-		entry = defaultIdx
-	}
-	if entry < 0 {
-		return next, nil
-	}
-	for i := entry; i < len(v.Cases); i++ {
-		for _, s := range v.Cases[i].Body {
-			ctl, err := m.exec(fr, s)
-			if err != nil {
-				return next, err
-			}
-			switch ctl.kind {
-			case ctlReturn, ctlContinue:
-				// continue binds to the enclosing loop.
-				return ctl, nil
-			case ctlBreak:
-				return next, nil
-			}
-		}
-	}
-	return next, nil
 }

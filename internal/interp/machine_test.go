@@ -22,8 +22,7 @@ func run(t *testing.T, src, fn string, args ...Value) Value {
 	return v
 }
 
-func TestArithmeticAndControlFlow(t *testing.T) {
-	src := `
+const srcArithmeticAndControlFlow = `
 int fib(int n) {
     if (n < 2) return n;
     return fib(n - 1) + fib(n - 2);
@@ -39,19 +38,20 @@ int count_down(int n) {
     return steps;
 }
 `
-	if got := run(t, src, "fib", IntValue(10)); got.Int() != 55 {
+
+func TestArithmeticAndControlFlow(t *testing.T) {
+	if got := run(t, srcArithmeticAndControlFlow, "fib", IntValue(10)); got.Int() != 55 {
 		t.Errorf("fib(10) = %v", got)
 	}
-	if got := run(t, src, "sum_to", IntValue(100)); got.Int() != 5050 {
+	if got := run(t, srcArithmeticAndControlFlow, "sum_to", IntValue(100)); got.Int() != 5050 {
 		t.Errorf("sum_to(100) = %v", got)
 	}
-	if got := run(t, src, "count_down", IntValue(7)); got.Int() != 7 {
+	if got := run(t, srcArithmeticAndControlFlow, "count_down", IntValue(7)); got.Int() != 7 {
 		t.Errorf("count_down(7) = %v", got)
 	}
 }
 
-func TestBreakContinue(t *testing.T) {
-	src := `
+const srcBreakContinue = `
 int f(void) {
     int total = 0;
     for (int i = 0; i < 10; i++) {
@@ -62,14 +62,15 @@ int f(void) {
     return total;
 }
 `
+
+func TestBreakContinue(t *testing.T) {
 	// 0+1+2+4+5 = 12.
-	if got := run(t, src, "f"); got.Int() != 12 {
+	if got := run(t, srcBreakContinue, "f"); got.Int() != 12 {
 		t.Errorf("f() = %v, want 12", got)
 	}
 }
 
-func TestListing1Concrete(t *testing.T) {
-	f := minic.MustParse(`
+const srcListing1Concrete = `
 int enclave_process_data(char *secrets, char *output)
 {
     int temporary = secrets[0] + 100;
@@ -79,7 +80,10 @@ int enclave_process_data(char *secrets, char *output)
     else
         return 1;
 }
-`)
+`
+
+func TestListing1Concrete(t *testing.T) {
+	f := minic.MustParse(srcListing1Concrete)
 	m, err := NewMachine(f)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +118,7 @@ int enclave_process_data(char *secrets, char *output)
 	}
 }
 
-func TestPointersAndArrays(t *testing.T) {
-	src := `
+const srcPointersAndArrays = `
 int f(void) {
     int a[5];
     int *p = a;
@@ -124,14 +127,15 @@ int f(void) {
     return *p + p[1];
 }
 `
+
+func TestPointersAndArrays(t *testing.T) {
 	// a[2] + a[3] = 4 + 9 = 13.
-	if got := run(t, src, "f"); got.Int() != 13 {
+	if got := run(t, srcPointersAndArrays, "f"); got.Int() != 13 {
 		t.Errorf("f() = %v, want 13", got)
 	}
 }
 
-func TestAddressOfAndDeref(t *testing.T) {
-	src := `
+const srcAddressOfAndDeref = `
 void bump(int *x) { *x = *x + 1; }
 int f(void) {
     int v = 41;
@@ -139,13 +143,14 @@ int f(void) {
     return v;
 }
 `
-	if got := run(t, src, "f"); got.Int() != 42 {
+
+func TestAddressOfAndDeref(t *testing.T) {
+	if got := run(t, srcAddressOfAndDeref, "f"); got.Int() != 42 {
 		t.Errorf("f() = %v, want 42", got)
 	}
 }
 
-func TestStructsAndMembers(t *testing.T) {
-	src := `
+const srcStructsAndMembers = `
 struct Point { int x; int y; };
 struct Rect { struct Point a; struct Point b; };
 int area(struct Rect *r) {
@@ -158,13 +163,14 @@ int f(void) {
     return area(&r);
 }
 `
-	if got := run(t, src, "f"); got.Int() != 12 {
+
+func TestStructsAndMembers(t *testing.T) {
+	if got := run(t, srcStructsAndMembers, "f"); got.Int() != 12 {
 		t.Errorf("f() = %v, want 12", got)
 	}
 }
 
-func Test2DArrays(t *testing.T) {
-	src := `
+const src2DArrays = `
 float f(void) {
     float m[2][3];
     for (int i = 0; i < 2; i++)
@@ -173,13 +179,14 @@ float f(void) {
     return m[1][2];
 }
 `
-	if got := run(t, src, "f"); got.Float() != 12 {
+
+func Test2DArrays(t *testing.T) {
+	if got := run(t, src2DArrays, "f"); got.Float() != 12 {
 		t.Errorf("f() = %v, want 12", got)
 	}
 }
 
-func TestFloatsAndCasts(t *testing.T) {
-	src := `
+const srcFloatsAndCasts = `
 float mean(float *xs, int n) {
     float total = 0.0;
     for (int i = 0; i < n; i++) total += xs[i];
@@ -187,7 +194,9 @@ float mean(float *xs, int n) {
 }
 int truncate(float x) { return (int)x; }
 `
-	f := minic.MustParse(src)
+
+func TestFloatsAndCasts(t *testing.T) {
+	f := minic.MustParse(srcFloatsAndCasts)
 	m, err := NewMachine(f)
 	if err != nil {
 		t.Fatal(err)
@@ -210,34 +219,104 @@ int truncate(float x) { return (int)x; }
 	}
 }
 
-func TestCharNarrowing(t *testing.T) {
-	src := `
+const srcCharNarrowing = `
 int f(void) {
     char c = 300;
     return c;
 }
 `
+
+func TestCharNarrowing(t *testing.T) {
 	// 300 wraps to 44 in a signed char.
-	if got := run(t, src, "f"); got.Int() != 44 {
+	if got := run(t, srcCharNarrowing, "f"); got.Int() != 44 {
 		t.Errorf("f() = %v, want 44", got)
 	}
 }
 
-func TestIntWrap32(t *testing.T) {
-	src := `
+const srcIntWrap32 = `
 int f(void) {
     int x = 2147483647;
     x = x + 1;
     return x;
 }
 `
-	if got := run(t, src, "f"); got.Int() != -2147483648 {
+
+func TestIntWrap32(t *testing.T) {
+	if got := run(t, srcIntWrap32, "f"); got.Int() != -2147483648 {
 		t.Errorf("f() = %v, want int32 wraparound", got)
 	}
 }
 
-func TestTernaryIncDec(t *testing.T) {
+// Every intermediate int result wraps at 32 bits, as sym's constant
+// folding does, not only the value a store or return narrows: x + 1 < x
+// holds at INT_MAX, and a shift count is masked to 31.
+func TestIntermediateWrap32(t *testing.T) {
 	src := `
+int overflows(int x) { if (x + 1 < x) return 1; return 0; }
+int neg(int x) { return -x < 0; }
+int mul(int x) { return x * 2 > x; }
+int quot(int x, int y) { return x / y; }
+int shl(int x, int n) { return x << n; }
+`
+	cases := []struct {
+		fn   string
+		args []int64
+		want int64
+	}{
+		{"overflows", []int64{2147483647}, 1},
+		{"overflows", []int64{5}, 0},
+		{"neg", []int64{-2147483648}, 1},
+		{"mul", []int64{1 << 30}, 0},
+		{"quot", []int64{-2147483648, -1}, -2147483648},
+		{"shl", []int64{1, 33}, 2},
+		{"shl", []int64{1, 31}, -2147483648},
+	}
+	for _, c := range cases {
+		args := make([]Value, len(c.args))
+		for i, a := range c.args {
+			args[i] = IntValue(a)
+		}
+		if got := run(t, src, c.fn, args...); got.Int() != c.want {
+			t.Errorf("%s%v = %v, want %d", c.fn, c.args, got, c.want)
+		}
+	}
+}
+
+// Pointer ++, --, += and -= step by the element size, as p + n does.
+func TestPointerIncDecAndCompoundAssign(t *testing.T) {
+	src := `
+struct P { int x; int y; };
+int walk(void) {
+    int a[6];
+    for (int i = 0; i < 6; i++) a[i] = i * 10;
+    int *p = a;
+    p++;
+    int r = *p;
+    p += 3;
+    r = r + *p;
+    p -= 2;
+    r = r + *p;
+    --p;
+    return r + *p++ + *p;
+}
+int fields(void) {
+    struct P ps[3];
+    ps[2].y = 7;
+    struct P *q = ps;
+    q += 2;
+    return q->y;
+}
+`
+	// a[1] + a[4] + a[2] + a[1] + a[2] = 10 + 40 + 20 + 10 + 20.
+	if got := run(t, src, "walk"); got.Int() != 100 {
+		t.Errorf("walk() = %v, want 100", got)
+	}
+	if got := run(t, src, "fields"); got.Int() != 7 {
+		t.Errorf("fields() = %v, want 7", got)
+	}
+}
+
+const srcTernaryIncDec = `
 int f(int x) {
     int a = x > 0 ? 1 : -1;
     int b = x++;
@@ -245,18 +324,21 @@ int f(int x) {
     return a + b + c;
 }
 `
+
+func TestTernaryIncDec(t *testing.T) {
 	// x=5: a=1, b=5 (x→6), c=7 (x→7) ⇒ 13.
-	if got := run(t, src, "f", IntValue(5)); got.Int() != 13 {
+	if got := run(t, srcTernaryIncDec, "f", IntValue(5)); got.Int() != 13 {
 		t.Errorf("f(5) = %v, want 13", got)
 	}
 }
 
-func TestGlobals(t *testing.T) {
-	src := `
+const srcGlobals = `
 int counter = 10;
 int bump(void) { counter += 5; return counter; }
 `
-	f := minic.MustParse(src)
+
+func TestGlobals(t *testing.T) {
+	f := minic.MustParse(srcGlobals)
 	m, err := NewMachine(f)
 	if err != nil {
 		t.Fatal(err)
@@ -268,21 +350,34 @@ int bump(void) { counter += 5; return counter; }
 	}
 }
 
+// One-line programs, shared with the step golden (steps_test.go).
+const (
+	srcDivideByZero             = "int f(int x) { return 1 / x; }"
+	srcOutOfBounds              = "int f(void) { int a[2]; return a[5]; }"
+	srcNilDeref                 = "int f(int *p) { return *p; }"
+	srcMissingReturn            = "int f(int x) { if (x) return 1; }"
+	srcFloatDivideByZero        = "float f(float x) { return 1.0 / x; }"
+	srcBuiltinRandDeterministic = "int f(void) { srand(42); return rand(); }"
+	srcSeedZeroMapped           = "int f(void) { return rand(); }"
+	srcShiftOps                 = "int f(int a, int b) { return (a << b) + (a >> 1); }"
+	srcSizeofExprOnValue        = "int f(void) { double d = 1.0; return sizeof d; }"
+)
+
 func TestErrors(t *testing.T) {
 	t.Run("divide-by-zero", func(t *testing.T) {
-		m, _ := NewMachine(minic.MustParse("int f(int x) { return 1 / x; }"))
+		m, _ := NewMachine(minic.MustParse(srcDivideByZero))
 		if _, err := m.Call("f", []Value{IntValue(0)}); !errors.Is(err, ErrDivideByZero) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("out-of-bounds", func(t *testing.T) {
-		m, _ := NewMachine(minic.MustParse("int f(void) { int a[2]; return a[5]; }"))
+		m, _ := NewMachine(minic.MustParse(srcOutOfBounds))
 		if _, err := m.Call("f", nil); !errors.Is(err, ErrOutOfBounds) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("nil-deref", func(t *testing.T) {
-		m, _ := NewMachine(minic.MustParse("int f(int *p) { return *p; }"))
+		m, _ := NewMachine(minic.MustParse(srcNilDeref))
 		if _, err := m.Call("f", []Value{PtrValue(Pointer{})}); !errors.Is(err, ErrNilDeref) {
 			t.Errorf("err = %v", err)
 		}
@@ -301,32 +396,32 @@ func TestErrors(t *testing.T) {
 		}
 	})
 	t.Run("missing-return", func(t *testing.T) {
-		m, _ := NewMachine(minic.MustParse("int f(int x) { if (x) return 1; }"))
+		m, _ := NewMachine(minic.MustParse(srcMissingReturn))
 		if _, err := m.Call("f", []Value{IntValue(0)}); !errors.Is(err, ErrMissingReturn) {
 			t.Errorf("err = %v", err)
 		}
 	})
 }
 
-func TestBuiltinsMath(t *testing.T) {
-	src := `
+const srcBuiltinsMath = `
 float f(float x) { return sqrt(x) + fabs(0.0 - 1.5) + pow(2.0, 3.0) + floor(1.9) + ceil(0.1); }
 int g(int x) { return abs(x); }
 `
-	got := run(t, src, "f", FloatValue(16))
+
+func TestBuiltinsMath(t *testing.T) {
+	got := run(t, srcBuiltinsMath, "f", FloatValue(16))
 	// 4 + 1.5 + 8 + 1 + 1 = 15.5
 	if got.Float() != 15.5 {
 		t.Errorf("f(16) = %v, want 15.5", got)
 	}
-	if got := run(t, src, "g", IntValue(-9)); got.Int() != 9 {
+	if got := run(t, srcBuiltinsMath, "g", IntValue(-9)); got.Int() != 9 {
 		t.Errorf("abs(-9) = %v", got)
 	}
 }
 
 func TestBuiltinRandDeterministic(t *testing.T) {
-	src := "int f(void) { srand(42); return rand(); }"
-	a := run(t, src, "f")
-	b := run(t, src, "f")
+	a := run(t, srcBuiltinRandDeterministic, "f")
+	b := run(t, srcBuiltinRandDeterministic, "f")
 	if a.Int() != b.Int() {
 		t.Error("seeded rand must be deterministic")
 	}
@@ -335,14 +430,15 @@ func TestBuiltinRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestBuiltinPrintf(t *testing.T) {
-	src := `
+const srcBuiltinPrintf = `
 int f(void) {
     printf("x=%d y=%f s=%s c=%c pct=%%", 42, 1.5, "hello", 65);
     return 0;
 }
 `
-	m, _ := NewMachine(minic.MustParse(src))
+
+func TestBuiltinPrintf(t *testing.T) {
+	m, _ := NewMachine(minic.MustParse(srcBuiltinPrintf))
 	if _, err := m.Call("f", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -355,40 +451,42 @@ int f(void) {
 	}
 }
 
-func TestBuiltinMemOps(t *testing.T) {
-	src := `
+const srcBuiltinMemOps = `
 int f(int *src, int *dst) {
     memcpy(dst, src, 3);
     memset(src, 9, 2);
     return dst[0] + dst[1] + dst[2] + src[0] + src[1] + src[2];
 }
 `
-	f := minic.MustParse(src)
+
+func TestBuiltinMemOps(t *testing.T) {
+	f := minic.MustParse(srcBuiltinMemOps)
 	m, err := NewMachine(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcBuf := NewBuffer("src", CellInt, 3)
+	srcBuf := NewBuffer("srcBuiltinMemOps", CellInt, 3)
 	dstBuf := NewBuffer("dst", CellInt, 3)
 	_ = srcBuf.SetCells([]Value{IntValue(1), IntValue(2), IntValue(3)})
 	got, err := m.Call("f", []Value{PtrValue(Pointer{Obj: srcBuf}), PtrValue(Pointer{Obj: dstBuf})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// dst = 1+2+3 = 6; src after memset = 9+9+3 = 21.
+	// dst = 1+2+3 = 6; srcBuiltinMemOps after memset = 9+9+3 = 21.
 	if got.Int() != 27 {
 		t.Errorf("f = %v, want 27", got)
 	}
 }
 
-func TestSgxDecryptIntrinsicCopies(t *testing.T) {
-	src := `
+const srcSgxDecryptIntrinsicCopies = `
 int f(char *ct, char *pt) {
     sgx_rijndael128GCM_decrypt(pt, ct, 2);
     return pt[0] + pt[1];
 }
 `
-	m, _ := NewMachine(minic.MustParse(src))
+
+func TestSgxDecryptIntrinsicCopies(t *testing.T) {
+	m, _ := NewMachine(minic.MustParse(srcSgxDecryptIntrinsicCopies))
 	ct := NewBuffer("ct", CellChar, 2)
 	pt := NewBuffer("pt", CellChar, 2)
 	_ = ct.SetCells([]Value{CharValue(10), CharValue(20)})
@@ -401,8 +499,7 @@ int f(char *ct, char *pt) {
 	}
 }
 
-func TestShortCircuitSideEffects(t *testing.T) {
-	src := `
+const srcShortCircuitSideEffects = `
 int calls = 0;
 int bump(void) { calls = calls + 1; return 1; }
 int f(void) {
@@ -411,8 +508,10 @@ int f(void) {
     return calls * 10 + a + b;
 }
 `
+
+func TestShortCircuitSideEffects(t *testing.T) {
 	// bump never runs: calls=0, a=0, b=1 → 1.
-	if got := run(t, src, "f"); got.Int() != 1 {
+	if got := run(t, srcShortCircuitSideEffects, "f"); got.Int() != 1 {
 		t.Errorf("f = %v, want 1", got)
 	}
 }
@@ -434,15 +533,16 @@ func TestStringFormatting(t *testing.T) {
 }
 
 // Property: sum over an int buffer computed by MiniC equals the Go sum.
-func TestDifferentialSum(t *testing.T) {
-	src := `
+const srcDifferentialSum = `
 int sum(int *xs, int n) {
     int total = 0;
     for (int i = 0; i < n; i++) total += xs[i];
     return total;
 }
 `
-	f := minic.MustParse(src)
+
+func TestDifferentialSum(t *testing.T) {
+	f := minic.MustParse(srcDifferentialSum)
 	prop := func(xs []int16) bool {
 		if len(xs) > 32 {
 			xs = xs[:32]
@@ -468,8 +568,7 @@ int sum(int *xs, int n) {
 	}
 }
 
-func TestFloatComparisonsAndLogic(t *testing.T) {
-	src := `
+const srcFloatComparisonsAndLogic = `
 int f(float a, float b) {
     int r = 0;
     if (a == b) r += 1;
@@ -481,7 +580,9 @@ int f(float a, float b) {
     return r;
 }
 `
-	m, _ := NewMachine(minic.MustParse(src))
+
+func TestFloatComparisonsAndLogic(t *testing.T) {
+	m, _ := NewMachine(minic.MustParse(srcFloatComparisonsAndLogic))
 	got, err := m.Call("f", []Value{FloatValue(1.5), FloatValue(2.5)})
 	if err != nil {
 		t.Fatal(err)
@@ -498,14 +599,13 @@ int f(float a, float b) {
 }
 
 func TestFloatDivideByZero(t *testing.T) {
-	m, _ := NewMachine(minic.MustParse("float f(float x) { return 1.0 / x; }"))
+	m, _ := NewMachine(minic.MustParse(srcFloatDivideByZero))
 	if _, err := m.Call("f", []Value{FloatValue(0)}); !errors.Is(err, ErrDivideByZero) {
 		t.Errorf("err = %v", err)
 	}
 }
 
-func TestPointerEquality(t *testing.T) {
-	src := `
+const srcPointerEquality = `
 int f(int *p, int *q) {
     int r = 0;
     if (p == q) r += 1;
@@ -513,7 +613,9 @@ int f(int *p, int *q) {
     return r;
 }
 `
-	m, _ := NewMachine(minic.MustParse(src))
+
+func TestPointerEquality(t *testing.T) {
+	m, _ := NewMachine(minic.MustParse(srcPointerEquality))
 	buf := NewBuffer("b", CellInt, 2)
 	same := PtrValue(Pointer{Obj: buf})
 	other := PtrValue(Pointer{Obj: buf, Off: 1})
@@ -527,12 +629,13 @@ int f(int *p, int *q) {
 	}
 }
 
-func TestUnaryOnFloats(t *testing.T) {
-	src := `
+const srcUnaryOnFloats = `
 float f(float x) { return -x; }
 int g(float x) { return !x; }
 `
-	m, _ := NewMachine(minic.MustParse(src))
+
+func TestUnaryOnFloats(t *testing.T) {
+	m, _ := NewMachine(minic.MustParse(srcUnaryOnFloats))
 	v, _ := m.Call("f", []Value{FloatValue(2.5)})
 	if v.Float() != -2.5 {
 		t.Errorf("-2.5 = %v", v)
@@ -555,7 +658,7 @@ func TestCellsSnapshotIsCopy(t *testing.T) {
 }
 
 func TestSeedZeroMapped(t *testing.T) {
-	m, _ := NewMachine(minic.MustParse("int f(void) { return rand(); }"))
+	m, _ := NewMachine(minic.MustParse(srcSeedZeroMapped))
 	m.Seed(0)
 	if _, err := m.Call("f", nil); err != nil {
 		t.Fatal(err)
@@ -563,21 +666,18 @@ func TestSeedZeroMapped(t *testing.T) {
 }
 
 func TestShiftOps(t *testing.T) {
-	src := "int f(int a, int b) { return (a << b) + (a >> 1); }"
-	if got := run(t, src, "f", IntValue(8), IntValue(2)); got.Int() != 36 {
+	if got := run(t, srcShiftOps, "f", IntValue(8), IntValue(2)); got.Int() != 36 {
 		t.Errorf("got %v, want 36", got)
 	}
 }
 
 func TestSizeofExprOnValue(t *testing.T) {
-	src := "int f(void) { double d = 1.0; return sizeof d; }"
-	if got := run(t, src, "f"); got.Int() != 8 {
+	if got := run(t, srcSizeofExprOnValue, "f"); got.Int() != 8 {
 		t.Errorf("sizeof d = %v, want 8", got)
 	}
 }
 
-func TestVoidFunctionReturn(t *testing.T) {
-	src := `
+const srcVoidFunctionReturn = `
 void bump(int *p) { p[0] = p[0] + 1; }
 int f(void) {
     int v = 1;
@@ -586,20 +686,22 @@ int f(void) {
     return v;
 }
 `
-	if got := run(t, src, "f"); got.Int() != 3 {
+
+func TestVoidFunctionReturn(t *testing.T) {
+	if got := run(t, srcVoidFunctionReturn, "f"); got.Int() != 3 {
 		t.Errorf("got %v, want 3", got)
 	}
 }
 
+const srcStringLitIndexing = `int f(void) { char *s = "AB"; return s[0] + s[1]; }`
+
 func TestStringLitIndexing(t *testing.T) {
-	src := `int f(void) { char *s = "AB"; return s[0] + s[1]; }`
-	if got := run(t, src, "f"); got.Int() != 'A'+'B' {
+	if got := run(t, srcStringLitIndexing, "f"); got.Int() != 'A'+'B' {
 		t.Errorf("got %v", got)
 	}
 }
 
-func TestDoWhileExecution(t *testing.T) {
-	src := `
+const srcDoWhileExecution = `
 int f(int n) {
     int total = 0;
     do {
@@ -609,17 +711,18 @@ int f(int n) {
     return total;
 }
 `
+
+func TestDoWhileExecution(t *testing.T) {
 	// n=3: 3+2+1 = 6; n=0: body runs once → 0.
-	if got := run(t, src, "f", IntValue(3)); got.Int() != 6 {
+	if got := run(t, srcDoWhileExecution, "f", IntValue(3)); got.Int() != 6 {
 		t.Errorf("f(3) = %v, want 6", got)
 	}
-	if got := run(t, src, "f", IntValue(0)); got.Int() != 0 {
+	if got := run(t, srcDoWhileExecution, "f", IntValue(0)); got.Int() != 0 {
 		t.Errorf("f(0) = %v, want 0 (body runs once)", got)
 	}
 }
 
-func TestDoWhileBreak(t *testing.T) {
-	src := `
+const srcDoWhileBreak = `
 int f(void) {
     int i = 0;
     do {
@@ -629,13 +732,14 @@ int f(void) {
     return i;
 }
 `
-	if got := run(t, src, "f"); got.Int() != 3 {
+
+func TestDoWhileBreak(t *testing.T) {
+	if got := run(t, srcDoWhileBreak, "f"); got.Int() != 3 {
 		t.Errorf("f() = %v, want 3", got)
 	}
 }
 
-func TestSwitchExecution(t *testing.T) {
-	src := `
+const srcSwitchExecution = `
 int f(int x) {
     int r = 0;
     switch (x) {
@@ -652,18 +756,19 @@ int f(int x) {
     return r;
 }
 `
+
+func TestSwitchExecution(t *testing.T) {
 	tests := []struct{ in, want int64 }{
 		{1, 10}, {2, 20}, {3, 20}, {4, 30}, {-1, 30},
 	}
 	for _, tt := range tests {
-		if got := run(t, src, "f", IntValue(tt.in)); got.Int() != tt.want {
+		if got := run(t, srcSwitchExecution, "f", IntValue(tt.in)); got.Int() != tt.want {
 			t.Errorf("f(%d) = %v, want %d", tt.in, got, tt.want)
 		}
 	}
 }
 
-func TestSwitchFallthroughAndNoDefault(t *testing.T) {
-	src := `
+const srcSwitchFallthroughAndNoDefault = `
 int f(int x) {
     int r = 0;
     switch (x) {
@@ -678,6 +783,8 @@ int f(int x) {
     return r;
 }
 `
+
+func TestSwitchFallthroughAndNoDefault(t *testing.T) {
 	tests := []struct{ in, want int64 }{
 		{1, 3}, // falls through into case 2
 		{2, 2},
@@ -685,14 +792,13 @@ int f(int x) {
 		{9, 0}, // no match, no default
 	}
 	for _, tt := range tests {
-		if got := run(t, src, "f", IntValue(tt.in)); got.Int() != tt.want {
+		if got := run(t, srcSwitchFallthroughAndNoDefault, "f", IntValue(tt.in)); got.Int() != tt.want {
 			t.Errorf("f(%d) = %v, want %d", tt.in, got, tt.want)
 		}
 	}
 }
 
-func TestSwitchReturnAndContinue(t *testing.T) {
-	src := `
+const srcSwitchReturnAndContinue = `
 int f(int n) {
     int total = 0;
     for (int i = 0; i < n; i++) {
@@ -709,14 +815,15 @@ int f(int n) {
     return total;
 }
 `
+
+func TestSwitchReturnAndContinue(t *testing.T) {
 	// i=0: continue; i=1: +10; i=2: return 10+100.
-	if got := run(t, src, "f", IntValue(5)); got.Int() != 110 {
+	if got := run(t, srcSwitchReturnAndContinue, "f", IntValue(5)); got.Int() != 110 {
 		t.Errorf("f(5) = %v, want 110", got)
 	}
 }
 
-func TestAllCompoundAssignOps(t *testing.T) {
-	src := `
+const srcAllCompoundAssignOps = `
 int f(int a) {
     a += 3;
     a -= 1;
@@ -731,8 +838,10 @@ int f(int a) {
     return a;
 }
 `
+
+func TestAllCompoundAssignOps(t *testing.T) {
 	// a=10: +3=13, -1=12, *2=24, /3=8, %7=1, ^5=4, &6=4, |9=13, <<2=52, >>1=26.
-	if got := run(t, src, "f", IntValue(10)); got.Int() != 26 {
+	if got := run(t, srcAllCompoundAssignOps, "f", IntValue(10)); got.Int() != 26 {
 		t.Errorf("f(10) = %v, want 26", got)
 	}
 }

@@ -1,12 +1,30 @@
-// Package interp implements a concrete interpreter for MiniC. The SGX
-// enclave simulator uses it to actually run enclave code end-to-end, and
-// the checker uses it to replay leak witnesses: two concrete executions
-// differing in a single secret must produce observably different outputs.
+// Package interp runs MiniC programs concretely. The SGX enclave simulator
+// uses it to run enclave code end to end, and the checker uses it to
+// replay leak witnesses: two concrete executions differing in a single
+// secret must produce observably different outputs.
+//
+// Compile turns a parsed file into a Program; each function compiles into
+// Go closures on its first call, with identifiers resolved to frame slots
+// or globals and types, layouts, offsets and call targets fixed once. A
+// Machine runs a Program: it owns the globals, the step budget, the PRNG
+// and the printed output of one run, and any number of machines may share
+// one Program. Scalars whose address is never taken live in a per-call
+// frame of Values; arrays, structs and address-taken scalars are Objects of
+// typed cells, fresh each time their declaration runs. Int arithmetic
+// wraps at 32 bits in every intermediate result, as the symbolic engine's
+// constant folding does, and pointer arithmetic (p + n, p++, p += n) steps
+// by the element size in cells.
+//
+// Every statement, every expression and every loop iteration costs one
+// step of the MaxSteps budget, and an error a node can raise (undeclared
+// identifier, unknown function, nil dereference, missing return) surfaces
+// only when that node runs.
 package interp
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"privacyscope/internal/minic"
@@ -20,6 +38,7 @@ var (
 	ErrDivideByZero  = errors.New("interp: division by zero")
 	ErrNoSuchFunc    = errors.New("interp: no such function")
 	ErrMissingReturn = errors.New("interp: function fell off the end without returning a value")
+	ErrTooLarge      = errors.New("interp: type too large to allocate")
 )
 
 // CellKind is the storage class of one memory cell.
@@ -36,9 +55,9 @@ const (
 // Value is a concrete MiniC value: an integer, a float, or a pointer.
 type Value struct {
 	kind CellKind
-	i    int64
-	f    float64
-	ptr  Pointer
+	// i holds an integer, or a float's IEEE 754 bits.
+	i   int64
+	ptr Pointer
 }
 
 // Pointer references a cell inside an object.
@@ -57,7 +76,7 @@ func IntValue(v int64) Value { return Value{kind: CellInt, i: v} }
 func CharValue(v int64) Value { return Value{kind: CellChar, i: int64(int8(v))} }
 
 // FloatValue wraps a float.
-func FloatValue(v float64) Value { return Value{kind: CellFloat, f: v} }
+func FloatValue(v float64) Value { return Value{kind: CellFloat, i: int64(math.Float64bits(v))} }
 
 // PtrValue wraps a pointer.
 func PtrValue(p Pointer) Value { return Value{kind: CellPtr, ptr: p} }
@@ -68,7 +87,7 @@ func (v Value) Kind() CellKind { return v.kind }
 // Int returns the value as int64 (floats truncate).
 func (v Value) Int() int64 {
 	if v.kind == CellFloat {
-		return int64(v.f)
+		return int64(v.float())
 	}
 	return v.i
 }
@@ -76,10 +95,12 @@ func (v Value) Int() int64 {
 // Float returns the value as float64.
 func (v Value) Float() float64 {
 	if v.kind == CellFloat {
-		return v.f
+		return v.float()
 	}
 	return float64(v.i)
 }
+
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Ptr returns the pointer payload (zero Pointer when not a pointer).
 func (v Value) Ptr() Pointer { return v.ptr }
@@ -88,7 +109,7 @@ func (v Value) Ptr() Pointer { return v.ptr }
 func (v Value) IsZero() bool {
 	switch v.kind {
 	case CellFloat:
-		return v.f == 0
+		return v.float() == 0
 	case CellPtr:
 		return v.ptr.IsNil()
 	default:
@@ -103,7 +124,7 @@ func (v Value) IsFloat() bool { return v.kind == CellFloat }
 func (v Value) String() string {
 	switch v.kind {
 	case CellFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case CellPtr:
 		if v.ptr.IsNil() {
 			return "NULL"
@@ -124,7 +145,13 @@ type Object struct {
 
 // NewObject allocates an object with the cell layout of the given type.
 func NewObject(name string, t minic.Type) *Object {
-	kinds := layout(t)
+	kinds, _ := objectLayout(t) // no layout: an object of no cells
+	return newObject(name, kinds)
+}
+
+// newObject allocates an object with the given cell kinds, which it shares
+// and never writes.
+func newObject(name string, kinds []CellKind) *Object {
 	o := &Object{Name: name, cells: make([]Value, len(kinds)), kinds: kinds}
 	for i, k := range kinds {
 		o.cells[i] = zeroOf(k)
@@ -214,45 +241,115 @@ func coerce(v Value, k CellKind) Value {
 	return v
 }
 
-// layout flattens a type into its cell kinds.
-func layout(t minic.Type) []CellKind {
+// maxObjectCells bounds one object. A type with more cells, or one that
+// contains itself, has no layout: declaring a variable of it fails with
+// ErrTooLarge when the declaration runs.
+const maxObjectCells = 1 << 20
+
+// objectLayout flattens a type into its cell kinds, or fails with
+// ErrTooLarge when the type has no layout (see maxObjectCells).
+func objectLayout(t minic.Type) ([]CellKind, error) {
+	n := cellsOf(t)
+	if n < 0 || n > maxObjectCells {
+		return nil, fmt.Errorf("%w: %s", ErrTooLarge, t)
+	}
+	return appendLayout(make([]CellKind, 0, n), t), nil
+}
+
+// scalarKind is the cell kind of a scalar type (minic.IsScalar).
+func scalarKind(t minic.Type) CellKind {
+	if b, ok := t.(minic.Basic); ok {
+		switch b.Kind {
+		case minic.Char:
+			return CellChar
+		case minic.Float, minic.Double:
+			return CellFloat
+		}
+		return CellInt
+	}
+	return CellPtr
+}
+
+func appendLayout(out []CellKind, t minic.Type) []CellKind {
 	switch v := t.(type) {
 	case minic.Basic:
-		switch v.Kind {
-		case minic.Char:
-			return []CellKind{CellChar}
-		case minic.Float, minic.Double:
-			return []CellKind{CellFloat}
-		case minic.Void:
-			return nil
-		default:
-			return []CellKind{CellInt}
+		if v.Kind == minic.Void {
+			return out
 		}
+		return append(out, scalarKind(v))
 	case minic.Pointer:
-		return []CellKind{CellPtr}
+		return append(out, CellPtr)
 	case minic.Array:
-		n := v.Len
-		if n < 0 {
-			n = 0
+		if v.Len <= 0 {
+			return out
 		}
-		elem := layout(v.Elem)
-		out := make([]CellKind, 0, n*len(elem))
-		for i := 0; i < n; i++ {
+		start := len(out)
+		out = appendLayout(out, v.Elem)
+		elem := out[start:]
+		for i := 1; i < v.Len; i++ {
 			out = append(out, elem...)
 		}
 		return out
 	case *minic.StructType:
-		var out []CellKind
 		for _, f := range v.Fields {
-			out = append(out, layout(f.Type)...)
+			out = appendLayout(out, f.Type)
 		}
-		return out
 	}
-	return nil
+	return out
 }
 
-// cellsOf returns the number of cells a type occupies.
-func cellsOf(t minic.Type) int { return len(layout(t)) }
+// cellsOf returns the number of cells a type occupies, saturating just
+// past maxObjectCells, or -1 when the type contains itself.
+func cellsOf(t minic.Type) int {
+	var cc cellCounter
+	return cc.count(t)
+}
+
+// cellCounter memoizes struct cell counts within one count; -1 marks a
+// struct still being counted, which a self-containing struct meets again.
+type cellCounter map[*minic.StructType]int
+
+func (cc *cellCounter) count(t minic.Type) int {
+	switch v := t.(type) {
+	case minic.Basic:
+		if v.Kind == minic.Void {
+			return 0
+		}
+		return 1
+	case minic.Pointer:
+		return 1
+	case minic.Array:
+		e := cc.count(v.Elem)
+		switch {
+		case e < 0:
+			return -1
+		case v.Len <= 0 || e == 0:
+			return 0
+		case v.Len > maxObjectCells/e:
+			return maxObjectCells + 1
+		}
+		return v.Len * e
+	case *minic.StructType:
+		if n, ok := (*cc)[v]; ok {
+			return n
+		}
+		if *cc == nil {
+			*cc = make(cellCounter)
+		}
+		(*cc)[v] = -1
+		n := 0
+		for _, f := range v.Fields {
+			c := cc.count(f.Type)
+			if c < 0 {
+				return -1
+			}
+			n = min(n+c, maxObjectCells+1)
+		}
+		(*cc)[v] = n
+		return n
+	}
+	return 0
+}
 
 // fieldOffset returns the cell offset of field name within struct st.
 func fieldOffset(st *minic.StructType, name string) (int, minic.Type, bool) {

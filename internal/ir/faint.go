@@ -261,7 +261,7 @@ func (a *relevance) assign(to string, e minic.Expr) {
 // walkIdents calls visit with the name of every identifier e reads or
 // writes.
 func walkIdents(e minic.Expr, visit func(string)) {
-	walkExpr(e, func(x minic.Expr) {
+	minic.WalkExpr(e, func(x minic.Expr) {
 		if id, ok := x.(*minic.IdentExpr); ok {
 			visit(id.Name)
 		}

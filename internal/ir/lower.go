@@ -127,7 +127,7 @@ func collectCalls(body *BlockOp) []string {
 	seen := map[string]bool{}
 	walkOps(body, func(op Op) {
 		opExprs(op, func(e minic.Expr) {
-			walkExpr(e, func(x minic.Expr) {
+			minic.WalkExpr(e, func(x minic.Expr) {
 				if c, ok := x.(*minic.CallExpr); ok {
 					seen[c.Fun] = true
 				}
@@ -190,49 +190,5 @@ func opExprs(op Op, visit func(minic.Expr)) {
 		}
 	case *ReturnOp:
 		visit(v.X)
-	}
-}
-
-// walkExpr calls visit on e and every subexpression of it, parents first;
-// a nil e visits nothing.
-func walkExpr(e minic.Expr, visit func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch v := e.(type) {
-	case *minic.CallExpr:
-		for _, a := range v.Args {
-			walkExpr(a, visit)
-		}
-	case *minic.BinExpr:
-		walkExpr(v.L, visit)
-		walkExpr(v.R, visit)
-	case *minic.UnExpr:
-		walkExpr(v.X, visit)
-	case *minic.AssignExpr:
-		walkExpr(v.LHS, visit)
-		walkExpr(v.RHS, visit)
-	case *minic.IncDecExpr:
-		walkExpr(v.X, visit)
-	case *minic.IndexExpr:
-		walkExpr(v.X, visit)
-		walkExpr(v.Index, visit)
-	case *minic.MemberExpr:
-		walkExpr(v.X, visit)
-	case *minic.DerefExpr:
-		walkExpr(v.X, visit)
-	case *minic.AddrExpr:
-		walkExpr(v.X, visit)
-	case *minic.CastExpr:
-		walkExpr(v.X, visit)
-	case *minic.CondExpr:
-		walkExpr(v.Cond, visit)
-		walkExpr(v.Then, visit)
-		walkExpr(v.Else, visit)
-	case *minic.SizeofExpr:
-		// The engine evaluates sizeof's operand for its type, effects
-		// included.
-		walkExpr(v.X, visit)
 	}
 }
