@@ -6,7 +6,8 @@ help:
 	@echo "fuzz-smoke      short native-fuzzer runs (parsers, fail-soft, traceparent,"
 	@echo "                model search, interpreter)"
 	@echo "examples-smoke  run the runnable examples"
-	@echo "batch-smoke     cold + warm project run over examples/project"
+	@echo "batch-smoke     cold + warm project run over examples/project, then a"
+	@echo "                cold run whose small -cache-max-bytes forces evictions"
 	@echo "summary-smoke   summary gate: default runs and WithParallelism(4) runs must"
 	@echo "                reproduce the report and batch goldens, plus the"
 	@echo "                exactness and linear-build pins (-race)"
@@ -84,15 +85,23 @@ examples-smoke:
 # status 2 (findings) is the expected outcome of both runs; anything else
 # fails the smoke. The cold run also exports its project timeline as a
 # Chrome trace-event file (batch-smoke-trace.json, one lane per worker —
-# load it in Perfetto); CI uploads it as an artifact. See docs/BATCH.md.
+# load it in Perfetto); CI uploads it as an artifact. A third, cold run
+# into a fresh directory capped at SMOKE_CACHE_CAP bytes — less than the
+# first run's entries take, which the recipe checks — exercises eviction
+# end to end: same exit status 2, and the entries left must fit the cap.
+# See docs/BATCH.md.
+SMOKE_CACHE_CAP = 1500
 .PHONY: batch-smoke
 batch-smoke:
-	rm -rf .pscache-smoke bin/privacyscope-smoke batch-smoke-trace.json
+	rm -rf .pscache-smoke .pscache-smoke-capped bin/privacyscope-smoke batch-smoke-trace.json
 	go build -o bin/privacyscope-smoke ./cmd/privacyscope
 	./bin/privacyscope-smoke -dir examples/project -cache-dir .pscache-smoke -trace-out batch-smoke-trace.json; test $$? -eq 2
 	grep -q '"traceEvents"' batch-smoke-trace.json
 	./bin/privacyscope-smoke -dir examples/project -cache-dir .pscache-smoke | grep -Eq 'verdict: .* \([1-9][0-9]* cached, 0 analyzed, 0 errors\)'
-	rm -rf .pscache-smoke bin/privacyscope-smoke
+	test $$(cat .pscache-smoke/*.psc | wc -c) -gt $(SMOKE_CACHE_CAP)
+	./bin/privacyscope-smoke -dir examples/project -cache-dir .pscache-smoke-capped -cache-max-bytes $(SMOKE_CACHE_CAP); test $$? -eq 2
+	test $$(cat .pscache-smoke-capped/*.psc | wc -c) -le $(SMOKE_CACHE_CAP)
+	rm -rf .pscache-smoke .pscache-smoke-capped bin/privacyscope-smoke
 
 # Summary smoke: the compositional-analysis gate. Every analysis resolves
 # calls through summaries, and the report golden was recorded with every

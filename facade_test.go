@@ -73,6 +73,23 @@ func TestAnalyzeEnclaveErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeEnclaveRejectsSelfContainingStruct: a struct that contains
+// itself by value has no size, so sizeof on it used to recurse until Go's
+// fatal stack overflow, which no recover can catch. The checker now
+// rejects the module with a positioned error before any engine runs.
+func TestAnalyzeEnclaveRejectsSelfContainingStruct(t *testing.T) {
+	src := `struct S { int a; struct S s; };
+int f(int *secrets, int *output) {
+    output[0] = sizeof(struct S) + secrets[0];
+    return 0;
+}`
+	edlSrc := `enclave { trusted { public int f([in] int *secrets, [out] int *output); }; };`
+	_, err := AnalyzeEnclave(src, edlSrc)
+	if err == nil || !strings.Contains(err.Error(), "1:28: struct S contains itself by value") {
+		t.Fatalf("err = %v, want the checker's positioned struct-cycle error", err)
+	}
+}
+
 func TestAnalyzeEnclaveWithConfigOverride(t *testing.T) {
 	// The XML flips the classification: nothing is secret → secure.
 	xml := []byte(`

@@ -394,7 +394,7 @@ func TestCancelledEnvelopesNotCached(t *testing.T) {
 	if env := rep.Units[0].Envelope; env == nil || !env.Cancelled() {
 		t.Fatal("cancelled heavy unit envelope does not report cancellation")
 	}
-	if n := cache.Len(); n != 0 {
+	if n, _ := cache.Stats(); n != 0 {
 		t.Fatalf("cancelled run persisted %d entries, want 0", n)
 	}
 
@@ -411,8 +411,8 @@ func TestCancelledEnvelopesNotCached(t *testing.T) {
 		t.Fatalf("full rerun verdict = %s, want secure", full.Verdict())
 	}
 	// The full run's complete envelope DID persist.
-	if cache2.Len() != 1 {
-		t.Fatalf("full rerun persisted %d entries, want 1", cache2.Len())
+	if n, _ := cache2.Stats(); n != 1 {
+		t.Fatalf("full rerun persisted %d entries, want 1", n)
 	}
 }
 

@@ -17,8 +17,25 @@
 //     header, and a truncated, bit-flipped or mis-framed entry degrades to
 //     a cache miss (and is removed) instead of an error. A cache problem
 //     must never change a verdict, only cost a recompute.
-//   - The directory is size-capped: Put evicts the oldest entries (by
-//     mtime, refreshed on hit) once the payload total passes MaxBytes.
+//   - The directory is size-capped without a scan per write. Each handle
+//     keeps a size estimate: base, the payload total its last directory
+//     scan left behind, and pending, the bytes it has put since. Put lists
+//     the directory only on the handle's first Put, once base+pending
+//     passes MaxBytes, or once pending passes MaxBytes/8. A scan that finds
+//     the directory over the low-water mark MaxBytes−MaxBytes/8 evicts the
+//     oldest entries (by mtime, refreshed on hit) down to it; that
+//     hysteresis is what keeps a cache sitting at its cap from scanning on
+//     every Put, and lets a sole writer scan at most once per MaxBytes/8
+//     bytes written. Open never scans, so a run that only reads lists
+//     nothing.
+//   - A sole writer never leaves the directory over MaxBytes when a Put
+//     returns: the estimate can only over-count (a re-put key counts
+//     twice), which brings a scan forward, never pushes it back, and a
+//     listing that fails leaves it to the next Put to list again. Handles
+//     that share a directory, in one process or several, do not see each
+//     other's writes until they scan, so with k handles the total can pass
+//     MaxBytes by at most k·(MaxBytes/8 + one entry); every scan brings it
+//     back under the low-water mark.
 //
 // Telemetry flows through internal/obs under the diskcache.* names
 // (hits, misses, puts, evictions, corrupt, errors), so the daemon's
@@ -112,10 +129,14 @@ type Cache struct {
 	fs       FS
 	obs      obs.Observer
 
-	// evictMu serializes eviction scans; Get/Put themselves need no lock —
-	// atomicity comes from write-then-rename.
-	evictMu sync.Mutex
-	seq     atomic.Uint64
+	seq atomic.Uint64
+
+	// mu guards the size estimate and serializes eviction scans; Get and
+	// Put themselves need no lock — atomicity comes from write-then-rename.
+	mu      sync.Mutex
+	scanned bool  // set by the handle's first scan
+	base    int64 // payload total the last scan left behind
+	pending int64 // bytes put since that scan began
 }
 
 // Open creates (if needed) and returns the cache over cfg.Dir.
@@ -240,7 +261,8 @@ func (c *Cache) Put(key string, payload []byte) {
 	}
 	path := c.path(key)
 	tmp := fmt.Sprintf("%s%s.%d.%d", path, tmpExt, os.Getpid(), c.seq.Add(1))
-	if err := c.fs.WriteFile(tmp, encode(payload), 0o644); err != nil {
+	data := encode(payload)
+	if err := c.fs.WriteFile(tmp, data, 0o644); err != nil {
 		c.obs.Add("diskcache.errors", 1)
 		c.fs.Remove(tmp)
 		return
@@ -251,7 +273,27 @@ func (c *Cache) Put(key string, payload []byte) {
 		return
 	}
 	c.obs.Add("diskcache.puts", 1)
-	c.evict()
+	c.account(int64(len(data)))
+}
+
+// account adds n freshly put bytes to the size estimate and scans when the
+// cap could be at stake (see the package doc for the rule and its bounds).
+// The estimate is updated after the rename and the scan holds mu, so an
+// entry a scan did not list is always still in pending: it can be counted
+// twice, never missed.
+func (c *Cache) account(n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pending += n
+	slack := c.maxBytes / 8
+	if c.scanned && c.base+c.pending <= c.maxBytes && c.pending <= slack {
+		return
+	}
+	total, err := c.evict(c.maxBytes - slack)
+	if err != nil {
+		return // keep the estimate; the next Put lists again
+	}
+	c.scanned, c.base, c.pending = true, total, 0
 }
 
 // entryInfo is one finished entry during an eviction/accounting scan.
@@ -262,10 +304,10 @@ type entryInfo struct {
 }
 
 // scan lists finished entries with sizes and mtimes.
-func (c *Cache) scan() []entryInfo {
+func (c *Cache) scan() ([]entryInfo, error) {
 	des, err := c.fs.ReadDir(c.dir)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var out []entryInfo
 	for _, de := range des {
@@ -282,26 +324,31 @@ func (c *Cache) scan() []entryInfo {
 			mtime: info.ModTime(),
 		})
 	}
-	return out
+	return out, nil
 }
 
-// evict removes the oldest entries until the directory fits MaxBytes. The
-// scan is authoritative (not a cached running total) so multiple processes
-// sharing the directory converge on the cap instead of drifting.
-func (c *Cache) evict() {
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	entries := c.scan()
+// evict lists the directory and, when its payload total is over lowWater,
+// removes the oldest entries until it is not; it returns the total left,
+// or the listing's error.
+// Evicting whenever the total is over the mark, not only over the cap, is
+// what spaces the scans out: a scan that left the total between the two
+// would make the next one due as soon as the total passes the cap, which
+// can be one entry later.
+func (c *Cache) evict(lowWater int64) (int64, error) {
+	entries, err := c.scan()
+	if err != nil {
+		return 0, err
+	}
 	var total int64
 	for _, e := range entries {
 		total += e.size
 	}
-	if total <= c.maxBytes {
-		return
+	if total <= lowWater {
+		return total, nil
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
 	for _, e := range entries {
-		if total <= c.maxBytes {
+		if total <= lowWater {
 			break
 		}
 		if err := c.fs.Remove(e.path); err == nil {
@@ -309,27 +356,20 @@ func (c *Cache) evict() {
 			c.obs.Add("diskcache.evictions", 1)
 		}
 	}
+	return total, nil
 }
 
-// Len counts finished entries (a directory scan; intended for stats
-// endpoints and tests, not hot paths).
-func (c *Cache) Len() int {
+// Stats counts the finished entries and totals their on-disk sizes in one
+// directory scan (intended for stats endpoints and tests, not hot paths).
+func (c *Cache) Stats() (entries int, bytes int64) {
 	if c == nil {
-		return 0
+		return 0, 0
 	}
-	return len(c.scan())
-}
-
-// SizeBytes totals the finished entries' on-disk sizes.
-func (c *Cache) SizeBytes() int64 {
-	if c == nil {
-		return 0
+	es, _ := c.scan() // an unlistable directory reads as empty
+	for _, e := range es {
+		bytes += e.size
 	}
-	var total int64
-	for _, e := range c.scan() {
-		total += e.size
-	}
-	return total
+	return len(es), bytes
 }
 
 // Dir returns the cache directory ("" for a nil cache).

@@ -48,8 +48,8 @@ func TestPutReplacesEntry(t *testing.T) {
 	if !ok || string(got) != "second" {
 		t.Fatalf("got %q ok=%v, want %q", got, ok, "second")
 	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("Len = %d after re-put, want 1", n)
+	if n, _ := c.Stats(); n != 1 {
+		t.Fatalf("Stats entries = %d after re-put, want 1", n)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if _, ok := c.Get("deadbeef"); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if c.Len() != 0 || c.SizeBytes() != 0 || c.Dir() != "" {
+	if n, size := c.Stats(); n != 0 || size != 0 || c.Dir() != "" {
 		t.Fatal("nil cache reported non-zero stats")
 	}
 }
@@ -166,11 +166,12 @@ func TestEvictionHonorsSizeCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(Key("engine", string(rune('a'+i))), payload)
 	}
-	if got, cap := c.SizeBytes(), int64(4*1500); got > cap {
-		t.Fatalf("SizeBytes = %d, over cap %d after eviction", got, cap)
+	n, size := c.Stats()
+	if cap := int64(4 * 1500); size > cap {
+		t.Fatalf("Stats bytes = %d, over cap %d after eviction", size, cap)
 	}
-	if c.Len() >= 10 {
-		t.Fatalf("Len = %d, nothing evicted", c.Len())
+	if n >= 10 {
+		t.Fatalf("Stats entries = %d, nothing evicted", n)
 	}
 	if m.Counter("diskcache.evictions") == 0 {
 		t.Fatal("diskcache.evictions not bumped")

@@ -127,7 +127,7 @@ func (p *parser) parseStructDef() (*StructType, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.Fields = append(st.Fields, Field{Name: fieldTok.Text, Type: fty})
+			st.Fields = append(st.Fields, Field{Name: fieldTok.Text, Type: fty, Pos: fieldTok.Pos})
 			if p.at(Comma) {
 				p.advance()
 				continue

@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -405,6 +406,64 @@ func TestCheckerFindsErrors(t *testing.T) {
 				t.Errorf("error = %q, want substring %q", err, tt.want)
 			}
 		})
+	}
+}
+
+func TestCheckerRejectsStructCycles(t *testing.T) {
+	tests := []struct {
+		name string
+		src  string
+		want string // "" when the module is legal
+		pos  Pos
+	}{
+		{"direct", "struct S { int a; struct S s; };", "struct S contains itself by value through field S.s", Pos{1, 28}},
+		{"array", "struct S { int a; struct S arr[2]; };", "through field S.arr", Pos{1, 28}},
+		{"unsized-array", "struct S { struct S arr[]; };", "through field S.arr", Pos{1, 21}},
+		{"nested-array", "struct S { struct S m[2][3]; };", "through field S.m", Pos{1, 21}},
+		{"pointer", "struct S { int a; struct S *next; };", "", Pos{}},
+		{"pointer-array", "struct S { struct S *kids[4]; };", "", Pos{}},
+		{"acyclic-nesting", "struct P { int x; }; struct S { struct P p[2]; struct P q; };", "", Pos{}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			f, err := Parse(tt.src + " int f(void) { return 0; }")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = NewChecker(DefaultBuiltins).Check(f)
+			if tt.want == "" {
+				if err != nil {
+					t.Fatalf("Check rejected a legal struct: %v", err)
+				}
+				return
+			}
+			var ce *CheckError
+			if !errors.As(err, &ce) || len(ce.Errs) != 1 {
+				t.Fatalf("Check = %v, want exactly one error", err)
+			}
+			if got := ce.Errs[0]; !strings.Contains(got.Msg, tt.want) || got.Pos != tt.pos {
+				t.Errorf("error = %q at %s, want substring %q at %s", got.Msg, got.Pos, tt.want, tt.pos)
+			}
+		})
+	}
+}
+
+// TestCheckerRejectsMutualStructCycle builds the cycle directly: the
+// parser cannot express one (a struct must be defined before a member
+// names it), but the checker must not rely on that.
+func TestCheckerRejectsMutualStructCycle(t *testing.T) {
+	a := &StructType{Name: "A"}
+	b := &StructType{Name: "B", Fields: []Field{{Name: "a", Type: Array{Elem: a, Len: 2}, Pos: Pos{2, 5}}}}
+	a.Fields = []Field{{Name: "n", Type: Basic{Kind: Int}}, {Name: "b", Type: b, Pos: Pos{1, 5}}}
+	// A third struct that merely contains the cycle adds no second error.
+	c := &StructType{Name: "C", Fields: []Field{{Name: "x", Type: a}}}
+	err := NewChecker(DefaultBuiltins).Check(&File{Structs: []*StructType{a, b, c}})
+	var ce *CheckError
+	if !errors.As(err, &ce) || len(ce.Errs) != 1 {
+		t.Fatalf("Check = %v, want exactly one error", err)
+	}
+	if got := ce.Errs[0]; !strings.Contains(got.Msg, "struct A contains itself by value through field B.a") || got.Pos != (Pos{2, 5}) {
+		t.Fatalf("error = %q at %s", got.Msg, got.Pos)
 	}
 }
 

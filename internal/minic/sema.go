@@ -31,8 +31,9 @@ func (e *CheckError) Error() string {
 
 // Checker performs name resolution and structural checks over a parsed
 // file: undeclared identifiers, unknown call targets, duplicate
-// declarations in a scope, and break/continue outside loops. It is
-// deliberately lenient about numeric conversions, as C is.
+// declarations in a scope, break/continue outside loops, and structs that
+// contain themselves by value. It is deliberately lenient about numeric
+// conversions, as C is.
 type Checker struct {
 	builtins map[string]bool
 }
@@ -55,6 +56,7 @@ func (c *Checker) Check(f *File) error {
 		file:    f,
 		funcs:   make(map[string]*FuncDecl, len(f.Functions)),
 	}
+	cc.structCycles()
 	for _, fn := range f.Functions {
 		if prev, dup := cc.funcs[fn.Name]; dup && prev.Body != nil && fn.Body != nil {
 			cc.errorf(fn.Pos, "duplicate function %s", fn.Name)
@@ -89,6 +91,54 @@ func (c *Checker) Check(f *File) error {
 		return &CheckError{Errs: cc.errs}
 	}
 	return nil
+}
+
+// structCycles reports every struct that contains itself by value —
+// directly, through other structs, or through arrays of either. Such a type
+// has no size: SizeOf and the engines' layouts would recurse on it without
+// end. A pointer member breaks the cycle and stays legal.
+func (c *checkCtx) structCycles() {
+	const (
+		visiting = 1
+		done     = 2
+	)
+	state := make(map[*StructType]int, len(c.file.Structs))
+	var visit func(st *StructType)
+	visit = func(st *StructType) {
+		state[st] = visiting
+		for _, fld := range st.Fields {
+			inner := byValueStruct(fld.Type)
+			switch {
+			case inner == nil:
+			case state[inner] == visiting:
+				c.errorf(fld.Pos, "struct %s contains itself by value through field %s.%s (use a pointer)",
+					inner.Name, st.Name, fld.Name)
+			case state[inner] == 0:
+				visit(inner)
+			}
+		}
+		state[st] = done
+	}
+	for _, st := range c.file.Structs {
+		if state[st] == 0 {
+			visit(st)
+		}
+	}
+}
+
+// byValueStruct returns the struct a member of type t embeds by value, or
+// nil when it embeds none (scalars, pointers).
+func byValueStruct(t Type) *StructType {
+	for {
+		switch v := t.(type) {
+		case Array:
+			t = v.Elem
+		case *StructType:
+			return v
+		default:
+			return nil
+		}
+	}
 }
 
 type scope struct {

@@ -89,6 +89,7 @@ type StructType struct {
 type Field struct {
 	Name string
 	Type Type
+	Pos  Pos // the member name's position
 }
 
 func (*StructType) isType() {}

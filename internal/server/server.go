@@ -642,8 +642,9 @@ func (s *Server) publishGauges() {
 	s.metrics.SetGauge("server.jobs.inflight", s.sched.InFlight())
 	s.metrics.SetGauge("server.cache.entries", int64(s.cache.Len()))
 	if s.cfg.DiskCache != nil {
-		s.metrics.SetGauge("diskcache.entries", int64(s.cfg.DiskCache.Len()))
-		s.metrics.SetGauge("diskcache.size.bytes", s.cfg.DiskCache.SizeBytes())
+		entries, bytes := s.cfg.DiskCache.Stats()
+		s.metrics.SetGauge("diskcache.entries", int64(entries))
+		s.metrics.SetGauge("diskcache.size.bytes", bytes)
 	}
 }
 

@@ -23,14 +23,16 @@ import (
 // Each node lazily caches its interval state (see Solver.boundsOf): the
 // parent's state with the node's own conjunct applied, so a feasibility
 // query costs what the newest conjunct adds, not the length of the path.
-// The cache is written on first use, so a path condition, like the engine
-// that builds it, is used from one goroutine.
+// The node caches the outcome of its model search the same way (see
+// Solver.model). Both caches are written on first use, so a path
+// condition, like the engine that builds it, is used from one goroutine.
 type PathCondition struct {
 	parent *PathCondition // nil at the root
 	last   sym.Expr       // newest conjunct; nil at the root
 	n      int            // number of conjuncts
 
-	bounds *bounds // set on first use by Solver.boundsOf
+	bounds *bounds       // set on first use by Solver.boundsOf
+	model  *modelOutcome // set on first use by Solver.model
 }
 
 // True returns the empty path condition.

@@ -189,17 +189,20 @@ func (s *Solver) Feasible(pc *PathCondition) bool {
 
 // Model attempts to produce a concrete binding of all symbols in pc (plus
 // any extra symbols supplied) that satisfies every conjunct. Used by the
-// checker to construct replayable leak witnesses.
+// checker to construct replayable leak witnesses. Each call returns a fresh
+// binding the caller may modify.
 func (s *Solver) Model(pc *PathCondition, extra []*sym.Symbol) (sym.Binding, bool) {
 	s.o().Add("solver.queries", 1)
 	bd := s.boundsOf(pc)
 	if bd.unsat {
 		return nil, false
 	}
-	b, ok := s.model(pc, bd.ivs)
+	found, ok := s.model(pc, bd.ivs)
 	if !ok {
 		return nil, false
 	}
+	b := make(sym.Binding, len(found)+len(extra))
+	maps.Copy(b, found)
 	for _, x := range extra {
 		if _, bound := b[x.ID]; !bound {
 			b[x.ID] = sym.IntVal(0)
@@ -393,10 +396,22 @@ func flipOp(op sym.Op) sym.Op {
 
 // model searches for a binding of pc's symbols, drawn from a few
 // candidates inside each propagated interval, that satisfies every
-// conjunct.
+// conjunct. The outcome is a pure function of the conjuncts (ivs is pc's
+// own interval state), so it is searched once per node and cached there;
+// the returned binding is that cache and must not be modified.
 func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, bool) {
-	b, ok, _ := searchModel(pc.Conjuncts(), ivs, searchBudget)
-	return b, ok
+	if pc.model == nil {
+		b, ok, _ := searchModel(pc.Conjuncts(), ivs, searchBudget)
+		pc.model = &modelOutcome{b: b, ok: ok}
+	}
+	return pc.model.b, pc.model.ok
+}
+
+// modelOutcome is one node's cached model search: the model, or ok false
+// when the search found none within its budget.
+type modelOutcome struct {
+	b  sym.Binding
+	ok bool
 }
 
 // searchBudget bounds the full candidate assignments the model search may

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"privacyscope/internal/obs"
 	"privacyscope/internal/sym"
 	"privacyscope/internal/taint"
 )
@@ -196,6 +197,50 @@ func TestModelBindsExtras(t *testing.T) {
 	}
 	if _, bound := m[other.ID]; !bound {
 		t.Error("extra symbol must receive a binding")
+	}
+}
+
+// TestModelSearchedOncePerNode: the search outcome is cached on the path
+// condition, but every call still counts as a query and returns its own
+// binding with its own extras.
+func TestModelSearchedOncePerNode(t *testing.T) {
+	b := newBuilder()
+	s := b.FreshSecret("")
+	extra := b.FreshSecret("")
+	m := obs.NewMetrics()
+	sv := NewObserved(m)
+	pc := True().And(cmp(sym.OpGt, s, sym.IntConst{V: 40}))
+
+	first, ok1 := sv.Model(pc, []*sym.Symbol{extra})
+	cached := pc.model
+	second, ok2 := sv.Model(pc, nil)
+	if !ok1 || !ok2 {
+		t.Fatal("Model failed on a sat pc")
+	}
+	if cached == nil || pc.model != cached {
+		t.Fatal("second call re-ran the search instead of reusing the node's outcome")
+	}
+	if got := m.Counter("solver.queries"); got != 2 {
+		t.Fatalf("solver.queries = %d, want 2 (one per call)", got)
+	}
+	if first[s.ID] != second[s.ID] {
+		t.Fatalf("calls disagree: %v vs %v", first, second)
+	}
+	if _, bound := second[extra.ID]; bound {
+		t.Fatal("the first call's extra leaked into the second call's binding")
+	}
+	first[s.ID] = sym.IntVal(-1)
+	if third, _ := sv.Model(pc, nil); third[s.ID] == sym.IntVal(-1) {
+		t.Fatal("modifying a returned binding changed the cached model")
+	}
+
+	// A search that gives up is cached too.
+	none := True().And(cmp(sym.OpEq, &sym.Binary{Op: sym.OpMul, L: s, R: s}, sym.IntConst{V: 99991}))
+	if _, ok := sv.Model(none, nil); ok {
+		t.Fatal("no small candidate squares to 99991")
+	}
+	if none.model == nil || none.model.ok {
+		t.Fatal("failed search not cached on the node")
 	}
 }
 
