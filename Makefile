@@ -111,10 +111,12 @@ batch-smoke:
 # "summaries" option; the engine-level pins check each summary against a
 # table-free exploration and the build's linear cost. Run under the race
 # detector because the lowered module and its summary table are shared
-# read-only across parallel per-ECALL jobs.
+# read-only across parallel per-ECALL jobs; the shadowing pins join the
+# set because lowering binds the module's identifiers in place, before
+# those jobs read them.
 .PHONY: summary-smoke
 summary-smoke:
-	go test -race -count=1 -run '^(TestSummary.*|TestGoldenProjectReportSummaryMode)$$' . ./internal/symexec ./internal/batch
+	go test -race -count=1 -run '^(TestSummary.*|TestGoldenProjectReportSummaryMode|TestShadow.*)$$' . ./internal/symexec ./internal/batch
 
 # Intern smoke: the private-arena gate. Every engine interns its expressions
 # in its own hash-consing arena (summary replay included), and concurrent

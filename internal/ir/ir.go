@@ -25,8 +25,10 @@ import (
 )
 
 // Program is a lowered module: the source translation unit plus one Func per
-// function. The Module is retained because the engine resolves globals and
-// struct layouts against it.
+// function. The Module is retained because the engine sizes its global
+// table and resolves struct layouts against it. Every identifier in the
+// program's expressions is bound to its minic.VarDecl (IdentExpr.Decl), and
+// every variable carries its slot (VarDecl.Slot).
 type Program struct {
 	Module *minic.File
 	Funcs  map[string]*Func
@@ -43,6 +45,9 @@ type Func struct {
 	Name   string
 	Params []*minic.VarDecl
 	Return minic.Type
+	// Slots is the frame size: params and locals index a frame by their
+	// VarDecl.Slot.
+	Slots int
 	// Body is nil for declarations without a definition.
 	Body *BlockOp
 	// Calls lists the callee names of every call expression in the body
@@ -123,7 +128,7 @@ func (*IfOp) isOp() {}
 // LoopOp unifies the three C loop forms:
 //
 //   - while (Cond) Body:            Cond + Body
-//   - for (Init; Cond; Post) Body:  Scoped, with optional Init op and Post
+//   - for (Init; Cond; Post) Body:  optional Init op and Post
 //     expression (Cond may be nil for for(;;))
 //   - do Body while (Cond):         PostTest — Body runs once before the
 //     condition is first evaluated
@@ -139,8 +144,6 @@ type LoopOp struct {
 	Body Op
 	// PostTest marks do-while semantics.
 	PostTest bool
-	// Scoped opens a scope around the loop (for-loop init variables).
-	Scoped bool
 }
 
 func (*LoopOp) isOp() {}

@@ -9,14 +9,18 @@ import (
 // LowerMiniC lowers a parsed MiniC translation unit into the analysis IR.
 // Lowering is 1:1 — one op per source statement, Display carrying the
 // statement's source rendering — so engine trace snapshots are unchanged by
-// the IR migration.
+// the IR migration. It first resolves the file (minic.Resolve), binding
+// every identifier to its declaration and slot in place, so the file must
+// not be lowered while another goroutine reads it.
 func LowerMiniC(file *minic.File) *Program {
+	minic.Resolve(file)
 	prog := &Program{Module: file, Funcs: make(map[string]*Func, len(file.Functions))}
 	for _, fn := range file.Functions {
 		f := &Func{
 			Name:   fn.Name,
 			Params: fn.Params,
 			Return: fn.Return,
+			Slots:  fn.Slots,
 			Pos:    fn.Pos,
 		}
 		if fn.Body != nil {
@@ -60,7 +64,7 @@ func lowerStmt(s minic.Stmt) Op {
 	case *minic.WhileStmt:
 		return &LoopOp{Meta: meta, Cond: v.Cond, Body: lowerStmt(v.Body)}
 	case *minic.ForStmt:
-		op := &LoopOp{Meta: meta, Cond: v.Cond, Post: v.Post, Body: lowerStmt(v.Body), Scoped: true}
+		op := &LoopOp{Meta: meta, Cond: v.Cond, Post: v.Post, Body: lowerStmt(v.Body)}
 		if v.Init != nil {
 			op.Init = lowerStmt(v.Init)
 		}

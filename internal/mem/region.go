@@ -15,8 +15,9 @@ import (
 	"privacyscope/internal/sym"
 )
 
-// Region is an abstract memory object. Regions are hash-consed by a Manager,
-// so two regions are the same object iff they denote the same memory.
+// Region is an abstract memory object. A Manager hash-conses derived and
+// symbolic regions and mints each variable region once for the caller to
+// keep, so two regions are the same object iff they denote the same memory.
 type Region interface {
 	// Key is a stable identifier that orders regions deterministically
 	// (the region itself is the map key: regions are hash-consed). It is
@@ -29,12 +30,12 @@ type Region interface {
 	Super() Region
 }
 
-// VarRegion is the region of a named program variable in some frame.
+// VarRegion is the region of one program variable: a global, or a param
+// or local in one call frame.
 type VarRegion struct {
-	id    int
-	key   string
-	Name  string
-	Frame int // call-frame depth, distinguishing recursive locals
+	id   int
+	key  string
+	Name string
 }
 
 // Key implements Region.
@@ -123,23 +124,21 @@ func Root(r Region) Region {
 	return r
 }
 
-// Manager hash-conses regions, mirroring the sym.Interner contract: one
-// canonical region object per denotation, so region equality throughout the
-// engine is pointer equality and regions serve directly as map keys (the
-// Store and the engine's per-region tables key on them). A manager belongs
-// to one engine and is used from one goroutine; numeric region IDs are
-// dense and deterministic.
+// Manager owns the regions of one engine, mirroring the sym.Interner
+// contract: one canonical region object per denotation, so region equality
+// throughout the engine is pointer equality and regions serve directly as
+// map keys (the Store and the engine's per-region tables key on them).
+// Element, field and symbolic-block regions are hash-consed here. Variable
+// regions are not: the engine resolves each variable to a frame slot or a
+// global index before it runs, so it asks for a variable's region once and
+// keeps it. A manager belongs to one engine and is used from one
+// goroutine; numeric region IDs are dense and deterministic.
 type Manager struct {
+	// nextID counts the variable and symbolic-block regions minted.
 	nextID int
-	vars   map[varKey]*VarRegion
 	symRgs map[int]*SymRegion // keyed by pointee symbol ID
 	elems  map[elemKey]*ElementRegion
 	fields map[fieldKey]*FieldRegion
-}
-
-type varKey struct {
-	name  string
-	frame int
 }
 
 type elemKey struct {
@@ -155,22 +154,17 @@ type fieldKey struct {
 // NewManager returns an empty region manager.
 func NewManager() *Manager {
 	return &Manager{
-		vars:   make(map[varKey]*VarRegion),
 		symRgs: make(map[int]*SymRegion),
 		elems:  make(map[elemKey]*ElementRegion),
 		fields: make(map[fieldKey]*FieldRegion),
 	}
 }
 
-// Var returns the region of variable name in the given frame.
-func (m *Manager) Var(name string, frame int) *VarRegion {
-	k := varKey{name, frame}
-	if r, ok := m.vars[k]; ok {
-		return r
-	}
-	r := &VarRegion{id: m.nextID, key: "v" + strconv.Itoa(m.nextID), Name: name, Frame: frame}
+// Var mints a new region for a variable named name. Every call returns a
+// distinct region: the caller keeps it for as long as the variable lives.
+func (m *Manager) Var(name string) *VarRegion {
+	r := &VarRegion{id: m.nextID, key: "v" + strconv.Itoa(m.nextID), Name: name}
 	m.nextID++
-	m.vars[k] = r
 	return r
 }
 
@@ -211,7 +205,7 @@ func (m *Manager) Field(super Region, field string) *FieldRegion {
 // RegionCount returns how many distinct regions have been created, a metric
 // the Table IV bench reports.
 func (m *Manager) RegionCount() int {
-	return len(m.vars) + len(m.symRgs) + len(m.elems) + len(m.fields)
+	return m.nextID + len(m.elems) + len(m.fields)
 }
 
 // SVal is a symbolic value stored in the store or produced by expression
@@ -253,8 +247,8 @@ func (Undefined) String() string { return "undef" }
 // Store maps regions to SVals (σ in the paper's state 4-tuple). It is a
 // persistent copy-on-write structure: Clone is O(1) in the number of
 // bindings, making state forks cheap enough for parallel path exploration.
-// Bindings are keyed by region identity (regions are hash-consed by the
-// Manager), so lookups never build a key string.
+// Bindings are keyed by region identity (the Manager makes one canonical
+// object per region), so lookups never build a key string.
 //
 // Internally a store is a chain of frozen layers (oldest first, shared
 // between forked states, never mutated again) plus one private mutable top

@@ -14,15 +14,18 @@ func newSymBuilder() *sym.Builder {
 
 func TestManagerHashConsing(t *testing.T) {
 	m := NewManager()
-	a := m.Var("x", 0)
-	b := m.Var("x", 0)
-	if a != b {
-		t.Error("same variable must yield same region")
+	// Variable regions are minted, not hash-consed: each call is a new
+	// variable (a new frame slot or a shadowing declaration), even under
+	// the same name.
+	a := m.Var("x")
+	b := m.Var("x")
+	if a == b {
+		t.Error("each Var call must mint a distinct region")
 	}
-	if m.Var("x", 1) == a {
-		t.Error("different frame must yield different region")
+	if a.Key() == b.Key() || a.String() == b.String() {
+		t.Error("distinct variable regions must have distinct keys and names")
 	}
-	if m.Var("y", 0) == a {
+	if m.Var("y") == a {
 		t.Error("different name must yield different region")
 	}
 
@@ -51,6 +54,8 @@ func TestManagerHashConsing(t *testing.T) {
 	if !s1.SecretSource {
 		t.Error("SecretSource lost")
 	}
+	// x, x, y, element 0, element 1, field, block: the count includes
+	// every minted variable region.
 	if m.RegionCount() != 7 {
 		t.Errorf("RegionCount = %d, want 7", m.RegionCount())
 	}
@@ -65,7 +70,7 @@ func TestRegionStringsAndKeys(t *testing.T) {
 	if el.String() != "reg0[1]" {
 		t.Errorf("element String = %q, want reg0[1]", el.String())
 	}
-	v := m.Var("temporary", 0)
+	v := m.Var("temporary")
 	fl := m.Field(v, "bias")
 	if fl.Key() == el.Key() {
 		t.Error("distinct regions must have distinct keys")
@@ -87,7 +92,7 @@ func TestRegionStringsAndKeys(t *testing.T) {
 func TestStoreBasics(t *testing.T) {
 	m := NewManager()
 	st := NewStore()
-	x := m.Var("x", 0)
+	x := m.Var("x")
 	if _, ok := st.Lookup(x); ok {
 		t.Error("empty store must miss")
 	}
@@ -113,7 +118,7 @@ func TestStoreBasics(t *testing.T) {
 func TestStoreCloneIndependent(t *testing.T) {
 	m := NewManager()
 	st := NewStore()
-	x := m.Var("x", 0)
+	x := m.Var("x")
 	st.Bind(x, Scalar{E: sym.IntConst{V: 1}})
 	c := st.Clone()
 	c.Bind(x, Scalar{E: sym.IntConst{V: 2}})
@@ -147,7 +152,7 @@ func TestSubRegionsOf(t *testing.T) {
 	st := NewStore()
 	sb := newSymBuilder()
 	blk := m.SymBlock(sb.FreshSecret("secrets"), "secrets", true)
-	other := m.Var("x", 0)
+	other := m.Var("x")
 	st.Bind(m.Element(blk, 0), Scalar{E: sym.IntConst{V: 1}})
 	st.Bind(m.Element(blk, 1), Scalar{E: sym.IntConst{V: 2}})
 	st.Bind(other, Scalar{E: sym.IntConst{V: 3}})
@@ -165,7 +170,7 @@ func TestSubRegionsOf(t *testing.T) {
 func TestEnv(t *testing.T) {
 	m := NewManager()
 	env := NewEnv()
-	r := m.Var("secrets", 0)
+	r := m.Var("secrets")
 	env.Bind("secrets", r)
 	got, ok := env.Lookup("secrets")
 	if !ok || got != r {
@@ -175,7 +180,7 @@ func TestEnv(t *testing.T) {
 		t.Error("missing lvalue should miss")
 	}
 	c := env.Clone()
-	c.Bind("x", m.Var("x", 0))
+	c.Bind("x", m.Var("x"))
 	if env.Len() != 1 || c.Len() != 2 {
 		t.Error("clone independence broken")
 	}
@@ -187,7 +192,7 @@ func TestEnv(t *testing.T) {
 
 func TestSValStrings(t *testing.T) {
 	m := NewManager()
-	r := m.Var("x", 0)
+	r := m.Var("x")
 	if (Loc{R: r}).String() != "&reg0" {
 		t.Errorf("Loc String = %q", Loc{R: r}.String())
 	}

@@ -36,6 +36,10 @@ type FuncDecl struct {
 	Params []*VarDecl
 	Body   *Block
 	Pos    Pos
+	// Slots is the size of the function's frame: the number of distinct
+	// (name, shadowing depth) keys among its params and locals (see
+	// Resolve).
+	Slots int
 }
 
 // VarDecl declares a variable (global, local or parameter).
@@ -44,6 +48,12 @@ type VarDecl struct {
 	Type Type
 	Init Expr // optional
 	Pos  Pos
+	// Global marks a file-scope variable. Slot is, for a global, its
+	// index in File.Globals (a duplicate shares the first's), and for a
+	// param or local, its frame slot. Resolve sets both; a front end that
+	// builds its own IR (PRIML) sets them itself.
+	Global bool
+	Slot   int
 }
 
 // Stmt is a MiniC statement.
@@ -172,6 +182,9 @@ type Expr interface {
 type IdentExpr struct {
 	Name string
 	Pos  Pos
+	// Decl is the variable the name resolves to, set by Resolve; nil
+	// for a function name or an undeclared identifier.
+	Decl *VarDecl
 }
 
 func (*IdentExpr) isExpr() {}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Error reports a lexical, syntactic or semantic MiniC error.
@@ -16,42 +17,44 @@ type Error struct {
 // Error implements error.
 func (e *Error) Error() string { return fmt.Sprintf("minic: %s: %s", e.Pos, e.Msg) }
 
-// Lexer tokenizes MiniC source. It implements a one-line preprocessor:
-// "#define NAME token" records a substitution applied to later identifiers,
-// and any other "#" line (e.g. #include) is skipped.
+// Lexer tokenizes MiniC source in place: Next scans one token at a time
+// straight from the source string, and identifier and number texts are
+// substrings of it. It implements a one-line preprocessor: "#define NAME
+// token" records a substitution applied to later identifiers, and any
+// other "#" line (e.g. #include) is skipped. Columns count runes.
 type Lexer struct {
-	src     []rune
+	src     string
 	off     int
 	line    int
 	col     int
 	defines map[string][]Token
+	// pending holds the rest of a #define expansion still to return.
+	pending []Token
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: []rune(src), line: 1, col: 1, defines: make(map[string][]Token)}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Tokens lexes the entire input, applying #define substitutions.
-func (l *Lexer) Tokens() ([]Token, error) {
-	// Sized for one token per four source characters (the shipped
-	// modules average one per six), so the slice rarely regrows.
-	out := make([]Token, 0, len(l.src)/4+1)
+// Next returns the next token, applying #define substitutions. At the end
+// of the input it returns EOF, and keeps returning it.
+func (l *Lexer) Next() (Token, error) {
 	for {
+		if len(l.pending) > 0 {
+			t := l.pending[0]
+			l.pending = l.pending[1:]
+			return t, nil
+		}
 		t, err := l.next()
-		if err != nil {
-			return nil, err
+		if err != nil || t.Kind != Ident {
+			return t, err
 		}
-		if t.Kind == Ident {
-			if repl, ok := l.defines[t.Text]; ok {
-				out = append(out, repl...)
-				continue
-			}
+		repl, ok := l.defines[t.Text]
+		if !ok {
+			return t, nil
 		}
-		out = append(out, t)
-		if t.Kind == EOF {
-			return out, nil
-		}
+		l.pending = repl
 	}
 }
 
@@ -61,19 +64,33 @@ func (l *Lexer) peek() rune {
 	if l.off >= len(l.src) {
 		return 0
 	}
-	return l.src[l.off]
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
+	return r
 }
 
+// peekAt returns the rune n runes past the current one, or 0 past the end.
 func (l *Lexer) peekAt(n int) rune {
-	if l.off+n >= len(l.src) {
+	off := l.off
+	for ; n > 0 && off < len(l.src); n-- {
+		_, size := utf8.DecodeRuneInString(l.src[off:])
+		off += size
+	}
+	if off >= len(l.src) {
 		return 0
 	}
-	return l.src[l.off+n]
+	r, _ := utf8.DecodeRuneInString(l.src[off:])
+	return r
 }
 
 func (l *Lexer) advance() rune {
-	r := l.src[l.off]
-	l.off++
+	r, size := rune(l.src[l.off]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRuneInString(l.src[l.off:])
+	}
+	l.off += size
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -123,25 +140,33 @@ func (l *Lexer) skipTrivia() error {
 // else (#include, #pragma, …) is skipped to end of line.
 func (l *Lexer) directive() error {
 	start := l.pos()
-	var line []rune
+	from := l.off
 	for l.off < len(l.src) && l.peek() != '\n' {
-		line = append(line, l.advance())
+		l.advance()
 	}
-	text := string(line)
-	fields := strings.Fields(text)
+	fields := strings.Fields(l.src[from:l.off])
 	if len(fields) >= 3 && fields[0] == "#define" {
 		name := fields[1]
 		if strings.ContainsRune(name, '(') {
 			// Function-like macros are out of scope.
 			return &Error{Pos: start, Msg: "function-like macros are not supported: " + name}
 		}
-		body := strings.Join(fields[2:], " ")
-		sub := NewLexer(body)
-		toks, err := sub.Tokens()
-		if err != nil {
-			return &Error{Pos: start, Msg: "bad #define body: " + err.Error()}
+		sub := NewLexer(strings.Join(fields[2:], " "))
+		var body []Token
+		for {
+			t, err := sub.next()
+			if err != nil {
+				return &Error{Pos: start, Msg: "bad #define body: " + err.Error()}
+			}
+			if t.Kind == EOF {
+				break
+			}
+			body = append(body, t)
 		}
-		l.defines[name] = toks[:len(toks)-1] // strip EOF
+		if l.defines == nil {
+			l.defines = make(map[string][]Token)
+		}
+		l.defines[name] = body
 	}
 	return nil
 }
@@ -165,7 +190,7 @@ func (l *Lexer) next() (Token, error) {
 			}
 			l.advance()
 		}
-		s := string(l.src[from:l.off])
+		s := l.src[from:l.off]
 		if kw, ok := keywordKinds[s]; ok {
 			return Token{Kind: kw, Text: s, Pos: start}, nil
 		}
@@ -183,45 +208,52 @@ func (l *Lexer) next() (Token, error) {
 func (l *Lexer) number(start Pos) (Token, error) {
 	// Hex literals: 0x / 0X prefix.
 	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
+		lit := l.off
 		l.advance()
 		l.advance()
-		var digits []rune
+		from := l.off
 		for l.off < len(l.src) && isHexDigit(l.peek()) {
-			digits = append(digits, l.advance())
+			l.advance()
 		}
-		if len(digits) == 0 {
+		digits := l.src[from:l.off]
+		if digits == "" {
 			return Token{}, &Error{Pos: start, Msg: "bad hex literal"}
 		}
-		v, err := strconv.ParseUint(string(digits), 16, 64)
+		v, err := strconv.ParseUint(digits, 16, 64)
 		if err != nil {
 			return Token{}, &Error{Pos: start, Msg: "bad hex literal"}
 		}
-		return Token{Kind: IntLit, Text: "0x" + string(digits), Int: int64(v), Pos: start}, nil
+		text := l.src[lit:l.off]
+		if text[1] == 'X' {
+			text = "0x" + digits
+		}
+		return Token{Kind: IntLit, Text: text, Int: int64(v), Pos: start}, nil
 	}
-	var text []rune
+	from := l.off
 	isFloat := false
 	for l.off < len(l.src) {
 		c := l.peek()
 		if unicode.IsDigit(c) {
-			text = append(text, l.advance())
+			l.advance()
 			continue
 		}
 		if c == '.' && !isFloat {
 			isFloat = true
-			text = append(text, l.advance())
+			l.advance()
 			continue
 		}
-		if (c == 'e' || c == 'E') && len(text) > 0 {
+		if (c == 'e' || c == 'E') && l.off > from {
 			nxt := l.peekAt(1)
 			if unicode.IsDigit(nxt) || ((nxt == '+' || nxt == '-') && unicode.IsDigit(l.peekAt(2))) {
 				isFloat = true
-				text = append(text, l.advance()) // e
-				text = append(text, l.advance()) // sign or digit
+				l.advance() // e
+				l.advance() // sign or digit
 				continue
 			}
 		}
 		break
 	}
+	s := l.src[from:l.off]
 	// Swallow suffixes like f, L, u.
 	for l.off < len(l.src) {
 		c := l.peek()
@@ -234,7 +266,6 @@ func (l *Lexer) number(start Pos) (Token, error) {
 		}
 		break
 	}
-	s := string(text)
 	if isFloat {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
@@ -289,16 +320,29 @@ func (l *Lexer) charLit(start Pos) (Token, error) {
 	return Token{Kind: CharLit, Text: string(v), Int: int64(v), Pos: start}, nil
 }
 
+// stringLit lexes a string literal. A literal with no escape and no
+// invalid UTF-8 is its own substring of the source; any other is decoded
+// rune by rune (an invalid byte decodes to U+FFFD).
 func (l *Lexer) stringLit(start Pos) (Token, error) {
 	l.advance() // "
-	var text []rune
+	from := l.off
+	var sb *strings.Builder
 	for {
 		if l.off >= len(l.src) {
 			return Token{}, &Error{Pos: start, Msg: "unterminated string literal"}
 		}
+		at := l.off
 		c := l.advance()
 		if c == '"' {
 			break
+		}
+		plain := c != '\\' && (c != utf8.RuneError || l.off-at > 1)
+		if sb == nil && plain {
+			continue
+		}
+		if sb == nil {
+			sb = new(strings.Builder)
+			sb.WriteString(l.src[from:at])
 		}
 		if c == '\\' && l.off < len(l.src) {
 			e := l.advance()
@@ -315,9 +359,12 @@ func (l *Lexer) stringLit(start Pos) (Token, error) {
 				c = e
 			}
 		}
-		text = append(text, c)
+		sb.WriteRune(c)
 	}
-	return Token{Kind: StringLit, Text: string(text), Pos: start}, nil
+	if sb == nil {
+		return Token{Kind: StringLit, Text: l.src[from : l.off-1], Pos: start}, nil
+	}
+	return Token{Kind: StringLit, Text: sb.String(), Pos: start}, nil
 }
 
 func (l *Lexer) operator(start Pos) (Token, error) {

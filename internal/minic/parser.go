@@ -6,14 +6,22 @@ import (
 	"privacyscope/internal/sym"
 )
 
-// Parse parses a MiniC translation unit.
+// Parse parses a MiniC translation unit. The parser pulls tokens from a
+// streaming Lexer; a lexical error anywhere in src wins over a parse error,
+// so on a parse error the rest of the source is still lexed.
 func Parse(src string) (*File, error) {
-	toks, err := NewLexer(src).Tokens()
+	p := &parser{lex: NewLexer(src), structs: make(map[string]*StructType)}
+	f, err := p.parseFile()
+	if err != nil && p.lexErr == nil {
+		p.drain()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, structs: make(map[string]*StructType)}
-	return p.parseFile()
+	return f, nil
 }
 
 // MustParse parses src and panics on error; for fixed fixtures and tests.
@@ -26,25 +34,63 @@ func MustParse(src string) *File {
 }
 
 type parser struct {
-	toks    []Token
-	off     int
+	lex *Lexer
+	// win is the lookahead window, a ring of n tokens starting at head;
+	// the grammar never looks past la(2).
+	win     [4]Token
+	head, n int
+	// lexErr is the first lexical error; the parser sees EOF from there.
+	lexErr  error
 	structs map[string]*StructType
 }
 
-func (p *parser) cur() Token { return p.toks[p.off] }
+// la returns the token n places past the current one.
 func (p *parser) la(n int) Token {
-	if p.off+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	for p.n <= n {
+		p.win[(p.head+p.n)%len(p.win)] = p.pull()
+		p.n++
 	}
-	return p.toks[p.off+n]
+	return p.win[(p.head+n)%len(p.win)]
 }
+
+// pull lexes the next token, turning a lexical error into EOF.
+func (p *parser) pull() Token {
+	if p.lexErr == nil {
+		t, err := p.lex.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: EOF, Pos: p.lex.pos()}
+}
+
+// drain lexes the rest of the source to find a lexical error past the
+// point where parsing stopped.
+func (p *parser) drain() {
+	for {
+		t, err := p.lex.Next()
+		if err != nil {
+			p.lexErr = err
+			return
+		}
+		if t.Kind == EOF {
+			return
+		}
+	}
+}
+
+func (p *parser) cur() Token { return p.la(0) }
+
 func (p *parser) advance() Token {
-	t := p.toks[p.off]
+	t := p.cur()
 	if t.Kind != EOF {
-		p.off++
+		p.head = (p.head + 1) % len(p.win)
+		p.n--
 	}
 	return t
 }
+
 func (p *parser) at(k Kind) bool { return p.cur().Kind == k }
 
 func (p *parser) expect(k Kind) (Token, error) {
@@ -402,6 +448,16 @@ func (p *parser) parseStmt() (Stmt, error) {
 	return &ExprStmt{X: e, Pos: tok.Pos}, nil
 }
 
+// parseBody parses the body of an if, else, while, for or do: a statement
+// that is not a declaration, which C does not allow there. The rule keeps
+// every use of a local dominated by its declaration.
+func (p *parser) parseBody(what string) (Stmt, error) {
+	if p.isTypeStart() {
+		return nil, &Error{Pos: p.cur().Pos, Msg: "a declaration cannot be the body of " + what}
+	}
+	return p.parseStmt()
+}
+
 func (p *parser) parseDeclStmt() (Stmt, error) {
 	pos := p.cur().Pos
 	ty, err := p.parseType()
@@ -431,14 +487,14 @@ func (p *parser) parseIf() (Stmt, error) {
 	if _, err := p.expect(RParen); err != nil {
 		return nil, err
 	}
-	thenS, err := p.parseStmt()
+	thenS, err := p.parseBody("if")
 	if err != nil {
 		return nil, err
 	}
 	var elseS Stmt
 	if p.at(KwElse) {
 		p.advance()
-		elseS, err = p.parseStmt()
+		elseS, err = p.parseBody("else")
 		if err != nil {
 			return nil, err
 		}
@@ -458,7 +514,7 @@ func (p *parser) parseWhile() (Stmt, error) {
 	if _, err := p.expect(RParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, err := p.parseBody("while")
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +567,7 @@ func (p *parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(RParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, err := p.parseBody("for")
 	if err != nil {
 		return nil, err
 	}
@@ -812,7 +868,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 
 func (p *parser) parseDoWhile() (Stmt, error) {
 	pos := p.advance().Pos // do
-	body, err := p.parseStmt()
+	body, err := p.parseBody("do")
 	if err != nil {
 		return nil, err
 	}

@@ -327,6 +327,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsDeclarationBodies pins the C rule that a declaration is
+// not a statement: it cannot be the whole body of if, else, while, for or
+// do. Accepting one would give the name a different variable on each path
+// past the statement.
+func TestParseRejectsDeclarationBodies(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"int x = 7;\nint f(int *s, int *o) { if (s[0] > 3) int x = s[1]; o[0] = x; return 0; }",
+			"minic: 2:39: a declaration cannot be the body of if"},
+		{"int f(int c) { if (c) ; else struct S *p; return 0; }", "minic: 1:30: a declaration cannot be the body of else"},
+		{"int f(int c) { while (c) int y; return 0; }", "minic: 1:26: a declaration cannot be the body of while"},
+		{"int f(int c) { for (;;) const int y = 1; return 0; }", "minic: 1:25: a declaration cannot be the body of for"},
+		{"int f(int c) { do int y; while (c); return 0; }", "minic: 1:19: a declaration cannot be the body of do"},
+	}
+	for _, c := range cases {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	// A declaration in a braced body is fine.
+	if _, err := Parse("int f(int c) { if (c) { int y = 1; } while (c) { int z; } return 0; }"); err != nil {
+		t.Errorf("braced declaration bodies: %v", err)
+	}
+}
+
 func TestTypeStrings(t *testing.T) {
 	tests := []struct {
 		t    Type

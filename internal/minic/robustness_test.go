@@ -38,7 +38,8 @@ int f(int *secrets, int *output) {
 	}
 }
 
-// TestLexerNeverPanicsOnGarbage feeds raw random bytes.
+// TestLexerNeverPanicsOnGarbage feeds raw random bytes to the streaming
+// lexer, which must end at EOF or an error.
 func TestLexerNeverPanicsOnGarbage(t *testing.T) {
 	prop := func(data []byte) bool {
 		defer func() {
@@ -46,8 +47,13 @@ func TestLexerNeverPanicsOnGarbage(t *testing.T) {
 				t.Errorf("lexer panicked on %q: %v", data, r)
 			}
 		}()
-		_, _ = NewLexer(string(data)).Tokens()
-		return true
+		l := NewLexer(string(data))
+		for {
+			tok, err := l.Next()
+			if err != nil || tok.Kind == EOF {
+				return true
+			}
+		}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

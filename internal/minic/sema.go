@@ -49,48 +49,73 @@ func NewChecker(builtins []string) *Checker {
 }
 
 // Check validates the file; it returns a *CheckError listing every problem
-// found, or nil.
+// found, or nil. Like Resolve, it binds the file's identifiers.
 func (c *Checker) Check(f *File) error {
-	cc := &checkCtx{
-		checker: c,
-		file:    f,
-		funcs:   make(map[string]*FuncDecl, len(f.Functions)),
-	}
+	cc := &checkCtx{builtins: c.builtins, report: true, file: f}
 	cc.structCycles()
-	for _, fn := range f.Functions {
-		if prev, dup := cc.funcs[fn.Name]; dup && prev.Body != nil && fn.Body != nil {
-			cc.errorf(fn.Pos, "duplicate function %s", fn.Name)
-		}
-		cc.funcs[fn.Name] = fn
+	cc.walk()
+	if len(cc.errs) > 0 {
+		return &CheckError{Errs: cc.errs}
 	}
-	globals := newScope(nil)
-	for _, g := range f.Globals {
-		if !globals.declare(g) {
-			cc.errorf(g.Pos, "duplicate global %s", g.Name)
+	return nil
+}
+
+// Resolve binds every identifier of f to the declaration it names and
+// gives every variable its slot, under the checker's scope rules: a block,
+// a for header and each switch case open a scope, and a declaration's Init
+// is resolved before the declaration itself. A global's slot is its index
+// in f.Globals. A param's or local's slot is per function and keyed by
+// (name, shadowing depth), the depth counting the same-named variables
+// visible from enclosing scopes of the function: sibling redeclarations,
+// such as two for (int i …) loops, share a slot, while a nested shadow gets
+// its own. The analysis engine keeps one region per frame slot, so no name
+// is looked up while it explores. Resolve reports nothing; run Check for
+// errors.
+func Resolve(f *File) {
+	(&checkCtx{file: f}).walk()
+}
+
+// walk runs the scope walk over the globals and function bodies.
+func (c *checkCtx) walk() {
+	f := c.file
+	c.funcs = make(map[string]*FuncDecl, len(f.Functions))
+	for _, fn := range f.Functions {
+		if prev, dup := c.funcs[fn.Name]; dup && prev.Body != nil && fn.Body != nil {
+			c.errorf(fn.Pos, "duplicate function %s", fn.Name)
+		}
+		c.funcs[fn.Name] = fn
+	}
+	globals := &scope{}
+	for i, g := range f.Globals {
+		g.Global, g.Slot = true, i
+		if prev, dup := globals.vars[g.Name]; dup {
+			g.Slot = prev.Slot
+			c.errorf(g.Pos, "duplicate global %s", g.Name)
+		} else {
+			globals.bind(g)
 		}
 		if g.Init != nil {
-			cc.expr(g.Init, globals, 0)
+			c.expr(g.Init, globals, 0)
 		}
 	}
 	for _, fn := range f.Functions {
 		if fn.Body == nil {
 			continue
 		}
-		sc := newScope(globals)
+		c.slots = c.slots[:0]
+		sc := &scope{parent: globals, local: true}
 		for _, p := range fn.Params {
+			p.Slot = c.slot(p.Name, 0)
 			if p.Name == "" {
 				continue
 			}
 			if !sc.declare(p) {
-				cc.errorf(p.Pos, "duplicate parameter %s in %s", p.Name, fn.Name)
+				c.errorf(p.Pos, "duplicate parameter %s in %s", p.Name, fn.Name)
 			}
 		}
-		cc.block(fn.Body, sc, 0)
+		c.block(fn.Body, sc, 0)
+		fn.Slots = len(c.slots)
 	}
-	if len(cc.errs) > 0 {
-		return &CheckError{Errs: cc.errs}
-	}
-	return nil
 }
 
 // structCycles reports every struct that contains itself by value —
@@ -141,21 +166,29 @@ func byValueStruct(t Type) *StructType {
 	}
 }
 
+// scope is one lexical scope of the walk. Its map is made on the first
+// declaration, so a block that declares nothing costs none.
 type scope struct {
 	parent *scope
-	vars   map[string]*VarDecl
+	// local marks a function scope (params, blocks, for headers, cases).
+	local bool
+	vars  map[string]*VarDecl
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, vars: make(map[string]*VarDecl)}
-}
-
-func (s *scope) declare(d *VarDecl) bool {
-	if _, exists := s.vars[d.Name]; exists {
-		return false
+func (s *scope) bind(d *VarDecl) {
+	if s.vars == nil {
+		s.vars = make(map[string]*VarDecl)
 	}
 	s.vars[d.Name] = d
-	return true
+}
+
+// declare binds d in s and reports whether s had no variable of that name.
+// A same-scope duplicate takes over the name: it shares the first one's
+// slot, as its depth is the same.
+func (s *scope) declare(d *VarDecl) bool {
+	_, dup := s.vars[d.Name]
+	s.bind(d)
+	return !dup
 }
 
 func (s *scope) lookup(name string) (*VarDecl, bool) {
@@ -167,19 +200,56 @@ func (s *scope) lookup(name string) (*VarDecl, bool) {
 	return nil, false
 }
 
+// depth counts the function scopes enclosing s that bind name.
+func (s *scope) depth(name string) int {
+	n := 0
+	for sc := s.parent; sc != nil && sc.local; sc = sc.parent {
+		if _, ok := sc.vars[name]; ok {
+			n++
+		}
+	}
+	return n
+}
+
+type slotKey struct {
+	name  string
+	depth int
+}
+
 type checkCtx struct {
-	checker *Checker
-	file    *File
-	funcs   map[string]*FuncDecl
-	errs    []*Error
+	// builtins are the callable library functions; report turns on the
+	// error list (Resolve leaves it off and checks no call targets).
+	builtins map[string]bool
+	report   bool
+	file     *File
+	funcs    map[string]*FuncDecl
+	errs     []*Error
+	// slots lists the current function's slot keys; a key's index is its
+	// slot.
+	slots []slotKey
+}
+
+// slot returns the current function's slot for (name, depth), adding it
+// on first use.
+func (c *checkCtx) slot(name string, depth int) int {
+	k := slotKey{name, depth}
+	for i, have := range c.slots {
+		if have == k {
+			return i
+		}
+	}
+	c.slots = append(c.slots, k)
+	return len(c.slots) - 1
 }
 
 func (c *checkCtx) errorf(pos Pos, format string, args ...any) {
-	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	if c.report {
+		c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	}
 }
 
 func (c *checkCtx) block(b *Block, outer *scope, loopDepth int) {
-	sc := newScope(outer)
+	sc := &scope{parent: outer, local: true}
 	for _, s := range b.Stmts {
 		c.stmt(s, sc, loopDepth)
 	}
@@ -195,6 +265,7 @@ func (c *checkCtx) stmt(s Stmt, sc *scope, loopDepth int) {
 			if d.Init != nil {
 				c.expr(d.Init, sc, loopDepth)
 			}
+			d.Slot = c.slot(d.Name, sc.depth(d.Name))
 			if !sc.declare(d) {
 				c.errorf(d.Pos, "duplicate declaration of %s", d.Name)
 			}
@@ -225,14 +296,14 @@ func (c *checkCtx) stmt(s Stmt, sc *scope, loopDepth int) {
 			} else {
 				c.expr(cs.Value, sc, loopDepth)
 			}
-			inner := newScope(sc)
+			inner := &scope{parent: sc, local: true}
 			for _, s := range cs.Body {
 				// break binds to the switch: allow it in case bodies.
 				c.stmt(s, inner, loopDepth+1)
 			}
 		}
 	case *ForStmt:
-		inner := newScope(sc)
+		inner := &scope{parent: sc, local: true}
 		if v.Init != nil {
 			c.stmt(v.Init, inner, loopDepth)
 		}
@@ -261,7 +332,9 @@ func (c *checkCtx) stmt(s Stmt, sc *scope, loopDepth int) {
 func (c *checkCtx) expr(e Expr, sc *scope, loopDepth int) {
 	switch v := e.(type) {
 	case *IdentExpr:
-		if _, ok := sc.lookup(v.Name); !ok {
+		d, ok := sc.lookup(v.Name)
+		v.Decl = d
+		if !ok {
 			if _, isFn := c.funcs[v.Name]; !isFn {
 				c.errorf(v.Pos, "undeclared identifier %s", v.Name)
 			}
@@ -287,11 +360,13 @@ func (c *checkCtx) expr(e Expr, sc *scope, loopDepth int) {
 		c.expr(v.X, sc, loopDepth)
 		c.expr(v.Index, sc, loopDepth)
 	case *CallExpr:
-		if _, defined := c.funcs[v.Fun]; !defined && !c.checker.builtins[v.Fun] {
-			c.errorf(v.Pos, "call to unknown function %s", v.Fun)
-		}
-		if fn, defined := c.funcs[v.Fun]; defined && len(v.Args) != len(fn.Params) {
-			c.errorf(v.Pos, "%s expects %d arguments, got %d", v.Fun, len(fn.Params), len(v.Args))
+		if c.report {
+			if _, defined := c.funcs[v.Fun]; !defined && !c.builtins[v.Fun] {
+				c.errorf(v.Pos, "call to unknown function %s", v.Fun)
+			}
+			if fn, defined := c.funcs[v.Fun]; defined && len(v.Args) != len(fn.Params) {
+				c.errorf(v.Pos, "%s expects %d arguments, got %d", v.Fun, len(fn.Params), len(v.Args))
+			}
 		}
 		for _, a := range v.Args {
 			c.expr(a, sc, loopDepth)

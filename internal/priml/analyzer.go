@@ -333,10 +333,10 @@ func (r *adapterRun) note(view symexec.StateView, data any) {
 	stmt, _ := data.(string)
 	delta := make(map[string]string)
 	tau := make(map[string]string)
-	for _, name := range r.low.Vars {
-		if val, ok := view.Value(name); ok {
-			delta[name] = trimOuterParens(val.String())
-			tau[name] = sym.TaintOf(val).String()
+	for _, g := range r.low.Prog.Module.Globals {
+		if val, ok := view.Global(g); ok {
+			delta[g.Name] = trimOuterParens(val.String())
+			tau[g.Name] = sym.TaintOf(val).String()
 		}
 	}
 	pc := view.PC()

@@ -22,9 +22,11 @@ import (
 //   - get_secret and declassify lower to intrinsic calls the adapter
 //     registers with the engine, keeping Alg. 1 outside the engine core.
 //
-// PRIML variables become module globals with no initializer; the engine's
-// ZeroDefaultVars option supplies the default-zero store semantics without
-// binding zeros into Δ (unassigned variables must stay out of the trace).
+// PRIML variables become module globals with no initializer, sorted by
+// name, and every identifier is bound to its global as it is lowered; the
+// engine's ZeroDefaultVars option supplies the default-zero store semantics
+// without binding zeros into Δ (unassigned variables must stay out of the
+// trace).
 
 // Intrinsic names the adapter registers with the engine.
 const (
@@ -41,8 +43,6 @@ const (
 // Lowered is a PRIML program lowered to the shared analysis IR.
 type Lowered struct {
 	Prog *ir.Program
-	// Vars lists every program variable (read or written), sorted.
-	Vars []string
 	// SitePos maps declassify site IDs to their source positions.
 	SitePos map[int]Pos
 }
@@ -50,7 +50,7 @@ type Lowered struct {
 // LowerPRIML lowers a PRIML program into the shared analysis IR.
 func LowerPRIML(p *Program) (*Lowered, error) {
 	l := &lowerer{
-		vars:    make(map[string]bool),
+		vars:    make(map[string]*minic.VarDecl),
 		sitePos: make(map[int]Pos),
 		calls:   make(map[string]bool),
 	}
@@ -63,12 +63,11 @@ func LowerPRIML(p *Program) (*Lowered, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	globals := make([]*minic.VarDecl, 0, len(names))
-	for _, name := range names {
-		globals = append(globals, &minic.VarDecl{
-			Name: name,
-			Type: minic.Basic{Kind: minic.Int},
-		})
+	globals := make([]*minic.VarDecl, len(names))
+	for i, name := range names {
+		g := l.vars[name]
+		g.Slot = i
+		globals[i] = g
 	}
 	calls := make([]string, 0, len(l.calls))
 	for name := range l.calls {
@@ -86,15 +85,26 @@ func LowerPRIML(p *Program) (*Lowered, error) {
 			Module: &minic.File{Globals: globals},
 			Funcs:  map[string]*ir.Func{EntryFunc: fn},
 		},
-		Vars:    names,
 		SitePos: l.sitePos,
 	}, nil
 }
 
 type lowerer struct {
-	vars    map[string]bool
+	vars    map[string]*minic.VarDecl
 	sitePos map[int]Pos
 	calls   map[string]bool
+}
+
+// ident returns a reference to the program variable name, bound to its
+// global (made on first sight; LowerPRIML numbers the slots once all are
+// known).
+func (l *lowerer) ident(name string, p Pos) *minic.IdentExpr {
+	g, ok := l.vars[name]
+	if !ok {
+		g = &minic.VarDecl{Name: name, Type: minic.Basic{Kind: minic.Int}, Global: true}
+		l.vars[name] = g
+	}
+	return &minic.IdentExpr{Name: name, Pos: mpos(p), Decl: g}
 }
 
 func mpos(p Pos) minic.Pos { return minic.Pos{Line: p.Line, Col: p.Col} }
@@ -120,11 +130,10 @@ func (l *lowerer) stmt(s Stmt) ([]ir.Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.vars[v.Var] = true
 		src := v.String()
 		return []ir.Op{
 			&ir.ExprOp{Meta: meta(src, v.Pos), X: &minic.AssignExpr{
-				LHS: &minic.IdentExpr{Name: v.Var, Pos: mpos(v.Pos)},
+				LHS: l.ident(v.Var, v.Pos),
 				RHS: rhs,
 				Pos: mpos(v.Pos),
 			}},
@@ -171,8 +180,7 @@ func (l *lowerer) exp(e Exp) (minic.Expr, error) {
 	case *IntLit:
 		return &minic.IntLitExpr{V: int64(v.V), Pos: mpos(v.Pos)}, nil
 	case *Var:
-		l.vars[v.Name] = true
-		return &minic.IdentExpr{Name: v.Name, Pos: mpos(v.Pos)}, nil
+		return l.ident(v.Name, v.Pos), nil
 	case *Paren:
 		return l.exp(v.X)
 	case *GetSecret:

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"privacyscope/internal/diskcache"
@@ -21,6 +23,55 @@ func openDisk(t *testing.T, dir string) *diskcache.Cache {
 		t.Fatalf("diskcache.Open: %v", err)
 	}
 	return c
+}
+
+// listingFS counts the disk tier's directory listings.
+type listingFS struct {
+	diskcache.FS
+	listings atomic.Int64
+}
+
+func (l *listingFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	l.listings.Add(1)
+	return l.FS.ReadDir(name)
+}
+
+// TestHealthzNeverListsDiskCache pins that a liveness probe costs no disk
+// scan: /healthz answers from in-memory counts, and only /metrics refreshes
+// the disk-tier gauges (which list the cache directory).
+func TestHealthzNeverListsDiskCache(t *testing.T) {
+	lfs := &listingFS{FS: diskcache.OSFS()}
+	disk, err := diskcache.Open(diskcache.Config{Dir: t.TempDir(), FS: lfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 16, DiskCache: disk})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(path string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d", path, resp.StatusCode)
+		}
+	}
+	before := lfs.listings.Load()
+	for i := 0; i < 5; i++ {
+		get("/healthz")
+	}
+	if n := lfs.listings.Load() - before; n != 0 {
+		t.Errorf("5 /healthz probes listed the disk cache %d times, want 0", n)
+	}
+	get("/metrics")
+	if lfs.listings.Load() == before {
+		t.Error("/metrics did not refresh the disk-tier gauges")
+	}
 }
 
 // TestWarmRestart is the daemon's restart story: a result computed by one

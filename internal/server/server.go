@@ -608,9 +608,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(e)
 }
 
-// handleHealthz is GET /healthz: 200 while serving, 503 once draining.
+// handleHealthz is GET /healthz: 200 while serving, 503 once draining. A
+// liveness probe reads in-memory counts only; the gauges, whose disk-tier
+// part lists the cache directory, are refreshed on /metrics alone.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.publishGauges()
 	status, code := "ok", http.StatusOK
 	if s.sched.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable

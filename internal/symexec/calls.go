@@ -2,7 +2,6 @@ package symexec
 
 import (
 	"fmt"
-	"strconv"
 
 	"privacyscope/internal/ir"
 	"privacyscope/internal/mem"
@@ -98,8 +97,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 	}
 	fr := e.pushFrame(st, fn)
 	for i, p := range fn.Params {
-		reg := e.mgr.Var(p.Name+"#"+strconv.Itoa(fr.id), fr.id)
-		fr.declare(p.Name, reg, p.Type)
+		reg := e.param(fr, p)
 		if i < len(args) {
 			st.store.Bind(reg, args[i])
 		}
@@ -296,8 +294,7 @@ func (e *Engine) callUser(st *state, fn *ir.Func, v *minic.CallExpr) (mem.SVal, 
 func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, minic.Type, error) {
 	fr := e.pushFrame(st, fn)
 	for i, p := range fn.Params {
-		reg := e.mgr.Var(p.Name+"#"+strconv.Itoa(fr.id), fr.id)
-		fr.declare(p.Name, reg, p.Type)
+		reg := e.param(fr, p)
 		if i < len(args) {
 			st.store.Bind(reg, args[i])
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"privacyscope/internal/ir"
 	"privacyscope/internal/mem"
@@ -56,11 +55,13 @@ type Engine struct {
 	// outRoots maps [out]-parameter roots to parameter names. Written only
 	// while binding entry parameters, read-only during exploration.
 	outRoots map[mem.Region]string
+	// globals holds each global's region by VarDecl.Slot, minted on first
+	// use.
+	globals []*mem.VarRegion
 
-	frameSeq int64
-	steps    int64
-	states   int64
-	pruned   int64
+	steps  int64
+	states int64
+	pruned int64
 	// replayedSteps is the part of steps that pure summary applications
 	// charged without executing (applyPure).
 	replayedSteps int64
@@ -96,6 +97,10 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 	itn := sym.NewInterner()
 	sv := solver.NewObserved(o)
 	sv.SetInterner(itn)
+	var globals []*mem.VarRegion
+	if prog.Module != nil {
+		globals = make([]*mem.VarRegion, len(prog.Module.Globals))
+	}
 	return &Engine{
 		prog:        prog,
 		opts:        opts,
@@ -107,6 +112,7 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 		secretRoots: make(map[mem.Region]bool),
 		rootDisplay: make(map[mem.Region]string),
 		outRoots:    make(map[mem.Region]string),
+		globals:     globals,
 		env:         mem.NewEnv(),
 		obs:         o,
 	}
@@ -155,9 +161,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	if e.prog.Module != nil {
 		for _, g := range e.prog.Module.Globals {
 			if c, ok := constInit(g.Init); ok {
-				reg := e.mgr.Var("::"+g.Name, 0)
-				e.rootDisplay[reg] = g.Name
-				st.store.Bind(reg, coerceSVal(mem.Scalar{E: c}, g.Type))
+				st.store.Bind(e.global(g), coerceSVal(mem.Scalar{E: c}, g.Type))
 			}
 		}
 	}
@@ -167,7 +171,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 		if !ok {
 			cls = ParamPublic
 		}
-		if err := e.bindParam(st, fr, p, cls); err != nil {
+		if err := e.bindParam(st, e.param(fr, p), p, cls); err != nil {
 			return nil, err
 		}
 	}
@@ -225,10 +229,9 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	return e.res, nil
 }
 
-// bindParam sets up one entry parameter per its EDL class.
-func (e *Engine) bindParam(st *state, fr *sframe, p *minic.VarDecl, cls ParamClass) error {
-	reg := e.mgr.Var(p.Name, fr.id)
-	fr.declare(p.Name, reg, p.Type)
+// bindParam sets up one entry parameter, whose region is reg, per its EDL
+// class.
+func (e *Engine) bindParam(st *state, reg *mem.VarRegion, p *minic.VarDecl, cls ParamClass) error {
 	e.bindEnv(p.Name, reg)
 
 	if _, isPtr := p.Type.(minic.Pointer); isPtr {
@@ -306,7 +309,7 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 type state struct {
 	pc         *solver.PathCondition
 	store      *mem.Store
-	frames     []*sframe
+	frames     []frame
 	ocalls     []SinkEvent
 	incomplete bool
 	// inits, branches and accesses are the per-path detector-pack event
@@ -324,19 +327,17 @@ type state struct {
 	inCallExpr int
 }
 
-// clone forks the state. The store and the frames' scope maps are shared
-// copy-on-write; the event logs are shared with their capacity clipped, so
-// an append by either state reallocates instead of writing into the other's
-// backing array (logged events are never modified in place).
+// clone forks the state. The store is shared copy-on-write and the frames
+// themselves are shared (a frame slot's region is the same on every path);
+// only the stack of them is copied. The event logs are shared with their
+// capacity clipped, so an append by either state reallocates instead of
+// writing into the other's backing array (logged events are never modified
+// in place).
 func (st *state) clone() *state {
-	frames := make([]*sframe, len(st.frames))
-	for i, f := range st.frames {
-		frames[i] = f.clone()
-	}
 	return &state{
 		pc:         st.pc,
 		store:      st.store.Clone(),
-		frames:     frames,
+		frames:     slices.Clone(st.frames),
 		ocalls:     st.ocalls[:len(st.ocalls):len(st.ocalls)],
 		incomplete: st.incomplete,
 		inits:      st.inits[:len(st.inits):len(st.inits)],
@@ -367,69 +368,53 @@ func (st *state) fork(conds ...sym.Expr) []*state {
 	return arms
 }
 
-func (st *state) frame() *sframe { return st.frames[len(st.frames)-1] }
+func (st *state) frame() frame { return st.frames[len(st.frames)-1] }
 
-type varBind struct {
-	region mem.Region
-	ty     minic.Type
-}
+// frame is one call frame: the region of each param and local, indexed by
+// VarDecl.Slot (see minic.Resolve). A slot's region is minted the first
+// time any path declares the variable and is then shared by every state
+// forked from the frame: the region a slot denotes does not depend on the
+// path, so forks copy nothing.
+type frame []*mem.VarRegion
 
-// sframe is one call frame: a stack of block scopes. Scope maps are
-// created on first declaration (a block that declares nothing costs no
-// map) and shared copy-on-write between forked frames.
-type sframe struct {
-	fn     *ir.Func
-	id     int
-	scopes []map[string]varBind
-	// shared is the number of leading scopes whose maps another frame may
-	// also read; declare copies such a map before writing to it.
-	shared int
-}
-
-// clone forks the frame in O(scopes): both frames keep reading the current
-// scope maps, and whichever declares into one first copies it.
-func (f *sframe) clone() *sframe {
-	f.shared = len(f.scopes)
-	scopes := make([]map[string]varBind, len(f.scopes), len(f.scopes)+1)
-	copy(scopes, f.scopes)
-	return &sframe{fn: f.fn, id: f.id, scopes: scopes, shared: f.shared}
-}
-
-func (f *sframe) push() { f.scopes = append(f.scopes, nil) }
-
-func (f *sframe) pop() {
-	f.scopes = f.scopes[:len(f.scopes)-1]
-	f.shared = min(f.shared, len(f.scopes))
-}
-
-func (f *sframe) declare(name string, r mem.Region, ty minic.Type) {
-	top := len(f.scopes) - 1
-	if sc := f.scopes[top]; sc == nil || top < f.shared {
-		own := make(map[string]varBind, len(sc)+1)
-		for k, v := range sc {
-			own[k] = v
-		}
-		f.scopes[top] = own
-		f.shared = min(f.shared, top)
-	}
-	f.scopes[top][name] = varBind{region: r, ty: ty}
-}
-
-func (f *sframe) lookup(name string) (varBind, bool) {
-	for i := len(f.scopes) - 1; i >= 0; i-- {
-		if b, ok := f.scopes[i][name]; ok {
-			return b, true
-		}
-	}
-	return varBind{}, false
-}
-
-func (e *Engine) pushFrame(st *state, fn *ir.Func) *sframe {
-	e.frameSeq++
-	fr := &sframe{fn: fn, id: int(e.frameSeq)}
-	fr.push()
+// pushFrame enters fn with an empty frame.
+func (e *Engine) pushFrame(st *state, fn *ir.Func) frame {
+	fr := make(frame, fn.Slots)
 	st.frames = append(st.frames, fr)
 	return fr
+}
+
+// param returns the region of fn's param p in frame fr, minting it on the
+// first binding (duplicate param names share a slot, hence the check).
+// Params have no display name of their own: their region is shown as is.
+func (e *Engine) param(fr frame, p *minic.VarDecl) *mem.VarRegion {
+	if fr[p.Slot] == nil {
+		fr[p.Slot] = e.mgr.Var(p.Name)
+	}
+	return fr[p.Slot]
+}
+
+// local returns the region of the local d in frame fr, minting it on the
+// frame's first declaration of d's slot.
+func (e *Engine) local(fr frame, d *minic.VarDecl) *mem.VarRegion {
+	r := fr[d.Slot]
+	if r == nil {
+		r = e.mgr.Var(d.Name)
+		fr[d.Slot] = r
+		e.rootDisplay[r] = d.Name
+	}
+	return r
+}
+
+// global returns the region of the global g, minting it on first use.
+func (e *Engine) global(g *minic.VarDecl) *mem.VarRegion {
+	r := e.globals[g.Slot]
+	if r == nil {
+		r = e.mgr.Var(g.Name)
+		e.globals[g.Slot] = r
+		e.rootDisplay[r] = g.Name
+	}
+	return r
 }
 
 type ctlKind int
@@ -476,11 +461,7 @@ func (e *Engine) step() error {
 }
 
 func (e *Engine) execBlock(st *state, b *ir.BlockOp, k cont) error {
-	st.frame().push()
-	return e.execSeq(st, b.Ops, func(end *state, c ctl) error {
-		end.frame().pop()
-		return k(end, c)
-	})
+	return e.execSeq(st, b.Ops, k)
 }
 
 func (e *Engine) execSeq(st *state, ops []ir.Op, k cont) error {
@@ -515,11 +496,10 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 	case *ir.EmptyOp:
 		return k(st, ctlFallthrough)
 	case *ir.DeclOp:
+		fr := st.frame()
 		for _, d := range v.Decls {
-			reg := e.mgr.Var(d.Name+"#"+strconv.Itoa(st.frame().id), st.frame().id)
-			st.frame().declare(d.Name, reg, d.Type)
+			reg := e.local(fr, d)
 			e.bindEnv(d.Name, reg)
-			e.rootDisplay[reg] = d.Name
 			if d.Init != nil {
 				val, _, err := e.eval(st, d.Init)
 				if err != nil {
@@ -560,23 +540,15 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 				return e.execLoop(next, v.Position(), v.Cond, nil, v.Body, k)
 			})
 		}
-		if !v.Scoped {
-			return e.execLoop(st, v.Position(), v.Cond, nil, v.Body, k)
-		}
-		st.frame().push()
-		inner := func(end *state, c ctl) error {
-			end.frame().pop()
-			return k(end, c)
-		}
 		if v.Init != nil {
 			return e.exec(st, v.Init, func(next *state, c ctl) error {
 				if c.kind != ctlNext {
-					return inner(next, c)
+					return k(next, c)
 				}
-				return e.execLoop(next, v.Position(), v.Cond, v.Post, v.Body, inner)
+				return e.execLoop(next, v.Position(), v.Cond, v.Post, v.Body, k)
 			})
 		}
-		return e.execLoop(st, v.Position(), v.Cond, v.Post, v.Body, inner)
+		return e.execLoop(st, v.Position(), v.Cond, v.Post, v.Body, k)
 	case *ir.SwitchOp:
 		return e.execSwitch(st, v, k)
 	case *ir.ReturnOp:

@@ -194,16 +194,14 @@ const summaryIndex = -1
 func (e *Engine) lplace(st *state, x minic.Expr) (mem.Region, minic.Type, error) {
 	switch v := x.(type) {
 	case *minic.IdentExpr:
-		b, ok := st.frame().lookup(v.Name)
-		if !ok {
-			if g := e.globalDecl(v.Name); g != nil {
-				reg := e.mgr.Var("::"+g.Name, 0)
-				e.rootDisplay[reg] = g.Name
-				return reg, g.Type, nil
-			}
+		d := v.Decl
+		switch {
+		case d == nil:
 			return nil, nil, &minic.Error{Pos: v.Pos, Msg: "undeclared identifier " + v.Name}
+		case d.Global:
+			return e.global(d), d.Type, nil
 		}
-		return b.region, b.ty, nil
+		return e.local(st.frame(), d), d.Type, nil
 	case *minic.IndexExpr:
 		return e.indexPlace(st, v)
 	case *minic.DerefExpr:
@@ -227,18 +225,6 @@ func (e *Engine) lplace(st *state, x minic.Expr) (mem.Region, minic.Type, error)
 		return e.memberPlace(st, v)
 	}
 	return nil, nil, fmt.Errorf("symexec: not an lvalue: %T", x)
-}
-
-func (e *Engine) globalDecl(name string) *minic.VarDecl {
-	if e.prog.Module == nil {
-		return nil
-	}
-	for _, g := range e.prog.Module.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
 }
 
 func (e *Engine) indexPlace(st *state, v *minic.IndexExpr) (mem.Region, minic.Type, error) {

@@ -45,12 +45,13 @@ int enclave_outs(char *secrets, char *output, char *extra)
 	}
 }
 
-// TestForkArmDeclarationInvisibleToSibling pins copy-on-write scopes: a
-// local declared by one arm of a fork — in its own block, or after the fork
-// in a scope both arms share (non-empty at the fork, thanks to z) — must not
-// leak into the sibling arm, which still resolves the name to the global it
-// shadows. The then-arm runs to completion first, so a leaked declaration
-// would be visible to the else-arm.
+// TestForkArmDeclarationInvisibleToSibling pins lexical resolution across
+// a fork: a local declared by one arm of a fork — in its own block, or
+// after the fork in a scope both arms share — must not leak into the
+// sibling arm, which still resolves the name to the global it shadows. The
+// arms share the frame, and the then-arm runs to completion first, so a
+// declaration resolved by name at run time would be visible to the
+// else-arm.
 func TestForkArmDeclarationInvisibleToSibling(t *testing.T) {
 	src := `
 int x = 7;

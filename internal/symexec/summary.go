@@ -143,11 +143,10 @@ func BuildSummaryTable(ctx context.Context, prog *ir.Program, opts Options, ob o
 	defer span.End()
 
 	b := &tableBuilder{
-		ctx:     ctx,
-		opts:    opts,
-		ob:      ob,
-		table:   &SummaryTable{funcs: make(map[string]*Summary)},
-		globals: make(map[string]bool),
+		ctx:   ctx,
+		opts:  opts,
+		ob:    ob,
+		table: &SummaryTable{funcs: make(map[string]*Summary)},
 	}
 	// The scratch program shares prog's lowered functions but drops the
 	// globals: a pure function cannot reference them (the shape check
@@ -159,9 +158,6 @@ func BuildSummaryTable(ctx context.Context, prog *ir.Program, opts Options, ob o
 		scratchFile := *prog.Module
 		scratchFile.Globals = nil
 		b.scratchProg.Module = &scratchFile
-		for _, g := range prog.Module.Globals {
-			b.globals[g.Name] = true
-		}
 	}
 
 	// Only call targets need summaries; entry points nobody calls do not.
@@ -196,7 +192,6 @@ type tableBuilder struct {
 	opts        Options
 	ob          obs.Observer
 	table       *SummaryTable
-	globals     map[string]bool
 }
 
 // compute classifies one function.
@@ -323,7 +318,7 @@ func (b *tableBuilder) pureExpr(e minic.Expr) (bool, string) {
 	switch v := e.(type) {
 	case *minic.IntLitExpr:
 	case *minic.IdentExpr:
-		if b.globals[v.Name] {
+		if v.Decl != nil && v.Decl.Global {
 			return false, "references global " + v.Name
 		}
 	case *minic.BinExpr:

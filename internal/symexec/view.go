@@ -32,20 +32,15 @@ type StateView struct {
 // PC returns the state's path condition.
 func (v StateView) PC() *solver.PathCondition { return v.st.pc }
 
-// Value returns the scalar currently bound to the named variable
-// (innermost frame first, then globals). It reports false for unbound
-// variables and non-scalar bindings — a read through the view never
-// conjures a fresh input.
-func (v StateView) Value(name string) (sym.Expr, bool) {
-	if len(v.st.frames) > 0 {
-		if b, ok := v.st.frame().lookup(name); ok {
-			return scalarLookup(v.st.store, b.region)
-		}
+// Global returns the scalar currently bound to the global g of the
+// program. It reports false for unbound globals and non-scalar bindings —
+// a read through the view never conjures a fresh input, nor a region.
+func (v StateView) Global(g *minic.VarDecl) (sym.Expr, bool) {
+	reg := v.e.globals[g.Slot]
+	if reg == nil {
+		return nil, false
 	}
-	if g := v.e.globalDecl(name); g != nil {
-		return scalarLookup(v.st.store, v.e.mgr.Var("::"+g.Name, 0))
-	}
-	return nil, false
+	return scalarLookup(v.st.store, reg)
 }
 
 func scalarLookup(store *mem.Store, reg mem.Region) (sym.Expr, bool) {
