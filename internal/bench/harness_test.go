@@ -81,11 +81,12 @@ func TestTableVShape(t *testing.T) {
 			t.Errorf("%s: no time measured", r.Name)
 		}
 	}
-	// Shape: Kmeans is the slowest, Recommender the fastest — the
-	// ordering Table V reports.
-	if !(byName["Kmeans"].Seconds > byName["LinearRegression"].Seconds) {
-		t.Errorf("Kmeans (%.6fs) must be slower than LinearRegression (%.6fs)",
-			byName["Kmeans"].Seconds, byName["LinearRegression"].Seconds)
+	// Shape: Kmeans costs the most — the ordering Table V reports. One
+	// timed run orders the rows by host load as much as by work, so the
+	// ordering is asserted on the deterministic state count.
+	if !(byName["Kmeans"].States > byName["LinearRegression"].States) {
+		t.Errorf("Kmeans (%d states) must explore more than LinearRegression (%d states)",
+			byName["Kmeans"].States, byName["LinearRegression"].States)
 	}
 	if byName["Recommender"].Findings != 6 {
 		t.Errorf("Recommender findings = %d, want 6", byName["Recommender"].Findings)

@@ -41,12 +41,20 @@ type Context struct {
 	// (differingPairs).
 	pairs map[string]int
 
-	// pcKeys and conjTags memoize pcDiffTaint: the key set of each path
-	// condition and the secret tags of each conjunct. Detectors compare
-	// every pair of observations, and each pair would otherwise re-hash
-	// both conditions' DAGs. Allocated on the first comparison.
-	pcKeys   map[*solver.PathCondition]map[string]sym.Expr
-	conjTags map[sym.Expr][]taint.Tag
+	// pcIDs and conjs memoize pcDiffTaint: each path condition's
+	// distinct conjunct IDs in ascending order, and per conjunct ID the
+	// conjunct and its secret tags. Detectors compare every pair of
+	// observations, and each comparison is then a merge of two sorted
+	// slices. Allocated on the first comparison.
+	pcIDs map[*solver.PathCondition][]uint64
+	conjs map[uint64]conjunct
+	// arena is the intern arena whose IDs are conjunct IDs (the first one
+	// seen; one engine run has one). keyIDs numbers the structural keys of
+	// the other conjuncts, above every arena ID.
+	arena  *sym.Interner
+	keyIDs map[string]uint64
+	// tagBuf collects one comparison's tags.
+	tagBuf []taint.Tag
 }
 
 // emit stamps the detector's rule ID and severity on the finding and
@@ -133,63 +141,119 @@ func (rc *Context) secretNames(e sym.Expr) (string, taint.Tag) {
 
 // pcDiffTaint computes the taint of the conjuncts on which two path
 // conditions disagree. A single tag means the two executions differ only
-// in how one secret steered control flow.
+// in how one secret steered control flow. Once both conditions are keyed
+// (keysOf), a comparison allocates nothing.
 func (rc *Context) pcDiffTaint(a, b *solver.PathCondition) (taint.Tag, bool) {
 	if a == b {
 		return 0, false
 	}
 	inA, inB := rc.keysOf(a), rc.keysOf(b)
-	var tags []taint.Tag
+	tags := rc.tagBuf[:0]
 	diff := false
-	collect := func(from, other map[string]sym.Expr) {
-		for k, c := range from {
-			if _, ok := other[k]; ok {
-				continue
-			}
-			diff = true
-			for _, tg := range rc.tagsOf(c) {
-				if !slices.Contains(tags, tg) {
-					tags = append(tags, tg)
-				}
+	add := func(id uint64) {
+		diff = true
+		for _, tg := range rc.tagsOf(id) {
+			if !slices.Contains(tags, tg) {
+				tags = append(tags, tg)
 			}
 		}
 	}
-	collect(inA, inB)
-	collect(inB, inA)
+	i, j := 0, 0
+	for i < len(inA) && j < len(inB) {
+		switch x, y := inA[i], inB[j]; {
+		case x == y:
+			i++
+			j++
+		case x < y:
+			add(x)
+			i++
+		default:
+			add(y)
+			j++
+		}
+	}
+	for ; i < len(inA); i++ {
+		add(inA[i])
+	}
+	for ; j < len(inB); j++ {
+		add(inB[j])
+	}
+	rc.tagBuf = tags
 	if !diff {
 		return 0, false
 	}
 	return taint.FromTagsObserved(rc.Obs, tags).Tag()
 }
 
-// keysOf returns pc's conjuncts keyed by structural key, computed once per
-// condition.
-func (rc *Context) keysOf(pc *solver.PathCondition) map[string]sym.Expr {
-	if ks, ok := rc.pcKeys[pc]; ok {
+// conjunct is one distinct conjunct of the compared path conditions; its
+// tags are computed on its first difference.
+type conjunct struct {
+	e      sym.Expr
+	tags   []taint.Tag
+	tagged bool
+}
+
+// fallbackIDs is the first ID keysOf gives a conjunct by structural key:
+// arena IDs count up from 1 and stay below it.
+const fallbackIDs = 1 << 63
+
+// keysOf returns pc's distinct conjunct IDs in ascending order, computed
+// once per condition. A conjunct canonical in the run's intern arena is
+// named by its intern ID (one node per structure); any other conjunct (a
+// leaf, a node the arena could not intern, or a node of another arena) by
+// its sym.Key.
+func (rc *Context) keysOf(pc *solver.PathCondition) []uint64 {
+	if ks, ok := rc.pcIDs[pc]; ok {
 		return ks
 	}
-	if rc.pcKeys == nil {
-		rc.pcKeys = make(map[*solver.PathCondition]map[string]sym.Expr)
+	if rc.pcIDs == nil {
+		rc.pcIDs = make(map[*solver.PathCondition][]uint64)
+		rc.conjs = make(map[uint64]conjunct)
 	}
-	ks := make(map[string]sym.Expr, pc.Len())
-	for _, c := range pc.Conjuncts() {
-		ks[sym.Key(c)] = c
+	cs := pc.Conjuncts()
+	ks := make([]uint64, len(cs))
+	for i, c := range cs {
+		id, arena := sym.InternID(c)
+		if rc.arena == nil {
+			rc.arena = arena
+		}
+		if arena == nil || arena != rc.arena {
+			id = rc.keyID(c)
+		}
+		if _, ok := rc.conjs[id]; !ok {
+			rc.conjs[id] = conjunct{e: c}
+		}
+		ks[i] = id
 	}
-	rc.pcKeys[pc] = ks
+	slices.Sort(ks)
+	ks = slices.Compact(ks)
+	rc.pcIDs[pc] = ks
 	return ks
 }
 
-// tagsOf returns the secret tags of a conjunct, computed once per conjunct.
-func (rc *Context) tagsOf(c sym.Expr) []taint.Tag {
-	if tags, ok := rc.conjTags[c]; ok {
-		return tags
+// keyID numbers c by its structural key.
+func (rc *Context) keyID(c sym.Expr) uint64 {
+	k := sym.Key(c)
+	id, ok := rc.keyIDs[k]
+	if !ok {
+		if rc.keyIDs == nil {
+			rc.keyIDs = make(map[string]uint64)
+		}
+		id = fallbackIDs + uint64(len(rc.keyIDs))
+		rc.keyIDs[k] = id
 	}
-	if rc.conjTags == nil {
-		rc.conjTags = make(map[sym.Expr][]taint.Tag)
+	return id
+}
+
+// tagsOf returns the secret tags of the conjunct with the given ID,
+// computed once per conjunct.
+func (rc *Context) tagsOf(id uint64) []taint.Tag {
+	c := rc.conjs[id]
+	if !c.tagged {
+		c.tags, c.tagged = sym.SecretTags(c.e), true
+		rc.conjs[id] = c
 	}
-	tags := sym.SecretTags(c)
-	rc.conjTags[c] = tags
-	return tags
+	return c.tags
 }
 
 // pairBudget bounds the sibling-pair comparisons one detector makes in one

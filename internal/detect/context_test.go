@@ -56,6 +56,58 @@ func freshPCDiffTaint(o obs.Observer, a, b *solver.PathCondition) (taint.Tag, bo
 	return taint.FromTagsObserved(o, tags).Tag()
 }
 
+// kmeansPCs explores the ECALL fn of the module and returns the result and
+// the path condition of every path and OCALL.
+func kmeansPCs(t *testing.T, c, edlSrc, fn string) (*symexec.Result, []*solver.PathCondition) {
+	t.Helper()
+	file, err := minic.Parse(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iface, err := edl.Parse(edlSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, ok := iface.ECall(fn)
+	if !ok {
+		t.Fatalf("no ECALL %s", fn)
+	}
+	res, err := symexec.New(file, core.DefaultOptions().Engine).AnalyzeFunction(context.Background(), fn, edl.ParamSpecs(sig, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pcs []*solver.PathCondition
+	for _, p := range res.Paths {
+		pcs = append(pcs, p.PC)
+		for _, oc := range p.Ocalls {
+			pcs = append(pcs, oc.PC)
+		}
+	}
+	if len(pcs) < 8 {
+		t.Fatalf("%d path conditions; the comparison needs sibling paths", len(pcs))
+	}
+	return res, pcs
+}
+
+// TestPCDiffTaintAllocatesNothingPerPair pins the merge: once every path
+// condition of the trojaned Kmeans is keyed, comparing all pairs again
+// allocates nothing.
+func TestPCDiffTaintAllocatesNothingPerPair(t *testing.T) {
+	res, pcs := kmeansPCs(t, mlsuite.MaliciousKmeansC, mlsuite.MaliciousKmeansEDL, "enclave_train_kmeans")
+	rc := &Context{Res: res, Obs: obs.NewMetrics()}
+	sweep := func() {
+		for _, a := range pcs {
+			for _, b := range pcs {
+				rc.pcDiffTaint(a, b)
+			}
+		}
+	}
+	sweep()
+	if got := testing.AllocsPerRun(5, sweep); got != 0 {
+		t.Errorf("a sweep over %d keyed path conditions allocates %.1f times", len(pcs), got)
+	}
+}
+
 // TestPCDiffTaintMemoMatchesFresh compares the memoized pcDiffTaint with a
 // fresh computation on every ordered pair of explored path conditions of
 // the Kmeans modules (Table V and the trojaned variant), twice over so the
@@ -68,32 +120,7 @@ func TestPCDiffTaintMemoMatchesFresh(t *testing.T) {
 		{"MaliciousKmeans", mlsuite.MaliciousKmeansC, mlsuite.MaliciousKmeansEDL, "enclave_train_kmeans"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			file, err := minic.Parse(m.c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			iface, err := edl.Parse(m.edl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sig, ok := iface.ECall(m.fn)
-			if !ok {
-				t.Fatalf("no ECALL %s", m.fn)
-			}
-			res, err := symexec.New(file, core.DefaultOptions().Engine).AnalyzeFunction(context.Background(), m.fn, edl.ParamSpecs(sig, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var pcs []*solver.PathCondition
-			for _, p := range res.Paths {
-				pcs = append(pcs, p.PC)
-				for _, oc := range p.Ocalls {
-					pcs = append(pcs, oc.PC)
-				}
-			}
-			if len(pcs) < 8 {
-				t.Fatalf("%d path conditions; the comparison needs sibling paths", len(pcs))
-			}
+			res, pcs := kmeansPCs(t, m.c, m.edl, m.fn)
 			memoObs, freshObs := obs.NewMetrics(), obs.NewMetrics()
 			rc := &Context{Res: res, Obs: memoObs}
 			for sweep := 0; sweep < 2; sweep++ {

@@ -9,8 +9,10 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"privacyscope/internal/sym"
 )
@@ -28,12 +30,16 @@ type Region interface {
 	String() string
 	// Super returns the parent region (nil for roots).
 	Super() Region
+	// slot is the region's dense per-manager index, its position in every
+	// Store of the manager.
+	slot() int
 }
 
 // VarRegion is the region of one program variable: a global, or a param
 // or local in one call frame.
 type VarRegion struct {
 	id   int
+	at   int
 	key  string
 	Name string
 }
@@ -47,11 +53,14 @@ func (r *VarRegion) String() string { return "reg" + strconv.Itoa(r.id) }
 // Super implements Region; variable regions are roots.
 func (r *VarRegion) Super() Region { return nil }
 
+func (r *VarRegion) slot() int { return r.at }
+
 // SymRegion represents the unknown memory block pointed to by a symbolic
 // pointer (e.g. an [in] pointer parameter of an ECALL). Its Pointee symbol
 // identifies the block; element reads produce fresh symbols per index.
 type SymRegion struct {
 	id      int
+	at      int
 	key     string
 	Pointee *sym.Symbol // identity of the unknown block
 	// SecretSource is non-zero when the block holds secret input; element
@@ -69,9 +78,12 @@ func (r *SymRegion) String() string { return "SymRegion{" + r.DisplayName + "}" 
 // Super implements Region; symbolic regions are roots.
 func (r *SymRegion) Super() Region { return nil }
 
+func (r *SymRegion) slot() int { return r.at }
+
 // ElementRegion is the subregion for array element super[index].
 type ElementRegion struct {
 	super Region
+	at    int
 	key   string
 	Index int // concrete element index
 }
@@ -87,9 +99,12 @@ func (r *ElementRegion) String() string {
 // Super implements Region.
 func (r *ElementRegion) Super() Region { return r.super }
 
+func (r *ElementRegion) slot() int { return r.at }
+
 // FieldRegion is the subregion for struct field super.Field.
 type FieldRegion struct {
 	super Region
+	at    int
 	key   string
 	Field string
 }
@@ -102,6 +117,8 @@ func (r *FieldRegion) String() string { return regionBase(r.super) + "." + r.Fie
 
 // Super implements Region.
 func (r *FieldRegion) Super() Region { return r.super }
+
+func (r *FieldRegion) slot() int { return r.at }
 
 // regionBase renders the super-region part of a derived region's name in
 // Table IV notation (the paper writes reg0[1] even when reg0 is symbolic).
@@ -127,27 +144,33 @@ func Root(r Region) Region {
 // Manager owns the regions of one engine, mirroring the sym.Interner
 // contract: one canonical region object per denotation, so region equality
 // throughout the engine is pointer equality and regions serve directly as
-// map keys (the Store and the engine's per-region tables key on them).
-// Element, field and symbolic-block regions are hash-consed here. Variable
-// regions are not: the engine resolves each variable to a frame slot or a
-// global index before it runs, so it asks for a variable's region once and
-// keeps it. A manager belongs to one engine and is used from one
-// goroutine; numeric region IDs are dense and deterministic.
+// map keys (the engine's per-region tables key on them). Element, field and
+// symbolic-block regions are hash-consed here. Variable regions are not:
+// the engine resolves each variable to a frame slot or a global index
+// before it runs, so it asks for a variable's region once and keeps it.
+//
+// Every region also gets a dense slot, in creation order, which is its
+// index in the manager's stores (see Store). A manager belongs to one
+// engine and is used from one goroutine; numeric region IDs and slots are
+// dense and deterministic.
 type Manager struct {
-	// nextID counts the variable and symbolic-block regions minted.
+	// nextID counts the variable and symbolic-block regions minted; it
+	// numbers their reg<N> names.
 	nextID int
-	symRgs map[int]*SymRegion // keyed by pointee symbol ID
-	elems  map[elemKey]*ElementRegion
-	fields map[fieldKey]*FieldRegion
+	// regions holds every region by slot.
+	regions []Region
+	symRgs  map[int]*SymRegion // keyed by pointee symbol ID
+	elems   map[elemKey]*ElementRegion
+	fields  map[fieldKey]*FieldRegion
 }
 
+// elemKey and fieldKey name a derived region by its super-region's slot.
 type elemKey struct {
-	super Region
-	index int
+	super, index int
 }
 
 type fieldKey struct {
-	super Region
+	super int
 	field string
 }
 
@@ -163,8 +186,9 @@ func NewManager() *Manager {
 // Var mints a new region for a variable named name. Every call returns a
 // distinct region: the caller keeps it for as long as the variable lives.
 func (m *Manager) Var(name string) *VarRegion {
-	r := &VarRegion{id: m.nextID, key: "v" + strconv.Itoa(m.nextID), Name: name}
+	r := &VarRegion{id: m.nextID, at: len(m.regions), key: "v" + strconv.Itoa(m.nextID), Name: name}
 	m.nextID++
+	m.regions = append(m.regions, r)
 	return r
 }
 
@@ -174,30 +198,33 @@ func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *Sy
 	if r, ok := m.symRgs[k]; ok {
 		return r
 	}
-	r := &SymRegion{id: m.nextID, key: "sym" + strconv.Itoa(m.nextID), Pointee: pointee, DisplayName: display, SecretSource: secret}
+	r := &SymRegion{id: m.nextID, at: len(m.regions), key: "sym" + strconv.Itoa(m.nextID), Pointee: pointee, DisplayName: display, SecretSource: secret}
 	m.nextID++
+	m.regions = append(m.regions, r)
 	m.symRgs[k] = r
 	return r
 }
 
 // Element returns the ElementRegion super[index].
 func (m *Manager) Element(super Region, index int) *ElementRegion {
-	k := elemKey{super, index}
+	k := elemKey{super.slot(), index}
 	if r, ok := m.elems[k]; ok {
 		return r
 	}
-	r := &ElementRegion{super: super, key: super.Key() + "[" + strconv.Itoa(index) + "]", Index: index}
+	r := &ElementRegion{super: super, at: len(m.regions), key: super.Key() + "[" + strconv.Itoa(index) + "]", Index: index}
+	m.regions = append(m.regions, r)
 	m.elems[k] = r
 	return r
 }
 
 // Field returns the FieldRegion super.field.
 func (m *Manager) Field(super Region, field string) *FieldRegion {
-	k := fieldKey{super, field}
+	k := fieldKey{super.slot(), field}
 	if r, ok := m.fields[k]; ok {
 		return r
 	}
-	r := &FieldRegion{super: super, key: super.Key() + "." + field, Field: field}
+	r := &FieldRegion{super: super, at: len(m.regions), key: super.Key() + "." + field, Field: field}
+	m.regions = append(m.regions, r)
 	m.fields[k] = r
 	return r
 }
@@ -205,7 +232,7 @@ func (m *Manager) Field(super Region, field string) *FieldRegion {
 // RegionCount returns how many distinct regions have been created, a metric
 // the Table IV bench reports.
 func (m *Manager) RegionCount() int {
-	return m.nextID + len(m.elems) + len(m.fields)
+	return len(m.regions)
 }
 
 // SVal is a symbolic value stored in the store or produced by expression
@@ -244,23 +271,41 @@ func (Undefined) isSVal() {}
 // String implements SVal.
 func (Undefined) String() string { return "undef" }
 
-// Store maps regions to SVals (σ in the paper's state 4-tuple). It is a
-// persistent copy-on-write structure: Clone is O(1) in the number of
-// bindings, making state forks cheap enough for parallel path exploration.
-// Bindings are keyed by region identity (the Manager makes one canonical
-// object per region), so lookups never build a key string.
+// Store maps regions to SVals (σ in the paper's state 4-tuple). It is an
+// array indexed by region slot, cut into chunks of chunkSize slots, and it
+// only holds regions of the Manager that made it.
 //
-// Internally a store is a chain of frozen layers (oldest first, shared
-// between forked states, never mutated again) plus one private mutable top
-// layer. Lookups scan top-down; deletions shadow older layers with a
-// tombstone (a nil value). A single store value is still owned by exactly
-// one exploration state at a time — only the *frozen* layers are shared —
-// so per-store operations need no lock.
+// A store is persistent copy-on-write: Clone copies the chunk pointers, so
+// a fork costs one pointer per chunk however many bindings there are, and
+// the forked stores share every chunk until one of them writes to it. Who
+// may write a chunk in place is decided by an ownership token: a chunk
+// carries the token of the store that made it, Clone takes the token away
+// from the store it clones (the clone starts with none), and a store
+// writes in place only into chunks that carry its current token. Any other
+// chunk is copied first, under a token the store mints on its first write.
+// A store belongs to one exploration state at a time, so it needs no lock.
 type Store struct {
-	frozen []map[Region]SVal // immutable layers, oldest first
-	top    map[Region]SVal   // private mutable layer
-	count  int               // live bindings visible through all layers
+	mgr    *Manager
+	chunks []*chunk
+	own    *owner // nil until the store writes
 }
+
+// chunkShift sizes the chunks: the first write to a shared chunk copies
+// all of its chunkSize values, so chunks are kept small.
+const (
+	chunkShift = 3
+	chunkSize  = 1 << chunkShift
+)
+
+// chunk holds the values of chunkSize consecutive slots; nil is unbound.
+type chunk struct {
+	own  *owner
+	vals [chunkSize]SVal
+}
+
+// owner is a store's write token. It has a size, so every token is a
+// distinct allocation.
+type owner struct{ _ byte }
 
 // Binding is one region → value pair of a store.
 type Binding struct {
@@ -268,124 +313,84 @@ type Binding struct {
 	Val    SVal
 }
 
-// flattenDepth is the frozen-chain length past which Clone collapses the
-// layers into one map, bounding lookup cost on deeply forked paths.
-const flattenDepth = 32
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{top: make(map[Region]SVal)}
-}
-
-// lookupEntry finds the visible value for r, newest layer first; a nil
-// value with ok set is a tombstone.
-func (s *Store) lookupEntry(r Region) (SVal, bool) {
-	if v, ok := s.top[r]; ok {
-		return v, true
-	}
-	for i := len(s.frozen) - 1; i >= 0; i-- {
-		if v, ok := s.frozen[i][r]; ok {
-			return v, true
-		}
-	}
-	return nil, false
+// NewStore returns an empty store for m's regions.
+func (m *Manager) NewStore() *Store {
+	return &Store{mgr: m}
 }
 
 // Bind records region → val.
 func (s *Store) Bind(r Region, v SVal) {
-	if old, _ := s.lookupEntry(r); old == nil {
-		s.count++
+	i := r.slot()
+	c := i >> chunkShift
+	if n := len(s.chunks); c >= n {
+		s.chunks = slices.Grow(s.chunks, c+1-n)[:c+1]
+		clear(s.chunks[n:])
 	}
-	s.top[r] = v
+	if s.own == nil {
+		s.own = new(owner)
+	}
+	ch := s.chunks[c]
+	if ch == nil || ch.own != s.own {
+		fresh := &chunk{own: s.own}
+		if ch != nil {
+			fresh.vals = ch.vals
+		}
+		s.chunks[c] = fresh
+		ch = fresh
+	}
+	ch.vals[i&(chunkSize-1)] = v
 }
 
 // Lookup returns the value bound to r, or (nil, false).
 func (s *Store) Lookup(r Region) (SVal, bool) {
-	v, _ := s.lookupEntry(r)
-	return v, v != nil
-}
-
-// Remove deletes any binding for r.
-func (s *Store) Remove(r Region) {
-	if v, _ := s.lookupEntry(r); v == nil {
-		return
+	i := r.slot()
+	if c := i >> chunkShift; c < len(s.chunks) && s.chunks[c] != nil {
+		v := s.chunks[c].vals[i&(chunkSize-1)]
+		return v, v != nil
 	}
-	s.count--
-	delete(s.top, r)
-	// A frozen layer may still hold the binding; shadow it.
-	for i := len(s.frozen) - 1; i >= 0; i-- {
-		if fv, ok := s.frozen[i][r]; ok {
-			if fv != nil {
-				s.top[r] = nil
-			}
-			return
-		}
-	}
+	return nil, false
 }
 
 // Len returns the number of bindings.
-func (s *Store) Len() int { return s.count }
-
-// Clone returns an independent copy for state forking. The receiver's top
-// layer is frozen (both stores keep reading it; neither writes it again)
-// and each store gets a fresh private top, so cloning costs O(layers)
-// rather than O(bindings).
-func (s *Store) Clone() *Store {
-	if len(s.frozen) >= flattenDepth {
-		s.flatten()
-	}
-	if len(s.top) > 0 {
-		chain := make([]map[Region]SVal, len(s.frozen), len(s.frozen)+1)
-		copy(chain, s.frozen)
-		s.frozen = append(chain, s.top)
-		s.top = make(map[Region]SVal)
-	}
-	c := &Store{
-		frozen: make([]map[Region]SVal, len(s.frozen)),
-		top:    make(map[Region]SVal),
-		count:  s.count,
-	}
-	copy(c.frozen, s.frozen)
-	return c
-}
-
-// flatten merges the frozen chain into a single layer, applying tombstones.
-func (s *Store) flatten() {
-	merged := make(map[Region]SVal)
-	for _, layer := range s.frozen {
-		for r, v := range layer {
-			if v == nil {
-				delete(merged, r)
-			} else {
-				merged[r] = v
+func (s *Store) Len() int {
+	n := 0
+	for _, ch := range s.chunks {
+		if ch != nil {
+			for _, v := range ch.vals {
+				if v != nil {
+					n++
+				}
 			}
 		}
 	}
-	s.frozen = []map[Region]SVal{merged}
+	return n
 }
 
-// collect returns the visible bindings whose region passes keep, sorted
-// by region key. Layers are visited newest first and a region's first
-// occurrence shadows the rest, so only the kept regions are tracked.
+// Clone returns an independent copy for state forking: both stores share
+// every chunk, and neither writes one in place again (see Store).
+func (s *Store) Clone() *Store {
+	s.own = nil
+	return &Store{mgr: s.mgr, chunks: slices.Clone(s.chunks)}
+}
+
+// collect returns the bindings whose region passes keep, sorted by region
+// key.
 func (s *Store) collect(keep func(Region) bool) []Binding {
 	var out []Binding
-	seen := make(map[Region]bool)
-	visit := func(layer map[Region]SVal) {
-		for r, v := range layer {
-			if seen[r] || !keep(r) {
+	for c, ch := range s.chunks {
+		if ch == nil {
+			continue
+		}
+		for j, v := range ch.vals {
+			if v == nil {
 				continue
 			}
-			seen[r] = true
-			if v != nil {
+			if r := s.mgr.regions[c<<chunkShift|j]; keep(r) {
 				out = append(out, Binding{r, v})
 			}
 		}
 	}
-	visit(s.top)
-	for i := len(s.frozen) - 1; i >= 0; i-- {
-		visit(s.frozen[i])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region.Key() < out[j].Region.Key() })
+	slices.SortFunc(out, func(a, b Binding) int { return strings.Compare(a.Region.Key(), b.Region.Key()) })
 	return out
 }
 

@@ -91,7 +91,7 @@ func TestRegionStringsAndKeys(t *testing.T) {
 
 func TestStoreBasics(t *testing.T) {
 	m := NewManager()
-	st := NewStore()
+	st := m.NewStore()
 	x := m.Var("x")
 	if _, ok := st.Lookup(x); ok {
 		t.Error("empty store must miss")
@@ -109,15 +109,14 @@ func TestStoreBasics(t *testing.T) {
 	if _, isUndef := v.(Undefined); !isUndef {
 		t.Error("rebind must overwrite")
 	}
-	st.Remove(x)
-	if st.Len() != 0 {
-		t.Error("Remove failed")
+	if st.Len() != 1 {
+		t.Errorf("Len = %d after rebinding one region, want 1", st.Len())
 	}
 }
 
 func TestStoreCloneIndependent(t *testing.T) {
 	m := NewManager()
-	st := NewStore()
+	st := m.NewStore()
 	x := m.Var("x")
 	st.Bind(x, Scalar{E: sym.IntConst{V: 1}})
 	c := st.Clone()
@@ -130,7 +129,7 @@ func TestStoreCloneIndependent(t *testing.T) {
 
 func TestStoreBindingsSorted(t *testing.T) {
 	m := NewManager()
-	st := NewStore()
+	st := m.NewStore()
 	sb := newSymBuilder()
 	blk := m.SymBlock(sb.FreshPublic("p"), "p", false)
 	st.Bind(m.Element(blk, 2), Scalar{E: sym.IntConst{V: 2}})
@@ -149,7 +148,7 @@ func TestStoreBindingsSorted(t *testing.T) {
 
 func TestSubRegionsOf(t *testing.T) {
 	m := NewManager()
-	st := NewStore()
+	st := m.NewStore()
 	sb := newSymBuilder()
 	blk := m.SymBlock(sb.FreshSecret("secrets"), "secrets", true)
 	other := m.Var("x")

@@ -7,6 +7,10 @@ type File struct {
 	Structs   []*StructType
 	Globals   []*VarDecl
 	Functions []*FuncDecl
+
+	// resolved is set once the scope walk has bound the file (Check or
+	// Resolve), so Resolve does not walk it again.
+	resolved bool
 }
 
 // Function returns the function with the given name.

@@ -63,7 +63,8 @@ func (c *Checker) Check(f *File) error {
 // Resolve binds every identifier of f to the declaration it names and
 // gives every variable its slot, under the checker's scope rules: a block,
 // a for header and each switch case open a scope, and a declaration's Init
-// is resolved before the declaration itself. A global's slot is its index
+// is resolved before the declaration itself. A file already checked or
+// resolved is not walked again. A global's slot is its index
 // in f.Globals. A param's or local's slot is per function and keyed by
 // (name, shadowing depth), the depth counting the same-named variables
 // visible from enclosing scopes of the function: sibling redeclarations,
@@ -72,12 +73,16 @@ func (c *Checker) Check(f *File) error {
 // is looked up while it explores. Resolve reports nothing; run Check for
 // errors.
 func Resolve(f *File) {
-	(&checkCtx{file: f}).walk()
+	if !f.resolved {
+		(&checkCtx{file: f}).walk()
+	}
 }
 
-// walk runs the scope walk over the globals and function bodies.
+// walk runs the scope walk over the globals and function bodies and marks
+// the file resolved.
 func (c *checkCtx) walk() {
 	f := c.file
+	f.resolved = true
 	c.funcs = make(map[string]*FuncDecl, len(f.Functions))
 	for _, fn := range f.Functions {
 		if prev, dup := c.funcs[fn.Name]; dup && prev.Body != nil && fn.Body != nil {

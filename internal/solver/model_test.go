@@ -146,7 +146,7 @@ func requireSameSearch(t *testing.T, c modelCase) (ok bool, left int) {
 	t.Helper()
 	conj := c.pc.Conjuncts()
 	wantB, wantOK, wantLeft := modelOracle(conj, c.ivs, c.budget)
-	gotB, gotOK, gotLeft := searchModel(conj, c.ivs, c.budget)
+	gotB, gotOK, gotLeft := searchModel(new(sym.Tape), conj, c.ivs, c.budget)
 	if gotOK != wantOK || gotLeft != wantLeft || !maps.Equal(gotB, wantB) {
 		t.Fatalf("π = %s, budget %d:\n search: %v %v, %d left\n oracle: %v %v, %d left",
 			c.pc, c.budget, gotB, gotOK, gotLeft, wantB, wantOK, wantLeft)

@@ -140,6 +140,9 @@ type Solver struct {
 	// atoms are analyzed fresh each time, which keeps the cache sound with
 	// interning off. Created on first use.
 	atoms map[sym.Expr]*atomInfo
+	// tape is the model search's evaluation program, rebuilt per search
+	// in reused buffers.
+	tape sym.Tape
 }
 
 // SetInterner hands the solver the engine's intern arena so the negations
@@ -401,7 +404,7 @@ func flipOp(op sym.Op) sym.Op {
 // the returned binding is that cache and must not be modified.
 func (s *Solver) model(pc *PathCondition, ivs map[int]*interval) (sym.Binding, bool) {
 	if pc.model == nil {
-		b, ok, _ := searchModel(pc.Conjuncts(), ivs, searchBudget)
+		b, ok, _ := searchModel(&s.tape, pc.Conjuncts(), ivs, searchBudget)
 		pc.model = &modelOutcome{b: b, ok: ok}
 	}
 	return pc.model.b, pc.model.ok
@@ -426,27 +429,34 @@ const searchBudget = 4096
 // every full assignment and verifying it would have spent there — so the
 // first model found and the give-up point are exactly those of that plain
 // enumeration (DESIGN.md §5 item 11).
+//
+// The conjuncts are flattened once onto a tape (sym.Tape) in the order the
+// search checks them, the symbol-free ones first and then level by level,
+// so a conjunct's span reads only nodes of its own level or of levels
+// whose symbols have not changed since they were checked.
 type modelSearch struct {
-	conj   []sym.Expr
-	next   []int32 // next[i]: the next conjunct closing where conj[i] does; -1 ends the list
+	tape   *sym.Tape
+	spans  []sym.Span // per conjunct
+	next   []int32    // next[i]: the next conjunct closing where conj[i] does; -1 ends the list
 	levels []level
-	b      sym.Binding
 	budget int
 }
 
 // level is one symbol of the search order.
 type level struct {
 	sm    *sym.Symbol
+	slot  int32   // the symbol's tape slot
 	cands []int32 // candidate values, in try order
 	first int32   // the first conjunct closing at this level (see next); -1 for none
 	below int     // full assignments below one node of this level, saturated at searchBudget
+	at    int     // the candidate tried last
 }
 
 // searchModel runs the model search over conj with the given (positive)
-// budget and returns the model, whether one was found, and the budget
-// left.
-func searchModel(conj []sym.Expr, ivs map[int]*interval, budget int) (sym.Binding, bool, int) {
-	m := &modelSearch{conj: conj, next: make([]int32, len(conj)), budget: budget}
+// budget on tape t, and returns the model, whether one was found, and the
+// budget left.
+func searchModel(t *sym.Tape, conj []sym.Expr, ivs map[int]*interval, budget int) (sym.Binding, bool, int) {
+	m := &modelSearch{tape: t, spans: make([]sym.Span, len(conj)), next: make([]int32, len(conj)), budget: budget}
 	pos := make(map[int]int32)
 	var symbols []*sym.Symbol
 	for i, e := range conj {
@@ -479,48 +489,63 @@ func searchModel(conj []sym.Expr, ivs map[int]*interval, budget int) (sym.Bindin
 		}
 		m.next[i], *head = *head, int32(i)
 	}
-	m.b = make(sym.Binding, len(symbols))
-	memo := make(map[sym.Expr]sym.Value) // one evaluation memo for the whole search
+	t.Reset()
+	m.flatten(conj, ground)
+	for k := range m.levels {
+		m.levels[k].slot = t.Slot(symbols[k].ID)
+		m.flatten(conj, m.levels[k].first)
+	}
 	switch {
-	case !m.holds(ground, memo):
+	case !m.holds(ground):
 		m.budget -= min(m.budget, total)
 	case len(symbols) == 0:
 		m.budget--
-		return m.b, true, m.budget
-	case m.descend(0, memo):
-		return m.b, true, m.budget
+		return sym.Binding{}, true, m.budget
+	case m.descend(0):
+		b := make(sym.Binding, len(symbols))
+		for _, lv := range m.levels {
+			b[lv.sm.ID] = sym.IntVal(lv.cands[lv.at])
+		}
+		return b, true, m.budget
 	}
 	return nil, false, m.budget
 }
 
+// flatten adds the conjunct list starting at i to the tape.
+func (m *modelSearch) flatten(conj []sym.Expr, i int32) {
+	for ; i >= 0; i = m.next[i] {
+		m.spans[i] = m.tape.Add(conj[i])
+	}
+}
+
 // descend tries each candidate of level k in order; it is only entered
 // with budget left.
-func (m *modelSearch) descend(k int, memo map[sym.Expr]sym.Value) bool {
+func (m *modelSearch) descend(k int) bool {
 	lv := &m.levels[k]
-	for _, cand := range lv.cands {
-		m.b[lv.sm.ID] = sym.IntVal(cand)
-		if !m.holds(lv.first, memo) {
+	for at, cand := range lv.cands {
+		lv.at = at
+		m.tape.Set(lv.slot, sym.IntVal(cand))
+		if !m.holds(lv.first) {
 			m.budget -= min(m.budget, lv.below)
 		} else if k+1 == len(m.levels) {
 			m.budget--
 			return true
-		} else if m.descend(k+1, memo) {
+		} else if m.descend(k + 1) {
 			return true
 		}
 		if m.budget <= 0 {
 			break
 		}
 	}
-	delete(m.b, lv.sm.ID)
 	return false
 }
 
 // holds evaluates the conjunct list starting at i; their symbols are all
-// bound.
-func (m *modelSearch) holds(i int32, memo map[sym.Expr]sym.Value) bool {
+// set.
+func (m *modelSearch) holds(i int32) bool {
 	for ; i >= 0; i = m.next[i] {
-		v, err := sym.EvalWithMemo(m.conj[i], m.b, memo)
-		if err != nil || v.IsZero() {
+		v, ok := m.tape.Eval(m.spans[i])
+		if !ok || v.IsZero() {
 			return false
 		}
 	}

@@ -81,15 +81,6 @@ func Eval(e Expr, b Binding) (Value, error) {
 	return evalMemo(e, b, make(map[Expr]Value))
 }
 
-// EvalWithMemo is Eval with a caller-owned memo, which it clears before
-// evaluating: a caller that evaluates many expressions under changing
-// bindings (the solver's model search) reuses one map instead of
-// allocating one per call.
-func EvalWithMemo(e Expr, b Binding, memo map[Expr]Value) (Value, error) {
-	clear(memo)
-	return evalMemo(e, b, memo)
-}
-
 func evalMemo(e Expr, b Binding, cache map[Expr]Value) (Value, error) {
 	switch e.(type) {
 	case *Binary, *Unary, *Call:

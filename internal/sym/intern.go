@@ -310,25 +310,21 @@ func arenaOf(e Expr) *Interner {
 // callers key caches on composite identity.)
 func Interned(e Expr) bool { return arenaOf(e) != nil }
 
-// InternID returns the arena-local dense ID of a canonical composite.
-// IDs are unique within one arena, so per-engine caches (the solver's
-// canonical path-condition key) can use them as cheap stable tokens.
-func InternID(e Expr) (uint64, bool) {
+// InternID returns the arena-local dense ID of a canonical composite and
+// the arena it is canonical in; the arena is nil for anything else. IDs
+// are unique within one arena, so per-engine tables (the implicit
+// detector's sorted conjunct sets) can key on them instead of on
+// structural keys.
+func InternID(e Expr) (uint64, *Interner) {
 	switch v := e.(type) {
 	case *Binary:
-		if v.tag.arena != nil {
-			return v.tag.id, true
-		}
+		return v.tag.id, v.tag.arena
 	case *Unary:
-		if v.tag.arena != nil {
-			return v.tag.id, true
-		}
+		return v.tag.id, v.tag.arena
 	case *Call:
-		if v.tag.arena != nil {
-			return v.tag.id, true
-		}
+		return v.tag.id, v.tag.arena
 	}
-	return 0, false
+	return 0, nil
 }
 
 // distinctInterned reports that a and b are distinct canonical composites

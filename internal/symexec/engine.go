@@ -154,7 +154,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 
 	st := &state{
 		pc:    solver.True(),
-		store: mem.NewStore(),
+		store: e.mgr.NewStore(),
 	}
 	// Seed globals with constant initializers; globals with dynamic or
 	// absent initializers stay symbolic (conjured on first read).
@@ -786,7 +786,7 @@ func coerceSVal(v mem.SVal, ty minic.Type) mem.SVal {
 			return mem.Scalar{E: sym.IntConst{V: int32(f.V)}}
 		}
 	}
-	return sc
+	return v
 }
 
 // constInit folds a literal (optionally negated) global initializer.

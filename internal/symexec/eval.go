@@ -154,11 +154,17 @@ func (e *Engine) evalBinary(st *state, v *minic.BinExpr) (mem.SVal, minic.Type, 
 	return mem.Scalar{E: e.itn.NewBinary(v.Op, scalarOf(l), scalarOf(r))}, binResultType(lty), nil
 }
 
+// The result types of binary operators, boxed once.
+var (
+	intType    minic.Type = minic.Basic{Kind: minic.Int}
+	doubleType minic.Type = minic.Basic{Kind: minic.Double}
+)
+
 func binResultType(lty minic.Type) minic.Type {
 	if minic.IsFloatType(lty) {
-		return minic.Basic{Kind: minic.Double}
+		return doubleType
 	}
-	return minic.Basic{Kind: minic.Int}
+	return intType
 }
 
 func (e *Engine) evalCond(st *state, v *minic.CondExpr) (mem.SVal, minic.Type, error) {
