@@ -1,9 +1,9 @@
 // Package faultinject is a test-only fault harness for the fail-soft
 // pipeline. It wraps an obs.Observer and turns the analyzer's own telemetry
 // stream into deterministic fault trigger points: every counter bump, event
-// and span start is a named signal, and a fault armed on "symexec.steps" #100
-// fires on exactly the hundredth evaluated statement — no sleeps, no timing
-// races.
+// and span start is a named signal, as is every engine step (through
+// obs.StepObserver), and a fault armed on "symexec.steps" #100 fires on
+// exactly the hundredth evaluated statement — no sleeps, no timing races.
 //
 // Faults available:
 //
@@ -178,9 +178,20 @@ func (i *Injector) StartSpan(name string) obs.Span {
 	return injSpan{name: name, inner: i.inner.StartSpan(name), inj: i}
 }
 
+// Step implements obs.StepObserver: every engine step is one occurrence
+// of the "symexec.steps" signal.
+func (i *Injector) Step() { i.hit(stepSignal) }
+
+// stepSignal names the per-step signal. The engine publishes the step
+// total once per entry point through Add; that publication is forwarded
+// but is not an occurrence, so occurrence n is exactly the nth step.
+const stepSignal = "symexec.steps"
+
 // Add implements obs.Observer.
 func (i *Injector) Add(name string, delta int64) {
-	i.hit(name)
+	if name != stepSignal {
+		i.hit(name)
+	}
 	i.inner.Add(name, delta)
 }
 

@@ -100,3 +100,23 @@ func TestPressure(t *testing.T) {
 		t.Error("Pressure must keep unrelated options")
 	}
 }
+
+// TestStepSignal: every engine step reaches the injector as one
+// "symexec.steps" occurrence; the engine's once-per-entry-point total,
+// published through Add, is forwarded but is not an occurrence.
+func TestStepSignal(t *testing.T) {
+	m := obs.NewMetrics()
+	fired := 0
+	inj := New(m).HookOn("symexec.steps", 3, func() { fired++ })
+	var _ obs.StepObserver = inj
+	inj.Step()
+	inj.Step()
+	inj.Add("symexec.steps", 2)
+	if fired != 0 || m.Counter("symexec.steps") != 2 {
+		t.Fatalf("fired=%d counter=%d after two steps and their total", fired, m.Counter("symexec.steps"))
+	}
+	inj.Step()
+	if fired != 1 || inj.Count("symexec.steps") != 3 {
+		t.Errorf("fired=%d count=%d, want the hook on the third step", fired, inj.Count("symexec.steps"))
+	}
+}

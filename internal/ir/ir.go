@@ -67,14 +67,22 @@ type Op interface {
 	Position() minic.Pos
 }
 
-// Meta is the display/position metadata embedded in every op.
+// Meta is the display/position metadata embedded in every op. An op
+// lowered from MiniC keeps its statement, rendered only when Display is
+// called (trace snapshots are the one reader); other front ends set Src.
 type Meta struct {
-	Src string
-	Pos minic.Pos
+	Stmt minic.Stmt
+	Src  string
+	Pos  minic.Pos
 }
 
 // Display implements Op.
-func (m Meta) Display() string { return m.Src }
+func (m Meta) Display() string {
+	if m.Stmt != nil {
+		return minic.StmtString(m.Stmt)
+	}
+	return m.Src
+}
 
 // Position implements Op.
 func (m Meta) Position() minic.Pos { return m.Pos }

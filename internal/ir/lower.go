@@ -7,9 +7,9 @@ import (
 )
 
 // LowerMiniC lowers a parsed MiniC translation unit into the analysis IR.
-// Lowering is 1:1 — one op per source statement, Display carrying the
-// statement's source rendering — so engine trace snapshots are unchanged by
-// the IR migration. It first resolves the file (minic.Resolve), binding
+// Lowering is 1:1 — one op per source statement, Display rendering the
+// statement on demand — so engine trace snapshots are unchanged by the IR
+// migration. It first resolves the file (minic.Resolve), binding
 // every identifier to its declaration and slot in place, so the file must
 // not be lowered while another goroutine reads it.
 func LowerMiniC(file *minic.File) *Program {
@@ -35,7 +35,7 @@ func LowerMiniC(file *minic.File) *Program {
 
 func lowerBlock(b *minic.Block) *BlockOp {
 	op := &BlockOp{
-		Meta: Meta{Src: minic.StmtString(b), Pos: b.Pos},
+		Meta: Meta{Stmt: b, Pos: b.Pos},
 		Ops:  make([]Op, 0, len(b.Stmts)),
 	}
 	for _, s := range b.Stmts {
@@ -45,7 +45,7 @@ func lowerBlock(b *minic.Block) *BlockOp {
 }
 
 func lowerStmt(s minic.Stmt) Op {
-	meta := Meta{Src: minic.StmtString(s), Pos: stmtPos(s)}
+	meta := Meta{Stmt: s, Pos: stmtPos(s)}
 	switch v := s.(type) {
 	case *minic.Block:
 		return lowerBlock(v)

@@ -5,6 +5,11 @@
 // be structured — an ElementRegion is a subregion of its array's region, a
 // FieldRegion of its struct's region, and a SymRegion stands for the unknown
 // block a symbolic pointer points to.
+//
+// A stored or computed value (SVal) is one of three cases: a scalar, which
+// is the sym.Expr itself with no wrapper around it; a *Loc, the address of
+// a region, which each region carries and hands out through Addr; or
+// Undefined. Passing values around therefore allocates nothing.
 package mem
 
 import (
@@ -30,22 +35,36 @@ type Region interface {
 	String() string
 	// Super returns the parent region (nil for roots).
 	Super() Region
+	// Addr returns the region's address as a value: a *Loc that is part
+	// of the region, so taking an address allocates nothing.
+	Addr() SVal
 	// slot is the region's dense per-manager index, its position in every
 	// Store of the manager.
 	slot() int
 }
 
-// VarRegion is the region of one program variable: a global, or a param
-// or local in one call frame.
-type VarRegion struct {
-	id   int
-	at   int
-	key  string
-	Name string
+// node is the bookkeeping every region carries.
+type node struct {
+	at  int // dense per-manager slot
+	key string
+	loc Loc // the region's address
 }
 
 // Key implements Region.
-func (r *VarRegion) Key() string { return r.key }
+func (n *node) Key() string { return n.key }
+
+// Addr implements Region.
+func (n *node) Addr() SVal { return &n.loc }
+
+func (n *node) slot() int { return n.at }
+
+// VarRegion is the region of one program variable: a global, or a param
+// or local in one call frame.
+type VarRegion struct {
+	node
+	id   int
+	Name string
+}
 
 // String implements Region.
 func (r *VarRegion) String() string { return "reg" + strconv.Itoa(r.id) }
@@ -53,15 +72,12 @@ func (r *VarRegion) String() string { return "reg" + strconv.Itoa(r.id) }
 // Super implements Region; variable regions are roots.
 func (r *VarRegion) Super() Region { return nil }
 
-func (r *VarRegion) slot() int { return r.at }
-
 // SymRegion represents the unknown memory block pointed to by a symbolic
 // pointer (e.g. an [in] pointer parameter of an ECALL). Its Pointee symbol
 // identifies the block; element reads produce fresh symbols per index.
 type SymRegion struct {
+	node
 	id      int
-	at      int
-	key     string
 	Pointee *sym.Symbol // identity of the unknown block
 	// SecretSource is non-zero when the block holds secret input; element
 	// reads then mint secret symbols.
@@ -69,27 +85,18 @@ type SymRegion struct {
 	DisplayName  string // e.g. "secrets" — used in Table IV style output
 }
 
-// Key implements Region.
-func (r *SymRegion) Key() string { return r.key }
-
 // String implements Region.
 func (r *SymRegion) String() string { return "SymRegion{" + r.DisplayName + "}" }
 
 // Super implements Region; symbolic regions are roots.
 func (r *SymRegion) Super() Region { return nil }
 
-func (r *SymRegion) slot() int { return r.at }
-
 // ElementRegion is the subregion for array element super[index].
 type ElementRegion struct {
+	node
 	super Region
-	at    int
-	key   string
 	Index int // concrete element index
 }
-
-// Key implements Region.
-func (r *ElementRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *ElementRegion) String() string {
@@ -99,26 +106,18 @@ func (r *ElementRegion) String() string {
 // Super implements Region.
 func (r *ElementRegion) Super() Region { return r.super }
 
-func (r *ElementRegion) slot() int { return r.at }
-
 // FieldRegion is the subregion for struct field super.Field.
 type FieldRegion struct {
+	node
 	super Region
-	at    int
-	key   string
 	Field string
 }
-
-// Key implements Region.
-func (r *FieldRegion) Key() string { return r.key }
 
 // String implements Region.
 func (r *FieldRegion) String() string { return regionBase(r.super) + "." + r.Field }
 
 // Super implements Region.
 func (r *FieldRegion) Super() Region { return r.super }
-
-func (r *FieldRegion) slot() int { return r.at }
 
 // regionBase renders the super-region part of a derived region's name in
 // Table IV notation (the paper writes reg0[1] even when reg0 is symbolic).
@@ -186,10 +185,17 @@ func NewManager() *Manager {
 // Var mints a new region for a variable named name. Every call returns a
 // distinct region: the caller keeps it for as long as the variable lives.
 func (m *Manager) Var(name string) *VarRegion {
-	r := &VarRegion{id: m.nextID, at: len(m.regions), key: "v" + strconv.Itoa(m.nextID), Name: name}
+	r := &VarRegion{id: m.nextID, Name: name}
+	m.add(r, &r.node, "v"+strconv.Itoa(m.nextID))
 	m.nextID++
-	m.regions = append(m.regions, r)
 	return r
+}
+
+// add gives the new region r, whose bookkeeping is n, the next slot, its
+// key and its address.
+func (m *Manager) add(r Region, n *node, key string) {
+	n.at, n.key, n.loc.R = len(m.regions), key, r
+	m.regions = append(m.regions, r)
 }
 
 // SymBlock returns the SymRegion for the block identified by pointee.
@@ -198,9 +204,9 @@ func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *Sy
 	if r, ok := m.symRgs[k]; ok {
 		return r
 	}
-	r := &SymRegion{id: m.nextID, at: len(m.regions), key: "sym" + strconv.Itoa(m.nextID), Pointee: pointee, DisplayName: display, SecretSource: secret}
+	r := &SymRegion{id: m.nextID, Pointee: pointee, DisplayName: display, SecretSource: secret}
+	m.add(r, &r.node, "sym"+strconv.Itoa(m.nextID))
 	m.nextID++
-	m.regions = append(m.regions, r)
 	m.symRgs[k] = r
 	return r
 }
@@ -211,8 +217,8 @@ func (m *Manager) Element(super Region, index int) *ElementRegion {
 	if r, ok := m.elems[k]; ok {
 		return r
 	}
-	r := &ElementRegion{super: super, at: len(m.regions), key: super.Key() + "[" + strconv.Itoa(index) + "]", Index: index}
-	m.regions = append(m.regions, r)
+	r := &ElementRegion{super: super, Index: index}
+	m.add(r, &r.node, super.Key()+"["+strconv.Itoa(index)+"]")
 	m.elems[k] = r
 	return r
 }
@@ -223,8 +229,8 @@ func (m *Manager) Field(super Region, field string) *FieldRegion {
 	if r, ok := m.fields[k]; ok {
 		return r
 	}
-	r := &FieldRegion{super: super, at: len(m.regions), key: super.Key() + "." + field, Field: field}
-	m.regions = append(m.regions, r)
+	r := &FieldRegion{super: super, Field: field}
+	m.add(r, &r.node, super.Key()+"."+field)
 	m.fields[k] = r
 	return r
 }
@@ -236,37 +242,24 @@ func (m *Manager) RegionCount() int {
 }
 
 // SVal is a symbolic value stored in the store or produced by expression
-// evaluation: a scalar symbolic expression, a location (region address), or
-// undefined.
+// evaluation. It is a scalar — a sym.Expr, which satisfies SVal as it is —
+// a location (*Loc, a region's address, obtained from Region.Addr), or
+// Undefined.
 type SVal interface {
-	isSVal()
 	String() string
 }
 
-// Scalar wraps a symbolic scalar expression.
-type Scalar struct {
-	E sym.Expr
-}
-
-func (Scalar) isSVal() {}
-
-// String implements SVal.
-func (s Scalar) String() string { return s.E.String() }
-
-// Loc is the address of a region (a pointer value).
+// Loc is the address of a region (a pointer value). Only *Loc is an SVal:
+// the one its region hands out (Region.Addr).
 type Loc struct {
 	R Region
 }
 
-func (Loc) isSVal() {}
-
 // String implements SVal.
-func (l Loc) String() string { return "&" + l.R.String() }
+func (l *Loc) String() string { return "&" + l.R.String() }
 
 // Undefined is the value of uninitialized memory.
 type Undefined struct{}
-
-func (Undefined) isSVal() {}
 
 // String implements SVal.
 func (Undefined) String() string { return "undef" }

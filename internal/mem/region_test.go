@@ -96,7 +96,7 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := st.Lookup(x); ok {
 		t.Error("empty store must miss")
 	}
-	st.Bind(x, Scalar{E: sym.IntConst{V: 42}})
+	st.Bind(x, sym.IntConst{V: 42})
 	v, ok := st.Lookup(x)
 	if !ok {
 		t.Fatal("Lookup after Bind failed")
@@ -118,9 +118,9 @@ func TestStoreCloneIndependent(t *testing.T) {
 	m := NewManager()
 	st := m.NewStore()
 	x := m.Var("x")
-	st.Bind(x, Scalar{E: sym.IntConst{V: 1}})
+	st.Bind(x, sym.IntConst{V: 1})
 	c := st.Clone()
-	c.Bind(x, Scalar{E: sym.IntConst{V: 2}})
+	c.Bind(x, sym.IntConst{V: 2})
 	v, _ := st.Lookup(x)
 	if v.String() != "1" {
 		t.Error("clone mutation leaked into original")
@@ -132,9 +132,9 @@ func TestStoreBindingsSorted(t *testing.T) {
 	st := m.NewStore()
 	sb := newSymBuilder()
 	blk := m.SymBlock(sb.FreshPublic("p"), "p", false)
-	st.Bind(m.Element(blk, 2), Scalar{E: sym.IntConst{V: 2}})
-	st.Bind(m.Element(blk, 0), Scalar{E: sym.IntConst{V: 0}})
-	st.Bind(m.Element(blk, 1), Scalar{E: sym.IntConst{V: 1}})
+	st.Bind(m.Element(blk, 2), sym.IntConst{V: 2})
+	st.Bind(m.Element(blk, 0), sym.IntConst{V: 0})
+	st.Bind(m.Element(blk, 1), sym.IntConst{V: 1})
 	bs := st.Bindings()
 	if len(bs) != 3 {
 		t.Fatalf("Bindings len = %d", len(bs))
@@ -152,9 +152,9 @@ func TestSubRegionsOf(t *testing.T) {
 	sb := newSymBuilder()
 	blk := m.SymBlock(sb.FreshSecret("secrets"), "secrets", true)
 	other := m.Var("x")
-	st.Bind(m.Element(blk, 0), Scalar{E: sym.IntConst{V: 1}})
-	st.Bind(m.Element(blk, 1), Scalar{E: sym.IntConst{V: 2}})
-	st.Bind(other, Scalar{E: sym.IntConst{V: 3}})
+	st.Bind(m.Element(blk, 0), sym.IntConst{V: 1})
+	st.Bind(m.Element(blk, 1), sym.IntConst{V: 2})
+	st.Bind(other, sym.IntConst{V: 3})
 	subs := st.SubRegionsOf(blk)
 	if len(subs) != 2 {
 		t.Fatalf("SubRegionsOf = %v", subs)
@@ -192,13 +192,30 @@ func TestEnv(t *testing.T) {
 func TestSValStrings(t *testing.T) {
 	m := NewManager()
 	r := m.Var("x")
-	if (Loc{R: r}).String() != "&reg0" {
-		t.Errorf("Loc String = %q", Loc{R: r}.String())
+	if r.Addr().String() != "&reg0" {
+		t.Errorf("Loc String = %q", r.Addr().String())
 	}
 	if (Undefined{}).String() != "undef" {
 		t.Error("Undefined String wrong")
 	}
-	if (Scalar{E: sym.IntConst{V: 7}}).String() != "7" {
-		t.Error("Scalar String wrong")
+	var scalar SVal = sym.IntConst{V: 7}
+	if scalar.String() != "7" {
+		t.Error("scalar String wrong")
 	}
+}
+
+// TestAddrAllocatesNothing: a region's address is part of the region, so
+// taking it allocates nothing.
+func TestAddrAllocatesNothing(t *testing.T) {
+	m := NewManager()
+	r := m.Element(m.Var("a"), 3)
+	loc, ok := r.Addr().(*Loc)
+	if !ok || loc.R != Region(r) || r.Addr() != r.Addr() || r.Addr().String() != "&reg0[3]" {
+		t.Fatalf("Addr = %v", r.Addr())
+	}
+	var sink SVal
+	if n := testing.AllocsPerRun(100, func() { sink = r.Addr() }); n != 0 {
+		t.Errorf("Addr allocates %v times", n)
+	}
+	_ = sink
 }

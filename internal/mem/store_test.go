@@ -96,7 +96,7 @@ func TestStoreMatchesReference(t *testing.T) {
 			switch k := r.Intn(10); {
 			case k < 6: // bind an existing region
 				reg := m.regions[r.Intn(len(m.regions))]
-				v := Scalar{E: sym.IntConst{V: int32(r.Intn(1000))}}
+				v := sym.IntConst{V: int32(r.Intn(1000))}
 				p.st.Bind(reg, v)
 				p.ref[reg] = v
 			case k < 8 && len(pairs) < 12: // fork: either side may write next
@@ -121,7 +121,7 @@ func TestStoreMatchesReference(t *testing.T) {
 func TestStoreForkWritesStayApart(t *testing.T) {
 	m := NewManager()
 	a, b := m.Var("a"), m.Var("b") // one chunk
-	var one, two SVal = Scalar{E: sym.IntConst{V: 1}}, Scalar{E: sym.IntConst{V: 2}}
+	var one, two SVal = sym.IntConst{V: 1}, sym.IntConst{V: 2}
 	parent := m.NewStore()
 	parent.Bind(a, one)
 	child := parent.Clone()

@@ -4,11 +4,12 @@
 //
 // Instrumented code talks to the Observer interface only. The default
 // observer is a no-op that costs one interface dispatch and zero
-// allocations per call, so the engine's hot paths (one counter bump per
-// evaluated statement) pay ~nothing when observability is off. The Metrics
-// implementation aggregates everything in memory, is safe for concurrent
-// use (WithParallelism analyses share one observer), and exports a
-// JSON-serializable Snapshot.
+// allocations per call, so instrumented hot paths pay ~nothing when
+// observability is off; the engine's per-statement counts skip the
+// observer altogether and are published once per entry point. The
+// Metrics implementation aggregates everything in memory, is safe for
+// concurrent use (WithParallelism analyses share one observer), and
+// exports a JSON-serializable Snapshot.
 //
 // Span hierarchy is encoded in the span name: a child span started with
 // Span.Child("symexec") under a span named "check" aggregates under
@@ -53,6 +54,17 @@ type Observer interface {
 	Observe(name string, value int64)
 	// Event emits a structured progress event.
 	Event(name string, fields ...Field)
+}
+
+// StepObserver is an optional extension of Observer for signals too
+// frequent to publish one by one. The symbolic engine counts its steps
+// itself and publishes the symexec.steps total once per entry point,
+// through Add; an observer that also implements StepObserver is told of
+// every step as it is taken, before the step runs (the fault-injection
+// harness keys faults on the nth step this way). A Multi fan-out does not
+// forward steps: wrap the fan-out instead.
+type StepObserver interface {
+	Step()
 }
 
 // Nop returns the shared no-op observer: every method does nothing and

@@ -333,12 +333,11 @@ func analyzeAtom(e sym.Expr) *atomInfo {
 		}
 		return falseAtom
 	}
-	syms := diff.Symbols()
-	if len(syms) != 1 {
+	terms := diff.Terms()
+	if len(terms) != 1 {
 		return opaqueAtom
 	}
-	sm := syms[0]
-	a := diff.Coef[sm.ID]
+	sm, a := terms[0].Sym, terms[0].Coef
 	c := -diff.Const / a // a·s + const OP 0  ⇒  s OP' c
 	op := b.Op
 	if a < 0 {

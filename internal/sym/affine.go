@@ -1,9 +1,6 @@
 package sym
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements affine (linear) form extraction over symbolic
 // expressions. The nonreversibility checker uses it to produce the concrete
@@ -13,71 +10,61 @@ import (
 // of Example 1 in the paper.
 
 // Affine is Σ coefᵢ·symᵢ + Const with float64 coefficients (exact for the
-// small integer coefficients appearing in practice).
+// small integer coefficients appearing in practice). A form is immutable:
+// its terms are sorted by symbol ID and every coefficient is non-zero, so
+// forms are shared, never copied — ExtractAffine's memo hands the same form
+// to every parent of a shared subtree.
 type Affine struct {
-	Coef  map[int]float64 // symbol ID → coefficient (non-zero entries only)
+	terms []Term
 	Const float64
-	syms  map[int]*Symbol
 }
 
-func newAffine() *Affine {
-	return &Affine{Coef: make(map[int]float64), syms: make(map[int]*Symbol)}
+// Term is one symbol's share coef·sym of an affine form.
+type Term struct {
+	Sym  *Symbol
+	Coef float64
 }
 
-func (a *Affine) addSym(s *Symbol, c float64) {
-	a.Coef[s.ID] += c
-	a.syms[s.ID] = s
-	if a.Coef[s.ID] == 0 {
-		delete(a.Coef, s.ID)
-		delete(a.syms, s.ID)
-	}
-}
+// Terms returns the form's terms, sorted by symbol ID. The slice is the
+// form's own and must not be modified.
+func (a *Affine) Terms() []Term { return a.terms }
 
-func (a *Affine) scale(k float64) {
-	for id := range a.Coef {
-		a.Coef[id] *= k
-		if a.Coef[id] == 0 {
-			delete(a.Coef, id)
-			delete(a.syms, id)
+// IsConstant reports whether the form has no symbolic part.
+func (a *Affine) IsConstant() bool { return len(a.terms) == 0 }
+
+// scale returns k·a.
+func (a *Affine) scale(k float64) *Affine {
+	out := &Affine{terms: make([]Term, 0, len(a.terms)), Const: a.Const * k}
+	for _, t := range a.terms {
+		if c := t.Coef * k; c != 0 {
+			out.terms = append(out.terms, Term{t.Sym, c})
 		}
 	}
-	a.Const *= k
-}
-
-func (a *Affine) add(b *Affine, sign float64) {
-	for id, c := range b.Coef {
-		a.Coef[id] += sign * c
-		a.syms[id] = b.syms[id]
-		if a.Coef[id] == 0 {
-			delete(a.Coef, id)
-			delete(a.syms, id)
-		}
-	}
-	a.Const += sign * b.Const
-}
-
-// Symbols returns the symbols with non-zero coefficients, ordered by ID.
-func (a *Affine) Symbols() []*Symbol {
-	out := make([]*Symbol, 0, len(a.syms))
-	for _, s := range a.syms {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// IsConstant reports whether the form has no symbolic part.
-func (a *Affine) IsConstant() bool { return len(a.Coef) == 0 }
-
-// clone returns an independent copy (callers mutate forms in place).
-func (a *Affine) clone() *Affine {
-	c := newAffine()
-	c.Const = a.Const
-	for id, coef := range a.Coef {
-		c.Coef[id] = coef
-		c.syms[id] = a.syms[id]
+// add returns a + sign·b, merging the two sorted term lists; a symbol in
+// both forms keeps a's coefficient plus sign·b's, and drops out at zero.
+func (a *Affine) add(b *Affine, sign float64) *Affine {
+	out := &Affine{terms: make([]Term, 0, len(a.terms)+len(b.terms)), Const: a.Const + sign*b.Const}
+	i, j := 0, 0
+	for i < len(a.terms) || j < len(b.terms) {
+		switch {
+		case j == len(b.terms) || i < len(a.terms) && a.terms[i].Sym.ID < b.terms[j].Sym.ID:
+			out.terms = append(out.terms, a.terms[i])
+			i++
+		case i == len(a.terms) || b.terms[j].Sym.ID < a.terms[i].Sym.ID:
+			out.terms = append(out.terms, Term{b.terms[j].Sym, sign * b.terms[j].Coef})
+			j++
+		default:
+			if c := a.terms[i].Coef + sign*b.terms[j].Coef; c != 0 {
+				out.terms = append(out.terms, Term{b.terms[j].Sym, c})
+			}
+			i++
+			j++
+		}
 	}
-	return c
+	return out
 }
 
 // ExtractAffine attempts to view e as an affine combination of symbols.
@@ -85,58 +72,47 @@ func (a *Affine) clone() *Affine {
 // division by a symbol, bitwise/comparison operators, …). Shared subtrees
 // are extracted once (the memo keeps the walk linear in the DAG).
 func ExtractAffine(e Expr) *Affine {
-	return affineMemo(e, make(map[Expr]*Affine), make(map[Expr]bool))
+	return affineMemo(e, make(map[Expr]*Affine))
 }
 
-func affineMemo(e Expr, memo map[Expr]*Affine, seen map[Expr]bool) *Affine {
+// affineMemo extracts e's form, memoizing composite nodes; a nil entry
+// records a non-affine node.
+func affineMemo(e Expr, memo map[Expr]*Affine) *Affine {
 	switch e.(type) {
 	case *Binary, *Unary:
-		if seen[e] {
-			if f := memo[e]; f != nil {
-				return f.clone()
-			}
-			return nil
+		if f, ok := memo[e]; ok {
+			return f
 		}
-		f := extractAffineNode(e, memo, seen)
-		seen[e] = true
-		if f != nil {
-			memo[e] = f.clone()
-		}
+		f := extractAffineNode(e, memo)
+		memo[e] = f
 		return f
 	default:
-		return extractAffineNode(e, memo, seen)
+		return extractAffineNode(e, memo)
 	}
 }
 
-func extractAffineNode(e Expr, memo map[Expr]*Affine, seen map[Expr]bool) *Affine {
+func extractAffineNode(e Expr, memo map[Expr]*Affine) *Affine {
 	switch v := e.(type) {
 	case IntConst:
-		a := newAffine()
-		a.Const = float64(v.V)
-		return a
+		return &Affine{Const: float64(v.V)}
 	case FloatConst:
-		a := newAffine()
-		a.Const = v.V
-		return a
+		return &Affine{Const: v.V}
 	case *Symbol:
-		a := newAffine()
-		a.addSym(v, 1)
-		return a
+		return &Affine{terms: []Term{{v, 1}}}
 	case *Unary:
 		if v.Op != OpNeg {
 			return nil
 		}
-		a := affineMemo(v.X, memo, seen)
+		a := affineMemo(v.X, memo)
 		if a == nil {
 			return nil
 		}
-		a.scale(-1)
-		return a
+		return a.scale(-1)
 	case *Binary:
 		switch v.Op {
 		case OpAdd, OpSub:
-			l := affineMemo(v.L, memo, seen)
-			r := affineMemo(v.R, memo, seen)
+			l := affineMemo(v.L, memo)
+			r := affineMemo(v.R, memo)
 			if l == nil || r == nil {
 				return nil
 			}
@@ -144,32 +120,28 @@ func extractAffineNode(e Expr, memo map[Expr]*Affine, seen map[Expr]bool) *Affin
 			if v.Op == OpSub {
 				sign = -1
 			}
-			l.add(r, sign)
-			return l
+			return l.add(r, sign)
 		case OpMul:
-			l := affineMemo(v.L, memo, seen)
-			r := affineMemo(v.R, memo, seen)
+			l := affineMemo(v.L, memo)
+			r := affineMemo(v.R, memo)
 			if l == nil || r == nil {
 				return nil
 			}
 			switch {
 			case l.IsConstant():
-				r.scale(l.Const)
-				return r
+				return r.scale(l.Const)
 			case r.IsConstant():
-				l.scale(r.Const)
-				return l
+				return l.scale(r.Const)
 			default:
 				return nil
 			}
 		case OpDiv:
-			l := affineMemo(v.L, memo, seen)
-			r := affineMemo(v.R, memo, seen)
+			l := affineMemo(v.L, memo)
+			r := affineMemo(v.R, memo)
 			if l == nil || r == nil || !r.IsConstant() || r.Const == 0 {
 				return nil
 			}
-			l.scale(1 / r.Const)
-			return l
+			return l.scale(1 / r.Const)
 		}
 		return nil
 	default:
@@ -203,19 +175,16 @@ func InvertFor(e Expr, secretID int) (*Inversion, bool) {
 	if a == nil {
 		return nil, false
 	}
-	coef, ok := a.Coef[secretID]
-	if !ok || coef == 0 {
-		return nil, false
-	}
-	inv := &Inversion{
-		Secret: a.syms[secretID],
-		Scale:  coef,
-		Offset: a.Const,
-	}
-	for _, s := range a.Symbols() {
-		if s.ID != secretID {
-			inv.Masking = append(inv.Masking, s)
+	inv := &Inversion{Offset: a.Const}
+	for _, t := range a.terms {
+		if t.Sym.ID == secretID {
+			inv.Secret, inv.Scale = t.Sym, t.Coef
+		} else {
+			inv.Masking = append(inv.Masking, t.Sym)
 		}
+	}
+	if inv.Secret == nil {
+		return nil, false
 	}
 	inv.Exact = len(inv.Masking) == 0
 	return inv, true

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -21,11 +22,9 @@ func TestExtractAffineBasics(t *testing.T) {
 	if a == nil {
 		t.Fatal("affine extraction failed")
 	}
-	if a.Const != 7 || a.Coef[s1.ID] != 2 || a.Coef[s2.ID] != 3 {
+	want := []Term{{s1, 2}, {s2, 3}}
+	if a.Const != 7 || len(a.Terms()) != 2 || a.Terms()[0] != want[0] || a.Terms()[1] != want[1] {
 		t.Errorf("form = %+v", a)
-	}
-	if len(a.Symbols()) != 2 {
-		t.Errorf("Symbols = %v", a.Symbols())
 	}
 }
 
@@ -71,7 +70,7 @@ func TestExtractAffineDivByConst(t *testing.T) {
 	s := b.FreshSecret("")
 	e := &Binary{Op: OpDiv, L: NewBinary(OpMul, IntConst{V: 4}, s), R: IntConst{V: 2}}
 	a := ExtractAffine(e)
-	if a == nil || a.Coef[s.ID] != 2 {
+	if a == nil || len(a.Terms()) != 1 || a.Terms()[0] != (Term{s, 2}) {
 		t.Fatalf("form = %+v, want coef 2", a)
 	}
 }
@@ -160,4 +159,132 @@ func TestInversionRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzExtractAffine builds expression DAGs with shared subtrees from
+// arbitrary bytes — sums, differences, negations, products and quotients
+// by constants over symbols and FloatConst/IntConst leaves, plus nodes
+// outside the affine fragment — and checks every node's form: a node with
+// a non-affine node below it (or a division by zero) has none; any other
+// has terms sorted by symbol ID with non-zero coefficients, and evaluates,
+// at seeded points, to what a float64 evaluation of the DAG gives.
+func FuzzExtractAffine(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{0x40, 0x41, 0x42, 0x03, 0x13, 0x23, 0x33, 0x07, 0x17, 0x27})
+	f.Add([]byte("shared subtrees cancel: (a - a) * s"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := newTestBuilder()
+		syms := []*Symbol{b.FreshSecret("s"), b.FreshPublic("p"), b.FreshPublic("q")}
+		consts := []Expr{IntConst{V: 0}, IntConst{V: 1}, IntConst{V: -3}, FloatConst{V: 0.25}, FloatConst{V: 2.5}, FloatConst{V: -4}}
+		pool := []Expr{syms[0], syms[1], syms[2], consts[1], consts[4]}
+		affine := []bool{true, true, true, true, true}
+		for i := 0; i+2 < len(data) && len(pool) < 64; i += 3 {
+			l, r := int(data[i])%len(pool), int(data[i+1])%len(pool)
+			c := consts[int(data[i+2]>>4)%len(consts)]
+			var e Expr
+			ok := affine[l]
+			switch data[i+2] % 8 {
+			case 0:
+				e, ok = &Binary{Op: OpAdd, L: pool[l], R: pool[r]}, ok && affine[r]
+			case 1:
+				e, ok = &Binary{Op: OpSub, L: pool[l], R: pool[r]}, ok && affine[r]
+			case 2:
+				e = &Unary{Op: OpNeg, X: pool[l]}
+			case 3:
+				e = &Binary{Op: OpMul, L: c, R: pool[l]}
+			case 4:
+				e = &Binary{Op: OpMul, L: pool[l], R: c}
+			case 5:
+				e, ok = &Binary{Op: OpDiv, L: pool[l], R: c}, ok && c != Expr(IntConst{V: 0})
+			case 6:
+				e, ok = &Binary{Op: OpMul, L: syms[l%3], R: syms[r%3]}, false
+			default:
+				nonAffine := []Expr{
+					&Binary{Op: OpDiv, L: pool[l], R: syms[r%3]},
+					&Binary{Op: OpAnd, L: pool[l], R: c},
+					&Binary{Op: OpLt, L: pool[l], R: pool[r]},
+					&Unary{Op: OpLNot, X: pool[l]},
+					&Call{Name: "sqrt", Args: []Expr{pool[l]}},
+				}
+				e, ok = nonAffine[int(data[i+2]>>3)%len(nonAffine)], false
+			}
+			pool = append(pool, e)
+			affine = append(affine, ok)
+		}
+		points := []Binding{
+			{syms[0].ID: FloatVal(1.5), syms[1].ID: FloatVal(-2), syms[2].ID: FloatVal(3)},
+			{syms[0].ID: FloatVal(float64(len(data))), syms[1].ID: FloatVal(0.5), syms[2].ID: FloatVal(-7)},
+		}
+		memos := []map[Expr][2]float64{{}, {}}
+		for i, e := range pool {
+			a := ExtractAffine(e)
+			if !affine[i] {
+				if a != nil {
+					t.Fatalf("node %d %s: form %+v, want none", i, e, a)
+				}
+				continue
+			}
+			if a == nil {
+				t.Fatalf("node %d %s: no form", i, e)
+			}
+			for j, term := range a.Terms() {
+				if term.Coef == 0 || j > 0 && a.Terms()[j-1].Sym.ID >= term.Sym.ID {
+					t.Fatalf("node %d %s: terms %+v not sorted and non-zero", i, e, a.Terms())
+				}
+			}
+			for p, pt := range points {
+				want, scale := evalReal(e, pt, memos[p])
+				got, gotScale := a.Const, math.Abs(a.Const)
+				for _, term := range a.Terms() {
+					v := pt[term.Sym.ID].AsFloat()
+					got += term.Coef * v
+					gotScale += math.Abs(term.Coef * v)
+				}
+				if math.Abs(got-want) > 1e-9*(1+scale+gotScale) {
+					t.Fatalf("node %d %s at %v: form gives %v, the DAG %v", i, e, pt, got, want)
+				}
+			}
+		}
+	})
+}
+
+// evalReal evaluates an affine-fragment DAG in float64 arithmetic, and
+// bounds the magnitude of the values summed on the way (for a rounding
+// tolerance). Shared nodes are evaluated once.
+func evalReal(e Expr, pt Binding, memo map[Expr][2]float64) (val, scale float64) {
+	if m, ok := memo[e]; ok {
+		return m[0], m[1]
+	}
+	val, scale = evalRealNode(e, pt, memo)
+	memo[e] = [2]float64{val, scale}
+	return val, scale
+}
+
+func evalRealNode(e Expr, pt Binding, memo map[Expr][2]float64) (val, scale float64) {
+	switch v := e.(type) {
+	case IntConst:
+		return float64(v.V), math.Abs(float64(v.V))
+	case FloatConst:
+		return v.V, math.Abs(v.V)
+	case *Symbol:
+		x := pt[v.ID].AsFloat()
+		return x, math.Abs(x)
+	case *Unary:
+		x, s := evalReal(v.X, pt, memo)
+		return -x, s
+	case *Binary:
+		l, ls := evalReal(v.L, pt, memo)
+		r, rs := evalReal(v.R, pt, memo)
+		switch v.Op {
+		case OpAdd:
+			return l + r, ls + rs
+		case OpSub:
+			return l - r, ls + rs
+		case OpMul:
+			return l * r, ls * rs
+		case OpDiv:
+			return l / r, ls / math.Abs(r)
+		}
+	}
+	panic(fmt.Sprintf("evalReal: %s is outside the affine fragment", e))
 }

@@ -51,7 +51,7 @@ func (e *Engine) noteLifecycle(st *state, fn string, pos minic.Pos) {
 // region at call time: once the call crosses the enclave boundary those
 // cells are untrusted memory. Cell order is deterministic (store iteration
 // is sorted by region key).
-func (e *Engine) ptrEscape(st *state, arg int, loc mem.Loc) PtrEscape {
+func (e *Engine) ptrEscape(st *state, arg int, loc *mem.Loc) PtrEscape {
 	root := mem.Root(loc.R)
 	pe := PtrEscape{Arg: arg, Display: e.displayName(root)}
 	for _, sub := range st.store.SubRegionsOf(root) {
@@ -59,11 +59,11 @@ func (e *Engine) ptrEscape(st *state, arg int, loc mem.Loc) PtrEscape {
 		if !ok {
 			continue
 		}
-		sc, isScalar := v.(mem.Scalar)
+		sc, isScalar := v.(sym.Expr)
 		if !isScalar {
 			continue
 		}
-		pe.Cells = append(pe.Cells, EscapeCell{Display: e.displayName(sub), Value: sc.E})
+		pe.Cells = append(pe.Cells, EscapeCell{Display: e.displayName(sub), Value: sc})
 	}
 	e.obs.Add("symexec.events.ptr_escapes", 1)
 	return pe
@@ -71,7 +71,7 @@ func (e *Engine) ptrEscape(st *state, arg int, loc mem.Loc) PtrEscape {
 
 // execCallStmt executes a statement-position user call with full path
 // sensitivity: every path through the callee continues the caller.
-func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont) error {
+func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k *kont) error {
 	if len(st.frames) >= e.opts.inlineDepth() {
 		// Skipping the call under-approximates the program: whatever the
 		// callee would have observed or leaked is unexplored, so the
@@ -79,7 +79,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 		// Inconclusive instead of claiming Secure.
 		e.warn("inline depth exceeded at " + fn.Name + "; call skipped")
 		e.markTruncated(TruncInlineDepth)
-		return k(st, ctlFallthrough)
+		return e.resume(st, k, ctlFallthrough)
 	}
 	args := make([]mem.SVal, len(v.Args))
 	for i, a := range v.Args {
@@ -93,7 +93,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 	// Statement position discards the result, but a summary still replays
 	// the callee's accounting, keeping the run identical to inlining.
 	if _, ok := e.applySummary(st, fn, args); ok {
-		return k(st, ctlFallthrough)
+		return e.resume(st, k, ctlFallthrough)
 	}
 	fr := e.pushFrame(st, fn)
 	for i, p := range fn.Params {
@@ -102,11 +102,7 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k cont)
 			st.store.Bind(reg, args[i])
 		}
 	}
-	return e.execBlock(st, fn.Body, func(end *state, c ctl) error {
-		end.frames = end.frames[:len(end.frames)-1]
-		// The callee's return terminates the callee, not the caller.
-		return k(end, ctlFallthrough)
-	})
+	return e.execSeq(st, fn.Body.Ops, 0, &kont{kind: kCall, parent: k})
 }
 
 // evalCall gives symbolic semantics to function calls: user functions are
@@ -134,7 +130,7 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 		if out == nil {
 			out = sym.IntConst{V: 0}
 		}
-		return mem.Scalar{E: out}, intTy, nil
+		return out, intTy, nil
 	}
 
 	if e.opts.OCallFuncs[v.Fun] {
@@ -146,16 +142,16 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 				return nil, nil, err
 			}
 			switch sv := val.(type) {
-			case mem.Scalar:
-				ev.Args = append(ev.Args, sv.E)
-			case mem.Loc:
+			case sym.Expr:
+				ev.Args = append(ev.Args, sv)
+			case *mem.Loc:
 				if e.opts.RecordPtrEscapes {
 					ev.PtrArgs = append(ev.PtrArgs, e.ptrEscape(st, i, sv))
 				}
 			}
 		}
 		st.ocalls = append(st.ocalls, ev)
-		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+		return sym.IntConst{V: 0}, intTy, nil
 	}
 
 	if dstIdx, isDecrypt := e.opts.DecryptFuncs[v.Fun]; isDecrypt {
@@ -175,7 +171,7 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 		if v.Fun == "abs" {
 			ty = intTy
 		}
-		return mem.Scalar{E: e.itn.NewCall(v.Fun, args)}, ty, nil
+		return e.itn.NewCall(v.Fun, args), ty, nil
 	}
 
 	switch v.Fun {
@@ -186,7 +182,7 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 	case "rand":
 		// Fresh in-enclave entropy per call occurrence: unknown to the
 		// attacker, but only a probabilistic mask for secrets (§VIII-A).
-		return mem.Scalar{E: e.builder.FreshEntropy(fmt.Sprintf("rand@%s", v.Pos))}, intTy, nil
+		return e.builder.FreshEntropy(fmt.Sprintf("rand@%s", v.Pos)), intTy, nil
 	case "sgx_read_rand":
 		// sgx_read_rand(buf, n): fill the destination with fresh
 		// entropy cells.
@@ -199,34 +195,34 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 			if err != nil {
 				return nil, nil, err
 			}
-			if dst, ok := dstV.(mem.Loc); ok {
+			if dst, ok := dstV.(*mem.Loc); ok {
 				n, concrete := concreteInt(scalarOf(nV))
 				if !concrete || n > 4096 {
 					n = 1
 					st.store.Bind(e.elementOf(dst.R, summaryIndex),
-						mem.Scalar{E: e.builder.FreshEntropy(fmt.Sprintf("rand@%s[*]", v.Pos))})
+						e.builder.FreshEntropy(fmt.Sprintf("rand@%s[*]", v.Pos)))
 					e.warn("sgx_read_rand with symbolic length summarized")
 				} else {
 					for i := 0; i < n; i++ {
 						st.store.Bind(e.shiftRegion(dst.R, i),
-							mem.Scalar{E: e.builder.FreshEntropy(fmt.Sprintf("rand@%s[%d]", v.Pos, i))})
+							e.builder.FreshEntropy(fmt.Sprintf("rand@%s[%d]", v.Pos, i)))
 					}
 				}
 			}
 		}
-		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+		return sym.IntConst{V: 0}, intTy, nil
 	case "srand", "free":
 		for _, a := range v.Args {
 			if _, _, err := e.eval(st, a); err != nil {
 				return nil, nil, err
 			}
 		}
-		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+		return sym.IntConst{V: 0}, intTy, nil
 	case "malloc":
 		pointee := e.builder.FreshPublic(fmt.Sprintf("heap@%s", v.Pos))
 		blk := e.mgr.SymBlock(pointee, pointee.Name, false)
 		e.rootDisplay[blk] = pointee.Name
-		return mem.Loc{R: blk}, minic.Pointer{Elem: minic.Basic{Kind: minic.Int}}, nil
+		return blk.Addr(), minic.Pointer{Elem: minic.Basic{Kind: minic.Int}}, nil
 	}
 
 	fn, ok := e.prog.Func(v.Fun)
@@ -243,10 +239,10 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 			name := v.Fun + "@" + v.Pos.String()
 			s := e.builder.FreshSecret(name)
 			e.res.SecretSymbols[name] = s
-			return mem.Scalar{E: s}, intTy, nil
+			return s, intTy, nil
 		}
 		e.warn("call to unmodeled function " + v.Fun + " returns an unconstrained public value")
-		return mem.Scalar{E: e.builder.FreshPublic(v.Fun + "@" + v.Pos.String())}, intTy, nil
+		return e.builder.FreshPublic(v.Fun + "@" + v.Pos.String()), intTy, nil
 	}
 	return e.callUser(st, fn, v)
 }
@@ -262,7 +258,7 @@ func (e *Engine) callUser(st *state, fn *ir.Func, v *minic.CallExpr) (mem.SVal, 
 		// Inconclusive, never Secure.
 		e.warn("inline depth exceeded at " + fn.Name + "; returning unconstrained value")
 		e.markTruncated(TruncInlineDepth)
-		return mem.Scalar{E: e.builder.FreshPublic(fn.Name + "@depth")}, fn.Return, nil
+		return e.builder.FreshPublic(fn.Name + "@depth"), fn.Return, nil
 	}
 	args := make([]mem.SVal, len(v.Args))
 	for i, a := range v.Args {
@@ -308,20 +304,20 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 	// began: before anything the callee's paths warn.
 	at := len(e.res.Warnings)
 	st.inCallExpr++
-	err := e.execBlock(st, fn.Body, func(end *state, c ctl) error {
+	err := e.execSeq(st, fn.Body.Ops, 0, &kont{kind: kFunc, fn: func(end *state, c ctl) error {
 		paths++
 		if paths == 1 {
 			if c.kind == ctlReturn && c.ret != nil {
-				retVal = mem.Scalar{E: c.ret}
+				retVal = c.ret
 			} else {
-				retVal = mem.Scalar{E: sym.IntConst{V: 0}}
+				retVal = sym.IntConst{V: 0}
 			}
 			firstEnd = end
 			return nil
 		}
 		forked = true
 		return nil
-	})
+	}})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -335,7 +331,7 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 		// Every callee path was infeasible: unconstrained result.
 		st.inCallExpr--
 		st.frames = st.frames[:len(st.frames)-1]
-		return mem.Scalar{E: e.builder.FreshPublic(fn.Name + "@nopath")}, fn.Return, nil
+		return e.builder.FreshPublic(fn.Name + "@nopath"), fn.Return, nil
 	}
 	if firstEnd != st {
 		*st = *firstEnd
@@ -344,7 +340,7 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 	// Pop the callee frame.
 	st.frames = st.frames[:len(st.frames)-1]
 	if retVal == nil {
-		retVal = mem.Scalar{E: sym.IntConst{V: 0}}
+		retVal = sym.IntConst{V: 0}
 	}
 	return retVal, fn.Return, nil
 }
@@ -355,14 +351,14 @@ func (e *Engine) inlineCall(st *state, fn *ir.Func, args []mem.SVal) (mem.SVal, 
 // of secret data to decrypted secret data").
 func (e *Engine) evalDecrypt(st *state, v *minic.CallExpr, dstIdx int) (mem.SVal, minic.Type, error) {
 	intTy := minic.Type(minic.Basic{Kind: minic.Int})
-	var dstLoc mem.Loc
+	var dstLoc *mem.Loc
 	for i, a := range v.Args {
 		val, _, err := e.eval(st, a)
 		if err != nil {
 			return nil, nil, err
 		}
 		if i == dstIdx {
-			loc, ok := val.(mem.Loc)
+			loc, ok := val.(*mem.Loc)
 			if !ok {
 				return nil, nil, &minic.Error{Pos: v.Pos, Msg: v.Fun + ": destination is not a pointer"}
 			}
@@ -376,11 +372,11 @@ func (e *Engine) evalDecrypt(st *state, v *minic.CallExpr, dstIdx int) (mem.SVal
 	for _, sub := range st.store.SubRegionsOf(root) {
 		display := e.displayName(sub)
 		s := e.builder.FreshSecret(display)
-		st.store.Bind(sub, mem.Scalar{E: s})
+		st.store.Bind(sub, s)
 		e.res.SecretSymbols[display] = s
-		e.inputSyms[sub] = mem.Scalar{E: s}
+		e.inputSyms[sub] = s
 	}
-	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+	return sym.IntConst{V: 0}, intTy, nil
 }
 
 func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, error) {
@@ -400,8 +396,8 @@ func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 	if err != nil {
 		return nil, nil, err
 	}
-	dst, dOK := dstV.(mem.Loc)
-	src, sOK := srcV.(mem.Loc)
+	dst, dOK := dstV.(*mem.Loc)
+	src, sOK := srcV.(*mem.Loc)
 	if !dOK || !sOK {
 		return nil, nil, &minic.Error{Pos: v.Pos, Msg: "memcpy on non-pointer"}
 	}
@@ -418,7 +414,7 @@ func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 		}
 		st.store.Bind(e.elementOf(dst.R, summaryIndex), val)
 		e.warn("memcpy with symbolic length summarized")
-		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+		return sym.IntConst{V: 0}, intTy, nil
 	}
 	for i := 0; i < n; i++ {
 		val, err := e.load(st, e.shiftRegion(src.R, i), elemTy)
@@ -427,7 +423,7 @@ func (e *Engine) evalMemcpy(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 		}
 		st.store.Bind(e.shiftRegion(dst.R, i), val)
 	}
-	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+	return sym.IntConst{V: 0}, intTy, nil
 }
 
 func (e *Engine) evalMemset(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, error) {
@@ -447,7 +443,7 @@ func (e *Engine) evalMemset(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 	if err != nil {
 		return nil, nil, err
 	}
-	dst, ok := dstV.(mem.Loc)
+	dst, ok := dstV.(*mem.Loc)
 	if !ok {
 		return nil, nil, &minic.Error{Pos: v.Pos, Msg: "memset on non-pointer"}
 	}
@@ -455,10 +451,10 @@ func (e *Engine) evalMemset(st *state, v *minic.CallExpr) (mem.SVal, minic.Type,
 	if !concrete || n > 4096 {
 		st.store.Bind(e.elementOf(dst.R, summaryIndex), fillV)
 		e.warn("memset with symbolic length summarized")
-		return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+		return sym.IntConst{V: 0}, intTy, nil
 	}
 	for i := 0; i < n; i++ {
 		st.store.Bind(e.shiftRegion(dst.R, i), fillV)
 	}
-	return mem.Scalar{E: sym.IntConst{V: 0}}, intTy, nil
+	return sym.IntConst{V: 0}, intTy, nil
 }

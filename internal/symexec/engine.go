@@ -39,6 +39,8 @@ type Engine struct {
 	itn     *sym.Interner // hash-consing arena
 	// intern.* counter values already flushed to obs (see AnalyzeFunction).
 	internHits, internMisses int64
+	// steps and states already published to obs (see publishCounts).
+	pubSteps, pubStates int64
 
 	// The per-region tables below key on region identity (the manager
 	// hash-conses regions).
@@ -71,6 +73,8 @@ type Engine struct {
 	res       *Result
 	env       *mem.Env
 	obs       obs.Observer
+	// stepObs, when the observer asks for it, hears of every step.
+	stepObs obs.StepObserver
 
 	// warned holds the messages already in res.Warnings (see warn).
 	warned map[string]bool
@@ -95,6 +99,7 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 	var alloc taint.Allocator
 	o := obs.Or(opts.Obs)
 	itn := sym.NewInterner()
+	stepObs, _ := o.(obs.StepObserver)
 	sv := solver.NewObserved(o)
 	sv.SetInterner(itn)
 	var globals []*mem.VarRegion
@@ -115,6 +120,7 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 		globals:     globals,
 		env:         mem.NewEnv(),
 		obs:         o,
+		stepObs:     stepObs,
 	}
 }
 
@@ -133,6 +139,8 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 		ctx = context.Background()
 	}
 	e.ctx = ctx
+	// Deferred, so a truncated or panicking exploration publishes too.
+	defer e.publishCounts()
 	fn, ok := e.prog.Func(name)
 	if !ok || fn.Body == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchFunc, name)
@@ -161,7 +169,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	if e.prog.Module != nil {
 		for _, g := range e.prog.Module.Globals {
 			if c, ok := constInit(g.Init); ok {
-				st.store.Bind(e.global(g), coerceSVal(mem.Scalar{E: c}, g.Type))
+				st.store.Bind(e.global(g), coerceSVal(c, g.Type))
 			}
 		}
 	}
@@ -175,15 +183,9 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 			return nil, err
 		}
 	}
-	e.snapshot(st, "entry "+name)
+	e.snapshot(st, nil, "entry "+name)
 
-	err := e.execBlock(st, fn.Body, func(end *state, c ctl) error {
-		ret := c.ret
-		if c.kind != ctlReturn {
-			ret = nil
-		}
-		return e.completePath(end, ret, c.retPos)
-	})
+	err := e.execSeq(st, fn.Body.Ops, 0, &kont{kind: kPath})
 	if err != nil && !errors.Is(err, errStopExploration) {
 		return nil, err
 	}
@@ -229,6 +231,19 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	return e.res, nil
 }
 
+// publishCounts adds the steps and states counted since the last call to
+// the symexec.steps and symexec.states counters: the engine counts them
+// itself and publishes once per entry point rather than on every step.
+func (e *Engine) publishCounts() {
+	if d := e.steps - e.pubSteps; d > 0 {
+		e.obs.Add("symexec.steps", d)
+	}
+	if d := e.states - e.pubStates; d > 0 {
+		e.obs.Add("symexec.states", d)
+	}
+	e.pubSteps, e.pubStates = e.steps, e.states
+}
+
 // bindParam sets up one entry parameter, whose region is reg, per its EDL
 // class.
 func (e *Engine) bindParam(st *state, reg *mem.VarRegion, p *minic.VarDecl, cls ParamClass) error {
@@ -245,7 +260,7 @@ func (e *Engine) bindParam(st *state, reg *mem.VarRegion, p *minic.VarDecl, cls 
 		if cls == ParamOut || cls == ParamInOut {
 			e.outRoots[blk] = p.Name
 		}
-		st.store.Bind(reg, mem.Loc{R: blk})
+		st.store.Bind(reg, blk.Addr())
 		return nil
 	}
 	// Scalar parameter.
@@ -257,7 +272,7 @@ func (e *Engine) bindParam(st *state, reg *mem.VarRegion, p *minic.VarDecl, cls 
 	} else {
 		val = e.builder.FreshPublic(p.Name)
 	}
-	st.store.Bind(reg, mem.Scalar{E: val})
+	st.store.Bind(reg, val)
 	return nil
 }
 
@@ -289,7 +304,7 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 		return ok
 	}
 	for _, b := range st.store.BindingsUnder(isOut) {
-		sc, isScalar := b.Val.(mem.Scalar)
+		sc, isScalar := b.Val.(sym.Expr)
 		if !isScalar {
 			continue
 		}
@@ -297,11 +312,11 @@ func (e *Engine) completePath(st *state, ret sym.Expr, retPos minic.Pos) error {
 			Param:   e.outRoots[mem.Root(b.Region)],
 			Region:  b.Region,
 			Display: e.displayName(b.Region),
-			Value:   sc.E,
+			Value:   sc,
 		})
 	}
 	e.res.Paths = append(e.res.Paths, pr)
-	e.snapshot(st, "path end")
+	e.snapshot(st, nil, "path end")
 	return nil
 }
 
@@ -434,15 +449,14 @@ type ctl struct {
 
 var ctlFallthrough = ctl{}
 
-// cont is the continuation invoked with the state after a statement.
-type cont func(*state, ctl) error
-
 func (e *Engine) step() error {
 	if e.stopped {
 		return errStopExploration
 	}
 	e.steps++
-	e.obs.Add("symexec.steps", 1)
+	if e.stepObs != nil {
+		e.stepObs.Step()
+	}
 	if int(e.steps) > e.opts.maxSteps() {
 		e.obs.Add("symexec.truncations.max_steps", 1)
 		return e.stop(TruncStepBudget)
@@ -460,42 +474,128 @@ func (e *Engine) step() error {
 	return nil
 }
 
-func (e *Engine) execBlock(st *state, b *ir.BlockOp, k cont) error {
-	return e.execSeq(st, b.Ops, k)
+// kont is a continuation record: what runs once a statement has completed,
+// given the state it left and its control outcome. Records are immutable,
+// so every path that resumes one shares it, and they link to the record of
+// the enclosing construct: a statement with nothing after it in its block
+// gets its block's own continuation, so a path that ends deep inside
+// nested blocks resumes in O(1), not once per enclosing block.
+type kont struct {
+	kind   kontKind
+	parent *kont
+	// ops and i: a kSeq record resumes ops[i:]. For a kLoop record, i is
+	// the iterations left before the loop bound.
+	ops  []ir.Op
+	i    int
+	loop *ir.LoopOp              // kLoop, kLoopInit
+	fn   func(*state, ctl) error // kFunc
 }
 
-func (e *Engine) execSeq(st *state, ops []ir.Op, k cont) error {
-	if len(ops) == 0 {
-		return k(st, ctlFallthrough)
-	}
-	return e.exec(st, ops[0], func(next *state, c ctl) error {
-		if c.kind != ctlNext {
-			return k(next, c)
+type kontKind uint8
+
+const (
+	kSeq      kontKind = iota // run ops[i:], then parent
+	kLoop                     // a loop body ended: post, then the next iteration
+	kLoopInit                 // a for loop's init ended: the first iteration
+	kSwitch                   // the switch's cases ended: break leaves the switch
+	kCall                     // a statement-position callee ended: pop its frame
+	kPath                     // the entry function ended: record the path
+	kFunc                     // run fn (faint-join arms, expression-position calls)
+)
+
+// resume continues after a statement that left state st with outcome c.
+// A return, break or continue is handed up the records in this loop until
+// one of them handles it.
+func (e *Engine) resume(st *state, k *kont, c ctl) error {
+	for {
+		switch k.kind {
+		case kSeq:
+			if c.kind == ctlNext {
+				return e.execSeq(st, k.ops, k.i, k.parent)
+			}
+		case kLoop:
+			switch c.kind {
+			case ctlReturn:
+			case ctlBreak:
+				c = ctlFallthrough
+			default:
+				// ctlNext or ctlContinue: run post, then loop.
+				if post := k.loop.Post; post != nil && !k.loop.PostTest {
+					if _, _, err := e.eval(st, post); err != nil {
+						return err
+					}
+				}
+				return e.iterate(st, k)
+			}
+		case kLoopInit:
+			if c.kind == ctlNext {
+				return e.iterate(st, &kont{kind: kLoop, parent: k.parent, loop: k.loop, i: e.opts.loopBound()})
+			}
+		case kSwitch:
+			if c.kind == ctlBreak {
+				c = ctlFallthrough
+			}
+		case kCall:
+			st.frames = st.frames[:len(st.frames)-1]
+			// The callee's return terminates the callee, not the caller.
+			c = ctlFallthrough
+		case kPath:
+			if c.kind != ctlReturn {
+				c.ret = nil
+			}
+			return e.completePath(st, c.ret, c.retPos)
+		case kFunc:
+			return k.fn(st, c)
 		}
-		return e.execSeq(next, ops[1:], k)
-	})
+		k = k.parent
+	}
 }
 
-func (e *Engine) exec(st *state, op ir.Op, k cont) error {
-	// Notes are front-end markers, not statements: no step, no cost, no
-	// snapshot — the hook observes state, it does not advance it.
-	if n, isNote := op.(*ir.NoteOp); isNote {
-		if e.opts.NoteHook != nil {
-			e.opts.NoteHook(StateView{e: e, st: st}, n.Data)
+// execSeq runs ops[i:] and then resumes k. Straight-line ops run in this
+// loop and need no continuation. Any other op gets a record resuming at
+// the op after it, or k itself when nothing follows it or it never falls
+// through (return, break, continue).
+func (e *Engine) execSeq(st *state, ops []ir.Op, i int, k *kont) error {
+	for ; i < len(ops); i++ {
+		op := ops[i]
+		done, err := e.straight(st, op)
+		if err != nil {
+			return err
 		}
-		return k(st, ctlFallthrough)
+		if done {
+			continue
+		}
+		next := k
+		switch op.(type) {
+		case *ir.ReturnOp, *ir.BreakOp, *ir.ContinueOp:
+		default:
+			if i+1 < len(ops) {
+				next = &kont{kind: kSeq, parent: k, ops: ops, i: i + 1}
+			}
+		}
+		return e.exec(st, op, next)
 	}
-	if err := e.step(); err != nil {
-		return err
-	}
-	st.cost++
-	e.snapshot(st, op.Display())
+	return e.resume(st, k, ctlFallthrough)
+}
+
+// straight runs op if it is straight-line — a note, an empty op, a
+// declaration, or an expression that is not a user call in statement
+// position — and reports whether it was.
+func (e *Engine) straight(st *state, op ir.Op) (bool, error) {
 	switch v := op.(type) {
-	case *ir.BlockOp:
-		return e.execBlock(st, v, k)
+	case *ir.NoteOp:
+		// Notes are front-end markers, not statements: no step, no cost,
+		// no snapshot — the hook observes state, it does not advance it.
+		if e.opts.NoteHook != nil {
+			e.opts.NoteHook(StateView{e: e, st: st}, v.Data)
+		}
+		return true, nil
 	case *ir.EmptyOp:
-		return k(st, ctlFallthrough)
+		return true, e.enter(st, op)
 	case *ir.DeclOp:
+		if err := e.enter(st, op); err != nil {
+			return true, err
+		}
 		fr := st.frame()
 		for _, d := range v.Decls {
 			reg := e.local(fr, d)
@@ -503,52 +603,90 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 			if d.Init != nil {
 				val, _, err := e.eval(st, d.Init)
 				if err != nil {
-					return err
+					return true, err
 				}
 				st.store.Bind(reg, coerceSVal(val, d.Type))
 			}
 		}
-		return k(st, ctlFallthrough)
+		return true, nil
 	case *ir.ExprOp:
-		// A bare call to a user function in statement position is
-		// executed with full path sensitivity: forks inside the callee
-		// propagate to the caller's continuation. (Calls in expression
-		// position fall back to inlineCall's first-path approximation.)
-		if call, ok := v.X.(*minic.CallExpr); ok {
-			if fn, defined := e.prog.Func(call.Fun); defined && fn.Body != nil &&
-				!e.opts.OCallFuncs[call.Fun] && !isIntrinsic(e.opts, call.Fun) {
-				return e.execCallStmt(st, fn, call, k)
-			}
+		if fn, _ := e.callStmt(v); fn != nil {
+			return false, nil
 		}
-		if _, _, err := e.eval(st, v.X); err != nil {
-			return err
+		if err := e.enter(st, op); err != nil {
+			return true, err
 		}
-		return k(st, ctlFallthrough)
+		_, _, err := e.eval(st, v.X)
+		return true, err
+	}
+	return false, nil
+}
+
+// enter charges executing op: one step, one unit of cost and a state
+// snapshot.
+func (e *Engine) enter(st *state, op ir.Op) error {
+	if err := e.step(); err != nil {
+		return err
+	}
+	st.cost++
+	e.snapshot(st, op, "")
+	return nil
+}
+
+// callStmt returns the callee of an expression op that is a bare call to a
+// user function. Such a call in statement position runs with full path
+// sensitivity: forks inside the callee propagate to the caller's
+// continuation. (Calls in expression position fall back to inlineCall's
+// first-path approximation.)
+func (e *Engine) callStmt(v *ir.ExprOp) (*ir.Func, *minic.CallExpr) {
+	call, ok := v.X.(*minic.CallExpr)
+	if !ok {
+		return nil, nil
+	}
+	fn, defined := e.prog.Func(call.Fun)
+	if !defined || fn.Body == nil || e.opts.OCallFuncs[call.Fun] || isIntrinsic(e.opts, call.Fun) {
+		return nil, nil
+	}
+	return fn, call
+}
+
+// exec runs op and then resumes k.
+func (e *Engine) exec(st *state, op ir.Op, k *kont) error {
+	done, err := e.straight(st, op)
+	if err != nil {
+		return err
+	}
+	if done {
+		return e.resume(st, k, ctlFallthrough)
+	}
+	if err := e.enter(st, op); err != nil {
+		return err
+	}
+	switch v := op.(type) {
+	case *ir.BlockOp:
+		return e.execSeq(st, v.Ops, 0, k)
+	case *ir.ExprOp:
+		fn, call := e.callStmt(v)
+		return e.execCallStmt(st, fn, call, k)
 	case *ir.IfOp:
 		return e.execIf(st, v, k)
 	case *ir.LoopOp:
+		if v.Init != nil && !v.PostTest {
+			done, err := e.straight(st, v.Init)
+			if err != nil {
+				return err
+			}
+			if !done {
+				return e.exec(st, v.Init, &kont{kind: kLoopInit, parent: k, loop: v})
+			}
+		}
+		lk := &kont{kind: kLoop, parent: k, loop: v, i: e.opts.loopBound()}
 		if v.PostTest {
 			// do S while (c) ≡ S; while (c) S — with break in the first
 			// S exiting the loop.
-			return e.exec(st, v.Body, func(next *state, c ctl) error {
-				switch c.kind {
-				case ctlReturn:
-					return k(next, c)
-				case ctlBreak:
-					return k(next, ctlFallthrough)
-				}
-				return e.execLoop(next, v.Position(), v.Cond, nil, v.Body, k)
-			})
+			return e.exec(st, v.Body, lk)
 		}
-		if v.Init != nil {
-			return e.exec(st, v.Init, func(next *state, c ctl) error {
-				if c.kind != ctlNext {
-					return k(next, c)
-				}
-				return e.execLoop(next, v.Position(), v.Cond, v.Post, v.Body, k)
-			})
-		}
-		return e.execLoop(st, v.Position(), v.Cond, v.Post, v.Body, k)
+		return e.iterate(st, lk)
 	case *ir.SwitchOp:
 		return e.execSwitch(st, v, k)
 	case *ir.ReturnOp:
@@ -560,11 +698,11 @@ func (e *Engine) exec(st *state, op ir.Op, k cont) error {
 			}
 			ret = scalarOf(val)
 		}
-		return k(st, ctl{kind: ctlReturn, ret: ret, retPos: v.Pos})
+		return e.resume(st, k, ctl{kind: ctlReturn, ret: ret, retPos: v.Pos})
 	case *ir.BreakOp:
-		return k(st, ctl{kind: ctlBreak})
+		return e.resume(st, k, ctl{kind: ctlBreak})
 	case *ir.ContinueOp:
-		return k(st, ctl{kind: ctlContinue})
+		return e.resume(st, k, ctl{kind: ctlContinue})
 	}
 	return fmt.Errorf("symexec: unknown op %T", op)
 }
@@ -584,7 +722,7 @@ func (e *Engine) noteBranch(st *state, pos minic.Pos, cond sym.Expr) {
 	e.obs.Add("symexec.events.secret_branches", 1)
 }
 
-func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
+func (e *Engine) execIf(st *state, v *ir.IfOp, k *kont) error {
 	condVal, _, err := e.eval(st, v.Cond)
 	if err != nil {
 		return err
@@ -597,7 +735,7 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 		if v.Else != nil {
 			return e.exec(st, v.Else, k)
 		}
-		return k(st, ctlFallthrough)
+		return e.resume(st, k, ctlFallthrough)
 	}
 	// Fork (PS-TCOND / PS-FCOND).
 	e.noteBranch(st, v.Position(), cond)
@@ -616,13 +754,13 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 		}
 		next := k
 		if ends != nil {
-			next = func(end *state, _ ctl) error {
+			next = &kont{kind: kFunc, fn: func(end *state, _ ctl) error {
 				ends[i] = end
 				return nil
-			}
+			}}
 		}
 		if body == nil {
-			return next(s, ctlFallthrough)
+			return e.resume(s, next, ctlFallthrough)
 		}
 		return e.exec(s, body, next)
 	}
@@ -647,7 +785,7 @@ func (e *Engine) execIf(st *state, v *ir.IfOp, k cont) error {
 	if end == nil {
 		return nil
 	}
-	return k(end, ctlFallthrough)
+	return e.resume(end, k, ctlFallthrough)
 }
 
 func (e *Engine) feasible(pc *solver.PathCondition) bool {
@@ -662,83 +800,63 @@ func (e *Engine) feasible(pc *solver.PathCondition) bool {
 	return ok
 }
 
-// execLoop handles while (post == nil) and for loops. Concrete conditions
-// iterate without forking (bounded by the step budget); symbolic conditions
-// fork per iteration up to LoopBound.
-func (e *Engine) execLoop(st *state, pos minic.Pos, cond minic.Expr, post minic.Expr, body ir.Op, k cont) error {
-	var iter func(cur *state, remaining int) error
-
-	afterBody := func(next *state, c ctl, remaining int) error {
-		switch c.kind {
-		case ctlReturn:
-			return k(next, c)
-		case ctlBreak:
-			return k(next, ctlFallthrough)
-		}
-		// ctlNext or ctlContinue: run post then loop.
-		if post != nil {
-			if _, _, err := e.eval(next, post); err != nil {
-				return err
-			}
-		}
-		return iter(next, remaining)
+// iterate runs the next iteration of the loop whose body continuation is
+// lk, with lk.i iterations left before the loop bound. Concrete conditions
+// iterate without forking (bounded by the step budget) and keep lk;
+// symbolic conditions fork per iteration up to LoopBound.
+func (e *Engine) iterate(cur *state, lk *kont) error {
+	v, remaining := lk.loop, lk.i
+	if err := e.step(); err != nil {
+		return err
 	}
-
-	iter = func(cur *state, remaining int) error {
-		if err := e.step(); err != nil {
-			return err
-		}
-		if cond == nil {
-			// for(;;): only break/return exits; bound it.
-			if remaining <= 0 {
-				cur.incomplete = true
-				e.obs.Add("symexec.loop.bound_hits", 1)
-				e.warn("infinite loop cut at bound")
-				return k(cur, ctlFallthrough)
-			}
-			return e.exec(cur, body, func(next *state, c ctl) error {
-				return afterBody(next, c, remaining-1)
-			})
-		}
-		condVal, _, err := e.eval(cur, cond)
-		if err != nil {
-			return err
-		}
-		truth := e.itn.Truth(scalarOf(condVal))
-		if c, ok := truth.(sym.IntConst); ok {
-			if c.V == 0 {
-				return k(cur, ctlFallthrough)
-			}
-			return e.exec(cur, body, func(next *state, cc ctl) error {
-				return afterBody(next, cc, remaining)
-			})
-		}
-		// Symbolic condition: fork enter/exit.
+	if v.Cond == nil {
+		// for(;;): only break/return exits; bound it.
 		if remaining <= 0 {
-			// Bound hit: assume exit, mark incomplete.
 			cur.incomplete = true
-			cur.pc = cur.pc.And(e.itn.Negate(truth))
 			e.obs.Add("symexec.loop.bound_hits", 1)
-			e.warn("symbolic loop cut at bound " + fmt.Sprint(e.opts.loopBound()))
-			return k(cur, ctlFallthrough)
+			e.warn("infinite loop cut at bound")
+			return e.resume(cur, lk.parent, ctlFallthrough)
 		}
-		e.noteBranch(cur, pos, truth)
-		e.obs.Add("symexec.forks", 1)
-		arms := cur.fork(truth, e.itn.Negate(truth))
-		if e.feasible(arms[0].pc) {
-			err := e.exec(arms[0], body, func(next *state, cc ctl) error {
-				return afterBody(next, cc, remaining-1)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if !e.feasible(arms[1].pc) {
-			return nil
-		}
-		return k(arms[1], ctlFallthrough)
+		return e.exec(cur, v.Body, lk.fewer())
 	}
-	return iter(st, e.opts.loopBound())
+	condVal, _, err := e.eval(cur, v.Cond)
+	if err != nil {
+		return err
+	}
+	truth := e.itn.Truth(scalarOf(condVal))
+	if c, ok := truth.(sym.IntConst); ok {
+		if c.V == 0 {
+			return e.resume(cur, lk.parent, ctlFallthrough)
+		}
+		return e.exec(cur, v.Body, lk)
+	}
+	// Symbolic condition: fork enter/exit.
+	if remaining <= 0 {
+		// Bound hit: assume exit, mark incomplete.
+		cur.incomplete = true
+		cur.pc = cur.pc.And(e.itn.Negate(truth))
+		e.obs.Add("symexec.loop.bound_hits", 1)
+		e.warn("symbolic loop cut at bound " + fmt.Sprint(e.opts.loopBound()))
+		return e.resume(cur, lk.parent, ctlFallthrough)
+	}
+	e.noteBranch(cur, v.Position(), truth)
+	e.obs.Add("symexec.forks", 1)
+	arms := cur.fork(truth, e.itn.Negate(truth))
+	if e.feasible(arms[0].pc) {
+		if err := e.exec(arms[0], v.Body, lk.fewer()); err != nil {
+			return err
+		}
+	}
+	if !e.feasible(arms[1].pc) {
+		return nil
+	}
+	return e.resume(arms[1], lk.parent, ctlFallthrough)
+}
+
+// fewer returns the body continuation of a loop iteration that counts
+// against the loop bound.
+func (lk *kont) fewer() *kont {
+	return &kont{kind: kLoop, parent: lk.parent, loop: lk.loop, i: lk.i - 1}
 }
 
 // warn records a soft diagnostic in Result.Warnings, once per message, in
@@ -766,24 +884,18 @@ func (e *Engine) warnAt(at int, msg string) {
 // scalarOf extracts a scalar expression from an SVal; locations degrade to
 // an opaque non-secret constant (pointer values are not secrets).
 func scalarOf(v mem.SVal) sym.Expr {
-	switch s := v.(type) {
-	case mem.Scalar:
-		return s.E
-	default:
-		return sym.IntConst{V: 1}
+	if x, ok := v.(sym.Expr); ok {
+		return x
 	}
+	return sym.IntConst{V: 1}
 }
 
 // coerceSVal applies C narrowing when the declared type is integral and the
 // value folded to a float constant.
 func coerceSVal(v mem.SVal, ty minic.Type) mem.SVal {
-	sc, ok := v.(mem.Scalar)
-	if !ok {
-		return v
-	}
 	if b, isBasic := ty.(minic.Basic); isBasic && b.IsInteger() {
-		if f, isF := sc.E.(sym.FloatConst); isF {
-			return mem.Scalar{E: sym.IntConst{V: int32(f.V)}}
+		if f, isF := v.(sym.FloatConst); isF {
+			return sym.IntConst{V: int32(f.V)}
 		}
 	}
 	return v
@@ -815,7 +927,7 @@ func constInit(e minic.Expr) (sym.Expr, bool) {
 // per case (with the preceding cases excluded from π) plus a default state.
 // Fallthrough is honored: from the entry case, statements of all later
 // cases run until a break.
-func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
+func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k *kont) error {
 	tagVal, _, err := e.eval(st, v.Tag)
 	if err != nil {
 		return err
@@ -824,17 +936,12 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 
 	// runFrom executes case bodies from entry onward with switch-scoped
 	// break handling.
-	runFrom := func(cur *state, entry int, kk cont) error {
+	runFrom := func(cur *state, entry int) error {
 		var ops []ir.Op
 		for i := entry; i < len(v.Cases); i++ {
 			ops = append(ops, v.Cases[i].Body...)
 		}
-		return e.execSeq(cur, ops, func(end *state, c ctl) error {
-			if c.kind == ctlBreak {
-				return kk(end, ctlFallthrough)
-			}
-			return kk(end, c)
-		})
+		return e.execSeq(cur, ops, 0, &kont{kind: kSwitch, parent: k})
 	}
 
 	// Evaluate case values (side-effect-free constants in C).
@@ -874,9 +981,9 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 				entry = defaultIdx
 			}
 			if entry < 0 {
-				return k(st, ctlFallthrough)
+				return e.resume(st, k, ctlFallthrough)
 			}
-			return runFrom(st, entry, k)
+			return runFrom(st, entry)
 		}
 	}
 
@@ -916,9 +1023,9 @@ func (e *Engine) execSwitch(st *state, v *ir.SwitchOp, k cont) error {
 		}
 		var err error
 		if a.entry >= 0 {
-			err = runFrom(a.st, a.entry, k)
+			err = runFrom(a.st, a.entry)
 		} else {
-			err = k(a.st, ctlFallthrough)
+			err = e.resume(a.st, k, ctlFallthrough)
 		}
 		if err != nil {
 			return err

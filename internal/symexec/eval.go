@@ -15,12 +15,12 @@ import (
 func (e *Engine) eval(st *state, x minic.Expr) (mem.SVal, minic.Type, error) {
 	switch v := x.(type) {
 	case *minic.IntLitExpr:
-		return mem.Scalar{E: sym.IntConst{V: int32(v.V)}}, minic.Basic{Kind: minic.Int}, nil
+		return sym.IntConst{V: int32(v.V)}, minic.Basic{Kind: minic.Int}, nil
 	case *minic.FloatLitExpr:
-		return mem.Scalar{E: sym.FloatConst{V: v.V}}, minic.Basic{Kind: minic.Double}, nil
+		return sym.FloatConst{V: v.V}, minic.Basic{Kind: minic.Double}, nil
 	case *minic.StringLitExpr:
 		// Opaque non-secret pointer (format strings etc.).
-		return mem.Scalar{E: sym.IntConst{V: 0}}, minic.Pointer{Elem: minic.Basic{Kind: minic.Char}}, nil
+		return sym.IntConst{V: 0}, minic.Pointer{Elem: minic.Basic{Kind: minic.Char}}, nil
 	case *minic.IdentExpr, *minic.IndexExpr, *minic.MemberExpr, *minic.DerefExpr:
 		reg, ty, err := e.lplace(st, x)
 		if err != nil {
@@ -28,10 +28,10 @@ func (e *Engine) eval(st *state, x minic.Expr) (mem.SVal, minic.Type, error) {
 		}
 		// Arrays decay to their first-element address.
 		if arr, ok := ty.(minic.Array); ok {
-			return mem.Loc{R: reg}, minic.Pointer{Elem: arr.Elem}, nil
+			return reg.Addr(), minic.Pointer{Elem: arr.Elem}, nil
 		}
 		if stt, ok := ty.(*minic.StructType); ok {
-			return mem.Loc{R: reg}, minic.Pointer{Elem: stt}, nil
+			return reg.Addr(), minic.Pointer{Elem: stt}, nil
 		}
 		val, err := e.load(st, reg, ty)
 		if err != nil {
@@ -43,7 +43,7 @@ func (e *Engine) eval(st *state, x minic.Expr) (mem.SVal, minic.Type, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return mem.Loc{R: reg}, minic.Pointer{Elem: ty}, nil
+		return reg.Addr(), minic.Pointer{Elem: ty}, nil
 	case *minic.AssignExpr:
 		return e.evalAssign(st, v)
 	case *minic.IncDecExpr:
@@ -53,7 +53,7 @@ func (e *Engine) eval(st *state, x minic.Expr) (mem.SVal, minic.Type, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return mem.Scalar{E: e.itn.NewUnary(v.Op, scalarOf(val))}, ty, nil
+		return e.itn.NewUnary(v.Op, scalarOf(val)), ty, nil
 	case *minic.BinExpr:
 		return e.evalBinary(st, v)
 	case *minic.CondExpr:
@@ -75,7 +75,7 @@ func (e *Engine) eval(st *state, x minic.Expr) (mem.SVal, minic.Type, error) {
 			}
 			size = minic.SizeOf(ty)
 		}
-		return mem.Scalar{E: sym.IntConst{V: int32(size)}}, minic.Basic{Kind: minic.Int}, nil
+		return sym.IntConst{V: int32(size)}, minic.Basic{Kind: minic.Int}, nil
 	case *minic.CallExpr:
 		return e.evalCall(st, v)
 	}
@@ -96,7 +96,7 @@ func (e *Engine) evalAssign(st *state, v *minic.AssignExpr) (mem.SVal, minic.Typ
 		if err != nil {
 			return nil, nil, err
 		}
-		rhs = mem.Scalar{E: e.itn.NewBinary(v.Op, scalarOf(cur), scalarOf(rhs))}
+		rhs = e.itn.NewBinary(v.Op, scalarOf(cur), scalarOf(rhs))
 	}
 	out := coerceSVal(rhs, ty)
 	st.store.Bind(reg, out)
@@ -116,7 +116,7 @@ func (e *Engine) evalIncDec(st *state, v *minic.IncDecExpr) (mem.SVal, minic.Typ
 	if v.Decr {
 		op = sym.OpSub
 	}
-	updated := mem.Scalar{E: e.itn.NewBinary(op, scalarOf(cur), sym.IntConst{V: 1})}
+	updated := e.itn.NewBinary(op, scalarOf(cur), sym.IntConst{V: 1})
 	st.store.Bind(reg, updated)
 	if v.Prefix {
 		return updated, ty, nil
@@ -130,7 +130,7 @@ func (e *Engine) evalBinary(st *state, v *minic.BinExpr) (mem.SVal, minic.Type, 
 		return nil, nil, err
 	}
 	// Pointer arithmetic: p ± i moves the element index.
-	if loc, isLoc := l.(mem.Loc); isLoc && (v.Op == sym.OpAdd || v.Op == sym.OpSub) {
+	if loc, isLoc := l.(*mem.Loc); isLoc && (v.Op == sym.OpAdd || v.Op == sym.OpSub) {
 		r, _, err := e.eval(st, v.R)
 		if err != nil {
 			return nil, nil, err
@@ -139,19 +139,19 @@ func (e *Engine) evalBinary(st *state, v *minic.BinExpr) (mem.SVal, minic.Type, 
 		if !concrete {
 			// Symbolic pointer arithmetic degrades to the summary
 			// element.
-			return mem.Loc{R: e.elementOf(loc.R, summaryIndex)}, lty, nil
+			return e.elementOf(loc.R, summaryIndex).Addr(), lty, nil
 		}
 		if v.Op == sym.OpSub {
 			idx = -idx
 		}
-		return mem.Loc{R: e.shiftRegion(loc.R, idx)}, lty, nil
+		return e.shiftRegion(loc.R, idx).Addr(), lty, nil
 	}
 	r, rty, err := e.eval(st, v.R)
 	if err != nil {
 		return nil, nil, err
 	}
 	_ = rty
-	return mem.Scalar{E: e.itn.NewBinary(v.Op, scalarOf(l), scalarOf(r))}, binResultType(lty), nil
+	return e.itn.NewBinary(v.Op, scalarOf(l), scalarOf(r)), binResultType(lty), nil
 }
 
 // The result types of binary operators, boxed once.
@@ -189,7 +189,7 @@ func (e *Engine) evalCond(st *state, v *minic.CondExpr) (mem.SVal, minic.Type, e
 		return nil, nil, err
 	}
 	ite := e.itn.NewCall("ite", []sym.Expr{cond, scalarOf(thenV), scalarOf(elseV)})
-	return mem.Scalar{E: ite}, ty, nil
+	return ite, ty, nil
 }
 
 // summaryIndex is the pseudo element index standing for "some element"
@@ -215,7 +215,7 @@ func (e *Engine) lplace(st *state, x minic.Expr) (mem.Region, minic.Type, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		loc, ok := val.(mem.Loc)
+		loc, ok := val.(*mem.Loc)
 		if !ok {
 			return nil, nil, &minic.Error{Pos: v.Pos, Msg: "dereference of non-pointer value"}
 		}
@@ -258,7 +258,7 @@ func (e *Engine) indexPlace(st *state, v *minic.IndexExpr) (mem.Region, minic.Ty
 	if err != nil {
 		return nil, nil, err
 	}
-	loc, ok := val.(mem.Loc)
+	loc, ok := val.(*mem.Loc)
 	if !ok {
 		return nil, nil, &minic.Error{Pos: v.Pos, Msg: "indexing a non-pointer"}
 	}
@@ -314,7 +314,7 @@ func (e *Engine) memberPlace(st *state, v *minic.MemberExpr) (mem.Region, minic.
 		if err != nil {
 			return nil, nil, err
 		}
-		loc, ok := val.(mem.Loc)
+		loc, ok := val.(*mem.Loc)
 		if !ok {
 			return nil, nil, &minic.Error{Pos: v.Pos, Msg: "-> on non-pointer value"}
 		}
@@ -356,7 +356,7 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	// PRIML's default-zero store: an unwritten variable reads as 0, and
 	// the read is not materialized in Δ (no binding, no memoization).
 	if e.opts.ZeroDefaultVars {
-		return mem.Scalar{E: sym.IntConst{V: 0}}, nil
+		return sym.IntConst{V: 0}, nil
 	}
 	if v, ok := e.inputSyms[reg]; ok {
 		st.store.Bind(reg, v)
@@ -370,7 +370,7 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 	// [out]-only buffers enter the enclave zeroed (the marshalling proxy
 	// never copies host memory in), so reads of unwritten cells yield 0.
 	if _, isOut := e.outRoots[root]; isOut && !secret {
-		val := mem.SVal(mem.Scalar{E: sym.IntConst{V: 0}})
+		val := mem.SVal(sym.IntConst{V: 0})
 		e.inputSyms[reg] = val
 		st.store.Bind(reg, val)
 		return val, nil
@@ -385,15 +385,15 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 		if secret {
 			e.secretRoots[nested] = true
 		}
-		val = mem.Loc{R: nested}
+		val = nested.Addr()
 	} else if secret {
 		// [in]-parameter blocks and re-symbolized decrypt destinations
 		// conjure fresh secret data.
 		s := e.builder.FreshSecret(display)
 		e.res.SecretSymbols[display] = s
-		val = mem.Scalar{E: s}
+		val = s
 	} else {
-		val = mem.Scalar{E: e.builder.FreshPublic(display)}
+		val = e.builder.FreshPublic(display)
 	}
 	e.inputSyms[reg] = val
 	st.store.Bind(reg, val)

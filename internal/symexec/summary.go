@@ -439,9 +439,9 @@ func (b *tableBuilder) scratchRun(fn *ir.Func, s *Summary) *Summary {
 	if a := sym.ExtractAffine(p.Return); a != nil {
 		s.HasAffine = true
 		s.AffineConst = a.Const
-		s.AffineCoef = make(map[int]float64, len(a.Coef))
-		for id, coef := range a.Coef {
-			s.AffineCoef[paramOf[id]] = coef
+		s.AffineCoef = make(map[int]float64, len(a.Terms()))
+		for _, t := range a.Terms() {
+			s.AffineCoef[paramOf[t.Sym.ID]] = t.Coef
 		}
 	}
 	return s
@@ -486,11 +486,11 @@ func (e *Engine) applyPure(st *state, fn *ir.Func, sum *Summary, args []mem.SVal
 	}
 	argExprs := make([]sym.Expr, len(args))
 	for i, a := range args {
-		sc, isScalar := a.(mem.Scalar)
-		if !isScalar || !sym.ArgSafe(sc.E) {
+		sc, isScalar := a.(sym.Expr)
+		if !isScalar || !sym.ArgSafe(sc) {
 			return nil, false
 		}
-		argExprs[i] = sc.E
+		argExprs[i] = sc
 	}
 	if e.stopped {
 		// A stopped exploration must unwind through the normal step path.
@@ -508,12 +508,10 @@ func (e *Engine) applyPure(st *state, fn *ir.Func, sum *Summary, args []mem.SVal
 		return nil, false
 	}
 	e.steps += sum.Steps
-	e.obs.Add("symexec.steps", sum.Steps)
 	e.replayedSteps += sum.Steps
 	st.cost += int(sum.Cost)
 	e.states += sum.States
-	e.obs.Add("symexec.states", sum.States)
 	e.regionPad += sum.Regions
 	e.obs.Add("summary.applied", 1)
-	return mem.Scalar{E: ret}, true
+	return ret, true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"privacyscope/internal/ir"
 	"privacyscope/internal/mem"
 	"privacyscope/internal/minic"
 )
@@ -86,12 +87,12 @@ func (e *Engine) bindEnvExpr(x minic.Expr, r mem.Region) {
 	}
 }
 
-// snapshot records the current state if tracing is on; it always counts the
-// state for the Table IV state metric. Rows past TraceCap are counted as
-// dropped rather than silently discarded.
-func (e *Engine) snapshot(st *state, stmt string) {
+// snapshot counts the state for the Table IV state metric and, if tracing
+// is on, records it under op's source statement — rendered only then — or,
+// for a nil op, under label. Rows past TraceCap are counted as dropped
+// rather than silently discarded.
+func (e *Engine) snapshot(st *state, op ir.Op, label string) {
 	e.states++
-	e.obs.Add("symexec.states", 1)
 	if e.res.Trace == nil {
 		return
 	}
@@ -100,9 +101,12 @@ func (e *Engine) snapshot(st *state, stmt string) {
 		e.obs.Add("symexec.trace.dropped", 1)
 		return
 	}
+	if op != nil {
+		label = op.Display()
+	}
 	row := TraceRow{
 		State: stateLabel(e.res.Trace.Len()),
-		Stmt:  stmt,
+		Stmt:  label,
 		PC:    st.pc.String(),
 	}
 	for _, b := range e.env.Bindings() {

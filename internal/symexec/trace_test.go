@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"privacyscope/internal/ir"
 	"privacyscope/internal/minic"
 	"privacyscope/internal/obs"
+	"privacyscope/internal/sym"
 )
 
 // longProgram emits more statements than TraceCap so the trace must drop
@@ -152,5 +154,65 @@ int f(int *secrets, int n, int *output) {
 	}
 	if m.Counter("symexec.loop.bound_hits") == 0 {
 		t.Error("symbolic loop at bound must bump symexec.loop.bound_hits")
+	}
+}
+
+// TestStepAndStateCountersPublishedAtEnd: the engine publishes
+// symexec.steps and symexec.states once per entry point, and the totals
+// equal the Result's — on a step-budget-truncated run, and on a run that
+// panics mid-exploration, which still publishes what it counted.
+func TestStepAndStateCountersPublishedAtEnd(t *testing.T) {
+	src := `
+int f(char *secrets, char *output)
+{
+    for (int i = 0; i < 100; i++) {
+        if (secrets[i % 4] > i) output[0] = i;
+    }
+    return 0;
+}
+
+int g(char *secrets, char *output)
+{
+    if (secrets[0] > 1) output[0] = 1;
+    return probe(0);
+}
+`
+	params := []ParamSpec{{Name: "secrets", Class: ParamSecret}, {Name: "output", Class: ParamOut}}
+	prog := ir.LowerMiniC(minic.MustParse(src))
+
+	m := obs.NewMetrics()
+	opts := DefaultOptions()
+	opts.Obs = m
+	opts.MaxSteps = 150
+	res, err := NewIR(prog, opts).AnalyzeFunction(context.Background(), "f", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Coverage.Reason != TruncStepBudget {
+		t.Fatalf("coverage = %+v, want a step-budget truncation", res.Coverage)
+	}
+	if got := m.Counter("symexec.steps"); got != int64(res.Coverage.StepsUsed) {
+		t.Errorf("symexec.steps = %d, want StepsUsed %d", got, res.Coverage.StepsUsed)
+	}
+	if got := m.Counter("symexec.states"); got != int64(res.States) {
+		t.Errorf("symexec.states = %d, want States %d", got, res.States)
+	}
+
+	m = obs.NewMetrics()
+	opts = DefaultOptions()
+	opts.Obs = m
+	opts.Intrinsics = map[string]IntrinsicFunc{"probe": func(IntrinsicCall) (sym.Expr, error) { panic("probe") }}
+	eng := NewIR(prog, opts)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the probe intrinsic must panic")
+			}
+		}()
+		eng.AnalyzeFunction(context.Background(), "g", params)
+	}()
+	if eng.steps == 0 || m.Counter("symexec.steps") != eng.steps || m.Counter("symexec.states") != eng.states {
+		t.Errorf("after a panic: counters steps=%d states=%d, engine counted %d/%d",
+			m.Counter("symexec.steps"), m.Counter("symexec.states"), eng.steps, eng.states)
 	}
 }

@@ -48,9 +48,6 @@ func scalarLookup(store *mem.Store, reg mem.Region) (sym.Expr, bool) {
 	if !ok {
 		return nil, false
 	}
-	sc, isScalar := val.(mem.Scalar)
-	if !isScalar {
-		return nil, false
-	}
-	return sc.E, true
+	sc, isScalar := val.(sym.Expr)
+	return sc, isScalar
 }
