@@ -27,13 +27,9 @@ import (
 )
 
 // runDetect analyzes one entry point on the production path, detect.Run,
-// with the detector set opts implies.
+// with the default detector set.
 func runDetect(opts core.Options, file *minic.File, fn string, params []symexec.ParamSpec) (*core.Report, error) {
-	set, err := detect.ResolveSet(opts, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
+	return detect.Run(context.Background(), detect.DefaultSet(), opts, ir.LowerMiniC(file), fn, params)
 }
 
 // BenchmarkFig1TaintLatticeJoin measures the semi-lattice join operation
@@ -338,24 +334,23 @@ int f(int *secrets, int *output) {
 }
 
 // BenchmarkAblationImplicitCheck compares Alg. 1's implicit detection
-// on/off over Listing 1.
+// on/off over Listing 1: the default set against explicit alone.
 func BenchmarkAblationImplicitCheck(b *testing.B) {
 	file := minic.MustParse(bench.Listing1C)
 	params := []symexec.ParamSpec{
 		{Name: "secrets", Class: symexec.ParamSecret},
 		{Name: "output", Class: symexec.ParamOut},
 	}
-	for _, on := range []bool{true, false} {
-		name := "on"
-		if !on {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct{ name, detectors string }{{"on", "default"}, {"off", "explicit"}} {
+		b.Run(c.name, func(b *testing.B) {
+			set, err := detect.ResolveSet(nil, nil, []string{c.detectors})
+			if err != nil {
+				b.Fatal(err)
+			}
 			opts := core.DefaultOptions()
-			opts.ImplicitCheck = on
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := runDetect(opts, file, "enclave_process_data", params); err != nil {
+				if _, err := detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), "enclave_process_data", params); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -79,11 +79,8 @@ func run(ctx context.Context, args []string, out io.Writer) (code int, err error
 		loopBound  = fs.Int("loop-bound", 0, "symbolic loop unrolling bound (0 = default)")
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget for the whole run, e.g. 30s (0 = none); expiry degrades coverage instead of failing")
 		noWitness  = fs.Bool("no-witness", false, "skip concrete witness replay")
-		noImplicit = fs.Bool("no-implicit", false, "disable implicit-leak detection")
-		timing     = fs.Bool("timing", false, "enable the timing-channel extension (§VIII-A)")
-		prob       = fs.Bool("probabilistic", false, "enable the probabilistic-channel extension (§VIII-A)")
 		conserv    = fs.Bool("conservative-externs", false, "treat unmodeled extern results as secrets")
-		detectors  = fs.String("detectors", "", "comma-separated detector selection replacing the defaults; 'default' and 'all' expand in place (e.g. default,ocall-pointer) — see docs/DETECTORS.md")
+		detectors  = fs.String("detectors", "", "comma-separated detector selection replacing the defaults (explicit,implicit); 'default' and 'all' expand in place, e.g. explicit, default,timing or default,ocall-pointer — see docs/DETECTORS.md")
 		asJSON     = fs.Bool("json", false, "emit findings as JSON")
 		traceOut   = fs.String("trace-out", "", "record the run and write a Chrome trace-event file (load in chrome://tracing or Perfetto); -json also embeds the span tree")
 		metricsOut = fs.String("metrics-json", "", "write a metrics snapshot (counters, spans, dists) to this file")
@@ -110,9 +107,6 @@ func run(ctx context.Context, args []string, out io.Writer) (code int, err error
 	aopts := privacyscope.AnalysisOptions{
 		LoopBound:           *loopBound,
 		NoWitness:           *noWitness,
-		NoImplicit:          *noImplicit,
-		Timing:              *timing,
-		Probabilistic:       *prob,
 		ConservativeExterns: *conserv,
 	}
 	if *detectors != "" {

@@ -170,9 +170,15 @@ func TestRunFlagsAndErrors(t *testing.T) {
 	if _, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-config", "nope.xml"}, &out); err == nil {
 		t.Error("missing config must error")
 	}
-	// -no-implicit drops the implicit finding.
+	// The removed detector switches are unknown flags, not silent no-ops.
+	for _, flag := range []string{"-no-implicit", "-timing", "-probabilistic"} {
+		if _, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath, flag}, &out); err == nil {
+			t.Errorf("removed flag %s must error", flag)
+		}
+	}
+	// -detectors explicit drops the implicit finding.
 	out.Reset()
-	code, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-no-implicit", "-json"}, &out)
+	code, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-detectors", "explicit", "-json"}, &out)
 	if err != nil || code != 2 {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
@@ -218,7 +224,7 @@ int f(int *secrets, int *output) {
 	edlPath := writeTemp(t, "e.edl",
 		"enclave { trusted { public int f([in] int *secrets, [out] int *output); }; };")
 	var out bytes.Buffer
-	code, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-timing", "-json"}, &out)
+	code, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-detectors", "default,timing", "-json"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +255,14 @@ int f(int *secrets, int *output) {
 	edlPath := writeTemp(t, "e.edl",
 		"enclave { trusted { public int f([in] int *secrets, [out] int *output); }; };")
 	var out bytes.Buffer
-	// Without the flag: secure.
+	// With the default detectors: secure.
 	code, err := run(context.Background(), []string{"-c", cPath, "-edl", edlPath}, &out)
 	if err != nil || code != 0 {
 		t.Fatalf("code=%d err=%v\n%s", code, err, out.String())
 	}
-	// With it: probabilistic finding.
+	// With the probabilistic detector: one probabilistic finding.
 	out.Reset()
-	code, err = run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-probabilistic", "-json"}, &out)
+	code, err = run(context.Background(), []string{"-c", cPath, "-edl", edlPath, "-detectors", "default,probabilistic", "-json"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,10 @@
 // Usage:
 //
 //	sgxbuild -c enclave.c [-edl enclave.edl] [-config rules.xml] \
-//	         [-manifest out.json] [-allow-timing]
+//	         [-manifest out.json]
+//
+// The rule file picks the gating detectors: <enable name="timing"/> in its
+// <detectors> block also refuses timing channels (§VIII-A).
 //
 // Exit status: 0 build succeeded, 2 analysis found violations, 1 errors.
 package main
@@ -55,7 +58,6 @@ func run(args []string, out io.Writer) (int, error) {
 		configPath   = fs.String("config", "", "XML rule file")
 		manifestPath = fs.String("manifest", "", "write the deployment manifest to this file")
 		seed         = fs.String("seed", "sgxbuild", "platform seed for the measurement run")
-		timing       = fs.Bool("check-timing", false, "also run the timing-channel extension")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1, err
@@ -99,9 +101,6 @@ func run(args []string, out io.Writer) (int, error) {
 			return 1, err
 		}
 		opts = append(opts, privacyscope.WithConfigXML(cfg))
-	}
-	if *timing {
-		opts = append(opts, privacyscope.WithTimingCheck())
 	}
 	report, err := privacyscope.AnalyzeEnclave(string(cSrc), edlSrc, opts...)
 	if err != nil {

@@ -151,13 +151,19 @@ int f(int *secrets, int *output) {
 	if err != nil || code != 0 {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
-	// With it, the unbalanced branch blocks the build.
+	// A rule file that enables the timing detector makes the unbalanced
+	// branch block the build.
 	out.Reset()
-	code, err = run([]string{"-c", cPath, "-edl", edlPath, "-check-timing"}, &out)
+	cfgPath := write(t, "timing.xml",
+		`<privacyscope><detectors><enable name="timing"/></detectors></privacyscope>`)
+	code, err = run([]string{"-c", cPath, "-edl", edlPath, "-config", cfgPath}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 2 {
-		t.Errorf("exit = %d, want 2 under -check-timing", code)
+		t.Errorf("exit = %d, want 2 with timing enabled in the rule file", code)
+	}
+	if !strings.Contains(out.String(), "timing-channel") {
+		t.Errorf("refusal does not name the timing channel:\n%s", out.String())
 	}
 }

@@ -128,7 +128,7 @@ func TestAnalyzeFunctionDirect(t *testing.T) {
 
 func TestOptionsPlumbing(t *testing.T) {
 	// Implicit off: only the explicit finding remains.
-	rep, err := AnalyzeEnclave(listing1C, listing1EDL, WithoutImplicitCheck())
+	rep, err := AnalyzeEnclave(listing1C, listing1EDL, WithDetectors("explicit"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ int f(int *secrets, int *output) {
     return 0;
 }`
 	edl := `enclave { trusted { public int f([in] int *secrets, [out] int *output); }; };`
-	rep, err := AnalyzeEnclave(src, edl, WithTimingCheck())
+	rep, err := AnalyzeEnclave(src, edl, WithDetectors("default", "timing"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ int f(int *secrets, int *output) {
 	if !rep.Secure() {
 		t.Errorf("default must be secure:\n%s", rep.Render())
 	}
-	rep2, err := AnalyzeEnclave(src, edl, WithProbabilisticCheck())
+	rep2, err := AnalyzeEnclave(src, edl, WithDetectors("default", "probabilistic"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +393,9 @@ int f(int *secrets, int *output) {
 	for _, f := range rep2.Findings() {
 		if f.Kind == ProbabilisticLeak {
 			found = true
+			if f.Rule != "PS-PROB" || f.Severity != "medium" {
+				t.Errorf("probabilistic finding rule %q severity %q, want PS-PROB medium", f.Rule, f.Severity)
+			}
 		}
 	}
 	if !found {
@@ -430,5 +433,31 @@ func TestAnalysisOptionsIgnoresRemovedFields(t *testing.T) {
 		if n := len(o.FacadeOptions()); n != 0 {
 			t.Errorf("%s: FacadeOptions selected %d options, want none", in, n)
 		}
+	}
+}
+
+// TestRenderBoundsValues: with every detector on, the access-pattern pack
+// reports LogReg's secret branch conditions, expression DAGs whose full
+// String is exponential in their depth. Every rendered value, condition
+// and index line stays within the report's value cap.
+func TestRenderBoundsValues(t *testing.T) {
+	rep, err := AnalyzeEnclave(mlsuite.LogRegC, mlsuite.LogRegEDL, WithDetectors("all"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxLine = 200 // label + sink name + 160-byte value + truncation mark
+	var lines int
+	for _, line := range strings.Split(rep.Render(), "\n") {
+		trimmed := strings.TrimSpace(line)
+		if !strings.HasPrefix(trimmed, "value:") && !strings.HasPrefix(trimmed, "condition:") && !strings.HasPrefix(trimmed, "index:") {
+			continue
+		}
+		lines++
+		if len(line) > maxLine {
+			t.Errorf("rendered line is %d bytes, want at most %d: %.120q…", len(line), maxLine, line)
+		}
+	}
+	if lines == 0 {
+		t.Fatalf("no value, condition or index lines rendered:\n%s", rep.Render())
 	}
 }

@@ -21,12 +21,7 @@ func secretOutParams() []symexec.ParamSpec {
 // privacyScope analyzes f on the production path, detect.Run, with the
 // default options and detector set.
 func privacyScope(file *minic.File) (*core.Report, error) {
-	opts := core.DefaultOptions()
-	set, err := detect.ResolveSet(opts, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), "f", secretOutParams())
+	return detect.Run(context.Background(), detect.DefaultSet(), core.DefaultOptions(), ir.LowerMiniC(file), "f", secretOutParams())
 }
 
 // suite holds the shared leak-benchmark programs behind the Table VI

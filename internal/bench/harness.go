@@ -169,13 +169,9 @@ func TableIV() (string, error) {
 }
 
 // runDetect analyzes one entry point on the production path, detect.Run,
-// with the detector set opts implies.
+// with the default detector set.
 func runDetect(opts core.Options, file *minic.File, fn string, params []symexec.ParamSpec) (*core.Report, error) {
-	set, err := detect.ResolveSet(opts, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
+	return detect.Run(context.Background(), detect.DefaultSet(), opts, ir.LowerMiniC(file), fn, params)
 }
 
 // Box1 renders the warning report for Listing 1.
@@ -437,13 +433,13 @@ type AblationRow struct {
 // Ablations exercises the design-choice switches DESIGN.md calls out.
 func Ablations() ([]AblationRow, error) {
 	var rows []AblationRow
-	run := func(name, config string, opts core.Options, src, fn string, params []symexec.ParamSpec) error {
+	run := func(name, config string, set detect.Set, opts core.Options, src, fn string, params []symexec.ParamSpec) error {
 		file, err := minic.Parse(src)
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		report, err := runDetect(opts, file, fn, params)
+		report, err := detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
 		if err != nil {
 			return err
 		}
@@ -456,18 +452,17 @@ func Ablations() ([]AblationRow, error) {
 	}
 	params := tableVIParams()
 
-	// Implicit check on/off over Listing 1.
-	on := core.DefaultOptions()
-	off := core.DefaultOptions()
-	off.ImplicitCheck = false
-	if err := run("implicit-check", "on", on, Listing1C, "enclave_process_data", []symexec.ParamSpec{
-		{Name: "secrets", Class: symexec.ParamSecret}, {Name: "output", Class: symexec.ParamOut},
-	}); err != nil {
+	// Implicit check on/off over Listing 1: the default set against
+	// explicit alone.
+	explicitOnly, err := detect.ResolveSet(nil, nil, []string{"explicit"})
+	if err != nil {
 		return nil, err
 	}
-	if err := run("implicit-check", "off", off, Listing1C, "enclave_process_data", []symexec.ParamSpec{
-		{Name: "secrets", Class: symexec.ParamSecret}, {Name: "output", Class: symexec.ParamOut},
-	}); err != nil {
+	listing1 := []symexec.ParamSpec{{Name: "secrets", Class: symexec.ParamSecret}, {Name: "output", Class: symexec.ParamOut}}
+	if err := run("implicit-check", "on", detect.DefaultSet(), core.DefaultOptions(), Listing1C, "enclave_process_data", listing1); err != nil {
+		return nil, err
+	}
+	if err := run("implicit-check", "off", explicitOnly, core.DefaultOptions(), Listing1C, "enclave_process_data", listing1); err != nil {
 		return nil, err
 	}
 
@@ -483,10 +478,10 @@ int f(int *secrets, int *output) {
 	pruned := core.DefaultOptions()
 	unpruned := core.DefaultOptions()
 	unpruned.Engine.PruneInfeasible = false
-	if err := run("solver-pruning", "on", pruned, pruneSrc, "f", params); err != nil {
+	if err := run("solver-pruning", "on", detect.DefaultSet(), pruned, pruneSrc, "f", params); err != nil {
 		return nil, err
 	}
-	if err := run("solver-pruning", "off", unpruned, pruneSrc, "f", params); err != nil {
+	if err := run("solver-pruning", "off", detect.DefaultSet(), unpruned, pruneSrc, "f", params); err != nil {
 		return nil, err
 	}
 
@@ -506,7 +501,7 @@ int f(int *secrets, int n, int *output) {
 	for _, bound := range []int{2, 4, 8, 16} {
 		opts := core.DefaultOptions()
 		opts.Engine.LoopBound = bound
-		if err := run("loop-bound", fmt.Sprintf("%d", bound), opts, loopSrc, "f", loopParams); err != nil {
+		if err := run("loop-bound", fmt.Sprintf("%d", bound), detect.DefaultSet(), opts, loopSrc, "f", loopParams); err != nil {
 			return nil, err
 		}
 	}

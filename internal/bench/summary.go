@@ -109,10 +109,7 @@ int enclave_e%d(int *secrets, int *output)
 // call-graph-heavy modules and checks the two agree on every deterministic
 // engine column before reporting.
 func SummaryBench() ([]SummaryBenchRow, error) {
-	set, err := detect.ResolveSet(core.DefaultOptions(), nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	set := detect.DefaultSet()
 	configs := []struct {
 		name             string
 		helpers, entries int

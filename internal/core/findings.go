@@ -39,14 +39,14 @@ const (
 	ImplicitLeak
 	// TimingLeak is the §VIII-A extension: the abstract execution time
 	// (statement count) of the path depends on a single secret. Reported
-	// only when Options.TimingCheck is enabled.
+	// only when the timing detector is selected.
 	TimingLeak
 	// ProbabilisticLeak is the §VIII-A probabilistic channel: an
 	// observable value depends on a single secret masked only by
 	// in-enclave entropy, so its *distribution* reveals the secret even
-	// though no single run does. Reported only when
-	// Options.ProbabilisticCheck is enabled; under the paper's
-	// deterministic threat model such values are otherwise secure.
+	// though no single run does. Reported only when the probabilistic
+	// detector is selected: the paper's deterministic threat model deems
+	// such values secure.
 	ProbabilisticLeak
 	// OcallPtrLeak is the ocall-pointer scenario pack (STELLA's
 	// pointer-leak pattern): secret-tainted data written through an OCALL
@@ -313,14 +313,14 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&sb, "  secret: %s\n", f.Secret)
 		switch f.Kind {
 		case ExplicitLeak:
-			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
+			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, RenderValue(f.Value))
 			if f.Inversion != nil && f.Inversion.Exact {
 				fmt.Fprintf(&sb, "  recovery: %s\n", f.Inversion.Formula())
 			}
 		case ImplicitLeak:
 			if f.Values[1] != nil {
 				fmt.Fprintf(&sb, "  branches on %s reveal %s vs %s\n",
-					f.Secret, Trim(f.Values[0].String()), Trim(f.Values[1].String()))
+					f.Secret, RenderValue(f.Values[0]), RenderValue(f.Values[1]))
 			} else {
 				fmt.Fprintf(&sb, "  output at %s happens only on paths where π depends on %s\n",
 					f.Where, f.Secret)
@@ -335,34 +335,34 @@ func (r *Report) Render() string {
 				fmt.Fprintf(&sb, "  path condition: %s\n", f.Path)
 			}
 		case ProbabilisticLeak:
-			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
+			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, RenderValue(f.Value))
 			sb.WriteString("  the masking randomness is generated in-enclave: the output\n")
 			sb.WriteString("  distribution over repeated calls reveals the secret\n")
 		case OcallPtrLeak:
-			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
+			fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, RenderValue(f.Value))
 			sb.WriteString("  the value escapes through an OCALL pointer argument into\n")
 			sb.WriteString("  untrusted memory — outside the scalar-argument policy's view\n")
 		case ErrCodeLeak:
 			if f.Values[1] != nil {
 				fmt.Fprintf(&sb, "  status codes %s vs %s depend on the secret mix\n",
-					Trim(f.Values[0].String()), Trim(f.Values[1].String()))
+					RenderValue(f.Values[0]), RenderValue(f.Values[1]))
 			} else if f.Value != nil {
-				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
+				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, RenderValue(f.Value))
 			}
 			sb.WriteString("  the status/return code is a covert channel: repeated calls\n")
 			sb.WriteString("  narrow the secret mix one comparison at a time\n")
 		case OrderlinessLeak:
 			if f.Value != nil {
-				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, Trim(f.Value.String()))
+				fmt.Fprintf(&sb, "  value:  %s = %s\n", f.Where, RenderValue(f.Value))
 			}
 			sb.WriteString("  entry order bypasses the lifecycle gate: the OCALL runs before\n")
 			sb.WriteString("  the init/declassify call on this path\n")
 		case AccessPatternLeak:
 			if f.Value != nil {
 				if f.Sink == SinkBranch {
-					fmt.Fprintf(&sb, "  condition: %s\n", Trim(f.Value.String()))
+					fmt.Fprintf(&sb, "  condition: %s\n", RenderValue(f.Value))
 				} else {
-					fmt.Fprintf(&sb, "  index:  %s\n", Trim(f.Value.String()))
+					fmt.Fprintf(&sb, "  index:  %s\n", RenderValue(f.Value))
 				}
 			}
 			sb.WriteString("  the access pattern is visible at page granularity to the host\n")
@@ -405,34 +405,10 @@ func (r *Report) Render() string {
 // arbitrarily large.
 const maxRenderedValue = 160
 
-// Trim applies the report value-trimming rule: drop one balanced pair of
-// outer parentheses and cap the length at maxRenderedValue. Detector
-// messages render values through it.
-func Trim(s string) string {
-	if len(s) >= 2 && s[0] == '(' && s[len(s)-1] == ')' {
-		depth := 0
-		balanced := true
-		for i := 0; i < len(s)-1; i++ {
-			switch s[i] {
-			case '(':
-				depth++
-			case ')':
-				depth--
-			}
-			if depth == 0 {
-				balanced = false
-				break
-			}
-		}
-		if balanced {
-			s = s[1 : len(s)-1]
-		}
-	}
-	if len(s) > maxRenderedValue {
-		return s[:maxRenderedValue] + " …(truncated)"
-	}
-	return s
-}
+// RenderValue renders a symbolic value as reports and detector messages
+// show it. The cap bounds the work as well as the text: a value whose
+// String is exponential in its DAG depth renders in O(maxRenderedValue).
+func RenderValue(e sym.Expr) string { return sym.Render(e, maxRenderedValue) }
 
 // SortFindings orders findings deterministically: by sink location, then
 // leak kind, then detector rule ID, then secret. The rule key keeps

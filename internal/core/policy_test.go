@@ -35,22 +35,22 @@ func listing1Params() []symexec.ParamSpec {
 }
 
 // analyze runs one entry point on the production path, detect.Run, with
-// the detector set opts implies.
-func analyze(file *minic.File, fn string, params []symexec.ParamSpec, opts core.Options) (*core.Report, error) {
-	set, err := detect.ResolveSet(opts, nil, nil, nil)
+// the named detectors (the default set when none are named).
+func analyze(file *minic.File, fn string, params []symexec.ParamSpec, opts core.Options, detectors ...string) (*core.Report, error) {
+	set, err := detect.ResolveSet(nil, nil, detectors)
 	if err != nil {
 		return nil, err
 	}
 	return detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), fn, params)
 }
 
-func check(t *testing.T, src, fn string, params []symexec.ParamSpec, opts core.Options) *core.Report {
+func check(t *testing.T, src, fn string, params []symexec.ParamSpec, opts core.Options, detectors ...string) *core.Report {
 	t.Helper()
 	file, err := minic.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := analyze(file, fn, params, opts)
+	report, err := analyze(file, fn, params, opts, detectors...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +274,7 @@ int f(int *secrets) {
 }
 
 func TestImplicitCheckAblation(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.ImplicitCheck = false
-	report := check(t, listing1, "enclave_process_data", listing1Params(), opts)
+	report := check(t, listing1, "enclave_process_data", listing1Params(), core.DefaultOptions(), "explicit")
 	if len(report.Implicit()) != 0 {
 		t.Error("implicit findings with check disabled")
 	}
@@ -457,9 +455,7 @@ int f(int *secrets, int *output) {
 			t.Fatal("timing check must be off by default")
 		}
 	}
-	opts := core.DefaultOptions()
-	opts.TimingCheck = true
-	report := check(t, src, "f", listing1Params(), opts)
+	report := check(t, src, "f", listing1Params(), core.DefaultOptions(), "default", "timing")
 	var timing *core.Finding
 	for i := range report.Findings {
 		if report.Findings[i].Kind == core.TimingLeak {
@@ -492,9 +488,7 @@ int f(int *secrets, int *output) {
     return 0;
 }
 `
-	opts := core.DefaultOptions()
-	opts.TimingCheck = true
-	report := check(t, src, "f", listing1Params(), opts)
+	report := check(t, src, "f", listing1Params(), core.DefaultOptions(), "default", "timing")
 	for _, f := range report.Findings {
 		if f.Kind == core.TimingLeak {
 			t.Errorf("balanced branches must not be a timing leak: %+v", f)
@@ -714,10 +708,8 @@ int f(int *secrets, int *output) {
 	if !base.Secure() {
 		t.Fatalf("entropy-masked value must be secure by default: %+v", base.Findings)
 	}
-	// With the probabilistic check: one probabilistic finding.
-	opts := core.DefaultOptions()
-	opts.ProbabilisticCheck = true
-	report := check(t, src, "f", listing1Params(), opts)
+	// With the probabilistic detector: one probabilistic finding.
+	report := check(t, src, "f", listing1Params(), core.DefaultOptions(), "default", "probabilistic")
 	if len(report.Findings) != 1 {
 		t.Fatalf("findings = %+v", report.Findings)
 	}
@@ -757,9 +749,7 @@ int f(int *secrets, int *output) {
     return 0;
 }
 `
-	opts := core.DefaultOptions()
-	opts.ProbabilisticCheck = true
-	report := check(t, src, "f", listing1Params(), opts)
+	report := check(t, src, "f", listing1Params(), core.DefaultOptions(), "default", "probabilistic")
 	if !report.Secure() {
 		t.Errorf("⊤ value must stay secure: %+v", report.Findings)
 	}

@@ -5,21 +5,23 @@
 // engine and never perturbs another detector's output.
 //
 // Run is the one analysis path: the facade, the CLIs, the batch driver, the
-// daemon and the paper-evaluation bench all call it. The three built-in
-// PrivacyScope checks (explicit, implicit, timing) implement the paper's
-// Alg. 1; the committed report golden (make detect-smoke) pins their
-// output over every shipped corpus. Four scenario packs cover enclave leak
-// classes from the related work: ocall-pointer (STELLA's pointer leaks),
-// errcode-channel (status-code covert channel), orderliness (Guardian's
-// lifecycle property) and access-pattern (controlled-channel signals).
+// daemon and the paper-evaluation bench all call it. The four built-in
+// PrivacyScope checks implement the paper's Alg. 1 (explicit, implicit) and
+// its §VIII-A extensions (timing, probabilistic); the committed report
+// golden (make detect-smoke) pins their output over every shipped corpus.
+// Four scenario packs cover enclave leak classes from the related work:
+// ocall-pointer (STELLA's pointer leaks), errcode-channel (status-code
+// covert channel), orderliness (Guardian's lifecycle property) and
+// access-pattern (controlled-channel signals). The detector set is the one
+// way to choose what runs.
 package detect
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
-
-	"privacyscope/internal/core"
 )
 
 // Detector is one leak-class analysis over the shared engine result.
@@ -30,20 +32,20 @@ type Detector interface {
 	Rule() string
 	// Severity is the detector's severity class ("high", "medium").
 	Severity() string
-	// DefaultOn reports whether the detector is enabled by default under
-	// the given options (the ImplicitCheck/TimingCheck switches map here).
-	DefaultOn(opts core.Options) bool
+	// DefaultOn reports whether the detector is in the default set.
+	DefaultOn() bool
 	// Detect runs the analysis, appending findings to rc.Report.
 	Detect(rc *Context)
 }
 
 // registry holds all detectors in their canonical execution order. The
-// built-in trio runs first; the order fixes the shared dedupe table's
+// built-in checks run first; the order fixes the shared dedupe table's
 // outcome and the telemetry sequence.
 var registry = []Detector{
 	explicitDetector{},
 	implicitDetector{},
 	timingDetector{},
+	probabilisticDetector{},
 	ocallPtrDetector{},
 	errCodeDetector{},
 	orderlinessDetector{},
@@ -70,7 +72,7 @@ func Lookup(name string) (Detector, bool) {
 }
 
 // Set is a resolved selection of detectors. The zero value is empty; use
-// ResolveSet to build one.
+// DefaultSet or ResolveSet to build one.
 type Set struct {
 	enabled map[string]bool
 }
@@ -98,9 +100,6 @@ func (s Set) Names() []string {
 	return out
 }
 
-// Key renders the set as a canonical comma-joined string for cache keys.
-func (s Set) Key() string { return strings.Join(s.Names(), ",") }
-
 // NeedsPtrEscapes reports whether any selected detector consumes OCALL
 // pointer-escape events (symexec.Options.RecordPtrEscapes).
 func (s Set) NeedsPtrEscapes() bool {
@@ -114,13 +113,23 @@ func (s Set) NeedsSecretAccess() bool { return s.Has("access-pattern") }
 // NeedsInline reports whether the selection depends on per-path engine
 // events that function summaries do not replay, forcing inline mode.
 func (s Set) NeedsInline() bool {
-	return s.NeedsPtrEscapes() || s.NeedsSecretAccess() || s.Has("orderliness")
+	return s.NeedsPtrEscapes() || s.NeedsSecretAccess()
+}
+
+// DefaultSet returns the default selection: Alg. 1's explicit and implicit.
+func DefaultSet() Set {
+	s := Set{enabled: make(map[string]bool)}
+	for _, d := range registry {
+		if d.DefaultOn() {
+			s.enabled[d.Name()] = true
+		}
+	}
+	return s
 }
 
 // ResolveSet computes the effective detector selection:
 //
-//  1. the defaults implied by the checker options (explicit always;
-//     implicit/timing per their ablation switches; scenario packs off),
+//  1. the default set (explicit and implicit),
 //  2. plus the XML rule-config <detectors> enable list, minus its disable
 //     list,
 //  3. unless cli (the -detectors flag) is non-empty, which replaces the
@@ -128,26 +137,16 @@ func (s Set) NeedsInline() bool {
 //     CLI list.
 //
 // Unknown names are errors naming the offender and the known set.
-func ResolveSet(opts core.Options, enable, disable, cli []string) (Set, error) {
-	s := Set{enabled: make(map[string]bool)}
-	for _, d := range registry {
-		if d.DefaultOn(opts) {
-			s.enabled[d.Name()] = true
-		}
-	}
+func ResolveSet(enable, disable, cli []string) (Set, error) {
 	if len(cli) > 0 {
-		s.enabled = make(map[string]bool)
+		s := Set{enabled: make(map[string]bool)}
 		for _, name := range cli {
 			name = strings.TrimSpace(name)
 			switch name {
 			case "":
 				continue
 			case "default":
-				for _, d := range registry {
-					if d.DefaultOn(opts) {
-						s.enabled[d.Name()] = true
-					}
-				}
+				maps.Copy(s.enabled, DefaultSet().enabled)
 			case "all":
 				for _, d := range registry {
 					s.enabled[d.Name()] = true
@@ -164,16 +163,16 @@ func ResolveSet(opts core.Options, enable, disable, cli []string) (Set, error) {
 		}
 		return s, nil
 	}
-	for _, name := range enable {
+	for _, name := range slices.Concat(enable, disable) {
 		if _, ok := Lookup(name); !ok {
 			return Set{}, unknownErr(name)
 		}
+	}
+	s := DefaultSet()
+	for _, name := range enable {
 		s.enabled[name] = true
 	}
 	for _, name := range disable {
-		if _, ok := Lookup(name); !ok {
-			return Set{}, unknownErr(name)
-		}
 		delete(s.enabled, name)
 	}
 	return s, nil

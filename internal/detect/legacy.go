@@ -10,38 +10,41 @@ import (
 	"privacyscope/internal/taint"
 )
 
-// This file holds the three built-in PrivacyScope checks: explicit,
-// implicit and timing. Their traversal order, dedupe keys and message
-// strings are pinned by the report golden (testdata/report_golden.txt,
-// make detect-smoke), so any drift here is a test failure, not a judgment
-// call.
+// This file holds the four built-in PrivacyScope checks: explicit,
+// implicit, timing and probabilistic. Their traversal order, dedupe keys
+// and message strings are pinned by the report golden
+// (testdata/report_golden.txt, make detect-smoke), so any drift here is a
+// test failure, not a judgment call.
 
-// explicitDetector is the out-parameter / return / OCALL single-tag taint
-// policy of Alg. 1 (declassify_check), including the §VIII-A probabilistic
-// channel when Options.ProbabilisticCheck is set.
-type explicitDetector struct{}
-
-func (explicitDetector) Name() string                { return "explicit" }
-func (explicitDetector) Rule() string                { return "PS-EXPL" }
-func (explicitDetector) Severity() string            { return "high" }
-func (explicitDetector) DefaultOn(core.Options) bool { return true }
-
-func (d explicitDetector) Detect(rc *Context) {
+// eachSinkValue calls visit for every value a path shows at an observable
+// sink: [out] parameters, the return value and scalar OCALL arguments.
+func eachSinkValue(rc *Context, visit func(rc *Context, sink core.SinkKind, where string, pos minic.Pos, value sym.Expr, pc *solver.PathCondition)) {
 	for _, p := range rc.Res.Paths {
 		for _, o := range p.Outs {
-			d.one(rc, core.SinkOutParam, o.Display, minic.Pos{}, o.Value, p.PC)
+			visit(rc, core.SinkOutParam, o.Display, minic.Pos{}, o.Value, p.PC)
 		}
 		if p.Return != nil {
-			d.one(rc, core.SinkReturn, "return", p.ReturnPos, p.Return, p.PC)
+			visit(rc, core.SinkReturn, "return", p.ReturnPos, p.Return, p.PC)
 		}
 		for _, oc := range p.Ocalls {
 			where := ocallWhere(oc)
 			for _, a := range oc.Args {
-				d.one(rc, core.SinkOCall, where, oc.Pos, a, oc.PC)
+				visit(rc, core.SinkOCall, where, oc.Pos, a, oc.PC)
 			}
 		}
 	}
 }
+
+// explicitDetector is the out-parameter / return / OCALL single-tag taint
+// policy of Alg. 1 (declassify_check).
+type explicitDetector struct{}
+
+func (explicitDetector) Name() string     { return "explicit" }
+func (explicitDetector) Rule() string     { return "PS-EXPL" }
+func (explicitDetector) Severity() string { return "high" }
+func (explicitDetector) DefaultOn() bool  { return true }
+
+func (d explicitDetector) Detect(rc *Context) { eachSinkValue(rc, d.one) }
 
 func (d explicitDetector) one(rc *Context, sink core.SinkKind, where string, pos minic.Pos, value sym.Expr, pc *solver.PathCondition) {
 	label, viaPrior := rc.effectiveTaint(value)
@@ -50,32 +53,8 @@ func (d explicitDetector) one(rc *Context, sink core.SinkKind, where string, pos
 		return
 	}
 	// In-enclave entropy blocks deterministic recovery: under the paper's
-	// threat model this is not an explicit violation, but the distribution
-	// over repeated calls still reveals the secret — the §VIII-A
-	// probabilistic channel, reported on request.
+	// threat model this is the probabilistic detector's channel.
 	if sym.HasEntropy(value) {
-		if !rc.Opts.ProbabilisticCheck {
-			return
-		}
-		secretName := rc.secretName(tag)
-		if rc.dedupe(fmt.Sprintf("P|%s|%s", where, secretName)) {
-			return
-		}
-		f := core.Finding{
-			Kind:   core.ProbabilisticLeak,
-			Sink:   sink,
-			Where:  where,
-			Pos:    pos,
-			Secret: secretName,
-			Tag:    tag,
-			Value:  value,
-			Path:   pc,
-		}
-		f.Message = fmt.Sprintf(
-			"probabilistic channel: %s %s depends on secret %s masked only by in-enclave entropy",
-			f.Sink, f.Where, secretName)
-		f.Rule, f.Severity = "PS-PROB", "medium"
-		rc.Report.Findings = append(rc.Report.Findings, f)
 		return
 	}
 	secretName := rc.secretName(tag)
@@ -95,7 +74,7 @@ func (d explicitDetector) one(rc *Context, sink core.SinkKind, where string, pos
 		Inversion:      inversion,
 	}
 	f.Message = fmt.Sprintf("explicit leak: %s %s reveals secret %s (value %s)",
-		f.Sink, f.Where, f.Secret, core.Trim(value.String()))
+		f.Sink, f.Where, f.Secret, core.RenderValue(value))
 	if rc.Opts.ReplayWitness && f.Inversion != nil && f.Inversion.Exact &&
 		(sink == core.SinkOutParam || sink == core.SinkReturn) {
 		f.Witness = rc.Replayer.ReplayExplicit(rc.File, rc.Res, &f)
@@ -108,10 +87,10 @@ func (d explicitDetector) one(rc *Context, sink core.SinkKind, where string, pos
 // one secret's constraints but reveal different values at the same sink.
 type implicitDetector struct{}
 
-func (implicitDetector) Name() string                  { return "implicit" }
-func (implicitDetector) Rule() string                  { return "PS-IMPL" }
-func (implicitDetector) Severity() string              { return "high" }
-func (implicitDetector) DefaultOn(o core.Options) bool { return o.ImplicitCheck }
+func (implicitDetector) Name() string     { return "implicit" }
+func (implicitDetector) Rule() string     { return "PS-IMPL" }
+func (implicitDetector) Severity() string { return "high" }
+func (implicitDetector) DefaultOn() bool  { return true }
 
 func (d implicitDetector) Detect(rc *Context) {
 	type observation struct {
@@ -238,7 +217,7 @@ func (d implicitDetector) one(rc *Context, tag taint.Tag, sink core.SinkKind, wh
 	}
 	if values[1] != nil {
 		f.Message = fmt.Sprintf("implicit leak: %s at %s reveals %s vs %s depending on secret %s",
-			f.Sink, f.Where, core.Trim(values[0].String()), core.Trim(values[1].String()), secretName)
+			f.Sink, f.Where, core.RenderValue(values[0]), core.RenderValue(values[1]), secretName)
 	} else {
 		f.Message = fmt.Sprintf("implicit leak: output at %s is produced only on paths branching on secret %s",
 			f.Where, secretName)
@@ -250,10 +229,10 @@ func (d implicitDetector) one(rc *Context, tag taint.Tag, sink core.SinkKind, wh
 // differing only in one secret's constraints with different abstract cost.
 type timingDetector struct{}
 
-func (timingDetector) Name() string                  { return "timing" }
-func (timingDetector) Rule() string                  { return "PS-TIME" }
-func (timingDetector) Severity() string              { return "medium" }
-func (timingDetector) DefaultOn(o core.Options) bool { return o.TimingCheck }
+func (timingDetector) Name() string     { return "timing" }
+func (timingDetector) Rule() string     { return "PS-TIME" }
+func (timingDetector) Severity() string { return "medium" }
+func (timingDetector) DefaultOn() bool  { return false }
 
 func (d timingDetector) Detect(rc *Context) {
 	paths := rc.Res.Paths
@@ -283,4 +262,45 @@ func (d timingDetector) Detect(rc *Context) {
 				secretName, a.Cost, b.Cost)
 			rc.emit(d, f)
 		})
+}
+
+// probabilisticDetector is the §VIII-A probabilistic channel: a sink value
+// of a single secret masked only by in-enclave entropy. No run reveals the
+// secret, but the output distribution over repeated calls does.
+type probabilisticDetector struct{}
+
+func (probabilisticDetector) Name() string     { return "probabilistic" }
+func (probabilisticDetector) Rule() string     { return "PS-PROB" }
+func (probabilisticDetector) Severity() string { return "medium" }
+func (probabilisticDetector) DefaultOn() bool  { return false }
+
+func (d probabilisticDetector) Detect(rc *Context) { eachSinkValue(rc, d.one) }
+
+func (d probabilisticDetector) one(rc *Context, sink core.SinkKind, where string, pos minic.Pos, value sym.Expr, pc *solver.PathCondition) {
+	if !sym.HasEntropy(value) {
+		return
+	}
+	label, _ := rc.effectiveTaint(value)
+	tag, single := label.Tag()
+	if !single {
+		return
+	}
+	secretName := rc.secretName(tag)
+	if rc.dedupe(fmt.Sprintf("P|%s|%s", where, secretName)) {
+		return
+	}
+	f := core.Finding{
+		Kind:   core.ProbabilisticLeak,
+		Sink:   sink,
+		Where:  where,
+		Pos:    pos,
+		Secret: secretName,
+		Tag:    tag,
+		Value:  value,
+		Path:   pc,
+	}
+	f.Message = fmt.Sprintf(
+		"probabilistic channel: %s %s depends on secret %s masked only by in-enclave entropy",
+		f.Sink, f.Where, secretName)
+	rc.emit(d, f)
 }

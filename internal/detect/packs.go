@@ -22,10 +22,10 @@ import (
 // walks every memory cell reachable from a pointer argument at call time.
 type ocallPtrDetector struct{}
 
-func (ocallPtrDetector) Name() string                { return "ocall-pointer" }
-func (ocallPtrDetector) Rule() string                { return "PS-OCPTR" }
-func (ocallPtrDetector) Severity() string            { return "high" }
-func (ocallPtrDetector) DefaultOn(core.Options) bool { return false }
+func (ocallPtrDetector) Name() string     { return "ocall-pointer" }
+func (ocallPtrDetector) Rule() string     { return "PS-OCPTR" }
+func (ocallPtrDetector) Severity() string { return "high" }
+func (ocallPtrDetector) DefaultOn() bool  { return false }
 
 func (d ocallPtrDetector) Detect(rc *Context) {
 	for _, p := range rc.Res.Paths {
@@ -63,7 +63,7 @@ func (d ocallPtrDetector) Detect(rc *Context) {
 					}
 					f.Message = fmt.Sprintf(
 						"ocall-pointer leak: cell %s escapes through pointer arg %d of OCALL %s carrying secret %s (value %s)",
-						cell.Display, pa.Arg, site, secret, core.Trim(cell.Value.String()))
+						cell.Display, pa.Arg, site, secret, core.RenderValue(cell.Value))
 					rc.emit(d, f)
 				}
 			}
@@ -78,10 +78,10 @@ func (d ocallPtrDetector) Detect(rc *Context) {
 // untainted status codes selected by a secret branch.
 type errCodeDetector struct{}
 
-func (errCodeDetector) Name() string                { return "errcode-channel" }
-func (errCodeDetector) Rule() string                { return "PS-ERR" }
-func (errCodeDetector) Severity() string            { return "medium" }
-func (errCodeDetector) DefaultOn(core.Options) bool { return false }
+func (errCodeDetector) Name() string     { return "errcode-channel" }
+func (errCodeDetector) Rule() string     { return "PS-ERR" }
+func (errCodeDetector) Severity() string { return "medium" }
+func (errCodeDetector) DefaultOn() bool  { return false }
 
 func (d errCodeDetector) Detect(rc *Context) {
 	// Mode 1: data dependence — the returned code computes over secrets.
@@ -110,7 +110,7 @@ func (d errCodeDetector) Detect(rc *Context) {
 		}
 		f.Message = fmt.Sprintf(
 			"errcode channel: ecall status code computes over secret %s (value %s)",
-			secret, core.Trim(p.Return.String()))
+			secret, core.RenderValue(p.Return))
 		rc.emit(d, f)
 	}
 	// Mode 2: control dependence — distinct concrete status codes selected
@@ -146,7 +146,7 @@ func (d errCodeDetector) Detect(rc *Context) {
 			}
 			f.Message = fmt.Sprintf(
 				"errcode channel: ecall status code %s vs %s depends on secret %s",
-				core.Trim(a.Return.String()), core.Trim(b.Return.String()), secret)
+				core.RenderValue(a.Return), core.RenderValue(b.Return), secret)
 			rc.emit(d, f)
 		})
 }
@@ -159,10 +159,10 @@ func (d errCodeDetector) Detect(rc *Context) {
 // with none configured the detector stays quiet.
 type orderlinessDetector struct{}
 
-func (orderlinessDetector) Name() string                { return "orderliness" }
-func (orderlinessDetector) Rule() string                { return "PS-ORDER" }
-func (orderlinessDetector) Severity() string            { return "high" }
-func (orderlinessDetector) DefaultOn(core.Options) bool { return false }
+func (orderlinessDetector) Name() string     { return "orderliness" }
+func (orderlinessDetector) Rule() string     { return "PS-ORDER" }
+func (orderlinessDetector) Severity() string { return "high" }
+func (orderlinessDetector) DefaultOn() bool  { return false }
 
 func (d orderlinessDetector) Detect(rc *Context) {
 	if len(rc.InitFuncs) == 0 {
@@ -230,10 +230,10 @@ func firstTainted(oc symexec.SinkEvent) (sym.Expr, bool) {
 // ever reaches a sink.
 type accessPatternDetector struct{}
 
-func (accessPatternDetector) Name() string                { return "access-pattern" }
-func (accessPatternDetector) Rule() string                { return "PS-ACCESS" }
-func (accessPatternDetector) Severity() string            { return "medium" }
-func (accessPatternDetector) DefaultOn(core.Options) bool { return false }
+func (accessPatternDetector) Name() string     { return "access-pattern" }
+func (accessPatternDetector) Rule() string     { return "PS-ACCESS" }
+func (accessPatternDetector) Severity() string { return "medium" }
+func (accessPatternDetector) DefaultOn() bool  { return false }
 
 func (d accessPatternDetector) Detect(rc *Context) {
 	for _, p := range rc.Res.Paths {

@@ -28,11 +28,7 @@ func pairBudgetProbe(t *testing.T, cond func(i int) string, out0 string) *core.R
 	sb.WriteString("    if (secrets[0] > 0) { output[1] = 1; } else { output[1] = 2; }\n    return 0;\n}\n")
 	opts := core.DefaultOptions()
 	opts.ReplayWitness = false
-	set, err := ResolveSet(opts, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), set, opts, ir.LowerMiniC(minic.MustParse(sb.String())), "f", []symexec.ParamSpec{
+	rep, err := Run(context.Background(), DefaultSet(), opts, ir.LowerMiniC(minic.MustParse(sb.String())), "f", []symexec.ParamSpec{
 		{Name: "secrets", Class: symexec.ParamSecret},
 		{Name: "output", Class: symexec.ParamOut},
 	})

@@ -81,12 +81,7 @@ func analyzeModule(t *testing.T, cSrc, edlSrc, ecall string) *core.Report {
 	if !ok {
 		t.Fatalf("no ECALL %s", ecall)
 	}
-	opts := core.DefaultOptions()
-	set, err := detect.ResolveSet(opts, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := detect.Run(context.Background(), set, opts, ir.LowerMiniC(file), ecall, edl.ParamSpecs(sig, nil))
+	report, err := detect.Run(context.Background(), detect.DefaultSet(), core.DefaultOptions(), ir.LowerMiniC(file), ecall, edl.ParamSpecs(sig, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,18 +132,47 @@ func TestAnalyzeSyncAndCacheHit(t *testing.T) {
 		t.Errorf("executed = %d after repeat, want still 1 (no new engine run)", n)
 	}
 
-	// A different option set is a different content address: miss, new run.
-	req.Options.NoImplicit = true
+	// A different detector set is a different content address: miss, new
+	// run.
+	req.Options.Detectors = []string{"explicit"}
 	resp3, data3 := postAnalyze(t, ts, req, "")
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp3.StatusCode)
 	}
 	env3 := decodeEnvelope(t, data3)
 	if len(env3.Findings) != 1 {
-		t.Errorf("no-implicit findings = %d, want 1", len(env3.Findings))
+		t.Errorf("explicit-only findings = %d, want 1", len(env3.Findings))
 	}
 	if n := s.metrics.Counter("server.analyses.executed"); n != 2 {
 		t.Errorf("executed = %d, want 2 (new option set, new analysis)", n)
+	}
+
+	// An older client's {"noImplicit":true} names the same detector set,
+	// so it hits the same cache entry.
+	legacy, err := json.Marshal(map[string]any{
+		"source": leakyC, "edl": leakyEDL,
+		"options": json.RawMessage(`{"noImplicit":true}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp4, err := ts.Client().Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data4, err := io.ReadAll(resp4.Body)
+	resp4.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp4.Header.Get("X-Privacyscope-Cache"); resp4.StatusCode != http.StatusOK || got != "hit" {
+		t.Errorf("legacy noImplicit request: status %d, cache header %q, want 200 and hit", resp4.StatusCode, got)
+	}
+	if !bytes.Equal(data3, data4) {
+		t.Errorf("legacy noImplicit body differs from the explicit-only one:\n%s\nvs\n%s", data3, data4)
+	}
+	if n := s.metrics.Counter("server.analyses.executed"); n != 2 {
+		t.Errorf("executed = %d after the legacy request, want still 2", n)
 	}
 }
 

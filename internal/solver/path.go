@@ -98,27 +98,7 @@ func (pc *PathCondition) String() string {
 	}
 	parts := make([]string, pc.n)
 	for i, e := range pc.Conjuncts() {
-		parts[i] = trimParens(e.String())
+		parts[i] = sym.Render(e, 0)
 	}
 	return strings.Join(parts, " ∧ ")
-}
-
-// trimParens drops one redundant outer parenthesis pair for readability.
-func trimParens(s string) string {
-	if len(s) >= 2 && s[0] == '(' && s[len(s)-1] == ')' {
-		depth := 0
-		for i := 0; i < len(s)-1; i++ {
-			switch s[i] {
-			case '(':
-				depth++
-			case ')':
-				depth--
-			}
-			if depth == 0 {
-				return s // closes before the end; outer pair not redundant
-			}
-		}
-		return s[1 : len(s)-1]
-	}
-	return s
 }

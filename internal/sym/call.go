@@ -3,7 +3,6 @@ package sym
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Call is an uninterpreted (or math-library) function application over
@@ -20,13 +19,7 @@ type Call struct {
 func (*Call) isExpr() {}
 
 // String renders the application in C syntax.
-func (c *Call) String() string {
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	return c.Name + "(" + strings.Join(parts, ", ") + ")"
-}
+func (c *Call) String() string { return Render(c, 0) }
 
 // NewCall builds an application, folding when every argument is a known
 // constant and the function is a recognized math builtin.

@@ -140,9 +140,7 @@ type Binary struct {
 func (*Binary) isExpr() {}
 
 // String renders the operation in parenthesized C syntax.
-func (b *Binary) String() string {
-	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
-}
+func (b *Binary) String() string { return "(" + Render(b, 0) + ")" }
 
 // Unary is a unary operation over a symbolic expression.
 type Unary struct {
@@ -155,7 +153,7 @@ type Unary struct {
 func (*Unary) isExpr() {}
 
 // String renders the operation in C syntax.
-func (u *Unary) String() string { return u.Op.String() + u.X.String() }
+func (u *Unary) String() string { return Render(u, 0) }
 
 // Builder allocates symbols with unique IDs and, for secrets, fresh taint
 // tags. The zero value is not ready; use NewBuilder. A Builder belongs to

@@ -1,6 +1,10 @@
 package privacyscope
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"slices"
+	"strings"
+)
 
 // AnalysisOptions is the declarative, JSON-marshalable form of the facade's
 // functional options. The privacyscoped HTTP API accepts it as the request
@@ -20,15 +24,13 @@ type AnalysisOptions struct {
 	MaxSteps            int      `json:"maxSteps,omitempty"`
 	DeadlineMs          int      `json:"deadlineMs,omitempty"`
 	NoWitness           bool     `json:"noWitness,omitempty"`
-	NoImplicit          bool     `json:"noImplicit,omitempty"`
-	Timing              bool     `json:"timing,omitempty"`
-	Probabilistic       bool     `json:"probabilistic,omitempty"`
 	ConservativeExterns bool     `json:"conservativeExterns,omitempty"`
 	KnownInputs         []string `json:"knownInputs,omitempty"`
 	// Detectors replaces the detector selection (the -detectors flag);
-	// empty keeps the defaults. Participates in every cache key like any
-	// other field: two runs with different detector sets produce different
-	// reports and must never share an entry.
+	// empty keeps the defaults. It is the one way to choose what runs.
+	// Participates in every cache key like any other field: two runs with
+	// different detector sets produce different reports and must never
+	// share an entry.
 	Detectors []string `json:"detectors,omitempty"`
 }
 
@@ -51,15 +53,6 @@ func (o AnalysisOptions) FacadeOptions() []Option {
 	if o.NoWitness {
 		opts = append(opts, WithoutWitnessReplay())
 	}
-	if o.NoImplicit {
-		opts = append(opts, WithoutImplicitCheck())
-	}
-	if o.Timing {
-		opts = append(opts, WithTimingCheck())
-	}
-	if o.Probabilistic {
-		opts = append(opts, WithProbabilisticCheck())
-	}
 	if o.ConservativeExterns {
 		opts = append(opts, WithConservativeExterns())
 	}
@@ -70,6 +63,44 @@ func (o AnalysisOptions) FacadeOptions() []Option {
 		opts = append(opts, WithDetectors(o.Detectors...))
 	}
 	return opts
+}
+
+// UnmarshalJSON folds the detector switches older clients send into
+// Detectors. Let base be explicit, plus implicit unless noImplicit, plus
+// timing and probabilistic when set: an empty list becomes base, and each
+// "default" in a list becomes base. An old daemon request or batch config
+// thus keys and analyzes like its detector-list form.
+func (o *AnalysisOptions) UnmarshalJSON(data []byte) error {
+	type plain AnalysisOptions
+	var in struct {
+		plain
+		NoImplicit    bool `json:"noImplicit"`
+		Timing        bool `json:"timing"`
+		Probabilistic bool `json:"probabilistic"`
+	}
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	*o = AnalysisOptions(in.plain)
+	if !in.NoImplicit && !in.Timing && !in.Probabilistic {
+		return nil
+	}
+	base := slices.DeleteFunc([]string{"explicit", "implicit", "timing", "probabilistic"}, func(name string) bool {
+		return name == "implicit" && in.NoImplicit || name == "timing" && !in.Timing || name == "probabilistic" && !in.Probabilistic
+	})
+	names := o.Detectors
+	if len(names) == 0 {
+		names = []string{"default"}
+	}
+	o.Detectors = nil
+	for _, name := range names {
+		if strings.TrimSpace(name) == "default" {
+			o.Detectors = append(o.Detectors, base...)
+		} else {
+			o.Detectors = append(o.Detectors, name)
+		}
+	}
+	return nil
 }
 
 // KeyJSON is the canonical serialization cache keys hash. It is plain

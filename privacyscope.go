@@ -156,9 +156,9 @@ const (
 )
 
 // DetectorNames lists every registered leak detector in execution order:
-// the three built-in checks ("explicit", "implicit", "timing") and the
-// scenario packs ("ocall-pointer", "errcode-channel", "orderliness",
-// "access-pattern").
+// the four built-in checks ("explicit", "implicit", "timing",
+// "probabilistic") and the scenario packs ("ocall-pointer",
+// "errcode-channel", "orderliness", "access-pattern").
 func DetectorNames() []string { return detect.Names() }
 
 // Parameter classes, re-exported.
@@ -182,8 +182,12 @@ type config struct {
 	detectors   []string
 }
 
-func defaultConfig() *config {
-	return &config{checker: core.DefaultOptions(), parallelism: 1}
+func newConfig(opts []Option) *config {
+	cfg := &config{checker: core.DefaultOptions(), parallelism: 1}
+	for _, o := range opts {
+		o(cfg)
+	}
+	return cfg
 }
 
 // WithConfigXML supplies the user rule file (§V-C): per-function parameter
@@ -224,12 +228,6 @@ func WithoutWitnessReplay() Option {
 	return func(c *config) { c.checker.ReplayWitness = false }
 }
 
-// WithoutImplicitCheck disables the hashmap-hm implicit detection (the
-// ablation of Alg. 1).
-func WithoutImplicitCheck() Option {
-	return func(c *config) { c.checker.ImplicitCheck = false }
-}
-
 // WithoutPruning disables solver-based infeasible-path pruning.
 func WithoutPruning() Option {
 	return func(c *config) { c.checker.Engine.PruneInfeasible = false }
@@ -250,21 +248,6 @@ func WithTrace() Option {
 	return func(c *config) { c.checker.Engine.TrackTrace = true }
 }
 
-// WithTimingCheck enables the §VIII-A timing-channel extension: paths that
-// differ only in one secret's branch constraints but execute a different
-// number of statements are reported as timing leaks.
-func WithTimingCheck() Option {
-	return func(c *config) { c.checker.TimingCheck = true }
-}
-
-// WithProbabilisticCheck enables the §VIII-A probabilistic channel:
-// observable single-secret values masked only by in-enclave entropy are
-// reported (the output distribution over repeated calls reveals the
-// secret, even though no single run does).
-func WithProbabilisticCheck() Option {
-	return func(c *config) { c.checker.ProbabilisticCheck = true }
-}
-
 // WithConservativeExterns treats results of unmodeled external functions as
 // fresh secrets, so unmodeled code cannot launder taint (high-assurance
 // mode; expect additional findings wherever extern results reach sinks).
@@ -282,12 +265,13 @@ func WithObserver(o Observer) Option {
 }
 
 // WithDetectors replaces the detector selection outright (the -detectors
-// CLI flag): only the named detectors run. The keywords "default" (the
-// option-implied set) and "all" expand inside the list, so
-// WithDetectors("default", "ocall-pointer") adds one pack on top of the
-// defaults. Unknown names fail the analysis with an error naming the known
-// set. Without this option the defaults apply, adjusted by the rule file's
-// <detectors> block.
+// CLI flag): only the named detectors run. It is the one way to choose
+// what runs. The keywords "default" (explicit and implicit) and "all"
+// expand inside the list: WithDetectors("explicit") ablates Alg. 1's
+// implicit check, WithDetectors("default", "timing") adds the §VIII-A
+// timing channel. Unknown names fail the analysis with an error naming the
+// known set. Without this option the defaults apply, adjusted by the rule
+// file's <detectors> block.
 func WithDetectors(names ...string) Option {
 	return func(c *config) { c.detectors = append(c.detectors, names...) }
 }
@@ -412,10 +396,7 @@ func AnalyzeEnclaveContext(ctx context.Context, cSource, edlSource string, opts 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := newConfig(opts)
 	ob := obs.Or(cfg.checker.Observer)
 	parseSpan := ob.StartSpan("parse")
 	file, err := minic.Parse(cSource)
@@ -436,13 +417,9 @@ func AnalyzeEnclaveContext(ctx context.Context, cSource, edlSource string, opts 
 	}
 	parseSpan.End()
 	ob.Add("parse.functions", int64(len(file.Functions)))
-	var rules *edl.Config
-	if len(cfg.configXML) > 0 {
-		rules, err = edl.ParseConfig(cfg.configXML)
-		if err != nil {
-			return nil, fmt.Errorf("privacyscope: %w", err)
-		}
-		cfg.checker.Engine = rules.EngineOptions(cfg.checker.Engine)
+	rules, set, err := resolveDetectors(cfg)
+	if err != nil {
+		return nil, err
 	}
 	// Every EDL-declared untrusted function is an OCALL: its arguments
 	// escape the enclave and are observable sinks.
@@ -455,10 +432,6 @@ func AnalyzeEnclaveContext(ctx context.Context, cSource, edlSource string, opts 
 			merged[n] = true
 		}
 		cfg.checker.Engine.OCallFuncs = merged
-	}
-	set, err := resolveDetectors(cfg, rules)
-	if err != nil {
-		return nil, err
 	}
 	// Lowered only now: the rule file and the EDL have settled the
 	// engine's sink and declassify sets, which decide what a pure summary
@@ -543,10 +516,7 @@ func AnalyzeFunction(cSource, fn string, params []ParamSpec, opts ...Option) (*R
 // Errors are reserved for module-level problems: unparseable source or an
 // unknown entry function.
 func AnalyzeFunctionContext(ctx context.Context, cSource, fn string, params []ParamSpec, opts ...Option) (*Report, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := newConfig(opts)
 	ob := obs.Or(cfg.checker.Observer)
 	parseSpan := ob.StartSpan("parse")
 	file, err := minic.Parse(cSource)
@@ -557,15 +527,7 @@ func AnalyzeFunctionContext(ctx context.Context, cSource, fn string, params []Pa
 	// The rule file applies in function mode too: extra decrypt/OCALL
 	// registrations, detector toggles and lifecycle gates all configure the
 	// engine the same way they do for a full enclave module.
-	var rules *edl.Config
-	if len(cfg.configXML) > 0 {
-		rules, err = edl.ParseConfig(cfg.configXML)
-		if err != nil {
-			return nil, fmt.Errorf("privacyscope: %w", err)
-		}
-		cfg.checker.Engine = rules.EngineOptions(cfg.checker.Engine)
-	}
-	set, err := resolveDetectors(cfg, rules)
+	_, set, err := resolveDetectors(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -577,25 +539,31 @@ func AnalyzeFunctionContext(ctx context.Context, cSource, fn string, params []Pa
 	return report, nil
 }
 
-// resolveDetectors computes the effective detector selection from the
-// checker options, the rule file's <detectors>/<lifecycle> entries and the
-// WithDetectors override, then switches on the engine event streams the
-// selection consumes.
-func resolveDetectors(cfg *config, rules *edl.Config) (detect.Set, error) {
+// resolveDetectors parses the rule file (if any) into the engine options,
+// computes the effective detector selection from the defaults, the rule
+// file's <detectors>/<lifecycle> entries and the WithDetectors override,
+// then switches on the engine event streams the selection consumes.
+func resolveDetectors(cfg *config) (*edl.Config, detect.Set, error) {
+	var rules *edl.Config
 	var enable, disable []string
-	if rules != nil {
+	if len(cfg.configXML) > 0 {
+		var err error
+		if rules, err = edl.ParseConfig(cfg.configXML); err != nil {
+			return nil, detect.Set{}, fmt.Errorf("privacyscope: %w", err)
+		}
+		cfg.checker.Engine = rules.EngineOptions(cfg.checker.Engine)
 		known := func(n string) bool { _, ok := detect.Lookup(n); return ok }
 		if err := rules.ValidateDetectors(known); err != nil {
-			return detect.Set{}, fmt.Errorf("privacyscope: %w", err)
+			return nil, detect.Set{}, fmt.Errorf("privacyscope: %w", err)
 		}
 		enable, disable = rules.DetectorToggles()
 		if inits := rules.InitFuncs(); inits != nil {
 			cfg.checker.Engine.InitFuncs = inits
 		}
 	}
-	set, err := detect.ResolveSet(cfg.checker, enable, disable, cfg.detectors)
+	set, err := detect.ResolveSet(enable, disable, cfg.detectors)
 	if err != nil {
-		return detect.Set{}, fmt.Errorf("privacyscope: %w", err)
+		return nil, detect.Set{}, fmt.Errorf("privacyscope: %w", err)
 	}
 	if set.NeedsPtrEscapes() {
 		cfg.checker.Engine.RecordPtrEscapes = true
@@ -603,7 +571,7 @@ func resolveDetectors(cfg *config, rules *edl.Config) (detect.Set, error) {
 	if set.NeedsSecretAccess() {
 		cfg.checker.Engine.RecordSecretAccess = true
 	}
-	return set, nil
+	return rules, set, nil
 }
 
 // lowerAndSummarize lowers the checked module once for every entry point and

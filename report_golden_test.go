@@ -169,7 +169,7 @@ int example1(char *secrets, char *output)
 `),
 		fn("example2-feasible", "example2", sectionIVExample2),
 		fn("example2-infeasible", "example2", strings.Replace(sectionIVExample2, "== 15", "== 14", 1), WithoutPruning()),
-		fn("implicit-ablated", "example2", sectionIVExample2, WithoutImplicitCheck()),
+		fn("implicit-ablated", "example2", sectionIVExample2, WithDetectors("explicit")),
 		fn("timing-on", "unbalanced", `
 int unbalanced(char *secrets, char *output)
 {
@@ -182,7 +182,7 @@ int unbalanced(char *secrets, char *output)
     output[0] = 1;
     return 0;
 }
-`, WithTimingCheck()),
+`, WithDetectors("default", "timing")),
 		fn("no-witness-replay", "leak", sectionIVInsecure, WithoutWitnessReplay()),
 		// The leak routed through pure helpers, so summary skeleton replay
 		// interns through the engine's arena.
