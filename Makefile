@@ -4,7 +4,8 @@ help:
 	@echo "test            build + full test suite (the tier-1 gate)"
 	@echo "check           vet + race tests + fuzz/examples/batch smokes"
 	@echo "fuzz-smoke      short native-fuzzer runs (parsers, fail-soft, traceparent,"
-	@echo "                model search, evaluation tape, affine forms, interpreter)"
+	@echo "                model search, evaluation tape, affine forms, interpreter,"
+	@echo "                C arithmetic across layers)"
 	@echo "examples-smoke  run the runnable examples"
 	@echo "batch-smoke     cold + warm project run over examples/project, then a"
 	@echo "                cold run whose small -cache-max-bytes forces evictions"
@@ -55,7 +56,10 @@ check: fuzz-smoke examples-smoke batch-smoke summary-smoke detect-smoke intern-s
 # evaluation tape must answer exactly as sym.Eval does, the flat affine
 # forms must evaluate as the expression DAGs they are extracted from, and
 # the compiled MiniC interpreter must fail with an error, never panic, on
-# any parsed program. The go tool runs one target per invocation.
+# any parsed program. Constant folding, sym.Eval, the tape, the MiniC
+# interpreter and the PRIML interpreter must compute every operator and
+# math builtin as sym's operator table does. The go tool runs one target
+# per invocation.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/minic -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
@@ -68,6 +72,7 @@ fuzz-smoke:
 	go test ./internal/sym -run '^$$' -fuzz '^FuzzTape$$' -fuzztime 10s
 	go test ./internal/sym -run '^$$' -fuzz '^FuzzExtractAffine$$' -fuzztime 10s
 	go test ./internal/interp -run '^$$' -fuzz '^FuzzInterp$$' -fuzztime 10s
+	go test ./internal/sym -run '^$$' -fuzz '^FuzzArith$$' -fuzztime 10s
 
 # Chaos smoke: the distributed fail-soft gate (docs/ROBUSTNESS.md). A
 # coordinator fans examples/project across three in-process worker daemons

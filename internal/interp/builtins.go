@@ -1,8 +1,8 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -10,98 +10,29 @@ import (
 	"privacyscope/internal/sym"
 )
 
-// applyBinary applies an arithmetic/bitwise/comparison operator to two
-// concrete values with C-style usual arithmetic conversions. Integer
-// operations compute in 32 bits and wrap, as sym's constant folding does,
-// with shift counts masked to 31.
+// applyBinary applies a binary operator to two concrete values: pointers
+// compare by identity, numbers compute as sym.ApplyBinary defines C.
 func applyBinary(op sym.Op, l, r Value) (Value, error) {
-	// Pointer comparisons.
 	if l.Kind() == CellPtr || r.Kind() == CellPtr {
-		switch op {
-		case sym.OpEq, sym.OpNe:
-			same := l.Ptr() == r.Ptr()
-			if (op == sym.OpEq) == same {
-				return IntValue(1), nil
-			}
-			return IntValue(0), nil
+		if op != sym.OpEq && op != sym.OpNe {
+			return Value{}, fmt.Errorf("interp: bad pointer operation %v", op)
 		}
-		return Value{}, fmt.Errorf("interp: bad pointer operation %v", op)
+		return boolValue((op == sym.OpEq) == (l.Ptr() == r.Ptr())), nil
 	}
-	if l.IsFloat() || r.IsFloat() {
-		a, b := l.Float(), r.Float()
-		switch op {
-		case sym.OpAdd:
-			return FloatValue(a + b), nil
-		case sym.OpSub:
-			return FloatValue(a - b), nil
-		case sym.OpMul:
-			return FloatValue(a * b), nil
-		case sym.OpDiv:
-			if b == 0 {
-				return Value{}, ErrDivideByZero
-			}
-			return FloatValue(a / b), nil
-		case sym.OpEq:
-			return boolValue(a == b), nil
-		case sym.OpNe:
-			return boolValue(a != b), nil
-		case sym.OpLt:
-			return boolValue(a < b), nil
-		case sym.OpLe:
-			return boolValue(a <= b), nil
-		case sym.OpGt:
-			return boolValue(a > b), nil
-		case sym.OpGe:
-			return boolValue(a >= b), nil
-		default:
-			return Value{}, fmt.Errorf("interp: bad float operation %v", op)
-		}
-	}
-	a, b := int32(l.Int()), int32(r.Int())
-	switch op {
-	case sym.OpAdd:
-		return int32Value(a + b), nil
-	case sym.OpSub:
-		return int32Value(a - b), nil
-	case sym.OpMul:
-		return int32Value(a * b), nil
-	case sym.OpDiv:
-		if b == 0 {
-			return Value{}, ErrDivideByZero
-		}
-		return int32Value(a / b), nil
-	case sym.OpRem:
-		if b == 0 {
-			return Value{}, ErrDivideByZero
-		}
-		return int32Value(a % b), nil
-	case sym.OpAnd:
-		return int32Value(a & b), nil
-	case sym.OpOr:
-		return int32Value(a | b), nil
-	case sym.OpXor:
-		return int32Value(a ^ b), nil
-	case sym.OpShl:
-		return int32Value(a << (uint32(b) & 31)), nil
-	case sym.OpShr:
-		return int32Value(a >> (uint32(b) & 31)), nil
-	case sym.OpEq:
-		return boolValue(a == b), nil
-	case sym.OpNe:
-		return boolValue(a != b), nil
-	case sym.OpLt:
-		return boolValue(a < b), nil
-	case sym.OpLe:
-		return boolValue(a <= b), nil
-	case sym.OpGt:
-		return boolValue(a > b), nil
-	case sym.OpGe:
-		return boolValue(a >= b), nil
-	}
-	return Value{}, fmt.Errorf("interp: bad int operation %v", op)
+	out, err := sym.ApplyBinary(op, l.num(), r.num())
+	return numValue(out), opError(op, err)
 }
 
-func int32Value(v int32) Value { return IntValue(int64(v)) }
+// opError phrases an operator table error for the machine's callers.
+func opError(op sym.Op, err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, sym.ErrDivideByZero):
+		return ErrDivideByZero
+	}
+	return fmt.Errorf("interp: bad operation %v", op)
+}
 
 func boolValue(b bool) Value {
 	if b {
@@ -138,47 +69,26 @@ func (c *compiler) builtin(v *minic.CallExpr) expr {
 			return body(fr.m, vals)
 		}}
 	}
-	math1 := func(f func(float64) (float64, error)) expr {
-		return run(doubleType, 1, func(_ *Machine, a []Value) (Value, error) {
-			out, err := f(a[0].Float())
-			return FloatValue(out), err
+	if f := sym.LookupMath(name); f != nil {
+		ty := doubleType
+		if f.IntResult {
+			ty = intType
+		}
+		return run(ty, f.Arity, func(_ *Machine, a []Value) (Value, error) {
+			var buf [2]sym.Value
+			nums := buf[:0]
+			for _, v := range a {
+				nums = append(nums, v.num())
+			}
+			out, err := f.Apply(nums)
+			var de sym.DomainError
+			if errors.As(err, &de) {
+				return Value{}, &minic.Error{Pos: pos, Msg: string(de)}
+			}
+			return numValue(out), err
 		})
 	}
 	switch name {
-	case "sqrt":
-		return math1(func(x float64) (float64, error) {
-			if x < 0 {
-				return 0, &minic.Error{Pos: pos, Msg: "sqrt of negative value"}
-			}
-			return math.Sqrt(x), nil
-		})
-	case "fabs":
-		return math1(func(x float64) (float64, error) { return math.Abs(x), nil })
-	case "exp":
-		return math1(func(x float64) (float64, error) { return math.Exp(x), nil })
-	case "log":
-		return math1(func(x float64) (float64, error) {
-			if x <= 0 {
-				return 0, &minic.Error{Pos: pos, Msg: "log of non-positive value"}
-			}
-			return math.Log(x), nil
-		})
-	case "floor":
-		return math1(func(x float64) (float64, error) { return math.Floor(x), nil })
-	case "ceil":
-		return math1(func(x float64) (float64, error) { return math.Ceil(x), nil })
-	case "pow":
-		return run(doubleType, 2, func(_ *Machine, a []Value) (Value, error) {
-			return FloatValue(math.Pow(a[0].Float(), a[1].Float())), nil
-		})
-	case "abs":
-		return run(intType, 1, func(_ *Machine, a []Value) (Value, error) {
-			x := int32(a[0].Int())
-			if x < 0 {
-				x = -x
-			}
-			return IntValue(int64(x)), nil
-		})
 	case "rand":
 		// xorshift64*: deterministic and seedable, standing in for libc
 		// rand. Its arguments, if any, are never evaluated.

@@ -985,19 +985,17 @@ func (c *compiler) assign(v *minic.AssignExpr) expr {
 
 func (c *compiler) incDec(v *minic.IncDecExpr) expr {
 	l := c.lvalue(v.X)
-	delta := int64(1)
+	delta := int32(1)
 	if v.Decr {
 		delta = -1
 	}
 	sz, prefix := elemCells(l.ty), v.Prefix
 	next := func(old Value) Value {
-		switch old.kind {
-		case CellFloat:
-			return FloatValue(old.float() + float64(delta))
-		case CellPtr:
-			return ptrStep(old, delta, sz)
+		if old.kind == CellPtr {
+			return ptrStep(old, int64(delta), sz)
 		}
-		return IntValue(int64(int32(old.i) + int32(delta)))
+		out, _ := sym.ApplyBinary(sym.OpAdd, old.num(), sym.IntVal(delta))
+		return numValue(out)
 	}
 	if l.slot >= 0 {
 		s, kind := l.slot, l.kind
@@ -1051,18 +1049,14 @@ func (c *compiler) unary(v *minic.UnExpr) expr {
 		if err != nil {
 			return Value{}, err
 		}
-		switch op {
-		case sym.OpNeg:
-			if val.kind == CellFloat {
-				return FloatValue(-val.float()), nil
+		if val.kind == CellPtr {
+			if op != sym.OpLNot {
+				return Value{}, fmt.Errorf("interp: bad pointer operation %v", op)
 			}
-			return IntValue(int64(-int32(val.Int()))), nil
-		case sym.OpNot:
-			return IntValue(int64(^int32(val.Int()))), nil
-		case sym.OpLNot:
-			return boolValue(val.IsZero()), nil
+			return boolValue(val.ptr.IsNil()), nil
 		}
-		return Value{}, fmt.Errorf("interp: bad unary %v", op)
+		out, err := sym.ApplyUnary(op, val.num())
+		return numValue(out), opError(op, err)
 	}}
 }
 

@@ -10,10 +10,11 @@
 // and the printed output of one run, and any number of machines may share
 // one Program. Scalars whose address is never taken live in a per-call
 // frame of Values; arrays, structs and address-taken scalars are Objects of
-// typed cells, fresh each time their declaration runs. Int arithmetic
-// wraps at 32 bits in every intermediate result, as the symbolic engine's
-// constant folding does, and pointer arithmetic (p + n, p++, p += n) steps
-// by the element size in cells.
+// typed cells, fresh each time their declaration runs. Numbers compute
+// through sym's operator table, as the symbolic engine's constant folding
+// does (int arithmetic wraps at 32 bits in every intermediate result), and
+// pointer arithmetic (p + n, p++, p += n) steps by the element size in
+// cells.
 //
 // Every statement, every expression and every loop iteration costs one
 // step of the MaxSteps budget, and an error a node can raise (undeclared
@@ -28,6 +29,7 @@ import (
 	"strconv"
 
 	"privacyscope/internal/minic"
+	"privacyscope/internal/sym"
 )
 
 // Interpreter errors.
@@ -84,10 +86,10 @@ func PtrValue(p Pointer) Value { return Value{kind: CellPtr, ptr: p} }
 // Kind returns the value's storage class.
 func (v Value) Kind() CellKind { return v.kind }
 
-// Int returns the value as int64 (floats truncate).
+// Int returns the value as int64 (floats convert by sym.ToInt32).
 func (v Value) Int() int64 {
 	if v.kind == CellFloat {
-		return int64(v.float())
+		return int64(sym.ToInt32(v.float()))
 	}
 	return v.i
 }
@@ -101,6 +103,23 @@ func (v Value) Float() float64 {
 }
 
 func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
+
+// num returns a number as the operand sym's operator table takes; an int
+// wraps to 32 bits.
+func (v Value) num() sym.Value {
+	if v.kind == CellFloat {
+		return sym.FloatVal(v.float())
+	}
+	return sym.IntVal(int32(v.i))
+}
+
+// numValue returns a result of sym's operator table as a Value.
+func numValue(n sym.Value) Value {
+	if n.IsFloat {
+		return FloatValue(n.F)
+	}
+	return IntValue(int64(n.I))
+}
 
 // Ptr returns the pointer payload (zero Pointer when not a pointer).
 func (v Value) Ptr() Pointer { return v.ptr }
@@ -222,8 +241,8 @@ func zeroOf(k CellKind) Value {
 	}
 }
 
-// coerce converts v to cell kind k with C semantics: floats truncate to
-// ints, chars wrap to 8 bits, ints widen to floats exactly.
+// coerce converts v to cell kind k with C semantics: floats convert to ints
+// by sym.ToInt32, chars wrap to 8 bits, ints widen to floats exactly.
 func coerce(v Value, k CellKind) Value {
 	switch k {
 	case CellInt:

@@ -3,17 +3,18 @@ package minic
 import (
 	"fmt"
 	"strings"
+
+	"privacyscope/internal/sym"
 )
 
 // DefaultBuiltins lists library functions the analysis engines give
-// semantics to (math, memory and the SGX/IPP intrinsics of §VI-B). Code may
-// call them without defining them.
-var DefaultBuiltins = []string{
-	"sqrt", "fabs", "abs", "exp", "log", "pow", "floor", "ceil",
+// semantics to (sym's math builtins, memory and the SGX/IPP intrinsics of
+// §VI-B). Code may call them without defining them.
+var DefaultBuiltins = append(sym.MathNames(),
 	"memcpy", "memset", "malloc", "free", "rand", "srand", "printf",
 	"sgx_rijndael128GCM_decrypt", "sgx_rijndael128GCM_encrypt",
 	"sgx_read_rand", "ocall_print",
-}
+)
 
 // CheckError aggregates semantic errors found in one file.
 type CheckError struct {

@@ -151,11 +151,8 @@ func (st *concreteState) eval(e Exp) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := sym.Eval(sym.NewUnary(v.Op, sym.IntConst{V: x}), nil)
-		if err != nil {
-			return 0, err
-		}
-		return res.AsInt(), nil
+		res, err := sym.ApplyUnary(v.Op, sym.IntVal(x))
+		return res.I, err
 	case *Binop:
 		l, err := st.eval(v.L)
 		if err != nil {
@@ -174,11 +171,8 @@ func (st *concreteState) eval(e Exp) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := sym.Eval(sym.NewBinary(v.Op, sym.IntConst{V: l}, sym.IntConst{V: r}), nil)
-		if err != nil {
-			return 0, err
-		}
-		return res.AsInt(), nil
+		res, err := sym.ApplyBinary(v.Op, sym.IntVal(l), sym.IntVal(r))
+		return res.I, err
 	default:
 		return 0, fmt.Errorf("priml: unknown expression %T", e)
 	}

@@ -90,15 +90,22 @@ func (pc *PathCondition) Taint() taint.Label {
 	return taint.FromTags(pc.SecretTags())
 }
 
+// maxRenderedConjunct bounds each conjunct String renders. A conjunct's
+// full rendering is exponential in its DAG depth; the cap keeps rendering
+// O(cap) per conjunct while staying above every conjunct the report golden
+// prints in full.
+const maxRenderedConjunct = 512
+
 // String renders π as in Table IV: "True" when empty, otherwise the
-// conjunction joined with " ∧ ".
+// conjunction joined with " ∧ ", each conjunct cut at maxRenderedConjunct
+// bytes.
 func (pc *PathCondition) String() string {
 	if pc.n == 0 {
 		return "True"
 	}
 	parts := make([]string, pc.n)
 	for i, e := range pc.Conjuncts() {
-		parts[i] = sym.Render(e, 0)
+		parts[i] = sym.Render(e, maxRenderedConjunct)
 	}
 	return strings.Join(parts, " ∧ ")
 }

@@ -90,14 +90,3 @@ func TestCallNotAffine(t *testing.T) {
 		t.Error("sqrt(s) must not be affine")
 	}
 }
-
-func TestCallNotConcreteWithSymbols(t *testing.T) {
-	b := newTestBuilder()
-	s := b.FreshSecret("")
-	if IsConcrete(NewCall("sqrt", []Expr{s})) {
-		t.Error("sqrt(s) must not be concrete")
-	}
-	if !IsConcrete(&Call{Name: "mystery", Args: []Expr{IntConst{V: 1}}}) {
-		t.Error("mystery(1) is concrete (all args concrete)")
-	}
-}

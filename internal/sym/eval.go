@@ -41,12 +41,20 @@ func (v Value) AsFloat() float64 {
 	return float64(v.I)
 }
 
-// AsInt returns the value as int32 (floats truncate toward zero).
+// AsInt returns the value as int32 (floats convert by ToInt32).
 func (v Value) AsInt() int32 {
 	if v.IsFloat {
-		return int32(v.F)
+		return ToInt32(v.F)
 	}
 	return v.I
+}
+
+// Const returns the value as a constant expression.
+func (v Value) Const() Expr {
+	if v.IsFloat {
+		return FloatConst{V: v.F}
+	}
+	return IntConst{V: v.I}
 }
 
 // IsZero reports whether the value is numerically zero.
@@ -116,7 +124,7 @@ func evalNode(e Expr, b Binding, cache map[Expr]Value) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return evalUnary(v.Op, x)
+		return ApplyUnary(v.Op, x)
 	case *Binary:
 		l, err := evalMemo(v.L, b, cache)
 		if err != nil {
@@ -133,7 +141,7 @@ func evalNode(e Expr, b Binding, cache map[Expr]Value) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return evalBinary(v.Op, l, r)
+		return ApplyBinary(v.Op, l, r)
 	case *Call:
 		args := make([]Value, len(v.Args))
 		for i, a := range v.Args {
@@ -143,126 +151,9 @@ func evalNode(e Expr, b Binding, cache map[Expr]Value) (Value, error) {
 			}
 			args[i] = av
 		}
-		out, err := evalMath(v.Name, args)
-		if err != nil {
-			return Value{}, err
-		}
-		return FloatVal(out), nil
+		return ApplyMath(v.Name, args)
 	default:
 		return Value{}, fmt.Errorf("sym: cannot evaluate %T", e)
-	}
-}
-
-func evalUnary(op Op, x Value) (Value, error) {
-	switch op {
-	case OpNeg:
-		if x.IsFloat {
-			return FloatVal(-x.F), nil
-		}
-		return IntVal(-x.I), nil
-	case OpNot:
-		return IntVal(^x.AsInt()), nil
-	case OpLNot:
-		if x.IsZero() {
-			return IntVal(1), nil
-		}
-		return IntVal(0), nil
-	default:
-		return Value{}, fmt.Errorf("sym: bad unary op %v", op)
-	}
-}
-
-func boolVal(b bool) Value {
-	if b {
-		return IntVal(1)
-	}
-	return IntVal(0)
-}
-
-func evalBinary(op Op, l, r Value) (Value, error) {
-	if l.IsFloat || r.IsFloat {
-		return evalFloatBinary(op, l.AsFloat(), r.AsFloat())
-	}
-	a, c := l.I, r.I
-	switch op {
-	case OpAdd:
-		return IntVal(a + c), nil
-	case OpSub:
-		return IntVal(a - c), nil
-	case OpMul:
-		return IntVal(a * c), nil
-	case OpDiv:
-		if c == 0 {
-			return Value{}, ErrDivideByZero
-		}
-		return IntVal(a / c), nil
-	case OpRem:
-		if c == 0 {
-			return Value{}, ErrDivideByZero
-		}
-		return IntVal(a % c), nil
-	case OpAnd:
-		return IntVal(a & c), nil
-	case OpOr:
-		return IntVal(a | c), nil
-	case OpXor:
-		return IntVal(a ^ c), nil
-	case OpShl:
-		return IntVal(a << (uint32(c) & 31)), nil
-	case OpShr:
-		return IntVal(a >> (uint32(c) & 31)), nil
-	case OpEq:
-		return boolVal(a == c), nil
-	case OpNe:
-		return boolVal(a != c), nil
-	case OpLt:
-		return boolVal(a < c), nil
-	case OpLe:
-		return boolVal(a <= c), nil
-	case OpGt:
-		return boolVal(a > c), nil
-	case OpGe:
-		return boolVal(a >= c), nil
-	case OpLAnd:
-		return boolVal(a != 0 && c != 0), nil
-	case OpLOr:
-		return boolVal(a != 0 || c != 0), nil
-	default:
-		return Value{}, fmt.Errorf("sym: bad binary op %v", op)
-	}
-}
-
-func evalFloatBinary(op Op, a, c float64) (Value, error) {
-	switch op {
-	case OpAdd:
-		return FloatVal(a + c), nil
-	case OpSub:
-		return FloatVal(a - c), nil
-	case OpMul:
-		return FloatVal(a * c), nil
-	case OpDiv:
-		if c == 0 {
-			return Value{}, ErrDivideByZero
-		}
-		return FloatVal(a / c), nil
-	case OpEq:
-		return boolVal(a == c), nil
-	case OpNe:
-		return boolVal(a != c), nil
-	case OpLt:
-		return boolVal(a < c), nil
-	case OpLe:
-		return boolVal(a <= c), nil
-	case OpGt:
-		return boolVal(a > c), nil
-	case OpGe:
-		return boolVal(a >= c), nil
-	case OpLAnd:
-		return boolVal(a != 0 && c != 0), nil
-	case OpLOr:
-		return boolVal(a != 0 || c != 0), nil
-	default:
-		return Value{}, fmt.Errorf("sym: bad float binary op %v", op)
 	}
 }
 
@@ -297,10 +188,7 @@ func substNode(e Expr, b Binding, memo map[Expr]Expr) Expr {
 		if !ok {
 			return e
 		}
-		if val.IsFloat {
-			return FloatConst{V: val.F}
-		}
-		return IntConst{V: val.I}
+		return val.Const()
 	case *Unary:
 		return NewUnary(v.Op, substMemo(v.X, b, memo))
 	case *Binary:

@@ -122,7 +122,7 @@ func TestFoldEvalAgreement(t *testing.T) {
 		if !ok {
 			return false
 		}
-		evaluated, err := evalBinary(op, IntVal(a), IntVal(b))
+		evaluated, err := ApplyBinary(op, IntVal(a), IntVal(b))
 		if err != nil {
 			return false
 		}

@@ -291,27 +291,6 @@ func TaintOf(e Expr) taint.Label {
 	return taint.FromTags(SecretTags(e))
 }
 
-// IsConcrete reports whether e contains no symbols.
-func IsConcrete(e Expr) bool {
-	switch v := e.(type) {
-	case IntConst, FloatConst:
-		return true
-	case *Binary:
-		return IsConcrete(v.L) && IsConcrete(v.R)
-	case *Unary:
-		return IsConcrete(v.X)
-	case *Call:
-		for _, a := range v.Args {
-			if !IsConcrete(a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // Equal reports structural equality of two expressions. Identical node
 // pointers short-circuit and compared pairs are memoized, so the walk stays
 // polynomial on shared DAGs.

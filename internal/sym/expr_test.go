@@ -102,17 +102,6 @@ func TestFreeSymbolsOrderedDistinct(t *testing.T) {
 	}
 }
 
-func TestIsConcrete(t *testing.T) {
-	b := newTestBuilder()
-	s := b.FreshSecret("")
-	if !IsConcrete(NewBinary(OpAdd, IntConst{V: 1}, FloatConst{V: 2})) {
-		t.Error("const expr must be concrete")
-	}
-	if IsConcrete(NewBinary(OpAdd, IntConst{V: 1}, s)) {
-		t.Error("symbolic expr must not be concrete")
-	}
-}
-
 func TestEqualAndKey(t *testing.T) {
 	b := newTestBuilder()
 	s := b.FreshSecret("")
@@ -346,5 +335,31 @@ func TestContainsFloatThroughCall(t *testing.T) {
 	e := NewBinary(OpSub, c, c)
 	if _, ok := e.(IntConst); ok {
 		t.Error("float-bearing x-x must not fold to integer 0")
+	}
+}
+
+// The identities gated on containsFloat must cost a DAG's distinct nodes:
+// x = x*x + x forty times over has 2^40 root-to-leaf paths.
+func TestFloatGatedIdentitiesOnSharedDAG(t *testing.T) {
+	b := newTestBuilder()
+	var x Expr = b.FreshSecret("")
+	for i := 0; i < 40; i++ {
+		x = NewBinary(OpAdd, NewBinary(OpMul, x, x), x)
+	}
+	if got := NewBinary(OpSub, x, x); got != (IntConst{V: 0}) {
+		t.Errorf("x - x = %s, want 0", Render(got, 40))
+	}
+	if got := NewBinary(OpMul, x, IntConst{V: 0}); got != (IntConst{V: 0}) {
+		t.Errorf("x * 0 = %s, want 0", Render(got, 40))
+	}
+	if got := NewBinary(OpEq, x, x); got != (IntConst{V: 1}) {
+		t.Errorf("x == x = %s, want 1", Render(got, 40))
+	}
+	f := NewBinary(OpMul, x, FloatConst{V: 0.5})
+	if _, ok := NewBinary(OpMul, f, IntConst{V: 0}).(*Binary); !ok {
+		t.Error("a float x * 0 must stay symbolic: x may be Inf or NaN")
+	}
+	if _, ok := NewBinary(OpEq, f, f).(*Binary); !ok {
+		t.Error("a float x == x must stay symbolic: x may be NaN")
 	}
 }

@@ -5,32 +5,17 @@ package sym
 // engine always holds expressions in a lightly-normalized form; the paper's
 // trace tables (e.g. "2*s1 + 3*s2") come out of String() directly.
 
-// NewBinary builds op(l, r), folding constants and applying cheap algebraic
-// identities. Integer arithmetic wraps at 32 bits; division by a concrete
-// zero is left symbolic (the engine reports it as a path error separately).
+// NewBinary builds op(l, r), folding constants through ApplyBinary and
+// applying cheap algebraic identities otherwise. An operation on constants
+// that the table fails on, such as division by a concrete zero, is left
+// symbolic (the engine reports it as a path error separately).
 func NewBinary(op Op, l, r Expr) Expr {
-	if lc, ok := l.(IntConst); ok {
-		if rc, ok := r.(IntConst); ok {
-			if v, ok := foldInt(op, lc.V, rc.V); ok {
-				return IntConst{V: v}
+	if lv, ok := constValue(l); ok {
+		if rv, ok := constValue(r); ok {
+			if v, err := ApplyBinary(op, lv, rv); err == nil {
+				return v.Const()
 			}
-		}
-		if rc, ok := r.(FloatConst); ok {
-			if v, ok := foldFloat(op, float64(lc.V), rc.V); ok {
-				return v
-			}
-		}
-	}
-	if lc, ok := l.(FloatConst); ok {
-		switch rv := r.(type) {
-		case FloatConst:
-			if v, ok := foldFloat(op, lc.V, rv.V); ok {
-				return v
-			}
-		case IntConst:
-			if v, ok := foldFloat(op, lc.V, float64(rv.V)); ok {
-				return v
-			}
+			return &Binary{Op: op, L: l, R: r}
 		}
 	}
 	if e, ok := identity(op, l, r); ok {
@@ -39,128 +24,29 @@ func NewBinary(op Op, l, r Expr) Expr {
 	return &Binary{Op: op, L: l, R: r}
 }
 
-// NewUnary builds op(x) with constant folding.
+// NewUnary builds op(x), folding a constant operand through ApplyUnary.
 func NewUnary(op Op, x Expr) Expr {
-	switch v := x.(type) {
-	case IntConst:
-		switch op {
-		case OpNeg:
-			return IntConst{V: -v.V}
-		case OpNot:
-			return IntConst{V: ^v.V}
-		case OpLNot:
-			if v.V == 0 {
-				return IntConst{V: 1}
-			}
-			return IntConst{V: 0}
+	if xv, ok := constValue(x); ok {
+		if v, err := ApplyUnary(op, xv); err == nil {
+			return v.Const()
 		}
-	case FloatConst:
-		switch op {
-		case OpNeg:
-			return FloatConst{V: -v.V}
-		case OpLNot:
-			if v.V == 0 {
-				return IntConst{V: 1}
-			}
-			return IntConst{V: 0}
-		}
-	case *Unary:
-		// --x = x, ~~x = x, but !!x is NOT x (it normalizes to 0/1).
-		if v.Op == op && (op == OpNeg || op == OpNot) {
-			return v.X
-		}
+	}
+	// --x = x, ~~x = x, but !!x is NOT x (it normalizes to 0/1).
+	if v, ok := x.(*Unary); ok && v.Op == op && (op == OpNeg || op == OpNot) {
+		return v.X
 	}
 	return &Unary{Op: op, X: x}
 }
 
-func boolInt(b bool) (int32, bool) {
-	if b {
-		return 1, true
+// constValue returns a constant expression's value.
+func constValue(e Expr) (Value, bool) {
+	switch c := e.(type) {
+	case IntConst:
+		return IntVal(c.V), true
+	case FloatConst:
+		return FloatVal(c.V), true
 	}
-	return 0, true
-}
-
-func foldInt(op Op, a, b int32) (int32, bool) {
-	switch op {
-	case OpAdd:
-		return a + b, true
-	case OpSub:
-		return a - b, true
-	case OpMul:
-		return a * b, true
-	case OpDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case OpRem:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	case OpAnd:
-		return a & b, true
-	case OpOr:
-		return a | b, true
-	case OpXor:
-		return a ^ b, true
-	case OpShl:
-		return a << (uint32(b) & 31), true
-	case OpShr:
-		return a >> (uint32(b) & 31), true
-	case OpEq:
-		return boolInt(a == b)
-	case OpNe:
-		return boolInt(a != b)
-	case OpLt:
-		return boolInt(a < b)
-	case OpLe:
-		return boolInt(a <= b)
-	case OpGt:
-		return boolInt(a > b)
-	case OpGe:
-		return boolInt(a >= b)
-	case OpLAnd:
-		return boolInt(a != 0 && b != 0)
-	case OpLOr:
-		return boolInt(a != 0 || b != 0)
-	}
-	return 0, false
-}
-
-func foldFloat(op Op, a, b float64) (Expr, bool) {
-	switch op {
-	case OpAdd:
-		return FloatConst{V: a + b}, true
-	case OpSub:
-		return FloatConst{V: a - b}, true
-	case OpMul:
-		return FloatConst{V: a * b}, true
-	case OpDiv:
-		if b == 0 {
-			return nil, false
-		}
-		return FloatConst{V: a / b}, true
-	case OpEq:
-		v, _ := boolInt(a == b)
-		return IntConst{V: v}, true
-	case OpNe:
-		v, _ := boolInt(a != b)
-		return IntConst{V: v}, true
-	case OpLt:
-		v, _ := boolInt(a < b)
-		return IntConst{V: v}, true
-	case OpLe:
-		v, _ := boolInt(a <= b)
-		return IntConst{V: v}, true
-	case OpGt:
-		v, _ := boolInt(a > b)
-		return IntConst{V: v}, true
-	case OpGe:
-		v, _ := boolInt(a >= b)
-		return IntConst{V: v}, true
-	}
-	return nil, false
+	return Value{}, false
 }
 
 func isIntZero(e Expr) bool {
@@ -236,10 +122,9 @@ func identity(op Op, l, r Expr) (Expr, bool) {
 			}
 		}
 	case OpMul:
-		if isIntZero(l) || isIntZero(r) {
-			// x*0 = 0 is safe here: expressions are side-effect
-			// free (PRIML §V-A) and float operands cannot be NaN
-			// sources in this domain.
+		// x*0 = 0 holds for ints only: a float x may be ±Inf or NaN,
+		// and then x*0 is NaN.
+		if (isIntZero(l) && !containsFloat(r)) || (isIntZero(r) && !containsFloat(l)) {
 			return IntConst{V: 0}, true
 		}
 		if isIntOne(l) {
@@ -274,11 +159,11 @@ func identity(op Op, l, r Expr) (Expr, bool) {
 			return IntConst{V: 0}, true
 		}
 	case OpEq:
-		if Equal(l, r) {
+		if Equal(l, r) && !containsFloat(l) { // NaN == NaN is 0
 			return IntConst{V: 1}, true
 		}
 	case OpNe:
-		if Equal(l, r) {
+		if Equal(l, r) && !containsFloat(l) {
 			return IntConst{V: 0}, true
 		}
 	case OpLAnd:
@@ -354,17 +239,38 @@ func Negate(e Expr) Expr {
 	return NewUnary(OpLNot, truthOf(e))
 }
 
+// containsFloat reports whether e may compute a float: it holds a float
+// constant or a call (most math builtins return floats). Past a small tree
+// it remembers the nodes it has walked, so a DAG that shares subterms costs
+// its distinct nodes, not its exponential tree size.
 func containsFloat(e Expr) bool {
+	var f floatFinder
+	return f.in(e)
+}
+
+type floatFinder struct {
+	seen  map[Expr]bool // composites walked without finding a float
+	nodes int
+}
+
+func (f *floatFinder) in(e Expr) bool {
 	switch v := e.(type) {
-	case FloatConst:
+	case FloatConst, *Call:
 		return true
-	case *Binary:
-		return containsFloat(v.L) || containsFloat(v.R)
-	case *Unary:
-		return containsFloat(v.X)
-	case *Call:
-		return true // math builtins return floats
-	default:
-		return false
+	case *Binary, *Unary:
+		if f.nodes++; f.nodes > 64 {
+			if f.seen[e] {
+				return false
+			}
+			if f.seen == nil {
+				f.seen = make(map[Expr]bool)
+			}
+			f.seen[e] = true
+		}
+		if b, ok := v.(*Binary); ok {
+			return f.in(b.L) || f.in(b.R)
+		}
+		return f.in(v.(*Unary).X)
 	}
+	return false
 }

@@ -181,8 +181,8 @@ func (s *SumExpr) instantiate(in *Interner, args []Expr, memo map[*SumExpr]Expr)
 // constructor folds inspect operand *shape* and would fire differently
 // under an opaque placeholder than under the actual argument:
 //
-//   - the Equal-operand identities (x-x → 0, x^x → 0, x==x → 1, …) are
-//     gated on !containsFloat, so a float-carrying or call-carrying
+//   - the Equal-operand identities (x-x → 0, x==x → 1, …) and x*0 → 0
+//     are gated on !containsFloat, so a float-carrying or call-carrying
 //     argument would suppress at a call site a fold the skeleton already
 //     committed to;
 //   - the logical identities route operands through truthOf, which passes

@@ -12,7 +12,7 @@ package sym
 // a failure flag, and answers exactly as Eval on the span's expression
 // does: a node fails when an operand it reads fails, on division by zero,
 // on an unbound symbol, on an operand of a type Eval cannot evaluate, and
-// when evalMath rejects a call. The left operand decides first: && and ||
+// when ApplyMath rejects a call. The left operand decides first: && and ||
 // that it settles ignore their right operand, failed or not, as Eval's
 // short circuit never evaluates it. Values are pure functions of the
 // symbol values, so computing a skipped arm anyway changes no answer.
@@ -24,8 +24,8 @@ type Tape struct {
 	nodes []tapeNode
 	vals  []Value
 	fail  []bool
-	args  []int32  // call operands: node indices, one run per call node
-	names []string // call names
+	args  []int32     // call operands: node indices, one run per call node
+	funcs []*MathFunc // called builtins
 	// slotOf numbers the symbols by ID; slotVals and bound hold their
 	// values (see Set).
 	slotOf   map[int]int32
@@ -50,8 +50,8 @@ const (
 	nodeSym                    // a: slot
 	nodeUnary                  // a: operand
 	nodeBinary                 // a, b: operands
-	nodeCall                   // args[a:b], names[c]
-	nodeBad                    // an operand Eval cannot evaluate: always fails
+	nodeCall                   // args[a:b], funcs[c]
+	nodeBad                    // a node Eval cannot evaluate: always fails
 )
 
 type tapeNode struct {
@@ -63,7 +63,7 @@ type tapeNode struct {
 // Reset empties the tape, keeping its buffers.
 func (t *Tape) Reset() {
 	t.nodes, t.vals, t.fail = t.nodes[:0], t.vals[:0], t.fail[:0]
-	t.args, t.names = t.args[:0], t.names[:0]
+	t.args, t.funcs = t.args[:0], t.funcs[:0]
 	t.slotVals, t.bound = t.slotVals[:0], t.bound[:0]
 	clear(t.slotOf)
 	clear(t.index)
@@ -127,13 +127,18 @@ func (t *Tape) node(e Expr) int32 {
 		l := t.node(v.L)
 		n = tapeNode{kind: nodeBinary, op: v.Op, a: l, b: t.node(v.R)}
 	case *Call:
+		f := LookupMath(v.Name)
+		if f == nil || len(v.Args) != f.Arity {
+			n = tapeNode{kind: nodeBad}
+			break
+		}
 		ops := make([]int32, len(v.Args))
 		for i, a := range v.Args {
 			ops[i] = t.node(a)
 		}
-		n = tapeNode{kind: nodeCall, a: int32(len(t.args)), b: int32(len(t.args) + len(ops)), c: int32(len(t.names))}
+		n = tapeNode{kind: nodeCall, a: int32(len(t.args)), b: int32(len(t.args) + len(ops)), c: int32(len(t.funcs))}
 		t.args = append(t.args, ops...)
-		t.names = append(t.names, v.Name)
+		t.funcs = append(t.funcs, f)
 	default:
 		return t.push(tapeNode{kind: nodeBad}, Value{})
 	}
@@ -160,7 +165,7 @@ func (t *Tape) Eval(s Span) (Value, bool) {
 			v, ok = t.slotVals[n.a], t.bound[n.a]
 		case nodeUnary:
 			if ok = !t.fail[n.a]; ok {
-				v, err = evalUnary(n.op, t.vals[n.a])
+				v, err = ApplyUnary(n.op, t.vals[n.a])
 				ok = err == nil
 			}
 		case nodeBinary:
@@ -175,7 +180,7 @@ func (t *Tape) Eval(s Span) (Value, bool) {
 			case t.fail[n.b]:
 				ok = false
 			default:
-				v, err = evalBinary(n.op, l, t.vals[n.b])
+				v, err = ApplyBinary(n.op, l, t.vals[n.b])
 				ok = err == nil
 			}
 		case nodeCall:
@@ -189,9 +194,8 @@ func (t *Tape) Eval(s Span) (Value, bool) {
 			}
 			t.argBuf = args
 			if ok {
-				var f float64
-				f, err = evalMath(t.names[n.c], args)
-				v, ok = FloatVal(f), err == nil
+				v, err = t.funcs[n.c].Apply(args)
+				ok = err == nil
 			}
 		case nodeBad:
 			ok = false

@@ -9,20 +9,13 @@ import (
 	"privacyscope/internal/sym"
 )
 
-// mathBuiltins are modeled as uninterpreted-but-foldable applications that
-// preserve argument taint.
-var mathBuiltins = map[string]bool{
-	"sqrt": true, "fabs": true, "abs": true, "exp": true, "log": true,
-	"pow": true, "floor": true, "ceil": true,
-}
-
 // isIntrinsic reports whether the engine has a native model for the
 // function (so statement-position calls must not bypass it).
 func isIntrinsic(opts Options, name string) bool {
 	if opts.Intrinsics[name] != nil {
 		return true
 	}
-	if mathBuiltins[name] {
+	if sym.IsMath(name) {
 		return true
 	}
 	if _, ok := opts.DecryptFuncs[name]; ok {
@@ -158,7 +151,9 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 		return e.evalDecrypt(st, v, dstIdx)
 	}
 
-	if mathBuiltins[v.Fun] {
+	// Math builtins are uninterpreted-but-foldable applications that
+	// preserve argument taint.
+	if f := sym.LookupMath(v.Fun); f != nil {
 		args := make([]sym.Expr, 0, len(v.Args))
 		for _, a := range v.Args {
 			val, _, err := e.eval(st, a)
@@ -167,9 +162,9 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 			}
 			args = append(args, scalarOf(val))
 		}
-		ty := minic.Type(minic.Basic{Kind: minic.Double})
-		if v.Fun == "abs" {
-			ty = intTy
+		ty := doubleType
+		if f.IntResult {
+			ty = intType
 		}
 		return e.itn.NewCall(v.Fun, args), ty, nil
 	}

@@ -895,7 +895,7 @@ func scalarOf(v mem.SVal) sym.Expr {
 func coerceSVal(v mem.SVal, ty minic.Type) mem.SVal {
 	if b, isBasic := ty.(minic.Basic); isBasic && b.IsInteger() {
 		if f, isF := v.(sym.FloatConst); isF {
-			return sym.IntConst{V: int32(f.V)}
+			return sym.IntConst{V: sym.ToInt32(f.V)}
 		}
 	}
 	return v

@@ -424,7 +424,7 @@ func concreteInt(x sym.Expr) (int, bool) {
 	case sym.IntConst:
 		return int(c.V), true
 	case sym.FloatConst:
-		return int(c.V), true
+		return int(sym.ToInt32(c.V)), true
 	}
 	return 0, false
 }
