@@ -19,15 +19,11 @@ help:
 	@echo "                committed report golden; scenario packs must flag the"
 	@echo "                seeded leakpacks (-race)"
 	@echo "golden-update   regenerate the root report and witness goldens"
-	@echo "                (testdata/) — only for an intended output change"
+	@echo "                (testdata/) and the evaluation counters golden"
+	@echo "                (internal/bench/testdata/) — only for an intended change"
 	@echo "chaos-smoke     kill a worker mid-batch; the fleet must fail soft (-race)"
-	@echo "bench-report    regenerate the paper's evaluation report"
-	@echo "bench-check     compare a fresh run against the committed BENCH_N.json;"
-	@echo "                deterministic engine columns must match exactly (CI fails"
-	@echo "                on drift), timing columns only warn inside tolerance"
-	@echo "bench-snapshot  refresh the committed BENCH_N.json in place — run this"
-	@echo "                (and commit the result) when an INTENDED engine change"
-	@echo "                shifts the deterministic counters and bench-check fails"
+	@echo "bench-report    print the paper's evaluation report (the counters of its"
+	@echo "                measured tables are pinned by the counters golden)"
 	@echo "psbench-test    vet + tests of the cmd/psbench benchmark module (its own"
 	@echo "                go.mod, so ./... from the root never builds it)"
 	@echo "bench           go test -bench over everything"
@@ -150,30 +146,21 @@ intern-smoke:
 detect-smoke:
 	go test -race -count=1 -run '^TestDetect' . ./internal/edl ./internal/server ./internal/bench
 
-# Regenerate the root goldens — the report golden and the witness golden —
-# from the current code. Run only when an output change is intended, and
-# review the diff before committing it.
+# Regenerate the goldens — the root report and witness goldens and the
+# evaluation counters golden (Table V, the scalability study, the summary,
+# detector and batch tables) — from the current code. Run only when an
+# output change is intended, and review the diff before committing it.
 .PHONY: golden-update
 golden-update:
 	go test -count=1 -run '^(TestDetectReportGolden|TestWitnessGolden)$$' . -update
+	go test -count=1 -run '^TestBenchCountersGolden$$' ./internal/bench -update
 
-# Regenerate the paper's evaluation report.
+# Print the paper's evaluation report. Its deterministic counters are
+# gated by TestBenchCountersGolden in the tier-1 suite; performance is
+# gated by psbench (cmd/psbench) alone.
 .PHONY: bench-report
 bench-report:
 	go run ./cmd/benchreport
-
-# Compare a fresh measured run against the latest committed BENCH_N.json
-# snapshot: deterministic engine counters must match exactly — this is a
-# FAILING gate, in CI too; timing columns only warn inside a 50% host
-# tolerance. When an intended engine change shifts the counters, refresh
-# the snapshot with `make bench-snapshot` and commit the result.
-.PHONY: bench-check
-bench-check:
-	go run ./cmd/benchreport -check "$$(ls BENCH_*.json | sort -V | tail -1)"
-
-.PHONY: bench-snapshot
-bench-snapshot:
-	go run ./cmd/benchreport -json > "$$(ls BENCH_*.json | sort -V | tail -1)"
 
 # The benchmark harness is a module of its own (cmd/psbench/go.mod), so the
 # root go build/vet/test never compile it; this target does, catching API

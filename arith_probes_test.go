@@ -61,6 +61,11 @@ func TestArithProbesAgree(t *testing.T) {
 		// folds for a float x.
 		{"float-times-zero", `double big = 1e308; double d = secrets[0] * big * big; double z = d * 0;
     if (z == z) output[0] = 0; else output[0] = secrets[0];`, true},
+		// A symbolic float assigned to an int truncates: 42 * 0.5 + 0.5
+		// is 21.5, which converts to 21, while over the reals y == 21
+		// and secrets[0] == 42 exclude each other.
+		{"symbolic-float-to-int", `int y = secrets[0] * 0.5 + 0.5;
+    if (y == 21 && secrets[0] == 42) output[0] = secrets[0]; else output[0] = 0;`, true},
 	}
 	for _, p := range probes {
 		t.Run(p.name, func(t *testing.T) {

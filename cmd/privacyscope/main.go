@@ -52,10 +52,7 @@ import (
 )
 
 func main() {
-	// First signal: cancel the analysis context so the run degrades to a
-	// partial-coverage report instead of dying mid-write. A second signal
-	// falls back to the default handler (immediate termination).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := interruptContext()
 	defer stop()
 	code, err := run(ctx, os.Args[1:], os.Stdout)
 	if err != nil {
@@ -63,6 +60,17 @@ func main() {
 		os.Exit(1)
 	}
 	os.Exit(code)
+}
+
+// interruptContext returns a context that the first SIGINT or SIGTERM
+// cancels, so the run degrades to a partial-coverage report instead of
+// dying mid-write. The cancellation also stops the signal relay at once:
+// a second signal gets the default handler and terminates the process,
+// even when the analysis is stuck in code that never checks the context.
+func interruptContext() (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	return ctx, stop
 }
 
 func run(ctx context.Context, args []string, out io.Writer) (code int, err error) {

@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"privacyscope"
 	"privacyscope/internal/mlsuite"
@@ -553,5 +560,73 @@ func TestRunInterruptedContext(t *testing.T) {
 	f := env.Functions[0]
 	if !f.Coverage.Truncated || f.Coverage.Reason != privacyscope.TruncCancelled {
 		t.Errorf("coverage = %+v, want truncated by cancellation", f.Coverage)
+	}
+}
+
+// signalHelperEnv makes TestSecondSignalTerminates act as the process it
+// signals.
+const signalHelperEnv = "PRIVACYSCOPE_SIGNAL_HELPER"
+
+// TestSecondSignalTerminates re-runs the test binary as a helper that sets
+// up main's interrupt context and then blocks without checking it, as an
+// analysis stuck in a long computation does. The first SIGINT cancels the
+// context; a second one must kill the helper by the default handler.
+func TestSecondSignalTerminates(t *testing.T) {
+	if os.Getenv(signalHelperEnv) == "1" {
+		_, stop := interruptContext()
+		defer stop()
+		fmt.Println("ready")
+		time.Sleep(time.Minute)
+		return
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("needs POSIX signals")
+	}
+	if signal.Ignored(os.Interrupt) {
+		// A child inherits an ignored SIGINT, and no signal would kill
+		// it. A handler here is reset to the default across exec.
+		signal.Notify(make(chan os.Signal, 1), os.Interrupt)
+		defer signal.Reset(os.Interrupt)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSecondSignalTerminates$", "-test.count=1")
+	cmd.Env = append(os.Environ(), signalHelperEnv+"=1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(stdout).ReadString('\n'); err != nil || line != "ready\n" {
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatalf("helper did not start: %q, %v", line, err)
+	}
+	done := make(chan struct{})
+	go func() { cmd.Wait(); close(done) }()
+
+	// The first signal cancels the context; the next ones, sent until the
+	// helper exits, must reach the default handler.
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case <-done:
+			ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus)
+			if !ok || !ws.Signaled() || ws.Signal() != syscall.SIGINT {
+				t.Fatalf("helper exited with %v, want death by SIGINT", cmd.ProcessState)
+			}
+			return
+		case <-tick.C:
+			cmd.Process.Signal(os.Interrupt)
+		case <-deadline:
+			cmd.Process.Kill()
+			<-done
+			t.Fatal("helper survived repeated SIGINTs: a signal after the first must terminate")
+		}
 	}
 }

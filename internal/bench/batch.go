@@ -20,15 +20,15 @@ import (
 type BatchBenchRow struct {
 	// Mode: "cold" (empty cache), "warm" (nothing changed), or
 	// "warm-1-modified" (one unit's source edited between runs).
-	Mode string `json:"mode"`
+	Mode string
 	// Units discovered in the project tree.
-	Units int `json:"units"`
+	Units int
 	// EngineAnalyses the run executed (batch.units.analyzed).
-	EngineAnalyses int64 `json:"engineAnalyses"`
+	EngineAnalyses int64
 	// DiskHits served from the persistent cache (diskcache.hits).
-	DiskHits int64 `json:"diskHits"`
+	DiskHits int64
 	// Seconds of whole-run wall clock.
-	Seconds float64 `json:"seconds"`
+	Seconds float64
 }
 
 // batchBenchTree materializes the study's project: the three Table V ML

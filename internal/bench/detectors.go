@@ -16,20 +16,20 @@ import (
 // comparing a pack's row against the baseline row prices that pack.
 type DetectorBenchRow struct {
 	// Config names the selection ("baseline", "+ocall-pointer", ..., "all").
-	Config string `json:"config"`
+	Config string
 	// Findings is the total finding count under this selection;
 	// PackFindings is the subset attributed to the scenario packs (the
 	// detect.findings counter).
-	Findings     int   `json:"findings"`
-	PackFindings int64 `json:"packFindings"`
+	Findings     int
+	PackFindings int64
 	// Paths/States pin that detectors never change the exploration itself —
 	// every selection shares one engine walk shape.
-	Paths  int `json:"paths"`
-	States int `json:"states"`
+	Paths  int
+	States int
 	// Seconds is the selection's wall clock over detectorBenchIters
 	// repeated analyses (timing column; repetition damps scheduler jitter
 	// on a sub-millisecond module).
-	Seconds float64 `json:"seconds"`
+	Seconds float64
 }
 
 // detectorBenchIters is how many times each selection analyzes the module;

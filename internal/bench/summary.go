@@ -26,30 +26,30 @@ import (
 // the wall clocks.
 type SummaryBenchRow struct {
 	// Name of the generated call graph ("deep-chain", "shared-helpers").
-	Name string `json:"name"`
+	Name string
 	// Helpers in the chain and Entries sharing it.
-	Helpers int `json:"helpers"`
-	Entries int `json:"entries"`
+	Helpers int
+	Entries int
 	// Findings/Paths/States are identical across both modes (checked).
-	Findings int `json:"findings"`
-	Paths    int `json:"paths"`
-	States   int `json:"states"`
+	Findings int
+	Paths    int
+	States   int
 	// SummariesComputed is the summary.computed counter of the summary run:
 	// one summary per helper, built once bottom-up and shared by every call
 	// site and every entry point.
-	SummariesComputed int64 `json:"summariesComputed"`
+	SummariesComputed int64
 	// InlineSteps is the statements the inline run executed; SummarySteps
 	// is the summary.steps.executed counter of the summary run: statements
 	// it actually executed, scratch builds included, without the replayed
 	// step accounting. StepReduction is their ratio (deterministic).
-	InlineSteps   int64   `json:"inlineSteps"`
-	SummarySteps  int64   `json:"summarySteps"`
-	StepReduction float64 `json:"stepReduction"`
+	InlineSteps   int64
+	SummarySteps  int64
+	StepReduction float64
 	// InlineSeconds/SummarySeconds are the two wall clocks;
 	// SpeedupVsInline is their ratio (host-dependent: a timing column).
-	InlineSeconds   float64 `json:"inlineSeconds"`
-	SummarySeconds  float64 `json:"summarySeconds"`
-	SpeedupVsInline float64 `json:"speedupVsInline"`
+	InlineSeconds   float64
+	SummarySeconds  float64
+	SpeedupVsInline float64
 }
 
 // SummaryBenchProgram generates the call-graph-heavy module: a chain of

@@ -12,10 +12,10 @@ import (
 
 // This file implements declassify_check (Algorithm 1 of the paper) as a
 // front-end-neutral kernel. The PRIML adapter drives it once per declassify
-// intrinsic executed by the shared symbolic engine; the MiniC checker uses
-// SingleTagLeak for its per-sink explicit policy (its implicit detection
+// intrinsic executed by the shared symbolic engine; the MiniC detectors use
+// SingleTagLeak for their per-sink explicit policy (the implicit detector
 // generalizes Alg. 1's two-sibling hashmap to arbitrary path pairs, see
-// checker.implicitChecks).
+// implicitDetector in internal/detect).
 //
 // The kernel is deliberately stateful in exactly the way Alg. 1 is: hm maps
 // the single secret tag of a path condition to the value a sibling path
@@ -69,8 +69,6 @@ type Alg1Violation struct {
 // Alg1 runs declassify_check across the paths of one exploration. Configure
 // the exported fields before the first Declassify call.
 type Alg1 struct {
-	// ImplicitCheck enables the hashmap-based implicit detection.
-	ImplicitCheck bool
 	// CustomPolicy, when set, runs at every declassify in addition to the
 	// built-in policy; a non-empty message reports an Alg1Custom violation
 	// (deduplicated per site+message across sibling paths).
@@ -94,10 +92,10 @@ type alg1Entry struct {
 	reported bool
 }
 
-// NewAlg1 returns a kernel with implicit checking enabled and no custom
-// policy; adjust the fields before use.
+// NewAlg1 returns a kernel with no custom policy; adjust the fields before
+// use.
 func NewAlg1() *Alg1 {
-	return &Alg1{ImplicitCheck: true, hm: make(map[taint.Tag]*alg1Entry)}
+	return &Alg1{hm: make(map[taint.Tag]*alg1Entry)}
 }
 
 // Declassify runs lines 1–13 of Alg. 1 for one declassify(value) executed
@@ -126,9 +124,6 @@ func (a *Alg1) Declassify(site int, pos minic.Pos, value sym.Expr, pi *solver.Pa
 			Pi:        pi,
 			Inversion: inv,
 		})
-		return
-	}
-	if !a.ImplicitCheck {
 		return
 	}
 	piTag, single := pi.Taint().Tag()

@@ -113,9 +113,6 @@ type Options struct {
 	MaxPaths int
 	// RecordTrace enables the Tables II/III simulation trace.
 	RecordTrace bool
-	// ImplicitCheck enables Alg. 1's hashmap-based implicit detection
-	// (ablation switch; on by default).
-	ImplicitCheck bool
 	// CustomPolicy, when set, is invoked at every declassify *in
 	// addition to* the built-in nonreversibility policy — the user
 	// extension hook the paper describes ("PRIML's formal semantics can
@@ -130,7 +127,7 @@ const DefaultMaxPaths = 4096
 
 // DefaultOptions returns the standard analyzer configuration.
 func DefaultOptions() Options {
-	return Options{RecordTrace: true, ImplicitCheck: true}
+	return Options{RecordTrace: true}
 }
 
 // Analyzer detects nonreversibility violations in PRIML programs.
@@ -164,7 +161,6 @@ func (an *Analyzer) Analyze(p *Program) (*Analysis, error) {
 		},
 	}
 	run.alg1 = core.NewAlg1()
-	run.alg1.ImplicitCheck = an.opts.ImplicitCheck
 	run.alg1.CustomPolicy = an.opts.CustomPolicy
 	run.alg1.SymbolForTag = run.symbolForTag
 	run.alg1.OnViolation = run.onViolation

@@ -253,19 +253,6 @@ if 1 == 1 then declassify(0) else declassify(h)`)
 	}
 }
 
-func TestImplicitCheckAblation(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ImplicitCheck = false
-	p := MustParse(example2)
-	res, err := NewAnalyzer(opts).Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Secure() {
-		t.Errorf("with ImplicitCheck off there must be no findings: %+v", res.Findings)
-	}
-}
-
 func TestPruneInfeasibleAblation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PruneInfeasible = true

@@ -236,6 +236,56 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestConcurrentDistinctSubmissions pins the other side of the dedup:
+// concurrent submissions of distinct modules share nothing, so each one
+// runs the engine once and none is a cache hit or a singleflight join.
+func TestConcurrentDistinctSubmissions(t *testing.T) {
+	s := New(Config{Workers: 4, QueueDepth: 16, CacheEntries: 16})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 8
+	var wg sync.WaitGroup
+	statuses := make([]int, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		name := fmt.Sprintf("f%d", i)
+		body, err := json.Marshal(AnalyzeRequest{
+			Source: strings.Replace(leakyC, "enclave_process_data", name, 1),
+			EDL:    strings.Replace(leakyEDL, "enclave_process_data", name, 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			statuses[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range statuses {
+		if code != http.StatusOK {
+			t.Errorf("request %d status = %d", i, code)
+		}
+	}
+	for name, want := range map[string]int64{
+		"server.analyses.executed":   n,
+		"server.cache.hits":          0,
+		"server.singleflight.shared": 0,
+	} {
+		if got := s.metrics.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestQueueFullBackpressure is acceptance criterion (c): a submission
 // arriving with all workers busy and the queue full gets 429.
 func TestQueueFullBackpressure(t *testing.T) {

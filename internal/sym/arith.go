@@ -16,7 +16,9 @@ import (
 //   - comparisons, && and || yield an int 0 or 1;
 //   - / and % by zero fail with ErrDivideByZero, for floats too;
 //   - %, &, |, ^, << and >> are undefined on a float operand;
-//   - a float converts to int as x86's cvttsd2si does (ToInt32).
+//   - a float converts to int as x86's cvttsd2si does (ToInt32, and the
+//     unary OpToInt that the engine puts where C converts a symbolic
+//     float to int).
 //
 // Callers phrase the errors for their own users.
 
@@ -127,7 +129,8 @@ func boolVal(b bool) Value {
 	return IntVal(0)
 }
 
-// ApplyUnary computes op x. ~ on a float complements its int conversion.
+// ApplyUnary computes op x. ~ on a float complements its int conversion;
+// (int) converts through ToInt32.
 func ApplyUnary(op Op, x Value) (Value, error) {
 	switch op {
 	case OpNeg:
@@ -139,6 +142,8 @@ func ApplyUnary(op Op, x Value) (Value, error) {
 		return IntVal(^x.AsInt()), nil
 	case OpLNot:
 		return boolVal(x.IsZero()), nil
+	case OpToInt:
+		return IntVal(ToInt32(x.AsFloat())), nil
 	}
 	return Value{}, errBadOperand
 }

@@ -25,7 +25,7 @@ var (
 	binaryOps = []sym.Op{sym.OpAdd, sym.OpSub, sym.OpMul, sym.OpDiv, sym.OpRem, sym.OpAnd, sym.OpOr,
 		sym.OpXor, sym.OpShl, sym.OpShr, sym.OpEq, sym.OpNe, sym.OpLt, sym.OpLe, sym.OpGt, sym.OpGe,
 		sym.OpLAnd, sym.OpLOr}
-	unaryOps = []sym.Op{sym.OpNeg, sym.OpNot, sym.OpLNot}
+	unaryOps = []sym.Op{sym.OpNeg, sym.OpNot, sym.OpLNot, sym.OpToInt}
 
 	// boundaryOperands are the operands where int32 wrap, truncation and
 	// float conversion show: the wrap boundaries of + and *, signed zero,
@@ -332,6 +332,8 @@ func TestArithTable(t *testing.T) {
 		{arithCase{op: sym.OpLAnd, args: []sym.Value{f(math.NaN()), i(1)}}, outcome{i(1), true}},
 		{arithCase{op: sym.OpNeg, args: []sym.Value{i(math.MinInt32)}}, outcome{i(math.MinInt32), true}},
 		{arithCase{op: sym.OpNot, args: []sym.Value{f(2.5)}}, outcome{i(-3), true}},
+		{arithCase{op: sym.OpToInt, args: []sym.Value{f(-2.5)}}, outcome{i(-2), true}},
+		{arithCase{op: sym.OpToInt, args: []sym.Value{f(3e9)}}, outcome{i(math.MinInt32), true}},
 		{arithCase{fn: "abs", args: []sym.Value{i(-5)}}, outcome{i(5), true}},
 		{arithCase{fn: "abs", args: []sym.Value{i(math.MinInt32)}}, outcome{i(math.MinInt32), true}},
 		{arithCase{fn: "abs", args: []sym.Value{f(-2.5)}}, outcome{i(2), true}},
@@ -383,6 +385,7 @@ func TestArithAllocatesNothing(t *testing.T) {
 		_, _ = sym.ApplyBinary(sym.OpDiv, sym.IntVal(1), sym.IntVal(0))
 		_, _ = sym.ApplyBinary(sym.OpRem, sym.FloatVal(1), sym.IntVal(2))
 		_, _ = sym.ApplyUnary(sym.OpNot, sym.FloatVal(2.5))
+		_, _ = sym.ApplyUnary(sym.OpToInt, sym.FloatVal(2.5))
 		_, _ = sym.ApplyMath("sqrt", args)
 		_, _ = sym.ApplyMath("abs", args)
 	})

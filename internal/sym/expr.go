@@ -44,9 +44,10 @@ const (
 	OpLAnd // logical &&
 	OpLOr  // logical ||
 
-	OpNeg  // unary -
-	OpNot  // unary ~ (bitwise complement)
-	OpLNot // unary !
+	OpNeg   // unary -
+	OpNot   // unary ~ (bitwise complement)
+	OpLNot  // unary !
+	OpToInt // (int): a float converted to int, as ToInt32 does
 )
 
 var opStrings = map[Op]string{
@@ -54,7 +55,7 @@ var opStrings = map[Op]string{
 	OpAnd: "&", OpOr: "|", OpXor: "^", OpShl: "<<", OpShr: ">>",
 	OpEq: "==", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
 	OpLAnd: "&&", OpLOr: "||",
-	OpNeg: "-", OpNot: "~", OpLNot: "!",
+	OpNeg: "-", OpNot: "~", OpLNot: "!", OpToInt: "(int)",
 }
 
 // String returns the C spelling of the operator.

@@ -169,7 +169,7 @@ func (e *Engine) AnalyzeFunction(ctx context.Context, name string, params []Para
 	if e.prog.Module != nil {
 		for _, g := range e.prog.Module.Globals {
 			if c, ok := constInit(g.Init); ok {
-				st.store.Bind(e.global(g), coerceSVal(c, g.Type))
+				st.store.Bind(e.global(g), e.convert(c, nil, g.Type))
 			}
 		}
 	}
@@ -601,11 +601,11 @@ func (e *Engine) straight(st *state, op ir.Op) (bool, error) {
 			reg := e.local(fr, d)
 			e.bindEnv(d.Name, reg)
 			if d.Init != nil {
-				val, _, err := e.eval(st, d.Init)
+				val, ty, err := e.eval(st, d.Init)
 				if err != nil {
 					return true, err
 				}
-				st.store.Bind(reg, coerceSVal(val, d.Type))
+				st.store.Bind(reg, e.convert(val, ty, d.Type))
 			}
 		}
 		return true, nil
@@ -890,13 +890,20 @@ func scalarOf(v mem.SVal) sym.Expr {
 	return sym.IntConst{V: 1}
 }
 
-// coerceSVal applies C narrowing when the declared type is integral and the
-// value folded to a float constant.
-func coerceSVal(v mem.SVal, ty minic.Type) mem.SVal {
-	if b, isBasic := ty.(minic.Basic); isBasic && b.IsInteger() {
-		if f, isF := v.(sym.FloatConst); isF {
-			return sym.IntConst{V: sym.ToInt32(f.V)}
-		}
+// convert applies C's conversion of a value of type from to the type to:
+// a float value, symbolic or folded, converts to an integral type through
+// sym.OpToInt. from may be nil (a global's literal initializer), and a
+// float constant converts whatever from says.
+func (e *Engine) convert(v mem.SVal, from, to minic.Type) mem.SVal {
+	if b, isBasic := to.(minic.Basic); !isBasic || !b.IsInteger() {
+		return v
+	}
+	x, isExpr := v.(sym.Expr)
+	if !isExpr {
+		return v
+	}
+	if _, isF := x.(sym.FloatConst); isF || minic.IsFloatType(from) {
+		return e.itn.NewUnary(sym.OpToInt, x)
 	}
 	return v
 }

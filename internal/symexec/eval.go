@@ -53,17 +53,20 @@ func (e *Engine) eval(st *state, x minic.Expr) (mem.SVal, minic.Type, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if v.Op != sym.OpNeg {
+			ty = intType // ~ and ! yield an int
+		}
 		return e.itn.NewUnary(v.Op, scalarOf(val)), ty, nil
 	case *minic.BinExpr:
 		return e.evalBinary(st, v)
 	case *minic.CondExpr:
 		return e.evalCond(st, v)
 	case *minic.CastExpr:
-		val, _, err := e.eval(st, v.X)
+		val, ty, err := e.eval(st, v.X)
 		if err != nil {
 			return nil, nil, err
 		}
-		return coerceSVal(val, v.To), v.To, nil
+		return e.convert(val, ty, v.To), v.To, nil
 	case *minic.SizeofExpr:
 		size := 0
 		if v.Ty != nil {
@@ -87,7 +90,7 @@ func (e *Engine) evalAssign(st *state, v *minic.AssignExpr) (mem.SVal, minic.Typ
 	if err != nil {
 		return nil, nil, err
 	}
-	rhs, _, err := e.eval(st, v.RHS)
+	rhs, rty, err := e.eval(st, v.RHS)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,8 +100,9 @@ func (e *Engine) evalAssign(st *state, v *minic.AssignExpr) (mem.SVal, minic.Typ
 			return nil, nil, err
 		}
 		rhs = e.itn.NewBinary(v.Op, scalarOf(cur), scalarOf(rhs))
+		rty = binResultType(v.Op, ty, rty)
 	}
-	out := coerceSVal(rhs, ty)
+	out := e.convert(rhs, rty, ty)
 	st.store.Bind(reg, out)
 	return out, ty, nil
 }
@@ -150,8 +154,7 @@ func (e *Engine) evalBinary(st *state, v *minic.BinExpr) (mem.SVal, minic.Type, 
 	if err != nil {
 		return nil, nil, err
 	}
-	_ = rty
-	return e.itn.NewBinary(v.Op, scalarOf(l), scalarOf(r)), binResultType(lty), nil
+	return e.itn.NewBinary(v.Op, scalarOf(l), scalarOf(r)), binResultType(v.Op, lty, rty), nil
 }
 
 // The result types of binary operators, boxed once.
@@ -160,8 +163,10 @@ var (
 	doubleType minic.Type = minic.Basic{Kind: minic.Double}
 )
 
-func binResultType(lty minic.Type) minic.Type {
-	if minic.IsFloatType(lty) {
+// binResultType is C's type of l op r: comparisons and logical operators
+// yield an int, and the other operators a double when an operand is one.
+func binResultType(op sym.Op, lty, rty minic.Type) minic.Type {
+	if !op.IsComparison() && !op.IsLogical() && (minic.IsFloatType(lty) || minic.IsFloatType(rty)) {
 		return doubleType
 	}
 	return intType

@@ -14,7 +14,7 @@ import (
 // (new checks, changed defaults, IR or engine semantics): the version feeds
 // the engine fingerprint, and the fingerprint keys every cached result, so
 // a semantics change automatically invalidates stale cache entries.
-const EngineVersion = "0.7.0"
+const EngineVersion = "0.7.1"
 
 // Fingerprint returns a short stable hash identifying the engine semantics
 // of this build: the engine version plus the default exploration bounds.
