@@ -43,33 +43,40 @@ func runProbe(t *testing.T, src string) int64 {
 // given secret 42, writes 42 out.
 func TestArithProbesAgree(t *testing.T) {
 	probes := []struct {
-		name, body string
-		leaks      bool
+		name, helpers, body string
+		leaks               bool
 	}{
 		// abs is int: abs(-5) / 2 is 2, not 2.5.
-		{"abs-int", `if (abs(-5) / 2 == 2) output[0] = secrets[0]; else output[0] = 0;`, true},
+		{"abs-int", "", `if (abs(-5) / 2 == 2) output[0] = secrets[0]; else output[0] = 0;`, true},
 		// abs(INT_MIN) wraps to INT_MIN.
-		{"abs-int-min", `if (abs(-2147483647 - 1) < 0) output[0] = secrets[0]; else output[0] = 0;`, true},
+		{"abs-int-min", "", `if (abs(-2147483647 - 1) < 0) output[0] = secrets[0]; else output[0] = 0;`, true},
 		// 3e9 is outside int32, so it converts to INT_MIN (x86
 		// cvttsd2si), not to 3e9 wrapped to 32 bits.
-		{"double-to-int-wrapped", `double d = 3000000000.0; int y = d;
+		{"double-to-int-wrapped", "", `double d = 3000000000.0; int y = d;
     if (y == -1294967296) output[0] = secrets[0]; else output[0] = 1;`, false},
-		{"double-to-int-min", `double d = 3000000000.0; int y = d;
+		{"double-to-int-min", "", `double d = 3000000000.0; int y = d;
     if (y == -2147483647 - 1) output[0] = secrets[0]; else output[0] = 1;`, true},
 		// A nonzero secret overflows d to ±Inf, and Inf * 0 is NaN,
 		// which is not equal to itself: neither x * 0 nor x == x
 		// folds for a float x.
-		{"float-times-zero", `double big = 1e308; double d = secrets[0] * big * big; double z = d * 0;
+		{"float-times-zero", "", `double big = 1e308; double d = secrets[0] * big * big; double z = d * 0;
     if (z == z) output[0] = 0; else output[0] = secrets[0];`, true},
 		// A symbolic float assigned to an int truncates: 42 * 0.5 + 0.5
 		// is 21.5, which converts to 21, while over the reals y == 21
 		// and secrets[0] == 42 exclude each other.
-		{"symbolic-float-to-int", `int y = secrets[0] * 0.5 + 0.5;
+		{"symbolic-float-to-int", "", `int y = secrets[0] * 0.5 + 0.5;
     if (y == 21 && secrets[0] == 42) output[0] = secrets[0]; else output[0] = 0;`, true},
+		// The same conversion happens when an int function returns a
+		// float and when a float is passed to an int parameter.
+		{"return-float-to-int", "int half(int x) { return x * 0.5 + 0.5; }\n",
+			`if (half(secrets[0]) == 21 && secrets[0] == 42) output[0] = secrets[0]; else output[0] = 0;`, true},
+		{"argument-float-to-int",
+			"void g(int x, int *out, int s) { if (x == 21 && s == 42) out[0] = s; else out[0] = 0; }\n",
+			`g(secrets[0] * 0.5 + 0.5, output, secrets[0]);`, true},
 	}
 	for _, p := range probes {
 		t.Run(p.name, func(t *testing.T) {
-			src := "void f(int *secrets, int *output) {\n    " + p.body + "\n}\n"
+			src := p.helpers + "void f(int *secrets, int *output) {\n    " + p.body + "\n}\n"
 			rep, err := AnalyzeEnclave(src, probeEDL)
 			if err != nil {
 				t.Fatal(err)

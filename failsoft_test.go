@@ -2,11 +2,13 @@ package privacyscope
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"privacyscope/internal/faultinject"
+	"privacyscope/internal/minic"
 )
 
 // A three-ECALL module: one leaky, one clean, one heavy (loop-bound work
@@ -316,5 +318,36 @@ func TestAnalyzeFunctionContextDegrades(t *testing.T) {
 	}
 	if _, err := AnalyzeFunctionContext(context.Background(), failsoftC, "missing", nil); err == nil {
 		t.Error("unknown entry function must still return an error")
+	}
+}
+
+// TestDeepNestingIsAnError: a module nested past the parser's bound (here
+// 2,000,000 parentheses, which once overflowed the stack) is refused with
+// the parser's error, never analyzed into a report, and one level past the
+// bound is refused the same way.
+func TestDeepNestingIsAnError(t *testing.T) {
+	const edlSrc = `enclave { trusted { public int f([in] int *secrets); }; };`
+	// The body's statements sit at level 1, so k blocks nested around an
+	// empty statement reach level k+1.
+	blocks := func(k int) string {
+		return "int f(int *secrets) {\n" + strings.Repeat("{", k) + ";" + strings.Repeat("}", k) + "\n    return 0;\n}\n"
+	}
+	if _, err := AnalyzeEnclave(blocks(minic.MaxNesting-1), edlSrc); err != nil {
+		t.Fatalf("nesting at the bound: %v", err)
+	}
+	const n = 2_000_000
+	for name, src := range map[string]string{
+		"one level past": blocks(minic.MaxNesting),
+		"parentheses": "int f(int *secrets) {\n    return " + strings.Repeat("(", n) + "secrets[0]" +
+			strings.Repeat(")", n) + ";\n}\n",
+	} {
+		rep, err := AnalyzeEnclave(src, edlSrc)
+		var perr *minic.Error
+		if !errors.As(err, &perr) || !strings.Contains(perr.Msg, "nesting deeper than") {
+			t.Errorf("%s: err = %v, want the parser's nesting error", name, err)
+		}
+		if rep != nil {
+			t.Errorf("%s: got a %v report, want none", name, rep.Verdict())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -41,13 +42,11 @@ type Context struct {
 	// (differingPairs).
 	pairs map[string]int
 
-	// pcIDs and conjs memoize pcDiffTaint: each path condition's
-	// distinct conjunct IDs in ascending order, and per conjunct ID the
-	// conjunct and its secret tags. Detectors compare every pair of
+	// pcIDs memoizes pcDiffTaint: each path condition's distinct
+	// conjuncts in ascending ID order. Detectors compare every pair of
 	// observations, and each comparison is then a merge of two sorted
 	// slices. Allocated on the first comparison.
-	pcIDs map[*solver.PathCondition][]uint64
-	conjs map[uint64]conjunct
+	pcIDs map[*solver.PathCondition][]conjunct
 	// arena is the intern arena whose IDs are conjunct IDs (the first one
 	// seen; one engine run has one). keyIDs numbers the structural keys of
 	// the other conjuncts, above every arena ID.
@@ -95,11 +94,11 @@ func (rc *Context) knownIDs() map[int]bool {
 // discounting attacker-known inputs (§VIII-B). It returns the label and
 // whether prior knowledge was needed to reach a single tag.
 func (rc *Context) effectiveTaint(e sym.Expr) (taint.Label, bool) {
-	known := rc.knownIDs()
 	full := taint.FromTagsObserved(rc.Obs, sym.SecretTags(e))
-	if full.IsSingle() || full.IsBottom() || len(known) == 0 {
+	if !full.IsTop() || len(rc.Opts.KnownInputs) == 0 {
 		return full, false
 	}
+	known := rc.knownIDs()
 	var tags []taint.Tag
 	for _, s := range sym.FreeSymbols(e) {
 		if s.Secret() && !known[s.ID] {
@@ -150,9 +149,9 @@ func (rc *Context) pcDiffTaint(a, b *solver.PathCondition) (taint.Tag, bool) {
 	inA, inB := rc.keysOf(a), rc.keysOf(b)
 	tags := rc.tagBuf[:0]
 	diff := false
-	add := func(id uint64) {
+	add := func(c conjunct) {
 		diff = true
-		for _, tg := range rc.tagsOf(id) {
+		for _, tg := range sym.SecretTags(c.e) {
 			if !slices.Contains(tags, tg) {
 				tags = append(tags, tg)
 			}
@@ -161,10 +160,10 @@ func (rc *Context) pcDiffTaint(a, b *solver.PathCondition) (taint.Tag, bool) {
 	i, j := 0, 0
 	for i < len(inA) && j < len(inB) {
 		switch x, y := inA[i], inB[j]; {
-		case x == y:
+		case x.id == y.id:
 			i++
 			j++
-		case x < y:
+		case x.id < y.id:
 			add(x)
 			i++
 		default:
@@ -185,33 +184,30 @@ func (rc *Context) pcDiffTaint(a, b *solver.PathCondition) (taint.Tag, bool) {
 	return taint.FromTagsObserved(rc.Obs, tags).Tag()
 }
 
-// conjunct is one distinct conjunct of the compared path conditions; its
-// tags are computed on its first difference.
+// conjunct is one distinct conjunct of the compared path conditions.
 type conjunct struct {
-	e      sym.Expr
-	tags   []taint.Tag
-	tagged bool
+	id uint64
+	e  sym.Expr
 }
 
 // fallbackIDs is the first ID keysOf gives a conjunct by structural key:
 // arena IDs count up from 1 and stay below it.
 const fallbackIDs = 1 << 63
 
-// keysOf returns pc's distinct conjunct IDs in ascending order, computed
+// keysOf returns pc's distinct conjuncts in ascending ID order, computed
 // once per condition. A conjunct canonical in the run's intern arena is
 // named by its intern ID (one node per structure); any other conjunct (a
 // leaf, a node the arena could not intern, or a node of another arena) by
 // its sym.Key.
-func (rc *Context) keysOf(pc *solver.PathCondition) []uint64 {
+func (rc *Context) keysOf(pc *solver.PathCondition) []conjunct {
 	if ks, ok := rc.pcIDs[pc]; ok {
 		return ks
 	}
 	if rc.pcIDs == nil {
-		rc.pcIDs = make(map[*solver.PathCondition][]uint64)
-		rc.conjs = make(map[uint64]conjunct)
+		rc.pcIDs = make(map[*solver.PathCondition][]conjunct)
 	}
 	cs := pc.Conjuncts()
-	ks := make([]uint64, len(cs))
+	ks := make([]conjunct, len(cs))
 	for i, c := range cs {
 		id, arena := sym.InternID(c)
 		if rc.arena == nil {
@@ -220,13 +216,10 @@ func (rc *Context) keysOf(pc *solver.PathCondition) []uint64 {
 		if arena == nil || arena != rc.arena {
 			id = rc.keyID(c)
 		}
-		if _, ok := rc.conjs[id]; !ok {
-			rc.conjs[id] = conjunct{e: c}
-		}
-		ks[i] = id
+		ks[i] = conjunct{id: id, e: c}
 	}
-	slices.Sort(ks)
-	ks = slices.Compact(ks)
+	slices.SortFunc(ks, func(x, y conjunct) int { return cmp.Compare(x.id, y.id) })
+	ks = slices.CompactFunc(ks, func(x, y conjunct) bool { return x.id == y.id })
 	rc.pcIDs[pc] = ks
 	return ks
 }
@@ -243,17 +236,6 @@ func (rc *Context) keyID(c sym.Expr) uint64 {
 		rc.keyIDs[k] = id
 	}
 	return id
-}
-
-// tagsOf returns the secret tags of the conjunct with the given ID,
-// computed once per conjunct.
-func (rc *Context) tagsOf(id uint64) []taint.Tag {
-	c := rc.conjs[id]
-	if !c.tagged {
-		c.tags, c.tagged = sym.SecretTags(c.e), true
-		rc.conjs[id] = c
-	}
-	return c.tags
 }
 
 // pairBudget bounds the sibling-pair comparisons one detector makes in one

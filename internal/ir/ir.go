@@ -174,10 +174,13 @@ type SwitchCase struct {
 
 func (*SwitchOp) isOp() {}
 
-// ReturnOp returns from the function; X may be nil.
+// ReturnOp returns from the function; X may be nil. Type is the
+// function's declared return type, which the returned value converts to
+// (nil: no conversion).
 type ReturnOp struct {
 	Meta
-	X minic.Expr
+	X    minic.Expr
+	Type minic.Type
 }
 
 func (*ReturnOp) isOp() {}

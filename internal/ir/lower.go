@@ -25,6 +25,11 @@ func LowerMiniC(file *minic.File) *Program {
 		}
 		if fn.Body != nil {
 			f.Body = lowerBlock(fn.Body)
+			walkOps(f.Body, func(op Op) {
+				if r, ok := op.(*ReturnOp); ok {
+					r.Type = fn.Return
+				}
+			})
 			f.Calls = collectCalls(f.Body)
 			markFaintJoins(f, file.Globals)
 		}

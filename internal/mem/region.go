@@ -28,7 +28,7 @@ import (
 type Region interface {
 	// Key is a stable identifier that orders regions deterministically
 	// (the region itself is the map key: regions are hash-consed). It is
-	// built once, when the Manager creates the region.
+	// built on its first call, when a sort first asks for it, and kept.
 	Key() string
 	// String renders the region in the paper's Table IV notation
 	// (reg0, reg0[1], …).
@@ -45,13 +45,18 @@ type Region interface {
 
 // node is the bookkeeping every region carries.
 type node struct {
-	at  int // dense per-manager slot
-	key string
-	loc Loc // the region's address
+	at  int    // dense per-manager slot
+	key string // built by the region's Key on its first call
+	loc Loc    // the region's address
 }
 
-// Key implements Region.
-func (n *node) Key() string { return n.key }
+// cachedKey returns the region's key, building it on the first call.
+func (n *node) cachedKey(build func() string) string {
+	if n.key == "" {
+		n.key = build()
+	}
+	return n.key
+}
 
 // Addr implements Region.
 func (n *node) Addr() SVal { return &n.loc }
@@ -62,8 +67,15 @@ func (n *node) slot() int { return n.at }
 // or local in one call frame.
 type VarRegion struct {
 	node
-	id   int
+	id int
+	// Name is the source name the region is shown as in findings and
+	// input names; empty for a region shown as reg<N> (a param).
 	Name string
+}
+
+// Key implements Region.
+func (r *VarRegion) Key() string {
+	return r.cachedKey(func() string { return "v" + strconv.Itoa(r.id) })
 }
 
 // String implements Region.
@@ -85,6 +97,11 @@ type SymRegion struct {
 	DisplayName  string // e.g. "secrets" — used in Table IV style output
 }
 
+// Key implements Region.
+func (r *SymRegion) Key() string {
+	return r.cachedKey(func() string { return "sym" + strconv.Itoa(r.id) })
+}
+
 // String implements Region.
 func (r *SymRegion) String() string { return "SymRegion{" + r.DisplayName + "}" }
 
@@ -96,6 +113,11 @@ type ElementRegion struct {
 	node
 	super Region
 	Index int // concrete element index
+}
+
+// Key implements Region.
+func (r *ElementRegion) Key() string {
+	return r.cachedKey(func() string { return r.super.Key() + "[" + strconv.Itoa(r.Index) + "]" })
 }
 
 // String implements Region.
@@ -111,6 +133,11 @@ type FieldRegion struct {
 	node
 	super Region
 	Field string
+}
+
+// Key implements Region.
+func (r *FieldRegion) Key() string {
+	return r.cachedKey(func() string { return r.super.Key() + "." + r.Field })
 }
 
 // String implements Region.
@@ -182,19 +209,20 @@ func NewManager() *Manager {
 	}
 }
 
-// Var mints a new region for a variable named name. Every call returns a
-// distinct region: the caller keeps it for as long as the variable lives.
+// Var mints a new region for a variable shown as name (empty: shown as
+// reg<N>). Every call returns a distinct region: the caller keeps it for
+// as long as the variable lives.
 func (m *Manager) Var(name string) *VarRegion {
 	r := &VarRegion{id: m.nextID, Name: name}
-	m.add(r, &r.node, "v"+strconv.Itoa(m.nextID))
+	m.add(r, &r.node)
 	m.nextID++
 	return r
 }
 
-// add gives the new region r, whose bookkeeping is n, the next slot, its
-// key and its address.
-func (m *Manager) add(r Region, n *node, key string) {
-	n.at, n.key, n.loc.R = len(m.regions), key, r
+// add gives the new region r, whose bookkeeping is n, the next slot and
+// its address.
+func (m *Manager) add(r Region, n *node) {
+	n.at, n.loc.R = len(m.regions), r
 	m.regions = append(m.regions, r)
 }
 
@@ -205,7 +233,7 @@ func (m *Manager) SymBlock(pointee *sym.Symbol, display string, secret bool) *Sy
 		return r
 	}
 	r := &SymRegion{id: m.nextID, Pointee: pointee, DisplayName: display, SecretSource: secret}
-	m.add(r, &r.node, "sym"+strconv.Itoa(m.nextID))
+	m.add(r, &r.node)
 	m.nextID++
 	m.symRgs[k] = r
 	return r
@@ -218,7 +246,7 @@ func (m *Manager) Element(super Region, index int) *ElementRegion {
 		return r
 	}
 	r := &ElementRegion{super: super, Index: index}
-	m.add(r, &r.node, super.Key()+"["+strconv.Itoa(index)+"]")
+	m.add(r, &r.node)
 	m.elems[k] = r
 	return r
 }
@@ -230,7 +258,7 @@ func (m *Manager) Field(super Region, field string) *FieldRegion {
 		return r
 	}
 	r := &FieldRegion{super: super, Field: field}
-	m.add(r, &r.node, super.Key()+"."+field)
+	m.add(r, &r.node)
 	m.fields[k] = r
 	return r
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"testing"
+	"unsafe"
 
 	"privacyscope/internal/sym"
 	"privacyscope/internal/taint"
@@ -86,6 +87,33 @@ func TestRegionStringsAndKeys(t *testing.T) {
 	}
 	if v.Super() != nil || blk.Super() != nil {
 		t.Error("roots must have nil Super")
+	}
+}
+
+// TestRegionKeysAreLazy pins when a key is built: not when the Manager
+// mints the region, but on the region's first Key call, after which it is
+// kept. A variable region stays in its 64-byte size class.
+func TestRegionKeysAreLazy(t *testing.T) {
+	m := NewManager()
+	sb := newSymBuilder()
+	blk := m.SymBlock(sb.FreshPublic("p"), "buf", false)
+	v := m.Var("x")
+	el, fl := m.Element(blk, 2), m.Field(v, "w")
+	for _, n := range []*node{&blk.node, &v.node, &el.node, &fl.node} {
+		if n.key != "" {
+			t.Errorf("region %s has key %q before any Key call", n.loc.R, n.key)
+		}
+	}
+	for r, want := range map[Region]string{blk: "sym0", v: "v1", el: "sym0[2]", fl: "v1.w"} {
+		if got := r.Key(); got != want {
+			t.Errorf("%s: Key = %q, want %q", r, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { r.Key() }); n != 0 {
+			t.Errorf("%s: a second Key call allocates %.0f times", r, n)
+		}
+	}
+	if size := unsafe.Sizeof(VarRegion{}); size > 64 {
+		t.Errorf("VarRegion is %d bytes, past its 64-byte size class", size)
 	}
 }
 

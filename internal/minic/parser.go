@@ -42,7 +42,32 @@ type parser struct {
 	// lexErr is the first lexical error; the parser sees EOF from there.
 	lexErr  error
 	structs map[string]*StructType
+	// depth counts the nesting levels open on the parser's stack (see
+	// MaxNesting).
+	depth int
 }
+
+// MaxNesting bounds how deeply a source may nest statements and
+// expressions. The parser and every later pass recurse on the tree, and a
+// Go stack overflow is a fatal error that no panic isolation can catch, so
+// a deeper source is refused with a parse error instead. A statement
+// counts one level, and so does each assignment, conditional and unary
+// expression an expression opens: a prefix operator adds one level, a
+// pair of parentheses three. The bound is far above what real code nests
+// (4,000 nested ifs take about 8,000 levels), and far enough below what
+// overflows the stack that a module nested right up to it still analyzes.
+const MaxNesting = 250_000
+
+// nest enters one more level of nesting, failing past MaxNesting; the
+// caller defers p.unnest.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > MaxNesting {
+		return &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf("nesting deeper than %d levels", MaxNesting)}
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // la returns the token n places past the current one.
 func (p *parser) la(n int) Token {
@@ -391,6 +416,10 @@ func (p *parser) parseBlock() (*Block, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	tok := p.cur()
 	switch tok.Kind {
 	case LBrace:
@@ -593,6 +622,10 @@ var compoundOps = map[Kind]sym.Op{
 }
 
 func (p *parser) parseAssignExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	lhs, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -618,6 +651,10 @@ func (p *parser) parseAssignExpr() (Expr, error) {
 }
 
 func (p *parser) parseTernary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	cond, err := p.parseBin(1)
 	if err != nil {
 		return nil, err
@@ -684,6 +721,10 @@ func (p *parser) parseBin(minPrec int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	tok := p.cur()
 	switch tok.Kind {
 	case Minus:

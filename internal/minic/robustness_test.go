@@ -1,6 +1,8 @@
 package minic
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -77,5 +79,36 @@ func TestCheckerNeverPanicsOnParsedInput(t *testing.T) {
 			t.Fatalf("%q: %v", src, err)
 		}
 		_ = NewChecker(DefaultBuiltins).Check(f)
+	}
+}
+
+// TestParserBoundsNesting pins the nesting bound: blocks nested exactly
+// to MaxNesting parse, one level more is a parse error, and sources nested
+// far deeper in any recursive production fail the same way instead of
+// overflowing the stack.
+func TestParserBoundsNesting(t *testing.T) {
+	// The function body's statements sit at level 1, so k nested blocks
+	// around an empty statement reach level k+1.
+	blocks := func(k int) string {
+		return "void f(void) {" + strings.Repeat("{", k) + ";" + strings.Repeat("}", k) + "}\n"
+	}
+	if _, err := Parse(blocks(MaxNesting - 1)); err != nil {
+		t.Fatalf("%d levels: %v", MaxNesting, err)
+	}
+	const n = 300_000
+	for name, src := range map[string]string{
+		"one level past": blocks(MaxNesting),
+		"parentheses":    "int f(int x) { return " + strings.Repeat("(", n) + "x" + strings.Repeat(")", n) + "; }\n",
+		"unary":          "int f(int x) { return " + strings.Repeat("!", n) + "x; }\n",
+		"calls":          "int f(int x) { return " + strings.Repeat("f(", n) + "x" + strings.Repeat(")", n) + "; }\n",
+		"assignments":    "int f(int x) { " + strings.Repeat("x = ", n) + "x; return x; }\n",
+		"conditionals":   "int f(int x) { return " + strings.Repeat("x ? x : ", n) + "x; }\n",
+		"else-ifs":       "int f(int x) { " + strings.Repeat("if (x) x = 1; else ", n) + "x = 2; return x; }\n",
+	} {
+		_, err := Parse(src)
+		var perr *Error
+		if !errors.As(err, &perr) || !strings.Contains(perr.Msg, "nesting deeper than") {
+			t.Errorf("%s: err = %v, want the nesting error", name, err)
+		}
 	}
 }

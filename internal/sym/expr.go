@@ -7,11 +7,13 @@
 // parameter, or the output of a recognized decryption function) carries a
 // taint tag. The taint label of any expression is derived from its free
 // secret symbols (see DESIGN.md, design decision 1), which makes the
-// propagation tables of Fig. 2 hold by construction.
+// propagation tables of Fig. 2 hold by construction; an intern arena
+// computes it once per node, when it mints the node.
 package sym
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -202,8 +204,22 @@ func (b *Builder) FreshEntropy(name string) *Symbol {
 	return s
 }
 
-// HasEntropy reports whether e contains any in-enclave randomness.
+// HasEntropy reports whether e contains any in-enclave randomness. On a
+// node an intern arena minted it reads the node's label.
 func HasEntropy(e Expr) bool {
+	switch v := e.(type) {
+	case IntConst, FloatConst:
+		return false
+	case *Symbol:
+		return v.Entropy
+	}
+	if t := tagOf(e); t != nil {
+		return t.lab.entropy
+	}
+	return walkEntropy(e)
+}
+
+func walkEntropy(e Expr) bool {
 	for _, s := range FreeSymbols(e) {
 		if s.Entropy {
 			return true
@@ -272,24 +288,61 @@ func collectSymbols(e Expr, seen map[int]*Symbol, visited map[Expr]bool) {
 	}
 }
 
-// SecretTags returns the distinct taint tags of the secret symbols in e.
+// SecretTags returns the distinct taint tags of the secret symbols in e,
+// ascending. On a node an intern arena minted it reads the list the arena
+// stored with the node's label; callers must not modify it in place.
 func SecretTags(e Expr) []taint.Tag {
+	switch v := e.(type) {
+	case IntConst, FloatConst:
+		return nil
+	case *Symbol:
+		if v.Secret() {
+			return []taint.Tag{v.Tag}
+		}
+		return nil
+	}
+	if t := tagOf(e); t != nil && t.lab.kind != labWide {
+		return t.arena.tagsOf(t.lab)
+	}
+	return walkTags(e)
+}
+
+// walkTags collects e's secret tags from its free symbols.
+func walkTags(e Expr) []taint.Tag {
 	var tags []taint.Tag
-	seen := make(map[taint.Tag]bool)
 	for _, s := range FreeSymbols(e) {
-		if s.Secret() && !seen[s.Tag] {
-			seen[s.Tag] = true
+		if s.Secret() {
 			tags = append(tags, s.Tag)
 		}
 	}
-	return tags
+	slices.Sort(tags)
+	return slices.Compact(tags)
 }
 
 // TaintOf derives the taint label of an expression from its free secret
 // symbols: ⊥ for none, tᵢ for exactly one source, ⊤ for several. This is
-// the representation-level statement of Fig. 2.
+// the representation-level statement of Fig. 2. On a node an intern arena
+// minted it reads the node's label.
 func TaintOf(e Expr) taint.Label {
-	return taint.FromTags(SecretTags(e))
+	switch v := e.(type) {
+	case IntConst, FloatConst:
+		return taint.Bottom()
+	case *Symbol:
+		if v.Secret() {
+			return taint.Single(v.Tag)
+		}
+		return taint.Bottom()
+	}
+	if t := tagOf(e); t != nil {
+		switch t.lab.kind {
+		case labBottom:
+			return taint.Bottom()
+		case labSingle:
+			return taint.Single(taint.Tag(t.lab.tags))
+		}
+		return taint.Top()
+	}
+	return taint.FromTags(walkTags(e))
 }
 
 // Equal reports structural equality of two expressions. Identical node

@@ -69,10 +69,16 @@ func TestTaintOfDerivation(t *testing.T) {
 			taint.Top(),
 		},
 	}
+	// The walk over a structurally built node and the label an arena
+	// stores when it mints the node must agree.
+	in := NewInterner()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := TaintOf(tt.e); !got.Equal(tt.want) {
 				t.Errorf("TaintOf(%s) = %v, want %v", tt.e, got, tt.want)
+			}
+			if got := TaintOf(in.Intern(tt.e)); !got.Equal(tt.want) {
+				t.Errorf("TaintOf(interned %s) = %v, want %v", tt.e, got, tt.want)
 			}
 		})
 	}

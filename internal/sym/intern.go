@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+
+	"privacyscope/internal/taint"
 )
 
 // Interner is a hash-consing arena for expression nodes: structurally equal
@@ -20,6 +22,13 @@ import (
 // unequal" invariant); the engine owns exactly one of each, which satisfies
 // this.
 //
+// Each node the arena mints carries its taint label and entropy bit,
+// computed once from its children's (Table I's join), so TaintOf,
+// SecretTags and HasEntropy on a canonical node read a field instead of
+// walking the DAG. A label's tag list lives in the arena's tables, which
+// grow as the arena mints: read an arena's labels on the goroutine that
+// uses it, or after it stops minting.
+//
 // NaN constants are deliberately never canonicalized: sym.Equal treats
 // NaN != NaN (matching C semantics), and a NaN inside a map key can never
 // be looked up again, so composites with a direct NaN child are returned
@@ -34,6 +43,15 @@ type Interner struct {
 	// symIDs assigns arena-local dense IDs to symbols for call-key tokens,
 	// so call keys never depend on Builder ID uniqueness across arenas.
 	symIDs map[*Symbol]uint64
+
+	// tagSets holds the secret tags of the arena's ⊤ nodes, each list
+	// sorted ascending with len == cap; a node whose join adds no tag to
+	// a child's list shares the child's entry. singles backs the one-tag
+	// lists SecretTags hands out: singles[t] == t.
+	tagSets [][]taint.Tag
+	singles []taint.Tag
+	// tagBuf is the scratch list join merges into.
+	tagBuf []taint.Tag
 
 	// misses counts fresh inserts; the arena never evicts, so it is also
 	// the table size and the last node ID handed out.
@@ -53,12 +71,41 @@ type unKey struct {
 	x  Expr
 }
 
-// internTag is carried (unexported) by composite nodes: the owning arena
-// and a per-arena dense ID used for cheap canonical cache keys.
+// internTag is carried (unexported) by composite nodes: the owning arena,
+// a per-arena dense ID used for cheap canonical cache keys, and the node's
+// taint label, computed once when the arena mints the node.
 type internTag struct {
 	arena *Interner
 	id    uint64
+	lab   label
 }
+
+// label is a canonical node's taint label and entropy bit: the join of
+// its children's labels, which is Table I's propagation policy. It packs
+// into 8 bytes, so Binary, Unary and Call stay in their 64-, 48- and
+// 64-byte size classes.
+type label struct {
+	// tags is the tag of a labSingle node and the arena.tagSets index of
+	// a labTop node's tags.
+	tags    uint32
+	kind    labelKind
+	entropy bool // an in-enclave randomness symbol occurs in the node
+}
+
+type labelKind uint8
+
+const (
+	labBottom labelKind = iota // no secret
+	labSingle                  // exactly one secret tag
+	labTop                     // several tags, listed in arena.tagSets
+	labWide                    // more than maxStoredTags tags, not listed
+)
+
+// maxStoredTags bounds a listed tag set. A chain that adds one secret per
+// node (a sum over every element of a secret buffer) would otherwise store
+// quadratically many tags; past the bound the node is ⊤ without a list,
+// and SecretTags walks it as it does a node outside an arena.
+const maxStoredTags = 64
 
 // NewInterner returns an empty arena.
 func NewInterner() *Interner {
@@ -198,7 +245,7 @@ func (in *Interner) binary(op Op, l, r Expr) (Expr, bool) {
 		in.hits++
 		return got, true
 	}
-	n := &Binary{Op: op, L: l, R: r, tag: in.newTag()}
+	n := &Binary{Op: op, L: l, R: r, tag: in.newTag(in.join(in.labelOf(l), in.labelOf(r)))}
 	in.bins[k] = n
 	return n, true
 }
@@ -212,7 +259,7 @@ func (in *Interner) unary(op Op, x Expr) (Expr, bool) {
 		in.hits++
 		return got, true
 	}
-	n := &Unary{Op: op, X: x, tag: in.newTag()}
+	n := &Unary{Op: op, X: x, tag: in.newTag(in.labelOf(x))}
 	in.uns[k] = n
 	return n, true
 }
@@ -243,15 +290,118 @@ func (in *Interner) call(name string, args []Expr) (Expr, bool) {
 		in.hits++
 		return got, true
 	}
-	n := &Call{Name: name, Args: args, tag: in.newTag()}
+	var lab label
+	for _, a := range args {
+		lab = in.join(lab, in.labelOf(a))
+	}
+	n := &Call{Name: name, Args: args, tag: in.newTag(lab)}
 	in.calls[k] = n
 	return n, true
 }
 
 // newTag counts a fresh insert and returns its tag.
-func (in *Interner) newTag() internTag {
+func (in *Interner) newTag(lab label) internTag {
 	in.misses++
-	return internTag{arena: in, id: uint64(in.misses)}
+	return internTag{arena: in, id: uint64(in.misses), lab: lab}
+}
+
+// labelOf returns the label of a child of a node the arena is minting.
+func (in *Interner) labelOf(e Expr) label {
+	switch v := e.(type) {
+	case IntConst, FloatConst:
+		return label{}
+	case *Symbol:
+		lab := label{entropy: v.Entropy}
+		if v.Secret() {
+			lab.tags, lab.kind = in.single(v.Tag), labSingle
+		}
+		return lab
+	}
+	if t := tagOf(e); t != nil && t.arena == in {
+		return t.lab
+	}
+	// A composite the arena did not mint (NaN-bearing): walk it once.
+	tags := walkTags(e)
+	lab := label{entropy: walkEntropy(e)}
+	switch {
+	case len(tags) == 1:
+		lab.tags, lab.kind = in.single(tags[0]), labSingle
+	case len(tags) > maxStoredTags:
+		lab.kind = labWide
+	case len(tags) > 1:
+		lab.kind, lab.tags = labTop, uint32(len(in.tagSets))
+		in.tagSets = append(in.tagSets, tags[:len(tags):len(tags)])
+	}
+	return lab
+}
+
+// single returns a labSingle node's tags field for tag t, making room for
+// t in singles.
+func (in *Interner) single(t taint.Tag) uint32 {
+	for len(in.singles) <= int(t) {
+		in.singles = append(in.singles, taint.Tag(len(in.singles)))
+	}
+	return uint32(t)
+}
+
+// join is Table I: ⊥ is the identity, equal single tags stay single, and
+// anything else is ⊤ over the union of the tags. A union that adds no tag
+// to one side's list shares that list.
+func (in *Interner) join(a, b label) label {
+	entropy := a.entropy || b.entropy
+	switch {
+	case b.kind == labBottom:
+	case a.kind == labBottom:
+		a = b
+	case a.kind == labWide || b.kind == labWide:
+		a = label{kind: labWide}
+	case a.kind == labSingle && b.kind == labSingle && a.tags == b.tags:
+	default:
+		x, y := in.tagsOf(a), in.tagsOf(b)
+		u := mergeTags(in.tagBuf[:0], x, y)
+		in.tagBuf = u
+		switch {
+		case len(u) == len(x):
+		case len(u) == len(y):
+			a = b
+		case len(u) > maxStoredTags:
+			a = label{kind: labWide}
+		default:
+			a = label{tags: uint32(len(in.tagSets)), kind: labTop}
+			in.tagSets = append(in.tagSets, append(make([]taint.Tag, 0, len(u)), u...))
+		}
+	}
+	a.entropy = entropy
+	return a
+}
+
+// tagsOf lists the tags of a label of this arena other than labWide. The
+// list is shared: its capacity equals its length, so a caller's append
+// copies it.
+func (in *Interner) tagsOf(l label) []taint.Tag {
+	switch l.kind {
+	case labSingle:
+		return in.singles[l.tags : l.tags+1 : l.tags+1]
+	case labTop:
+		return in.tagSets[l.tags]
+	}
+	return nil
+}
+
+// mergeTags appends the union of the ascending lists x and y to dst.
+func mergeTags(dst, x, y []taint.Tag) []taint.Tag {
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			dst, x = append(dst, x[0]), x[1:]
+		case y[0] < x[0]:
+			dst, y = append(dst, y[0]), y[1:]
+		default:
+			dst, x, y = append(dst, x[0]), x[1:], y[1:]
+		}
+	}
+	dst = append(dst, x...)
+	return append(dst, y...)
 }
 
 func (in *Interner) childToken(e Expr) (string, bool) {
@@ -273,34 +423,36 @@ func (in *Interner) childToken(e Expr) (string, bool) {
 			in.symIDs[v] = id
 		}
 		return "$" + strconv.FormatUint(id, 10), true
-	case *Binary:
-		if v.tag.arena != in {
-			return "p" + strconv.FormatUint(uint64(reflect.ValueOf(v).Pointer()), 16), true
+	case *Binary, *Unary, *Call:
+		if t := tagOf(e); t != nil && t.arena == in {
+			return "#" + strconv.FormatUint(t.id, 36), true
 		}
-		return "#" + strconv.FormatUint(v.tag.id, 36), true
-	case *Unary:
-		if v.tag.arena != in {
-			return "p" + strconv.FormatUint(uint64(reflect.ValueOf(v).Pointer()), 16), true
-		}
-		return "#" + strconv.FormatUint(v.tag.id, 36), true
-	case *Call:
-		if v.tag.arena != in {
-			return "p" + strconv.FormatUint(uint64(reflect.ValueOf(v).Pointer()), 16), true
-		}
-		return "#" + strconv.FormatUint(v.tag.id, 36), true
+		return "p" + strconv.FormatUint(uint64(reflect.ValueOf(e).Pointer()), 16), true
 	}
 	return "", false
 }
 
-// arenaOf returns the arena a composite node is canonical in, or nil.
-func arenaOf(e Expr) *Interner {
+// tagOf returns the intern tag of a composite an arena minted, or nil.
+func tagOf(e Expr) *internTag {
+	var t *internTag
 	switch v := e.(type) {
 	case *Binary:
-		return v.tag.arena
+		t = &v.tag
 	case *Unary:
-		return v.tag.arena
+		t = &v.tag
 	case *Call:
-		return v.tag.arena
+		t = &v.tag
+	}
+	if t == nil || t.arena == nil {
+		return nil
+	}
+	return t
+}
+
+// arenaOf returns the arena a composite node is canonical in, or nil.
+func arenaOf(e Expr) *Interner {
+	if t := tagOf(e); t != nil {
+		return t.arena
 	}
 	return nil
 }
@@ -316,13 +468,8 @@ func Interned(e Expr) bool { return arenaOf(e) != nil }
 // detector's sorted conjunct sets) can key on them instead of on
 // structural keys.
 func InternID(e Expr) (uint64, *Interner) {
-	switch v := e.(type) {
-	case *Binary:
-		return v.tag.id, v.tag.arena
-	case *Unary:
-		return v.tag.id, v.tag.arena
-	case *Call:
-		return v.tag.id, v.tag.arena
+	if t := tagOf(e); t != nil {
+		return t.id, t.arena
 	}
 	return 0, nil
 }

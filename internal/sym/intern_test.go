@@ -3,7 +3,11 @@ package sym
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
+
+	"privacyscope/internal/taint"
 )
 
 // genExprs builds a deterministic pool of expressions over one builder,
@@ -41,7 +45,8 @@ func genExprs(in *Interner, b *Builder, rng *rand.Rand, n int) []Expr {
 // TestInternPropertyPairs is the satellite property test: for every pair in
 // a generated pool, Intern(a) == Intern(b) (pointer/value identity) holds
 // exactly when sym.Equal(a, b) (structural) does — including the NaN and
-// ±0 edge cases of TestFloatFoldingMatrix.
+// ±0 edge cases of TestFloatFoldingMatrix. Every node's label must also
+// match the walk over its free symbols.
 func TestInternPropertyPairs(t *testing.T) {
 	in := NewInterner()
 	b := newTestBuilder()
@@ -52,6 +57,8 @@ func TestInternPropertyPairs(t *testing.T) {
 		if !Equal(e, canon[i]) && !structuralNaN(e) {
 			t.Fatalf("Intern changed structure: %s vs %s", e, canon[i])
 		}
+		checkLabel(t, e)
+		checkLabel(t, canon[i])
 	}
 	for i := range pool {
 		for j := range pool {
@@ -207,6 +214,7 @@ func FuzzIntern(f *testing.F) {
 			IntConst{V: 0}, IntConst{V: 1},
 			FloatConst{V: 0}, FloatConst{V: math.Copysign(0, -1)}, FloatConst{V: math.NaN()},
 			b.FreshSecret("s"), b.FreshPublic("p"),
+			b.FreshSecret("t"), b.FreshSecret("u"), b.FreshEntropy("e"),
 		}
 		ops := []Op{OpAdd, OpSub, OpMul, OpDiv, OpRem, OpLt, OpLe, OpEq, OpNe, OpLAnd, OpLOr, OpXor, OpShl}
 		pool := append([]Expr(nil), leaves...)
@@ -241,5 +249,76 @@ func FuzzIntern(f *testing.F) {
 				}
 			}
 		}
+		for _, e := range append(pool, canon...) {
+			checkLabel(t, e)
+		}
 	})
+}
+
+// checkLabel compares the label an arena stored with e (or the walk, for
+// any other node) with a filter over e's free symbols.
+func checkLabel(t *testing.T, e Expr) {
+	t.Helper()
+	var tags []taint.Tag
+	entropy := false
+	for _, s := range FreeSymbols(e) {
+		if s.Secret() {
+			tags = append(tags, s.Tag)
+		}
+		entropy = entropy || s.Entropy
+	}
+	if got := SecretTags(e); !slices.Equal(got, tags) {
+		t.Fatalf("SecretTags(%s) = %v, its free symbols carry %v", e, got, tags)
+	}
+	if got := HasEntropy(e); got != entropy {
+		t.Fatalf("HasEntropy(%s) = %v, want %v", e, got, entropy)
+	}
+	if got, want := TaintOf(e), taint.FromTags(tags); !got.Equal(want) {
+		t.Fatalf("TaintOf(%s) = %v, want %v", e, got, want)
+	}
+}
+
+// TestInternTaintLabelsPastStoredBound checks the labels of a chain that
+// adds one secret per node until its tags no longer fit a stored list.
+func TestInternTaintLabelsPastStoredBound(t *testing.T) {
+	in := NewInterner()
+	b := newTestBuilder()
+	var sum Expr = IntConst{V: 0}
+	for i := 0; i < maxStoredTags+8; i++ {
+		sum = in.NewBinary(OpAdd, sum, b.FreshSecret(""))
+		checkLabel(t, sum)
+		checkLabel(t, in.NewUnary(OpNeg, sum))
+	}
+}
+
+// TestInternTaintLabelAllocs pins the label reads on an interned node at
+// zero allocations, and the node sizes the label must fit in.
+func TestInternTaintLabelAllocs(t *testing.T) {
+	in := NewInterner()
+	b := newTestBuilder()
+	s1, s2, r := b.FreshSecret(""), b.FreshSecret(""), b.FreshEntropy("r")
+	one := in.NewBinary(OpMul, s1, IntConst{V: 3})
+	top := in.NewCall("pow", []Expr{in.NewBinary(OpAdd, one, s2), r})
+	for _, e := range []Expr{one, top, in.NewUnary(OpNeg, top)} {
+		if n := testing.AllocsPerRun(100, func() {
+			if TaintOf(e).IsBottom() || len(SecretTags(e)) == 0 || HasEntropy(e) != (e != one) {
+				t.Fatalf("wrong label on %s", e)
+			}
+		}); n != 0 {
+			t.Errorf("reading the label of %s allocates %.0f times, want 0", e, n)
+		}
+	}
+	for _, c := range []struct {
+		node string
+		size uintptr
+		want uintptr
+	}{
+		{"Binary", unsafe.Sizeof(Binary{}), 64},
+		{"Unary", unsafe.Sizeof(Unary{}), 48},
+		{"Call", unsafe.Sizeof(Call{}), 64},
+	} {
+		if c.size > c.want {
+			t.Errorf("%s is %d bytes, past its %d-byte size class", c.node, c.size, c.want)
+		}
+	}
 }

@@ -74,13 +74,9 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k *kont
 		e.markTruncated(TruncInlineDepth)
 		return e.resume(st, k, ctlFallthrough)
 	}
-	args := make([]mem.SVal, len(v.Args))
-	for i, a := range v.Args {
-		val, _, err := e.eval(st, a)
-		if err != nil {
-			return err
-		}
-		args[i] = val
+	args, err := e.evalArgs(st, fn, v)
+	if err != nil {
+		return err
 	}
 	e.noteLifecycle(st, fn.Name, v.Pos)
 	// Statement position discards the result, but a summary still replays
@@ -96,6 +92,23 @@ func (e *Engine) execCallStmt(st *state, fn *ir.Func, v *minic.CallExpr, k *kont
 		}
 	}
 	return e.execSeq(st, fn.Body.Ops, 0, &kont{kind: kCall, parent: k})
+}
+
+// evalArgs evaluates the arguments of a call to the user function fn,
+// each converted to its parameter's declared type.
+func (e *Engine) evalArgs(st *state, fn *ir.Func, v *minic.CallExpr) ([]mem.SVal, error) {
+	args := make([]mem.SVal, len(v.Args))
+	for i, a := range v.Args {
+		val, ty, err := e.eval(st, a)
+		if err != nil {
+			return nil, err
+		}
+		if i < len(fn.Params) {
+			val = e.convert(val, ty, fn.Params[i].Type)
+		}
+		args[i] = val
+	}
+	return args, nil
 }
 
 // evalCall gives symbolic semantics to function calls: user functions are
@@ -216,7 +229,6 @@ func (e *Engine) evalCall(st *state, v *minic.CallExpr) (mem.SVal, minic.Type, e
 	case "malloc":
 		pointee := e.builder.FreshPublic(fmt.Sprintf("heap@%s", v.Pos))
 		blk := e.mgr.SymBlock(pointee, pointee.Name, false)
-		e.rootDisplay[blk] = pointee.Name
 		return blk.Addr(), minic.Pointer{Elem: minic.Basic{Kind: minic.Int}}, nil
 	}
 
@@ -255,13 +267,9 @@ func (e *Engine) callUser(st *state, fn *ir.Func, v *minic.CallExpr) (mem.SVal, 
 		e.markTruncated(TruncInlineDepth)
 		return e.builder.FreshPublic(fn.Name + "@depth"), fn.Return, nil
 	}
-	args := make([]mem.SVal, len(v.Args))
-	for i, a := range v.Args {
-		val, _, err := e.eval(st, a)
-		if err != nil {
-			return nil, nil, err
-		}
-		args[i] = val
+	args, err := e.evalArgs(st, fn, v)
+	if err != nil {
+		return nil, nil, err
 	}
 	if ret, ok := e.applySummary(st, fn, args); ok {
 		return ret, fn.Return, nil

@@ -52,8 +52,6 @@ type Engine struct {
 	// *secret* symbols (SymRegions of [in] params and re-symbolized
 	// decrypt destinations).
 	secretRoots map[mem.Region]bool
-	// rootDisplay maps region roots to source-level display names.
-	rootDisplay map[mem.Region]string
 	// outRoots maps [out]-parameter roots to parameter names. Written only
 	// while binding entry parameters, read-only during exploration.
 	outRoots map[mem.Region]string
@@ -115,7 +113,6 @@ func NewIR(prog *ir.Program, opts Options) *Engine {
 		itn:         itn,
 		inputSyms:   make(map[mem.Region]mem.SVal),
 		secretRoots: make(map[mem.Region]bool),
-		rootDisplay: make(map[mem.Region]string),
 		outRoots:    make(map[mem.Region]string),
 		globals:     globals,
 		env:         mem.NewEnv(),
@@ -253,7 +250,6 @@ func (e *Engine) bindParam(st *state, reg *mem.VarRegion, p *minic.VarDecl, cls 
 		secret := cls == ParamSecret || cls == ParamInOut
 		pointee := e.builder.FreshPublic(p.Name + "_blk")
 		blk := e.mgr.SymBlock(pointee, p.Name, secret)
-		e.rootDisplay[blk] = p.Name
 		if secret {
 			e.secretRoots[blk] = true
 		}
@@ -404,7 +400,7 @@ func (e *Engine) pushFrame(st *state, fn *ir.Func) frame {
 // Params have no display name of their own: their region is shown as is.
 func (e *Engine) param(fr frame, p *minic.VarDecl) *mem.VarRegion {
 	if fr[p.Slot] == nil {
-		fr[p.Slot] = e.mgr.Var(p.Name)
+		fr[p.Slot] = e.mgr.Var("")
 	}
 	return fr[p.Slot]
 }
@@ -416,7 +412,6 @@ func (e *Engine) local(fr frame, d *minic.VarDecl) *mem.VarRegion {
 	if r == nil {
 		r = e.mgr.Var(d.Name)
 		fr[d.Slot] = r
-		e.rootDisplay[r] = d.Name
 	}
 	return r
 }
@@ -427,7 +422,6 @@ func (e *Engine) global(g *minic.VarDecl) *mem.VarRegion {
 	if r == nil {
 		r = e.mgr.Var(g.Name)
 		e.globals[g.Slot] = r
-		e.rootDisplay[r] = g.Name
 	}
 	return r
 }
@@ -692,11 +686,11 @@ func (e *Engine) exec(st *state, op ir.Op, k *kont) error {
 	case *ir.ReturnOp:
 		var ret sym.Expr
 		if v.X != nil {
-			val, _, err := e.eval(st, v.X)
+			val, ty, err := e.eval(st, v.X)
 			if err != nil {
 				return err
 			}
-			ret = scalarOf(val)
+			ret = scalarOf(e.convert(val, ty, v.Type))
 		}
 		return e.resume(st, k, ctl{kind: ctlReturn, ret: ret, retPos: v.Pos})
 	case *ir.BreakOp:

@@ -386,7 +386,6 @@ func (e *Engine) load(st *state, reg mem.Region, ty minic.Type) (mem.SVal, error
 		// Unknown pointer inside an unknown block: a nested block.
 		pointee := e.builder.FreshPublic(display + "_blk")
 		nested := e.mgr.SymBlock(pointee, display, secret)
-		e.rootDisplay[nested] = display
 		if secret {
 			e.secretRoots[nested] = true
 		}
@@ -416,12 +415,14 @@ func (e *Engine) displayName(reg mem.Region) string {
 		return e.displayName(v.Super()) + "[" + idx + "]"
 	case *mem.FieldRegion:
 		return e.displayName(v.Super()) + "." + v.Field
-	default:
-		if d, ok := e.rootDisplay[reg]; ok {
-			return d
+	case *mem.VarRegion:
+		if v.Name != "" {
+			return v.Name
 		}
-		return reg.String()
+	case *mem.SymRegion:
+		return v.DisplayName
 	}
+	return reg.String()
 }
 
 func concreteInt(x sym.Expr) (int, bool) {
